@@ -2,7 +2,8 @@
 """Run the full report pipeline on a season file and print the headlines.
 
 Writes every CLI artifact (table, evolution, indicators, ecdf) into the output
-directory, then summarizes how the scoring systems compare on stdout.
+directory, then summarizes how the scoring systems compare on stdout. The
+season is segmented once: every file and every number printed reads one ledger.
 """
 
 from __future__ import annotations
@@ -10,11 +11,19 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from timescore.cli import (
+    RunConfig,
+    ecdf_report,
+    evolution_report,
+    indicators_report,
+    table_report,
+    write_report,
+)
 from timescore.display import format_decimal
-from timescore.indicators import compute_bundle, minutes_to_upper
+from timescore.indicators import indicator_bundle, minutes_to_upper
 from timescore.ingest import minute_error_bound, parse_season
-from timescore.scoring import ScoringSystem
-from timescore.standings import final_table
+from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, scoring_rule
+from timescore.standings import SeasonLedger
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEASON = ROOT / "data" / "synthetic_season.csv"
@@ -32,24 +41,11 @@ def main() -> None:
 
     fmt = "json" if args.season.suffix.lower() == ".json" else "csv"
     season = parse_season(args.season.read_bytes(), fmt)
-    systems = [ScoringSystem(tok.strip()) for tok in args.systems.split(",")]
-
-    from click.testing import CliRunner
-    from timescore.cli import main as cli
-
-    runner = CliRunner()
-    for command in ("table", "evolution", "indicators", "ecdf"):
-        result = runner.invoke(
-            cli,
-            [
-                command,
-                "--input", str(args.season),
-                "--out", str(args.out),
-                "--systems", args.systems,
-            ],
-            catch_exceptions=False,
-        )
-        assert result.exit_code == 0, result.output
+    systems = tuple(ScoringSystem(tok.strip()) for tok in args.systems.split(","))
+    ledger = SeasonLedger(season)
+    config = RunConfig(systems=systems, weights=DEFAULT_WEIGHTS)
+    for report in (table_report, evolution_report, indicators_report, ecdf_report):
+        write_report(report(config, ledger), args.out)
 
     print(f"season: {args.season} ({len(season.matches)} fixtures, "
           f"{len(season.teams)} teams, {season.num_rounds} rounds)")
@@ -60,9 +56,11 @@ def main() -> None:
     print()
     header = f"{'system':<10}{'champion':<14}{'gap 1-3%':>10}{'gap 1-last%':>13}{'lead chg':>10}{'avg pts':>9}"
     print(header)
+    tables = {}
     for system in systems:
-        bundle = compute_bundle(season, system)
-        table = final_table(season, system)
+        rule = scoring_rule(system)
+        bundle = indicator_bundle(ledger, rule)
+        tables[system] = table = ledger.final(rule).table()
         print(
             f"{system.value:<10}{table.rows[0].team:<14}"
             f"{format_decimal(bundle.gap_1_3_pct, 1):>10}"
@@ -73,8 +71,7 @@ def main() -> None:
     if ScoringSystem.TIME in systems:
         print()
         print("minutes a single earlier victory goal would close each deficit (time system):")
-        table = final_table(season, ScoringSystem.TIME)
-        for metric in minutes_to_upper(table):
+        for metric in minutes_to_upper(tables[ScoringSystem.TIME]):
             note = " (below minute precision)" if metric.precision_limited else ""
             print(
                 f"  {metric.team:<14} {format_decimal(metric.minutes_to_upper, 1):>7} min"

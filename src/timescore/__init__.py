@@ -1,64 +1,10 @@
 """Deterministic league-standings engine for time-share soccer scoring systems."""
 
-from .errors import (
-    DuplicateFixtureError,
-    EmptySeasonError,
-    MalformedRowError,
-    NonContiguousRoundsError,
-    NonMonotonicGoalsError,
-    SeasonDataError,
-    TooFewTeamsError,
-    UnknownFormatError,
-    WrongSystemError,
-)
-from .indicators import (
-    IndicatorBundle,
-    OvertakeMetric,
-    avg_points_per_team_game,
-    compute_bundle,
-    draws_to_wins,
-    gaps,
-    minutes_for_deficit,
-    minutes_to_upper,
-    points_ecdf,
-)
-from .ingest import (
-    REGULATION_LENGTH_S,
-    SECONDS_PER_MINUTE,
-    GoalEvent,
-    MatchRecord,
-    SeasonDataset,
-    SeasonFormat,
-    Side,
-    TimePrecision,
-    minute_error_bound,
-    parse_season,
-    serialize_season,
-)
-from .scoring import (
-    DEFAULT_WEIGHTS,
-    PointsAward,
-    ScoringSystem,
-    WeightTriple,
-    classic_points,
-    final_result,
-    goal_diff_value,
-    goaldiff_points,
-    match_points,
-    mixed_points,
-    time_points,
-)
-from .standings import (
-    LeadershipStats,
-    LeagueTable,
-    StandingsEvolution,
-    TableRow,
-    evolution,
-    final_table,
-    leadership_stats,
-    overall_changes,
-    percent_of_leader,
-)
-from .timeline import SegmentBreakdown, effective_length, segment, segment_oracle
+from .errors import SeasonDataError
+from .indicators import compute_bundle, draws_to_wins, minutes_to_upper, points_ecdf
+from .ingest import TimePrecision, minute_error_bound, parse_season, serialize_season
+from .scoring import ScoringSystem, WeightTriple, scoring_rule, time_points
+from .standings import SeasonLedger, evolution, final_table
+from .timeline import segment, segment_oracle
 
 __version__ = "0.1.0"

@@ -16,30 +16,28 @@ from typing import Callable, Sequence
 import click
 
 from .display import format_decimal
-from .errors import SeasonDataError
 from .indicators import (
-    compute_bundle,
     draws_to_wins,
+    ecdf_counts,
     ecdf_to_csv,
+    indicator_bundle,
     indicators_to_csv,
     indicators_to_json,
     minutes_to_upper,
-    points_ecdf,
 )
-from .ingest import SeasonDataset, SeasonFormat, parse_season
-from .scoring import ScoringSystem, WeightTriple
-from .standings import LeagueTable, evolution, evolution_to_csv, final_table, percent_of_leader
+from .ingest import SeasonFormat, parse_season
+from .scoring import ScoringSystem, WeightTriple, scoring_rule
+from .standings import LeagueTable, SeasonLedger, evolution_to_csv, percent_of_leader
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    input_path: Path
-    fmt: SeasonFormat
+    """What to report and how to render it; every report reads one season ledger."""
+
     systems: tuple[ScoringSystem, ...]
     weights: WeightTriple
-    output_dir: Path
-    display_decimals: int
-    decimal_comma: bool
+    display_decimals: int = 2
+    decimal_comma: bool = False
 
 
 def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
@@ -70,8 +68,6 @@ def build_comparison_csv(
     tables: Sequence[LeagueTable],
     *,
     decimals: int = 2,
-    pct_decimals: int = 0,
-    minutes_decimals: int = 0,
     comma: bool = False,
 ) -> str:
     """Side-by-side comparison of final tables, one rank-aligned block per system.
@@ -104,15 +100,13 @@ def build_comparison_csv(
             row += [
                 table_row.team,
                 format_decimal(table_row.points, decimals, comma=comma),
-                format_decimal(pcts[i], pct_decimals, comma=comma),
+                format_decimal(pcts[i], 0, comma=comma),
             ]
         if time_table is not None:
             row.append(
                 ""
                 if i == 0
-                else format_decimal(
-                    time_metrics[i - 1].minutes_to_upper, minutes_decimals, comma=comma
-                )
+                else format_decimal(time_metrics[i - 1].minutes_to_upper, 0, comma=comma)
             )
         if classic_table is not None:
             row.append("" if i == 0 else str(classic_metrics[i - 1].draws_to_wins))
@@ -120,55 +114,67 @@ def build_comparison_csv(
     return out.getvalue()
 
 
-def _write_table(config: RunConfig, dataset: SeasonDataset) -> list[Path]:
-    tables = [final_table(dataset, system, config.weights) for system in config.systems]
-    content = build_comparison_csv(
-        tables, decimals=config.display_decimals, comma=config.decimal_comma
-    )
-    path = config.output_dir / "table.csv"
-    path.write_bytes(content.encode("utf-8"))
-    return [path]
-
-
-def _write_evolution(config: RunConfig, dataset: SeasonDataset) -> list[Path]:
-    written = []
-    for system in config.systems:
-        evo = evolution(dataset, system, config.weights)
-        content = evolution_to_csv(
-            evo, decimals=config.display_decimals, comma=config.decimal_comma
+def table_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+    """table.csv: the final tables side by side."""
+    tables = [
+        ledger.final(scoring_rule(system, config.weights)).table() for system in config.systems
+    ]
+    return {
+        "table.csv": build_comparison_csv(
+            tables, decimals=config.display_decimals, comma=config.decimal_comma
         )
-        path = config.output_dir / f"evolution_{system.value}.csv"
+    }
+
+
+def evolution_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+    """evolution_<system>.csv: each round's ranks and points."""
+    return {
+        f"evolution_{system.value}.csv": evolution_to_csv(
+            ledger.rounds(scoring_rule(system, config.weights)),
+            decimals=config.display_decimals,
+            comma=config.decimal_comma,
+        )
+        for system in config.systems
+    }
+
+
+def indicators_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+    """indicators.csv and indicators.json: one column or object per system."""
+    bundles = [
+        (system, indicator_bundle(ledger, scoring_rule(system, config.weights)))
+        for system in config.systems
+    ]
+    return {
+        "indicators.csv": indicators_to_csv(bundles, comma=config.decimal_comma),
+        "indicators.json": indicators_to_json(bundles),
+    }
+
+
+def ecdf_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+    """ecdf_<system>.csv: the distribution of per-team match awards."""
+    files = {}
+    for system in config.systems:
+        rule = scoring_rule(system, config.weights)
+        # One expression, so this system's sorted awards are freed before the next's.
+        files[f"ecdf_{system.value}.csv"] = ecdf_to_csv(
+            ecdf_counts(ledger.awards(rule)), ledger.den(rule), comma=config.decimal_comma
+        )
+    return files
+
+
+def write_report(files: dict[str, str], output_dir: Path) -> list[Path]:
+    """Write each named file as UTF-8 under ``output_dir`` (created if missing)."""
+    output_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, content in files.items():
+        path = output_dir / name
         path.write_bytes(content.encode("utf-8"))
         written.append(path)
     return written
 
 
-def _write_indicators(config: RunConfig, dataset: SeasonDataset) -> list[Path]:
-    bundles = [
-        (system, compute_bundle(dataset, system, config.weights))
-        for system in config.systems
-    ]
-    csv_path = config.output_dir / "indicators.csv"
-    csv_path.write_bytes(
-        indicators_to_csv(bundles, comma=config.decimal_comma).encode("utf-8")
-    )
-    json_path = config.output_dir / "indicators.json"
-    json_path.write_bytes(indicators_to_json(bundles).encode("utf-8"))
-    return [csv_path, json_path]
-
-
-def _write_ecdf(config: RunConfig, dataset: SeasonDataset) -> list[Path]:
-    written = []
-    for system in config.systems:
-        steps = points_ecdf(dataset, system, config.weights)
-        path = config.output_dir / f"ecdf_{system.value}.csv"
-        path.write_bytes(ecdf_to_csv(steps, comma=config.decimal_comma).encode("utf-8"))
-        written.append(path)
-    return written
-
-
 def _execute(
-    writer: Callable[[RunConfig, SeasonDataset], list[Path]],
+    report: Callable[[RunConfig, SeasonLedger], dict[str, str]],
     input_path: Path,
     fmt: str | None,
     systems: str,
@@ -179,22 +185,15 @@ def _execute(
 ) -> None:
     try:
         config = RunConfig(
-            input_path=input_path,
-            fmt=_infer_format(input_path, fmt),
             systems=_parse_systems(systems),
             weights=WeightTriple.from_string(weights),
-            output_dir=output_dir,
             display_decimals=decimals,
             decimal_comma=decimal_comma,
         )
-        data = config.input_path.read_bytes()
-        dataset = parse_season(data, config.fmt)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        written = writer(config, dataset)
-    except SeasonDataError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(1)
-    except (ValueError, ZeroDivisionError) as err:
+        dataset = parse_season(input_path.read_bytes(), _infer_format(input_path, fmt))
+        written = write_report(report(config, SeasonLedger(dataset)), output_dir)
+    except ValueError as err:
+        # Bad flags, and every SeasonDataError (a ValueError carrying its code).
         click.echo(f"error: {err}", err=True)
         sys.exit(1)
     except OSError as err:
@@ -267,25 +266,25 @@ def main() -> None:
 @_season_options
 def cmd_table(**kwargs) -> None:
     """Side-by-side final standings comparison (table.csv)."""
-    _execute(_write_table, **kwargs)
+    _execute(table_report, **kwargs)
 
 
 @main.command("evolution")
 @_season_options
 def cmd_evolution(**kwargs) -> None:
     """Per-round rank/points trajectories (evolution_<system>.csv)."""
-    _execute(_write_evolution, **kwargs)
+    _execute(evolution_report, **kwargs)
 
 
 @main.command("indicators")
 @_season_options
 def cmd_indicators(**kwargs) -> None:
     """Season competitiveness indicators (indicators.csv / indicators.json)."""
-    _execute(_write_indicators, **kwargs)
+    _execute(indicators_report, **kwargs)
 
 
 @main.command("ecdf")
 @_season_options
 def cmd_ecdf(**kwargs) -> None:
     """Cumulative distribution of per-team match points (ecdf_<system>.csv)."""
-    _execute(_write_ecdf, **kwargs)
+    _execute(ecdf_report, **kwargs)

@@ -50,3 +50,7 @@ class TooFewTeamsError(SeasonDataError):
 
 class WrongSystemError(SeasonDataError):
     code = "WRONG_SYSTEM"
+
+
+class NonPositiveLeaderError(SeasonDataError):
+    code = "NON_POSITIVE_LEADER"

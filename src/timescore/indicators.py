@@ -1,7 +1,7 @@
 """Season-level competitiveness metrics and overtake what-ifs.
 
-Everything here is computed from exact rational points, so repeated runs are
-bit-identical; rounding happens only in the CSV/JSON renderers.
+Everything here is computed from exact integer or rational points, so repeated
+runs are bit-identical; rounding happens only in the CSV/JSON renderers.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .display import format_decimal
-from .errors import EmptySeasonError, TooFewTeamsError, WrongSystemError
+from .display import format_decimal, format_ratio
+from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE, SeasonDataset
-from .scoring import DEFAULT_WEIGHTS, ScoringSystem, WeightTriple, match_points
-from .standings import LeagueTable, evolution, leadership_stats, overall_changes
+from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple, scoring_rule
+from .standings import LeagueTable, SeasonLedger, leadership, percent_of_leader, rank_moves
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,19 +57,15 @@ class OvertakeMetric:
 def gaps(table: LeagueTable) -> tuple[Fraction, Fraction, Fraction]:
     """Percentage points deficits of the 3rd, 9th and last rows to the leader.
 
-    Each gap is 100*(P_1 - P_k)/P_1. Tables shorter than nine rows fall back
+    Each gap is 100*(P_1 - P_k)/P_1, so the leader must have positive points
+    (NON_POSITIVE_LEADER otherwise). Tables shorter than nine rows fall back
     to the last row for the 9th-place gap.
     """
     rows = table.rows
     if len(rows) < 3:
         raise TooFewTeamsError(f"need at least 3 teams, got {len(rows)}")
-    leader = rows[0].points
-
-    def gap_at(k: int) -> Fraction:
-        row = rows[min(k, len(rows)) - 1]
-        return 100 * (leader - row.points) / leader
-
-    return gap_at(3), gap_at(9), gap_at(len(rows))
+    percents = percent_of_leader(table)
+    return 100 - percents[2], 100 - percents[min(9, len(rows)) - 1], 100 - percents[-1]
 
 
 def avg_points_per_team_game(
@@ -78,13 +74,7 @@ def avg_points_per_team_game(
     weights: WeightTriple = DEFAULT_WEIGHTS,
 ) -> Fraction:
     """Mean points earned per team appearance (two appearances per fixture)."""
-    if not dataset.matches:
-        raise EmptySeasonError("season has no matches")
-    total = Fraction(0)
-    for match in dataset.matches:
-        award = match_points(match, system, weights)
-        total += award.home_pts + award.away_pts
-    return total / (2 * len(dataset.matches))
+    return SeasonLedger(dataset).final(scoring_rule(system, weights)).average()
 
 
 def minutes_for_deficit(
@@ -157,6 +147,17 @@ def draws_to_wins(table: LeagueTable) -> list[OvertakeMetric]:
     return metrics
 
 
+def ecdf_counts(awards: list[int]) -> list[tuple[int, int]]:
+    """(value, number of awards <= value) at each distinct value; sorts ``awards`` in place."""
+    awards.sort()
+    total = len(awards)
+    return [
+        (value, i)
+        for i, value in enumerate(awards, start=1)
+        if i == total or awards[i] != value
+    ]
+
+
 def points_ecdf(
     dataset: SeasonDataset,
     system: ScoringSystem,
@@ -167,19 +168,29 @@ def points_ecdf(
     Returns (value, cumulative_fraction) steps over the sorted support of all
     2*fixtures awards; the final cumulative fraction is exactly 1.
     """
-    if not dataset.matches:
-        raise EmptySeasonError("season has no matches")
-    awards: list[Fraction] = []
-    for match in dataset.matches:
-        award = match_points(match, system, weights)
-        awards.extend((award.home_pts, award.away_pts))
-    awards.sort()
-    total = len(awards)
-    steps: list[tuple[Fraction, Fraction]] = []
-    for i, value in enumerate(awards, start=1):
-        if i == total or awards[i] != value:
-            steps.append((value, Fraction(i, total)))
-    return steps
+    ledger = SeasonLedger(dataset)
+    rule = scoring_rule(system, weights)
+    awards = ledger.awards(rule)
+    den, total = ledger.den(rule), len(awards)
+    return [(Fraction(value, den), Fraction(i, total)) for value, i in ecdf_counts(awards)]
+
+
+def indicator_bundle(ledger: SeasonLedger, rule: ScoringRule) -> IndicatorBundle:
+    """All Table-style indicators for one rule, from one pass over the ledger's rounds."""
+    orders = []
+    for standings in ledger.rounds(rule):
+        orders.append(standings.order)
+    gap_3, gap_9, gap_last = gaps(standings.table())
+    leads = leadership([ledger.teams[order[0]] for order in orders])
+    return IndicatorBundle(
+        gap_1_3_pct=gap_3,
+        gap_1_9_pct=gap_9,
+        gap_1_last_pct=gap_last,
+        overall_changes=rank_moves(orders),
+        leadership_changes=leads.num_changes,
+        distinct_leaders=leads.distinct_leaders,
+        avg_points_per_team_game=standings.average(),
+    )
 
 
 def compute_bundle(
@@ -188,19 +199,7 @@ def compute_bundle(
     weights: WeightTriple = DEFAULT_WEIGHTS,
 ) -> IndicatorBundle:
     """All Table-style indicators for one system over one season."""
-    evo = evolution(dataset, system, weights)
-    table = evo.tables[-1]
-    gap_3, gap_9, gap_last = gaps(table)
-    leads = leadership_stats(evo)
-    return IndicatorBundle(
-        gap_1_3_pct=gap_3,
-        gap_1_9_pct=gap_9,
-        gap_1_last_pct=gap_last,
-        overall_changes=overall_changes(evo),
-        leadership_changes=leads.num_changes,
-        distinct_leaders=leads.distinct_leaders,
-        avg_points_per_team_game=avg_points_per_team_game(dataset, system, weights),
-    )
+    return indicator_bundle(SeasonLedger(dataset), scoring_rule(system, weights))
 
 
 _INDICATOR_ROWS = (
@@ -241,26 +240,22 @@ def indicators_to_json(
     """Indicator bundles keyed by system, with exact rationals as strings."""
     doc = {
         system.value: {
-            "gap_1_3_pct": str(bundle.gap_1_3_pct),
-            "gap_1_9_pct": str(bundle.gap_1_9_pct),
-            "gap_1_last_pct": str(bundle.gap_1_last_pct),
-            "overall_changes": bundle.overall_changes,
-            "leadership_changes": bundle.leadership_changes,
-            "distinct_leaders": bundle.distinct_leaders,
-            "avg_points_per_team_game": str(bundle.avg_points_per_team_game),
+            attr: getattr(bundle, attr) if decimals is None else str(getattr(bundle, attr))
+            for _, attr, decimals in _INDICATOR_ROWS
         }
         for system, bundle in bundles
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def ecdf_to_csv(steps: Sequence[tuple[Fraction, Fraction]], *, comma: bool = False) -> str:
-    """Two-column plot-ready CSV; six decimals keep distinct rational steps apart."""
+def ecdf_to_csv(steps: Sequence[tuple[int, int]], den: int, *, comma: bool = False) -> str:
+    """Plot-ready CSV of :func:`ecdf_counts` steps over ``den``; six decimals keep steps apart."""
+    total = steps[-1][1]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["points", "cumulative_fraction"])
-    for value, cumulative in steps:
-        writer.writerow(
-            [format_decimal(value, 6, comma=comma), format_decimal(cumulative, 6, comma=comma)]
-        )
+    writer.writerows(
+        [format_ratio(value, den, 6, comma=comma), format_ratio(count, total, 6, comma=comma)]
+        for value, count in steps
+    )
     return out.getvalue()

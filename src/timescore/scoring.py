@@ -1,14 +1,17 @@
 """Per-match point awards under the four scoring systems.
 
-All awards are exact rationals (:class:`fractions.Fraction`); any decimal
+The four systems are one rule with different integer coefficients (see
+:class:`ScoringRule`), so an award is an exact ratio of integers; any decimal
 you see in an output file is presentation-only rounding.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ingest import MatchRecord
 from .timeline import SegmentBreakdown, segment
@@ -44,7 +47,10 @@ class WeightTriple:
         parts = text.split(",")
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated weights, got {text!r}")
-        return cls(*(Fraction(p.strip()) for p in parts))
+        try:
+            return cls(*(Fraction(p.strip()) for p in parts))
+        except ZeroDivisionError:
+            raise ValueError(f"weights must not divide by zero, got {text!r}") from None
 
 
 DEFAULT_WEIGHTS = WeightTriple(Fraction(3), Fraction(1), Fraction(0))
@@ -73,65 +79,66 @@ def goal_diff_value(goals_for: int, goals_against: int) -> int:
     return max(0, min(goals_for - goals_against, 3))
 
 
-def time_points(seg: SegmentBreakdown, weights: WeightTriple = DEFAULT_WEIGHTS) -> PointsAward:
-    """Weighted share of the match clock spent leading / level / trailing.
+class ScoringRule(NamedTuple):
+    """One scoring system as integer coefficients. A side's award for one match is
 
-    home = (alpha_w*T_lead + alpha_d*T_level + alpha_l*T_trail) / T_match,
-    and symmetrically for the away side. With the default (3, 1, 0) weights
-    the two awards always sum to 3 - T_level/T_match.
+        (lead*T_lead + level*T_level + trail*T_trail + (result*r + goal_diff*g)*T_match)
+        / (scale * T_match)
+
+    where r is its 3/1/0 result and g its capped goal-difference bonus.
     """
-    w = weights
-    home = (
-        w.alpha_w * seg.t_win_home + w.alpha_d * seg.t_draw + w.alpha_l * seg.t_lose_home
-    ) / seg.t_match
-    away = (
-        w.alpha_w * seg.t_win_away + w.alpha_d * seg.t_draw + w.alpha_l * seg.t_lose_away
-    ) / seg.t_match
-    return PointsAward(home, away, ScoringSystem.TIME)
+
+    system: ScoringSystem
+    weights: WeightTriple
+    lead: int
+    level: int
+    trail: int
+    result: int
+    goal_diff: int
+    scale: int
+
+    def numerators(self, seg: SegmentBreakdown, hg: int, ag: int) -> tuple[int, int]:
+        """(home, away) awards over ``scale * seg.t_match`` for a match ending hg-ag."""
+        # Runs once per match per system, so terms with a zero coefficient are skipped.
+        home = away = 0
+        if self.result:
+            home, away = self.result * final_result(hg, ag), self.result * final_result(ag, hg)
+        if self.goal_diff:
+            home += self.goal_diff * goal_diff_value(hg, ag)
+            away += self.goal_diff * goal_diff_value(ag, hg)
+        win, draw, lose, t_match = seg.t_win_home, seg.t_draw, seg.t_lose_home, seg.t_match
+        level = self.level * draw
+        return (
+            self.lead * win + level + self.trail * lose + home * t_match,
+            self.lead * lose + level + self.trail * win + away * t_match,
+        )
 
 
-def classic_points(match: MatchRecord) -> PointsAward:
-    """Standard 3-for-a-win points from the final score."""
-    hg, ag = match.final_score
-    return PointsAward(
-        Fraction(final_result(hg, ag)),
-        Fraction(final_result(ag, hg)),
-        ScoringSystem.CLASSIC,
-    )
+def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS) -> ScoringRule:
+    """The coefficients of ``system``; only ``time`` reads the weights.
+
+    classic = r; time = the weighted time share, scaled by the lcm of the
+    weight denominators; mixed = ((3,1,0) time share + r) / 2;
+    goaldiff = ((3,1,0) time share + r + g) / 3.
+    """
+    if system is ScoringSystem.CLASSIC:
+        return ScoringRule(system, weights, 0, 0, 0, 1, 0, 1)
+    if system is ScoringSystem.TIME:
+        alphas = (weights.alpha_w, weights.alpha_d, weights.alpha_l)
+        scale = math.lcm(*(a.denominator for a in alphas))
+        lead, level, trail = (a.numerator * (scale // a.denominator) for a in alphas)
+        return ScoringRule(system, weights, lead, level, trail, 0, 0, scale)
+    if system is ScoringSystem.MIXED_HALF:
+        return ScoringRule(system, weights, 3, 1, 0, 1, 0, 2)
+    if system is ScoringSystem.GOALDIFF_THIRD:
+        return ScoringRule(system, weights, 3, 1, 0, 1, 1, 3)
+    raise ValueError(f"unknown scoring system: {system!r}")
 
 
-def _time_share(seg: SegmentBreakdown) -> tuple[Fraction, Fraction]:
-    # Hybrid systems fix the time term at weights (3, 1, 0) regardless of any
-    # configured triple.
-    home = Fraction(3 * seg.t_win_home + seg.t_draw, seg.t_match)
-    away = Fraction(3 * seg.t_win_away + seg.t_draw, seg.t_match)
-    return home, away
-
-
-def mixed_points(match: MatchRecord, seg: SegmentBreakdown | None = None) -> PointsAward:
-    """Even blend: half the (3,1,0) time share plus half the final-result points."""
-    seg = segment(match) if seg is None else seg
-    time_home, time_away = _time_share(seg)
-    hg, ag = match.final_score
-    half = Fraction(1, 2)
-    return PointsAward(
-        half * (time_home + final_result(hg, ag)),
-        half * (time_away + final_result(ag, hg)),
-        ScoringSystem.MIXED_HALF,
-    )
-
-
-def goaldiff_points(match: MatchRecord, seg: SegmentBreakdown | None = None) -> PointsAward:
-    """Equal thirds: (3,1,0) time share, final-result points, capped goal difference."""
-    seg = segment(match) if seg is None else seg
-    time_home, time_away = _time_share(seg)
-    hg, ag = match.final_score
-    third = Fraction(1, 3)
-    return PointsAward(
-        third * (time_home + final_result(hg, ag) + goal_diff_value(hg, ag)),
-        third * (time_away + final_result(ag, hg) + goal_diff_value(ag, hg)),
-        ScoringSystem.GOALDIFF_THIRD,
-    )
+def _award(rule: ScoringRule, seg: SegmentBreakdown, hg: int, ag: int) -> PointsAward:
+    home, away = rule.numerators(seg, hg, ag)
+    den = rule.scale * seg.t_match
+    return PointsAward(Fraction(home, den), Fraction(away, den), rule.system)
 
 
 def match_points(
@@ -140,14 +147,31 @@ def match_points(
     weights: WeightTriple = DEFAULT_WEIGHTS,
     seg: SegmentBreakdown | None = None,
 ) -> PointsAward:
-    """Dispatch to the requested system, computing the segment breakdown as needed."""
-    if system is ScoringSystem.CLASSIC:
-        return classic_points(match)
+    """Both sides' awards under ``system``; ``seg`` is the match's breakdown if already known."""
     seg = segment(match) if seg is None else seg
-    if system is ScoringSystem.TIME:
-        return time_points(seg, weights)
-    if system is ScoringSystem.MIXED_HALF:
-        return mixed_points(match, seg)
-    if system is ScoringSystem.GOALDIFF_THIRD:
-        return goaldiff_points(match, seg)
-    raise ValueError(f"unknown scoring system: {system!r}")
+    return _award(scoring_rule(system, weights), seg, *match.final_score)
+
+
+def time_points(seg: SegmentBreakdown, weights: WeightTriple = DEFAULT_WEIGHTS) -> PointsAward:
+    """Weighted share of the match clock spent leading / level / trailing.
+
+    home = (alpha_w*T_lead + alpha_d*T_level + alpha_l*T_trail) / T_match,
+    and symmetrically for the away side. With the default (3, 1, 0) weights
+    the two awards always sum to 3 - T_level/T_match.
+    """
+    return _award(scoring_rule(ScoringSystem.TIME, weights), seg, 0, 0)
+
+
+def classic_points(match: MatchRecord) -> PointsAward:
+    """Standard 3-for-a-win points from the final score."""
+    return match_points(match, ScoringSystem.CLASSIC)
+
+
+def mixed_points(match: MatchRecord, seg: SegmentBreakdown | None = None) -> PointsAward:
+    """Even blend: half the (3,1,0) time share plus half the final-result points."""
+    return match_points(match, ScoringSystem.MIXED_HALF, seg=seg)
+
+
+def goaldiff_points(match: MatchRecord, seg: SegmentBreakdown | None = None) -> PointsAward:
+    """Equal thirds: (3,1,0) time share, final-result points, capped goal difference."""
+    return match_points(match, ScoringSystem.GOALDIFF_THIRD, seg=seg)

@@ -1,18 +1,31 @@
-"""League tables, round-by-round evolution, and rank-movement statistics."""
+"""The season ledger, league tables, round-by-round evolution and rank-movement statistics.
+
+Team points are integers over one denominator per scoring system, ranked on
+integer keys; they become ``Fraction`` only where a table row is built.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .display import format_decimal
-from .errors import EmptySeasonError
-from .ingest import MatchRecord, SeasonDataset
-from .scoring import DEFAULT_WEIGHTS, ScoringSystem, WeightTriple, final_result, match_points
-from .timeline import segment
+from .display import format_decimal, format_ratio
+from .errors import EmptySeasonError, NonPositiveLeaderError
+from .ingest import SeasonDataset
+from .scoring import (
+    DEFAULT_WEIGHTS,
+    ScoringRule,
+    ScoringSystem,
+    WeightTriple,
+    final_result,
+    scoring_rule,
+)
+from .timeline import SegmentBreakdown, segment
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,72 +66,137 @@ class LeadershipStats:
     leader_sequence: tuple[str, ...]
 
 
-@dataclass
-class _Totals:
-    points: Fraction = Fraction(0)
-    played: int = 0
-    wins: int = 0
-    draws: int = 0
-    losses: int = 0
-    goals_for: int = 0
-    goals_against: int = 0
+class Fixture(NamedTuple):
+    """One match as the ledger keeps it: team indices, final score, segmentation."""
+
+    home: int
+    away: int
+    home_goals: int
+    away_goals: int
+    seg: SegmentBreakdown
 
 
-def _apply_match(
-    totals: dict[str, _Totals],
-    match: MatchRecord,
-    system: ScoringSystem,
-    weights: WeightTriple,
-) -> None:
-    award = match_points(match, system, weights, seg=segment(match))
-    hg, ag = match.final_score
-    for team, pts, gf, ga in (
-        (match.home, award.home_pts, hg, ag),
-        (match.away, award.away_pts, ag, hg),
-    ):
-        t = totals[team]
-        t.points += pts
-        t.played += 1
-        t.goals_for += gf
-        t.goals_against += ga
-        outcome = final_result(gf, ga)
-        if outcome == 3:
-            t.wins += 1
-        elif outcome == 1:
-            t.draws += 1
-        else:
-            t.losses += 1
+class Standings:
+    """Cumulative per-team totals after some round, indexed like ``teams``.
+
+    ``points[i] / den`` is team i's exact points total. ``order`` lists the
+    team indices by rank. A :meth:`SeasonLedger.rounds` stream updates one
+    object in place, so read it before asking for the next round.
+    """
+
+    __slots__ = ("teams", "rule", "den", "points", "goals_for", "goal_diff", "results", "order")
+
+    def __init__(self, teams: tuple[str, ...], rule: ScoringRule, den: int) -> None:
+        n = len(teams)
+        self.teams = teams
+        self.rule = rule
+        self.den = den
+        self.points = [0] * n
+        self.goals_for = [0] * n
+        self.goal_diff = [0] * n
+        # results[i][r] counts team i's matches with 3/1/0 result r.
+        self.results = [[0, 0, 0, 0] for _ in range(n)]
+        self.order = list(range(n))
+
+    def add(self, fixture: Fixture, home_pts: int, away_pts: int) -> None:
+        home, away, hg, ag, _ = fixture
+        self.points[home] += home_pts
+        self.points[away] += away_pts
+        self.goals_for[home] += hg
+        self.goals_for[away] += ag
+        self.goal_diff[home] += hg - ag
+        self.goal_diff[away] += ag - hg
+        self.results[home][final_result(hg, ag)] += 1
+        self.results[away][final_result(ag, hg)] += 1
+
+    def rank(self) -> None:
+        # Tie-break: points desc, goal difference desc, goals scored desc, name
+        # asc. Teams are indexed in name order and the sort is stable, so one
+        # descending sort on the integer keys applies all four, under every system.
+        keys = list(zip(self.points, self.goal_diff, self.goals_for))
+        self.order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+
+    def average(self) -> Fraction:
+        """Mean points per team appearance so far."""
+        return Fraction(sum(self.points), self.den * sum(map(sum, self.results)))
+
+    def table(self) -> LeagueTable:
+        """The ranked table with exact ``Fraction`` points."""
+        rows = []
+        for rank, i in enumerate(self.order, start=1):
+            losses, draws, _, wins = self.results[i]
+            rows.append(
+                TableRow(
+                    team=self.teams[i],
+                    points=Fraction(self.points[i], self.den),
+                    played=wins + draws + losses,
+                    wins=wins,
+                    draws=draws,
+                    losses=losses,
+                    goals_for=self.goals_for[i],
+                    goal_diff=self.goal_diff[i],
+                    rank=rank,
+                )
+            )
+        return LeagueTable(system=self.rule.system, weights=self.rule.weights, rows=tuple(rows))
 
 
-def _snapshot(
-    totals: dict[str, _Totals], system: ScoringSystem, weights: WeightTriple
-) -> LeagueTable:
-    # Tie-break: points desc, goal difference desc, goals scored desc, name asc.
-    # Applied identically under every system, so ranking is always a strict order.
-    ordered = sorted(
-        totals.items(),
-        key=lambda item: (
-            -item[1].points,
-            -(item[1].goals_for - item[1].goals_against),
-            -item[1].goals_for,
-            item[0],
-        ),
-    )
-    rows = tuple(
-        TableRow(
-            team=team,
-            points=t.points,
-            played=t.played,
-            wins=t.wins,
-            draws=t.draws,
-            losses=t.losses,
-            goals_for=t.goals_for,
-            goal_diff=t.goals_for - t.goals_against,
-            rank=rank,
-        )
-        for rank, (team, t) in enumerate(ordered, start=1)
-    )
-    return LeagueTable(system=system, weights=weights, rows=rows)
+class SeasonLedger:
+    """A season segmented once, from which every scoring system is ranked.
+
+    Totals under a rule are integers over ``rule.scale * length_lcm``, where
+    ``length_lcm`` is the lcm of the distinct match lengths. Each match award
+    is scaled up to it only when it is added, so the stored components stay small.
+    """
+
+    def __init__(self, dataset: SeasonDataset) -> None:
+        if not dataset.matches:
+            raise EmptySeasonError("season has no matches")
+        self.teams = dataset.teams
+        index = {team: i for i, team in enumerate(self.teams)}
+        self.by_round: list[list[Fixture]] = [[] for _ in range(dataset.num_rounds)]
+        for match in dataset.matches:
+            self.by_round[match.round - 1].append(
+                Fixture(index[match.home], index[match.away], *match.final_score, segment(match))
+            )
+        lengths = {f.seg.t_match for fixtures in self.by_round for f in fixtures}
+        self.length_lcm = math.lcm(*lengths)
+        self._length_factor = {t: self.length_lcm // t for t in lengths}
+
+    def den(self, rule: ScoringRule) -> int:
+        """The common denominator of every award and total under ``rule``."""
+        return rule.scale * self.length_lcm
+
+    def _scaled_awards(
+        self, rule: ScoringRule, fixtures: Iterable[Fixture]
+    ) -> Iterator[tuple[Fixture, int, int]]:
+        factor = self._length_factor
+        for fixture in fixtures:
+            home, away = rule.numerators(fixture.seg, fixture.home_goals, fixture.away_goals)
+            scale = factor[fixture.seg.t_match]
+            yield fixture, home * scale, away * scale
+
+    def awards(self, rule: ScoringRule) -> list[int]:
+        """Every team's award in every match (home, away per fixture) over :meth:`den`."""
+        values = []
+        for _, home, away in self._scaled_awards(rule, chain.from_iterable(self.by_round)):
+            values += (home, away)
+        return values
+
+    def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
+        """Cumulative standings after each round; one :class:`Standings` updated in place."""
+        standings = Standings(self.teams, rule, self.den(rule))
+        for fixtures in self.by_round:
+            for award in self._scaled_awards(rule, fixtures):
+                standings.add(*award)
+            standings.rank()
+            yield standings
+
+    def final(self, rule: ScoringRule) -> Standings:
+        """The standings after the last round."""
+        for standings in self.rounds(rule):
+            pass
+        return standings
 
 
 def final_table(
@@ -127,12 +205,7 @@ def final_table(
     weights: WeightTriple = DEFAULT_WEIGHTS,
 ) -> LeagueTable:
     """Full-season table: per-match awards summed per team, ranked by the tie-break."""
-    if not dataset.matches:
-        raise EmptySeasonError("season has no matches")
-    totals = {team: _Totals() for team in dataset.teams}
-    for match in dataset.matches:
-        _apply_match(totals, match, system, weights)
-    return _snapshot(totals, system, weights)
+    return SeasonLedger(dataset).final(scoring_rule(system, weights)).table()
 
 
 def evolution(
@@ -141,23 +214,14 @@ def evolution(
     weights: WeightTriple = DEFAULT_WEIGHTS,
 ) -> StandingsEvolution:
     """One cumulative table per round (round r includes all matches with round <= r)."""
-    if not dataset.matches:
-        raise EmptySeasonError("season has no matches")
-    by_round: dict[int, list[MatchRecord]] = {}
-    for match in dataset.matches:
-        by_round.setdefault(match.round, []).append(match)
-    totals = {team: _Totals() for team in dataset.teams}
-    tables = []
-    for round_no in range(1, dataset.num_rounds + 1):
-        for match in by_round.get(round_no, []):
-            _apply_match(totals, match, system, weights)
-        tables.append(_snapshot(totals, system, weights))
-    return StandingsEvolution(system=system, weights=weights, tables=tuple(tables))
+    rounds = SeasonLedger(dataset).rounds(scoring_rule(system, weights))
+    tables = tuple(standings.table() for standings in rounds)
+    return StandingsEvolution(system=system, weights=weights, tables=tables)
 
 
-def leadership_stats(evo: StandingsEvolution) -> LeadershipStats:
-    """How often the top of the table changed hands across rounds."""
-    leaders = tuple(table.rows[0].team for table in evo.tables)
+def leadership(leaders: Sequence[str]) -> LeadershipStats:
+    """How often the top of the table changed hands, given each round's leader."""
+    leaders = tuple(leaders)
     changes = sum(1 for prev, cur in zip(leaders, leaders[1:]) if prev != cur)
     return LeadershipStats(
         num_changes=changes,
@@ -166,86 +230,54 @@ def leadership_stats(evo: StandingsEvolution) -> LeadershipStats:
     )
 
 
+def rank_moves(orders: Sequence[Sequence]) -> int:
+    """Count of (team, consecutive-round pair) entries whose rank moved.
+
+    Each order lists the same teams by rank. A team's rank moved exactly when
+    a different team held its new position in the previous round.
+    """
+    return sum(
+        1 for prev, cur in zip(orders, orders[1:]) for a, b in zip(prev, cur) if a != b
+    )
+
+
+def leadership_stats(evo: StandingsEvolution) -> LeadershipStats:
+    """How often the top of the table changed hands across rounds."""
+    return leadership([table.rows[0].team for table in evo.tables])
+
+
 def overall_changes(evo: StandingsEvolution) -> int:
     """Count of (team, consecutive-round pair) entries whose rank moved."""
-    total = 0
-    for prev, cur in zip(evo.tables, evo.tables[1:]):
-        prev_ranks = {row.team: row.rank for row in prev.rows}
-        total += sum(1 for row in cur.rows if row.rank != prev_ranks[row.team])
-    return total
+    return rank_moves([[row.team for row in table.rows] for table in evo.tables])
 
 
 def percent_of_leader(table: LeagueTable) -> tuple[Fraction, ...]:
-    """Each row's points as an exact percentage of the leader's points."""
-    leader = table.rows[0].points
-    return tuple(100 * row.points / leader for row in table.rows)
+    """Each row's points as an exact percentage of the leader's points.
 
-
-def table_to_csv(
-    table: LeagueTable,
-    *,
-    decimals: int = 2,
-    pct_decimals: int = 0,
-    comma: bool = False,
-) -> str:
-    """Single-system table as CSV, including the percent-of-leader column."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["rank", "team", "played", "wins", "draws", "losses",
-         "goals_for", "goal_diff", "points", "pct_of_first"]
-    )
-    percents = percent_of_leader(table)
-    for row, pct in zip(table.rows, percents):
-        writer.writerow(
-            [
-                row.rank,
-                row.team,
-                row.played,
-                row.wins,
-                row.draws,
-                row.losses,
-                row.goals_for,
-                row.goal_diff,
-                format_decimal(row.points, decimals, comma=comma),
-                format_decimal(pct, pct_decimals, comma=comma),
-            ]
+    Shares of the leader mean something only when the leader has points, so a
+    leader on zero or fewer points raises NON_POSITIVE_LEADER.
+    """
+    leader = table.rows[0]
+    if leader.points <= 0:
+        raise NonPositiveLeaderError(
+            f"{table.system.value} leader {leader.team} has "
+            f"{format_decimal(leader.points)} points; "
+            "percentages of the leader need a positive leader"
         )
-    return out.getvalue()
-
-
-def table_to_json(table: LeagueTable) -> str:
-    """Single-system table as JSON with exact rational points ("num/den" strings)."""
-    percents = percent_of_leader(table)
-    rows = [
-        {
-            "rank": row.rank,
-            "team": row.team,
-            "played": row.played,
-            "wins": row.wins,
-            "draws": row.draws,
-            "losses": row.losses,
-            "goals_for": row.goals_for,
-            "goal_diff": row.goal_diff,
-            "points": str(row.points),
-            "pct_of_first": str(pct),
-        }
-        for row, pct in zip(table.rows, percents)
-    ]
-    doc = {"system": table.system.value, "rows": rows}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return tuple(100 * row.points / leader.points for row in table.rows)
 
 
 def evolution_to_csv(
-    evo: StandingsEvolution, *, decimals: int = 2, comma: bool = False
+    rounds: Iterable[Standings], *, decimals: int = 2, comma: bool = False
 ) -> str:
     """Long-form (round, team, rank, points) CSV suitable for plotting tools."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["round", "team", "rank", "points"])
-    for round_no, table in enumerate(evo.tables, start=1):
-        for row in table.rows:
-            writer.writerow(
-                [round_no, row.team, row.rank, format_decimal(row.points, decimals, comma=comma)]
-            )
+    for round_no, standings in enumerate(rounds, start=1):
+        teams, points, den = standings.teams, standings.points, standings.den
+        writer.writerows(
+            [round_no, teams[i], rank, format_ratio(points[i], den, decimals, comma=comma)]
+            for rank, i in enumerate(standings.order, start=1)
+        )
     return out.getvalue()

@@ -177,3 +177,31 @@ def test_stdout_lists_written_files(runner, tmp_path):
     assert result.exit_code == 0
     assert "ecdf_classic.csv" in result.output
     assert "ecdf_time.csv" in result.output
+
+
+@pytest.mark.parametrize("command", ["table", "indicators"])
+def test_zero_leader_exits_one_with_code(runner, tmp_path, command):
+    # Every match 0-0 with weights 2,0,-1: all time points are 0.
+    all_goalless = tmp_path / "goalless.csv"
+    all_goalless.write_text(
+        "round,home,away,goals,length_min\n"
+        "1,Alpha,Beta,,\n1,Gamma,Delta,,\n"
+        "2,Beta,Alpha,,\n2,Delta,Gamma,,\n"
+    )
+    result = _invoke(runner, command, tmp_path / "out", "--weights", "2,0,-1", season=all_goalless)
+    assert result.exit_code == 1
+    assert "NON_POSITIVE_LEADER" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["table", "indicators"])
+def test_negative_leader_exits_one_with_code(runner, tmp_path, command):
+    # With alpha_w = 0 no award is positive, so a gap to the leader would be negative.
+    result = _invoke(runner, command, tmp_path, "--weights", "0,-1,-2")
+    assert result.exit_code == 1
+    assert "NON_POSITIVE_LEADER" in result.stderr
+
+
+def test_zero_denominator_weight_exits_one(runner, tmp_path):
+    result = _invoke(runner, "table", tmp_path, "--weights", "3,1/0,0")
+    assert result.exit_code == 1
+    assert "divide by zero" in result.stderr

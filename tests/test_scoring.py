@@ -200,3 +200,32 @@ def test_hybrids_ignore_configured_weights():
     assert mixed_points(ONE_NIL_AT_THIRTY).home_pts == match_points(
         ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF, heavy
     ).home_pts
+
+
+@given(match_records(), weight_triples())
+def test_one_rule_matches_each_system_definition(match, weights):
+    # The documented definitions, written out in Fractions one system at a time.
+    seg = segment(match)
+    hg, ag = match.final_score
+    t = seg.t_match
+    share = {
+        "home": Fraction(3 * seg.t_win_home + seg.t_draw, t),
+        "away": Fraction(3 * seg.t_win_away + seg.t_draw, t),
+    }
+    weighted = {
+        "home": (weights.alpha_w * seg.t_win_home + weights.alpha_d * seg.t_draw
+                 + weights.alpha_l * seg.t_lose_home) / t,
+        "away": (weights.alpha_w * seg.t_win_away + weights.alpha_d * seg.t_draw
+                 + weights.alpha_l * seg.t_lose_away) / t,
+    }
+    result = {"home": final_result(hg, ag), "away": final_result(ag, hg)}
+    bonus = {"home": goal_diff_value(hg, ag), "away": goal_diff_value(ag, hg)}
+    expected = {
+        ScoringSystem.CLASSIC: {s: Fraction(result[s]) for s in result},
+        ScoringSystem.TIME: weighted,
+        ScoringSystem.MIXED_HALF: {s: (share[s] + result[s]) / 2 for s in result},
+        ScoringSystem.GOALDIFF_THIRD: {s: (share[s] + result[s] + bonus[s]) / 3 for s in result},
+    }
+    for system, want in expected.items():
+        award = match_points(match, system, weights)
+        assert (award.home_pts, award.away_pts) == (want["home"], want["away"])

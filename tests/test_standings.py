@@ -6,16 +6,15 @@ import pytest
 from matchgen import random_season
 from timescore.errors import EmptySeasonError
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
-from timescore.scoring import ScoringSystem, match_points
+from timescore.scoring import ScoringSystem, match_points, scoring_rule
 from timescore.standings import (
+    SeasonLedger,
     evolution,
     evolution_to_csv,
     final_table,
     leadership_stats,
     overall_changes,
     percent_of_leader,
-    table_to_csv,
-    table_to_json,
 )
 from timescore.timeline import segment
 
@@ -77,9 +76,11 @@ class TestFinalTable:
 
     def test_counts_and_goal_columns(self):
         table = final_table(TWO_TEAM_SEASON, ScoringSystem.CLASSIC)
-        top = table.rows[0]
+        top, bottom = table.rows
         assert (top.played, top.wins, top.draws, top.losses) == (2, 1, 1, 0)
         assert (top.goals_for, top.goal_diff) == (1, 1)
+        assert (bottom.played, bottom.wins, bottom.draws, bottom.losses) == (2, 0, 1, 1)
+        assert (bottom.goals_for, bottom.goal_diff) == (0, -1)
 
     def test_empty_season_rejected(self):
         with pytest.raises(EmptySeasonError):
@@ -264,29 +265,11 @@ class TestTotals:
 
 
 class TestExports:
-    def test_table_csv_shape(self):
-        text = table_to_csv(final_table(TWO_TEAM_SEASON, ScoringSystem.TIME))
-        lines = text.splitlines()
-        assert lines[0] == "rank,team,played,wins,draws,losses,goals_for,goal_diff,points,pct_of_first"
-        assert lines[1] == "1,A,2,1,1,0,1,1,3.33,100"
-        assert lines[2] == "2,B,2,0,1,1,0,-1,1.33,40"
-
-    def test_table_json_exact_points(self):
-        text = table_to_json(final_table(TWO_TEAM_SEASON, ScoringSystem.TIME))
-        assert '"points": "10/3"' in text
-        assert '"system": "time"' in text
-
     def test_evolution_csv_row_count(self):
-        evo = evolution(HAND_SEASON, ScoringSystem.CLASSIC)
-        lines = evolution_to_csv(evo).splitlines()
+        rounds = SeasonLedger(HAND_SEASON).rounds(scoring_rule(ScoringSystem.CLASSIC))
+        lines = evolution_to_csv(rounds).splitlines()
         assert lines[0] == "round,team,rank,points"
         assert len(lines) == 1 + 3 * 4  # header + rounds * teams
-
-    def test_pct_one_decimal_flag(self):
-        text = table_to_csv(
-            final_table(TWO_TEAM_SEASON, ScoringSystem.TIME), pct_decimals=1
-        )
-        assert text.splitlines()[1].endswith("100.0")
 
 
 def test_award_accumulation_matches_manual_sum():

@@ -9,9 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import click
 
@@ -30,8 +29,7 @@ from .scoring import ScoringSystem, WeightTriple, scoring_rule
 from .standings import LeagueTable, SeasonLedger, evolution_to_csv, percent_of_leader
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """What to report and how to render it; every report reads one season ledger."""
 
     systems: tuple[ScoringSystem, ...]
@@ -190,8 +188,12 @@ def _execute(
             display_decimals=decimals,
             decimal_comma=decimal_comma,
         )
-        dataset = parse_season(input_path.read_bytes(), _infer_format(input_path, fmt))
-        written = write_report(report(config, SeasonLedger(dataset)), output_dir)
+        # The parsed season is dropped once its ledger is built, so the report
+        # reuses its memory.
+        ledger = SeasonLedger(
+            parse_season(input_path.read_bytes(), _infer_format(input_path, fmt))
+        )
+        written = write_report(report(config, ledger), output_dir)
     except ValueError as err:
         # Bad flags, and every SeasonDataError (a ValueError carrying its code).
         click.echo(f"error: {err}", err=True)
@@ -203,56 +205,58 @@ def _execute(
         click.echo(str(path))
 
 
+_SEASON_OPTIONS = (
+    click.option(
+        "--input",
+        "input_path",
+        required=True,
+        type=click.Path(path_type=Path),
+        help="Season file (CSV or JSON).",
+    ),
+    click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(["csv", "json"]),
+        default=None,
+        help="Input format; inferred from the file suffix when omitted.",
+    ),
+    click.option(
+        "--systems",
+        default="classic,time",
+        show_default=True,
+        help="Comma-separated scoring systems: classic,time,mixed,goaldiff.",
+    ),
+    click.option(
+        "--weights",
+        default="3,1,0",
+        show_default=True,
+        help="Weights W,D,L for the time system (integers, decimals or fractions).",
+    ),
+    click.option(
+        "--out",
+        "output_dir",
+        required=True,
+        type=click.Path(path_type=Path),
+        help="Output directory (created if missing).",
+    ),
+    click.option(
+        "--decimals",
+        type=click.IntRange(0, 3),
+        default=2,
+        show_default=True,
+        help="Decimal places for points columns.",
+    ),
+    click.option(
+        "--decimal-comma",
+        "decimal_comma",
+        is_flag=True,
+        help="Render decimal values with a comma separator.",
+    ),
+)
+
+
 def _season_options(f):
-    options = [
-        click.option(
-            "--input",
-            "input_path",
-            required=True,
-            type=click.Path(path_type=Path),
-            help="Season file (CSV or JSON).",
-        ),
-        click.option(
-            "--format",
-            "fmt",
-            type=click.Choice(["csv", "json"]),
-            default=None,
-            help="Input format; inferred from the file suffix when omitted.",
-        ),
-        click.option(
-            "--systems",
-            default="classic,time",
-            show_default=True,
-            help="Comma-separated scoring systems: classic,time,mixed,goaldiff.",
-        ),
-        click.option(
-            "--weights",
-            default="3,1,0",
-            show_default=True,
-            help="Weights W,D,L for the time system (integers, decimals or fractions).",
-        ),
-        click.option(
-            "--out",
-            "output_dir",
-            required=True,
-            type=click.Path(path_type=Path),
-            help="Output directory (created if missing).",
-        ),
-        click.option(
-            "--decimals",
-            type=click.IntRange(0, 3),
-            default=2,
-            show_default=True,
-            help="Decimal places for points columns.",
-        ),
-        click.option(
-            "--decimal-comma",
-            "decimal_comma",
-            is_flag=True,
-            help="Render decimal values with a comma separator.",
-        ),
-    ]
-    for option in reversed(options):
+    for option in reversed(_SEASON_OPTIONS):
         f = option(f)
     return f
 

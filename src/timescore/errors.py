@@ -24,6 +24,10 @@ class MalformedRowError(SeasonDataError):
     code = "MALFORMED_ROW"
 
 
+class EncodingError(SeasonDataError):
+    code = "ENCODING"
+
+
 class DuplicateFixtureError(SeasonDataError):
     code = "DUPLICATE_FIXTURE"
 

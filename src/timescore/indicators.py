@@ -10,9 +10,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .display import format_decimal, format_ratio
 from .errors import TooFewTeamsError, WrongSystemError
@@ -21,8 +20,7 @@ from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple, 
 from .standings import LeagueTable, SeasonLedger, leadership, percent_of_leader, rank_moves
 
 
-@dataclass(frozen=True, slots=True)
-class IndicatorBundle:
+class IndicatorBundle(NamedTuple):
     """The season-comparison numbers for one scoring system."""
 
     gap_1_3_pct: Fraction
@@ -34,8 +32,7 @@ class IndicatorBundle:
     avg_points_per_team_game: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class OvertakeMetric:
+class OvertakeMetric(NamedTuple):
     """What one team would need to overtake the team ranked directly above it.
 
     ``minutes_to_upper`` is filled for time-share tables (how many minutes

@@ -8,7 +8,8 @@ CSV (canonical)
     contains commas). A token is ``SIDE:MINUTE`` or ``SIDE:MINUTE+STOPPAGE``
     with SIDE one of ``H``/``A``; stoppage notation denotes the absolute
     minute, so ``90+3`` and ``93`` parse identically. ``length_min`` is an
-    optional integer match length in minutes (>= 90). Example row::
+    optional integer match length in minutes (>= 90). No goal time or length
+    may exceed :data:`MAX_MATCH_LENGTH_S`. Example row::
 
         1,Leicester,Sunderland,"H:52,H:71",
 
@@ -17,11 +18,13 @@ JSON (mirror)
     CSV fields; its ``goals`` entries are either token strings as above or
     objects ``{"side": "H"|"A", "time_s": int, "precision": str}`` for data
     with better-than-minute resolution. Match length is ``length_min`` or,
-    when not a whole number of minutes, ``length_s``.
+    when not a whole number of minutes, ``length_s``. Team names must be
+    JSON strings.
 
-Both formats are UTF-8; LF and CRLF line endings are accepted. Goal times are
-stored internally as integer seconds from kickoff, so minute-resolution input
-is scaled by 60 at parse time and no floating point is involved anywhere.
+Both formats are UTF-8 (other bytes fail with code ENCODING); LF and CRLF
+line endings are accepted. Goal times are stored internally as integer
+seconds from kickoff, so minute-resolution input is scaled by 60 at parse time
+and no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Any
 from .errors import (
     DuplicateFixtureError,
     EmptySeasonError,
+    EncodingError,
     MalformedRowError,
     NonContiguousRoundsError,
     NonMonotonicGoalsError,
@@ -47,6 +51,10 @@ from .errors import (
 
 SECONDS_PER_MINUTE = 60
 REGULATION_LENGTH_S = 90 * SECONDS_PER_MINUTE
+# The longest match accepted, stoppage and extra time included. It rejects
+# absurd clocks such as ``H:99999999999`` and bounds the match lengths whose lcm
+# the season ledger uses as its common denominator.
+MAX_MATCH_LENGTH_S = 300 * SECONDS_PER_MINUTE
 
 CSV_HEADER = ("round", "home", "away", "goals", "length_min")
 
@@ -81,7 +89,7 @@ _PRECISION_SLACK_S = {
 
 @dataclass(frozen=True, slots=True)
 class GoalEvent:
-    """One scored goal, timed in whole seconds from kickoff (>= 1)."""
+    """One scored goal, timed in whole seconds from kickoff (1 to MAX_MATCH_LENGTH_S)."""
 
     side: Side
     time_s: int
@@ -92,6 +100,10 @@ class GoalEvent:
             raise MalformedRowError(
                 f"goal time must be at least 1 second, got {self.time_s}"
             )
+        if self.time_s > MAX_MATCH_LENGTH_S:
+            raise MalformedRowError(
+                f"goal time is past the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +112,8 @@ class MatchRecord:
 
     Team names are trimmed on construction. Goal times must strictly increase
     (two goals can never share the same second). A declared length, when
-    present, must cover both the 90-minute regulation span and every goal.
+    present, must cover both the 90-minute regulation span and every goal,
+    and may not exceed MAX_MATCH_LENGTH_S.
     """
 
     round: int
@@ -130,6 +143,11 @@ class MatchRecord:
                 raise MalformedRowError(
                     f"declared length {self.declared_length_s} s is shorter than "
                     f"regulation ({REGULATION_LENGTH_S} s)"
+                )
+            if self.declared_length_s > MAX_MATCH_LENGTH_S:
+                raise MalformedRowError(
+                    f"declared length is longer than the longest allowed match "
+                    f"({MAX_MATCH_LENGTH_S} s)"
                 )
             if self.goals and self.declared_length_s < self.goals[-1].time_s:
                 raise MalformedRowError(
@@ -237,10 +255,20 @@ def parse_season(
     Raises:
         SeasonDataError: with code MALFORMED_ROW (row/line reported),
             DUPLICATE_FIXTURE, NONMONOTONIC_GOALS, NONCONTIGUOUS_ROUNDS,
-            UNKNOWN_FORMAT, or EMPTY_SEASON for an entirely empty file.
+            UNKNOWN_FORMAT, ENCODING for bytes that are not UTF-8, or
+            EMPTY_SEASON for an entirely empty file.
     """
     fmt = _coerce_format(fmt)
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.lstrip("﻿")
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(
+                f"season file is not UTF-8: {exc.reason} at byte {exc.start}",
+                line=data.count(b"\n", 0, exc.start) + 1,
+            ) from None
+    else:
+        text = data.lstrip("\ufeff")
     if not text.strip():
         raise EmptySeasonError("season file is empty")
     if fmt is SeasonFormat.CSV:
@@ -262,6 +290,9 @@ def _parse_csv(
             line=1,
         )
     matches = []
+    # Seasons repeat a few hundred distinct tokens across thousands of goals,
+    # and GoalEvent is frozen, so each distinct token is parsed once.
+    parsed: dict[str, GoalEvent] = {}
     for row in reader:
         if not row:
             continue  # blank line
@@ -276,11 +307,14 @@ def _parse_csv(
                 round_no = int(round_text.strip())
             except ValueError:
                 raise MalformedRowError(f"bad round number {round_text!r}") from None
-            goals = tuple(
-                parse_goal_token(tok, minute_precision)
-                for tok in goals_field.split(",")
-                if tok.strip()
-            )
+            goals = []
+            for tok in goals_field.split(","):
+                goal = parsed.get(tok)
+                if goal is None:
+                    if not tok.strip():
+                        continue  # empty field or stray comma
+                    goal = parsed[tok] = parse_goal_token(tok, minute_precision)
+                goals.append(goal)
             declared = None
             if length_field.strip():
                 try:
@@ -294,18 +328,26 @@ def _parse_csv(
                     round=round_no,
                     home=home,
                     away=away,
-                    goals=goals,
+                    goals=tuple(goals),
                     declared_length_s=declared,
                 )
             )
         except SeasonDataError as err:
             raise _located(err, line) from None
+        except ValueError as exc:  # e.g. a number too long to print in a message
+            raise MalformedRowError(str(exc), line=line) from None
     return SeasonDataset(league_name=league_name, matches=tuple(matches))
 
 
 def _require_int(value: Any, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise MalformedRowError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _require_str(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedRowError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -332,6 +374,8 @@ def _parse_json(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRowError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise MalformedRowError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("matches"), list):
         raise MalformedRowError('top level must be an object with a "matches" list')
     league = doc.get("league", league_name)
@@ -356,8 +400,8 @@ def _parse_json(
             matches.append(
                 MatchRecord(
                     round=_require_int(obj["round"], "round"),
-                    home=str(obj["home"]),
-                    away=str(obj["away"]),
+                    home=_require_str(obj["home"], "home"),
+                    away=_require_str(obj["away"], "away"),
                     goals=goals,
                     declared_length_s=declared,
                 )

@@ -56,8 +56,7 @@ class WeightTriple:
 DEFAULT_WEIGHTS = WeightTriple(Fraction(3), Fraction(1), Fraction(0))
 
 
-@dataclass(frozen=True, slots=True)
-class PointsAward:
+class PointsAward(NamedTuple):
     """Both sides' points for one match under one scoring system."""
 
     home_pts: Fraction

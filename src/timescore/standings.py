@@ -9,27 +9,25 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .display import format_decimal, format_ratio
 from .errors import EmptySeasonError, NonPositiveLeaderError
-from .ingest import SeasonDataset
+from .ingest import MatchRecord, SeasonDataset
 from .scoring import (
     DEFAULT_WEIGHTS,
     ScoringRule,
     ScoringSystem,
     WeightTriple,
     final_result,
+    goal_diff_value,
     scoring_rule,
 )
-from .timeline import SegmentBreakdown, segment
+from .timeline import effective_length, segment
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
+class TableRow(NamedTuple):
     team: str
     points: Fraction
     played: int
@@ -41,8 +39,7 @@ class TableRow:
     rank: int
 
 
-@dataclass(frozen=True, slots=True)
-class LeagueTable:
+class LeagueTable(NamedTuple):
     """A ranked table plus the system/weights it was computed under."""
 
     system: ScoringSystem
@@ -50,8 +47,7 @@ class LeagueTable:
     rows: tuple[TableRow, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class StandingsEvolution:
+class StandingsEvolution(NamedTuple):
     """Cumulative tables after each completed round, in round order."""
 
     system: ScoringSystem
@@ -59,72 +55,69 @@ class StandingsEvolution:
     tables: tuple[LeagueTable, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class LeadershipStats:
+class LeadershipStats(NamedTuple):
     num_changes: int
     distinct_leaders: int
     leader_sequence: tuple[str, ...]
 
 
-class Fixture(NamedTuple):
-    """One match as the ledger keeps it: team indices, final score, segmentation."""
+# Where a 3/1/0 result is counted in a team's (wins, draws, losses).
+_WDL_SLOT = {3: 0, 1: 1, 0: 2}
 
-    home: int
-    away: int
-    home_goals: int
-    away_goals: int
-    seg: SegmentBreakdown
+
+class RoundTotals(NamedTuple):
+    """Every team's rule-independent totals after one round, indexed like the ledger's teams.
+
+    ``wdl[3*i:3*i + 3]`` is team i's (wins, draws, losses). ``tiebreak`` lists
+    the team indices by goal difference desc, goals scored desc, name asc.
+    """
+
+    goals_for: list[int]
+    goal_diff: list[int]
+    wdl: list[int]
+    tiebreak: list[int]
 
 
 class Standings:
-    """Cumulative per-team totals after some round, indexed like ``teams``.
+    """Cumulative standings under one rule after some round, indexed like ``teams``.
 
-    ``points[i] / den`` is team i's exact points total. ``order`` lists the
-    team indices by rank. A :meth:`SeasonLedger.rounds` stream updates one
-    object in place, so read it before asking for the next round.
+    ``points[i] / den`` is team i's exact points total and ``totals`` holds
+    the round's goals and results. ``order`` lists the team indices by rank.
+    A :meth:`SeasonLedger.rounds` stream updates one object in place, so read
+    it before asking for the next round.
     """
 
-    __slots__ = ("teams", "rule", "den", "points", "goals_for", "goal_diff", "results", "order")
+    __slots__ = ("teams", "rule", "den", "points", "totals", "order")
 
     def __init__(self, teams: tuple[str, ...], rule: ScoringRule, den: int) -> None:
-        n = len(teams)
         self.teams = teams
         self.rule = rule
         self.den = den
-        self.points = [0] * n
-        self.goals_for = [0] * n
-        self.goal_diff = [0] * n
-        # results[i][r] counts team i's matches with 3/1/0 result r.
-        self.results = [[0, 0, 0, 0] for _ in range(n)]
-        self.order = list(range(n))
+        self.points = [0] * len(teams)
 
-    def add(self, fixture: Fixture, home_pts: int, away_pts: int) -> None:
-        home, away, hg, ag, _ = fixture
-        self.points[home] += home_pts
-        self.points[away] += away_pts
-        self.goals_for[home] += hg
-        self.goals_for[away] += ag
-        self.goal_diff[home] += hg - ag
-        self.goal_diff[away] += ag - hg
-        self.results[home][final_result(hg, ag)] += 1
-        self.results[away][final_result(ag, hg)] += 1
+    def add(self, sides: list[int], awards: list[int]) -> None:
+        """Add one round's awards; ``sides`` names the team index of each."""
+        points = self.points
+        for team, award in zip(sides, awards):
+            points[team] += award
 
-    def rank(self) -> None:
+    def rank(self, totals: RoundTotals) -> None:
         # Tie-break: points desc, goal difference desc, goals scored desc, name
-        # asc. Teams are indexed in name order and the sort is stable, so one
-        # descending sort on the integer keys applies all four, under every system.
-        keys = list(zip(self.points, self.goal_diff, self.goals_for))
-        self.order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        # asc. The sort is stable, also with reverse=True, so sorting the
+        # round's tie-break order by points applies all four.
+        self.totals = totals
+        self.order = sorted(totals.tiebreak, key=self.points.__getitem__, reverse=True)
 
     def average(self) -> Fraction:
         """Mean points per team appearance so far."""
-        return Fraction(sum(self.points), self.den * sum(map(sum, self.results)))
+        return Fraction(sum(self.points), self.den * sum(self.totals.wdl))
 
     def table(self) -> LeagueTable:
         """The ranked table with exact ``Fraction`` points."""
+        goals_for, goal_diff, wdl, _ = self.totals
         rows = []
         for rank, i in enumerate(self.order, start=1):
-            losses, draws, _, wins = self.results[i]
+            wins, draws, losses = wdl[3 * i : 3 * i + 3]
             rows.append(
                 TableRow(
                     team=self.teams[i],
@@ -133,8 +126,8 @@ class Standings:
                     wins=wins,
                     draws=draws,
                     losses=losses,
-                    goals_for=self.goals_for[i],
-                    goal_diff=self.goal_diff[i],
+                    goals_for=goals_for[i],
+                    goal_diff=goal_diff[i],
                     rank=rank,
                 )
             )
@@ -144,9 +137,15 @@ class Standings:
 class SeasonLedger:
     """A season segmented once, from which every scoring system is ranked.
 
-    Totals under a rule are integers over ``rule.scale * length_lcm``, where
-    ``length_lcm`` is the lcm of the distinct match lengths. Each match award
-    is scaled up to it only when it is added, so the stored components stay small.
+    Each round keeps one row of ints per side of each fixture: its leading,
+    level and trailing seconds, its 3/1/0 result, its capped goal-difference
+    bonus, the match length T and the length factor ``length_lcm // T``,
+    where ``length_lcm`` is the lcm of the distinct match lengths. Totals that
+    no rule changes (goals, goal difference, wins, draws, losses and the
+    tie-break order they imply) are computed once per season. Under a rule,
+    awards and totals are integers over ``rule.scale * length_lcm``: each
+    award is multiplied by its length factor once, so every other stored
+    value stays small.
     """
 
     def __init__(self, dataset: SeasonDataset) -> None:
@@ -154,48 +153,80 @@ class SeasonLedger:
             raise EmptySeasonError("season has no matches")
         self.teams = dataset.teams
         index = {team: i for i, team in enumerate(self.teams)}
-        self.by_round: list[list[Fixture]] = [[] for _ in range(dataset.num_rounds)]
-        for match in dataset.matches:
-            self.by_round[match.round - 1].append(
-                Fixture(index[match.home], index[match.away], *match.final_score, segment(match))
-            )
-        lengths = {f.seg.t_match for fixtures in self.by_round for f in fixtures}
+        lengths = {effective_length(match) for match in dataset.matches}
         self.length_lcm = math.lcm(*lengths)
-        self._length_factor = {t: self.length_lcm // t for t in lengths}
+        length_factor = {t: self.length_lcm // t for t in lengths}
+        by_round: list[list[MatchRecord]] = [[] for _ in range(dataset.num_rounds)]
+        for match in dataset.matches:
+            by_round[match.round - 1].append(match)
+
+        n = len(self.teams)
+        goals_for, goal_diff, wdl = [0] * n, [0] * n, [0] * (3 * n)
+        self._sides: list[list[int]] = []
+        self._rows: list[list[tuple[int, ...]]] = []
+        self._totals: list[RoundTotals] = []
+        for matches in by_round:
+            sides, rows = [], []
+            for match in matches:
+                seg = segment(match)
+                win, draw, lose, t = seg.t_win_home, seg.t_draw, seg.t_lose_home, seg.t_match
+                factor = length_factor[t]
+                home, away = index[match.home], index[match.away]
+                hg, ag = match.final_score
+                home_result, away_result = final_result(hg, ag), final_result(ag, hg)
+                sides += (home, away)
+                rows += (
+                    (win, draw, lose, home_result, goal_diff_value(hg, ag), t, factor),
+                    (lose, draw, win, away_result, goal_diff_value(ag, hg), t, factor),
+                )
+                goals_for[home] += hg
+                goals_for[away] += ag
+                goal_diff[home] += hg - ag
+                goal_diff[away] += ag - hg
+                wdl[3 * home + _WDL_SLOT[home_result]] += 1
+                wdl[3 * away + _WDL_SLOT[away_result]] += 1
+            # Teams are indexed in name order and the sort is stable, so equal
+            # keys stay in name order.
+            keys = list(zip(goal_diff, goals_for))
+            tiebreak = sorted(range(n), key=keys.__getitem__, reverse=True)
+            self._sides.append(sides)
+            self._rows.append(rows)
+            self._totals.append(RoundTotals(goals_for[:], goal_diff[:], wdl[:], tiebreak))
 
     def den(self, rule: ScoringRule) -> int:
         """The common denominator of every award and total under ``rule``."""
         return rule.scale * self.length_lcm
 
-    def _scaled_awards(
-        self, rule: ScoringRule, fixtures: Iterable[Fixture]
-    ) -> Iterator[tuple[Fixture, int, int]]:
-        factor = self._length_factor
-        for fixture in fixtures:
-            home, away = rule.numerators(fixture.seg, fixture.home_goals, fixture.away_goals)
-            scale = factor[fixture.seg.t_match]
-            yield fixture, home * scale, away * scale
+    def _round_awards(self, rule: ScoringRule) -> Iterator[list[int]]:
+        """Each round's awards over :meth:`den`, one per side, in ``_sides`` order."""
+        lead, level, trail = rule.lead, rule.level, rule.trail
+        result, goal_diff = rule.result, rule.goal_diff
+        # ScoringRule's award numerator, inlined because it runs once per side
+        # per system; match_points computes it independently for the tests.
+        for rows in self._rows:
+            yield [
+                (lead * w + level * d + trail * l + (result * r + goal_diff * g) * t) * factor
+                for w, d, l, r, g, t, factor in rows
+            ]
 
     def awards(self, rule: ScoringRule) -> list[int]:
         """Every team's award in every match (home, away per fixture) over :meth:`den`."""
-        values = []
-        for _, home, away in self._scaled_awards(rule, chain.from_iterable(self.by_round)):
-            values += (home, away)
-        return values
+        return [award for awards in self._round_awards(rule) for award in awards]
 
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
         """Cumulative standings after each round; one :class:`Standings` updated in place."""
         standings = Standings(self.teams, rule, self.den(rule))
-        for fixtures in self.by_round:
-            for award in self._scaled_awards(rule, fixtures):
-                standings.add(*award)
-            standings.rank()
+        for sides, awards, totals in zip(self._sides, self._round_awards(rule), self._totals):
+            standings.add(sides, awards)
+            standings.rank(totals)
             yield standings
 
     def final(self, rule: ScoringRule) -> Standings:
-        """The standings after the last round."""
-        for standings in self.rounds(rule):
-            pass
+        """The standings after the last round, ranked once."""
+        standings = Standings(self.teams, rule, self.den(rule))
+        for sides, awards in zip(self._sides, self._round_awards(rule)):
+            standings.add(sides, awards)
+        standings.rank(self._totals[-1])
         return standings
 
 

@@ -205,3 +205,55 @@ def test_zero_denominator_weight_exits_one(runner, tmp_path):
     result = _invoke(runner, "table", tmp_path, "--weights", "3,1/0,0")
     assert result.exit_code == 1
     assert "divide by zero" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "home,away",
+    [('["Alpha"]', '"Beta"'), ('"Alpha"', "7"), ('"Alpha"', "null")],
+)
+def test_json_team_names_must_be_strings(runner, tmp_path, home, away):
+    season = tmp_path / "season.json"
+    season.write_text(
+        '{"matches": [{"round": 1, "home": "Gamma", "away": "Delta", "goals": []},'
+        f' {{"round": 1, "home": {home}, "away": {away}, "goals": []}}]}}'
+    )
+    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert "MALFORMED_ROW: match 2:" in result.stderr
+    assert "must be a string" in result.stderr
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_non_utf8_input_exits_one_with_encoding_code(runner, tmp_path, suffix):
+    season = tmp_path / f"season{suffix}"
+    text = SEASON_CSV if suffix == ".csv" else SEASON_JSON
+    # Latin-1 bytes for a team name on the third line.
+    lines = text.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"a", b"\xe9", 1)
+    season.write_bytes(b"\n".join(lines))
+    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ENCODING: season file is not UTF-8")
+    assert "(line 3)" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        '"H:10,H:99999999999",',  # about 190,000 years
+        '"H:10,A:300+1",',        # one minute past the cap, stoppage notation
+        ",301",                   # declared length past the cap
+        '"H:' + "9" * 5000 + '",',  # more digits than int() converts
+    ],
+    ids=["goal_in_years", "stoppage_goal", "declared_length", "goal_digits"],
+)
+def test_match_past_longest_allowed_exits_one_with_line(runner, tmp_path, row):
+    season = tmp_path / "long.csv"
+    season.write_text(
+        "round,home,away,goals,length_min\n1,Alpha,Beta,H:300,300\n"
+        f"1,Gamma,Delta,{row}\n"
+    )
+    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert "MALFORMED_ROW" in result.stderr
+    assert "(line 3)" in result.stderr

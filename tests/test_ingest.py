@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timescore.errors import (
     DuplicateFixtureError,
@@ -89,6 +91,50 @@ def test_malformed_rows_report_line_number(row):
         parse_season(HEADER + row + "\n", "csv")
     assert "MALFORMED_ROW" in str(excinfo.value)
     assert "line 2" in str(excinfo.value)
+
+
+def test_bad_token_after_valid_rows_reports_its_line():
+    # The parser reuses the GoalEvent of a token it has seen; a new bad token
+    # on a later row must still fail with that row's line.
+    text = HEADER + (
+        '1,Alpha,Beta,"H:10,A:20",\n'
+        '1,Gamma,Delta,"H:10,A:20",\n'
+        '2,Beta,Alpha,"H:10",\n'
+        '2,Delta,Gamma,"H:10,A:20,H:3O",\n'
+    )
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_season(text, "csv")
+    assert "H:3O" in str(excinfo.value)
+    assert "line 5" in str(excinfo.value)
+
+
+@st.composite
+def _goal_fields(draw):
+    """Goal tokens with strictly increasing minutes, in every notation the CSV accepts."""
+    minutes = sorted(draw(st.sets(st.integers(1, 300), max_size=6)))
+    tokens = []
+    for minute in minutes:
+        side = draw(st.sampled_from("HA"))
+        text = f"{side}:{minute}"
+        if minute > 90 and draw(st.booleans()):
+            text = f"{side}:90+{minute - 90}"
+        pad = st.sampled_from(["", " ", "  "])
+        tokens.append(draw(pad) + text + draw(pad))
+    return tokens
+
+
+@given(
+    st.lists(_goal_fields(), min_size=1, max_size=12),
+    st.sampled_from([TimePrecision.MINUTE_TRUNCATED, TimePrecision.MINUTE_ROUNDED]),
+)
+@settings(max_examples=60, deadline=None)
+def test_parsed_goals_equal_each_token_parsed_alone(fields, precision):
+    # Minutes repeat across rows (and so do whole tokens), so parsed goals are shared.
+    rows = [f'1,Home{i},Away{i},"{",".join(tokens)}",' for i, tokens in enumerate(fields)]
+    season = parse_season(HEADER + "\n".join(rows) + "\n", "csv", minute_precision=precision)
+    assert [match.goals for match in season.matches] == [
+        tuple(parse_goal_token(token, precision) for token in tokens) for tokens in fields
+    ]
 
 
 def test_wrong_header_rejected():
@@ -228,6 +274,30 @@ def test_json_rejects_fractional_goal_time():
     )
     with pytest.raises(MalformedRowError):
         parse_season(doc, "json")
+
+
+def _json_match(fields: str) -> str:
+    return '{"matches": [{"round": 1, "home": "A", "away": "B", ' + fields + "}]}"
+
+
+@pytest.mark.parametrize(
+    "longest,too_long",
+    [
+        ('"length_s": 18000', '"length_s": 18001'),
+        ('"length_min": 300', '"length_min": 301'),
+        ('"goals": [{"side": "A", "time_s": 18000}]', '"goals": [{"side": "A", "time_s": 18001}]'),
+    ],
+    ids=["length_s", "length_min", "goal_time_s"],
+)
+def test_json_match_length_is_capped(longest, too_long):
+    assert parse_season(_json_match(longest), "json").matches
+    with pytest.raises(MalformedRowError):
+        parse_season(_json_match(too_long), "json")
+
+
+def test_json_integer_too_long_to_convert_is_malformed():
+    with pytest.raises(MalformedRowError):
+        parse_season(_json_match('"length_s": 1' + "0" * 5000), "json")
 
 
 def test_json_rejects_both_length_keys():

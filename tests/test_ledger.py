@@ -66,3 +66,20 @@ def test_ledger_rounds_equal_summed_match_points(seed, weights, teams):
                 assert Fraction(standings.points[i], standings.den) == points[team]
             count += 1
         assert count == season.num_rounds
+
+
+@given(st.integers(0, 2**32), weight_triples())
+@settings(max_examples=25, deadline=None)
+def test_final_equals_last_round(seed, weights):
+    rng = random.Random(seed)
+    season = _with_second_lengths(random_season(rng, num_teams=6), rng)
+    ledger = SeasonLedger(season)
+    for system in ScoringSystem:
+        rule = scoring_rule(system, weights)
+        for last in ledger.rounds(rule):
+            pass
+        final = ledger.final(rule)
+        assert final.order == last.order
+        assert final.points == last.points
+        # Rows carry order, points, wins/draws/losses and goals.
+        assert final.table() == last.table()

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from timescore.indicators import compute_bundle
+from timescore.indicators import indicator_bundle
 from timescore.ingest import serialize_season
-from timescore.scoring import ScoringSystem
+from timescore.scoring import ScoringSystem, scoring_rule
+from timescore.standings import SeasonLedger
 from timescore.synthetic import synthetic_season
 
 SEED = 40
@@ -28,8 +29,9 @@ def main() -> None:
     args = parser.parse_args()
 
     season = synthetic_season(SEED, TEAMS)
-    time_bundle = compute_bundle(season, ScoringSystem.TIME)
-    classic_bundle = compute_bundle(season, ScoringSystem.CLASSIC)
+    ledger = SeasonLedger(season)
+    time_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.TIME))
+    classic_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.CLASSIC))
     for time_gap, classic_gap in (
         (time_bundle.gap_1_3_pct, classic_bundle.gap_1_3_pct),
         (time_bundle.gap_1_9_pct, classic_bundle.gap_1_9_pct),

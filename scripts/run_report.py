@@ -13,8 +13,11 @@ from pathlib import Path
 
 from timescore.cli import (
     RunConfig,
+    _infer_format,
+    _parse_systems,
     ecdf_report,
     evolution_report,
+    exit_on_error,
     indicators_report,
     table_report,
     write_report,
@@ -29,30 +32,19 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEASON = ROOT / "data" / "synthetic_season.csv"
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--season", type=Path, default=DEFAULT_SEASON)
-    parser.add_argument("--out", type=Path, default=ROOT / "out" / "report")
-    parser.add_argument(
-        "--systems", default="classic,time,mixed,goaldiff",
-        help="comma-separated systems to include",
-    )
-    args = parser.parse_args()
-
-    fmt = "json" if args.season.suffix.lower() == ".json" else "csv"
-    season = parse_season(args.season.read_bytes(), fmt)
-    systems = tuple(ScoringSystem(tok.strip()) for tok in args.systems.split(","))
+def run(path: Path, out: Path, systems: tuple[ScoringSystem, ...]) -> None:
+    """Write every report on the season at ``path`` into ``out`` and print the headlines."""
+    season = parse_season(path.read_bytes(), _infer_format(path, None))
     ledger = SeasonLedger(season)
     config = RunConfig(systems=systems, weights=DEFAULT_WEIGHTS)
     for report in (table_report, evolution_report, indicators_report, ecdf_report):
-        write_report(report(config, ledger), args.out)
-
-    print(f"season: {args.season} ({len(season.matches)} fixtures, "
+        write_report(report(config, ledger), out)
+    print(f"season: {path} ({len(season.matches)} fixtures, "
           f"{len(season.teams)} teams, {season.num_rounds} rounds)")
     bound = minute_error_bound(season)
     print(f"worst-case per-match points error from goal-time precision: "
           f"{format_decimal(bound, 3)}")
-    print(f"report files written to {args.out}")
+    print(f"report files written to {out}")
     print()
     header = f"{'system':<10}{'champion':<14}{'gap 1-3%':>10}{'gap 1-last%':>13}{'lead chg':>10}{'avg pts':>9}"
     print(header)
@@ -77,6 +69,20 @@ def main() -> None:
                 f"  {metric.team:<14} {format_decimal(metric.minutes_to_upper, 1):>7} min"
                 f"{note}"
             )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--season", type=Path, default=DEFAULT_SEASON)
+    parser.add_argument("--out", type=Path, default=ROOT / "out" / "report")
+    parser.add_argument(
+        "--systems", default="classic,time,mixed,goaldiff",
+        help="comma-separated systems to include",
+    )
+    args = parser.parse_args()
+    # The same flag parsing, error lines and exit codes as the CLI.
+    with exit_on_error():
+        run(args.season, args.out, _parse_systems(args.systems))
 
 
 if __name__ == "__main__":

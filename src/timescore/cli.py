@@ -6,11 +6,12 @@ Identical inputs and flags always produce byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import click
 
@@ -171,6 +172,20 @@ def write_report(files: dict[str, str], output_dir: Path) -> list[Path]:
     return written
 
 
+@contextlib.contextmanager
+def exit_on_error() -> Iterator[None]:
+    """Exit 1 on a data or flag error and 2 on an I/O error, after an ``error:`` line."""
+    try:
+        yield
+    except ValueError as err:
+        # Bad flags, and every SeasonDataError (a ValueError carrying its code).
+        click.echo(f"error: {err}", err=True)
+        sys.exit(1)
+    except OSError as err:
+        click.echo(f"error: {err}", err=True)
+        sys.exit(2)
+
+
 def _execute(
     report: Callable[[RunConfig, SeasonLedger], dict[str, str]],
     input_path: Path,
@@ -181,7 +196,7 @@ def _execute(
     decimals: int,
     decimal_comma: bool,
 ) -> None:
-    try:
+    with exit_on_error():
         config = RunConfig(
             systems=_parse_systems(systems),
             weights=WeightTriple.from_string(weights),
@@ -194,13 +209,6 @@ def _execute(
             parse_season(input_path.read_bytes(), _infer_format(input_path, fmt))
         )
         written = write_report(report(config, ledger), output_dir)
-    except ValueError as err:
-        # Bad flags, and every SeasonDataError (a ValueError carrying its code).
-        click.echo(f"error: {err}", err=True)
-        sys.exit(1)
-    except OSError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
     for path in written:
         click.echo(str(path))
 

@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence
 
 from .display import format_decimal, format_ratio
 from .errors import TooFewTeamsError, WrongSystemError
-from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE, SeasonDataset
-from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple, scoring_rule
+from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
+from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple
 from .standings import LeagueTable, SeasonLedger, leadership, percent_of_leader, rank_moves
 
 
@@ -63,15 +63,6 @@ def gaps(table: LeagueTable) -> tuple[Fraction, Fraction, Fraction]:
         raise TooFewTeamsError(f"need at least 3 teams, got {len(rows)}")
     percents = percent_of_leader(table)
     return 100 - percents[2], 100 - percents[min(9, len(rows)) - 1], 100 - percents[-1]
-
-
-def avg_points_per_team_game(
-    dataset: SeasonDataset,
-    system: ScoringSystem,
-    weights: WeightTriple = DEFAULT_WEIGHTS,
-) -> Fraction:
-    """Mean points earned per team appearance (two appearances per fixture)."""
-    return SeasonLedger(dataset).final(scoring_rule(system, weights)).average()
 
 
 def minutes_for_deficit(
@@ -155,23 +146,6 @@ def ecdf_counts(awards: list[int]) -> list[tuple[int, int]]:
     ]
 
 
-def points_ecdf(
-    dataset: SeasonDataset,
-    system: ScoringSystem,
-    weights: WeightTriple = DEFAULT_WEIGHTS,
-) -> list[tuple[Fraction, Fraction]]:
-    """Right-continuous ECDF of per-team per-match awards, as exact fractions.
-
-    Returns (value, cumulative_fraction) steps over the sorted support of all
-    2*fixtures awards; the final cumulative fraction is exactly 1.
-    """
-    ledger = SeasonLedger(dataset)
-    rule = scoring_rule(system, weights)
-    awards = ledger.awards(rule)
-    den, total = ledger.den(rule), len(awards)
-    return [(Fraction(value, den), Fraction(i, total)) for value, i in ecdf_counts(awards)]
-
-
 def indicator_bundle(ledger: SeasonLedger, rule: ScoringRule) -> IndicatorBundle:
     """All Table-style indicators for one rule, from one pass over the ledger's rounds."""
     orders = []
@@ -188,15 +162,6 @@ def indicator_bundle(ledger: SeasonLedger, rule: ScoringRule) -> IndicatorBundle
         distinct_leaders=leads.distinct_leaders,
         avg_points_per_team_game=standings.average(),
     )
-
-
-def compute_bundle(
-    dataset: SeasonDataset,
-    system: ScoringSystem,
-    weights: WeightTriple = DEFAULT_WEIGHTS,
-) -> IndicatorBundle:
-    """All Table-style indicators for one system over one season."""
-    return indicator_bundle(SeasonLedger(dataset), scoring_rule(system, weights))
 
 
 _INDICATOR_ROWS = (

@@ -36,7 +36,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import (
     DuplicateFixtureError,
@@ -183,8 +183,9 @@ class SeasonDataset:
                     f"fixture {m.home} vs {m.away} appears more than once"
                 )
             seen.add(pair)
+        # Rounds are at least 1, so they run 1..max exactly when there are max of them.
         rounds = {m.round for m in self.matches}
-        if rounds and rounds != set(range(1, max(rounds) + 1)):
+        if rounds and len(rounds) != max(rounds):
             raise NonContiguousRoundsError(
                 "round numbers must form a contiguous range starting at 1"
             )
@@ -276,12 +277,22 @@ def parse_season(
     return _parse_json(text, minute_precision, league_name)
 
 
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each CSV row; a line the csv module rejects fails as MALFORMED_ROW."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:  # e.g. a bare carriage return, or an oversized field
+        raise MalformedRowError(f"bad CSV line: {exc}", line=reader.line_num) from None
+
+
 def _parse_csv(
     text: str, minute_precision: TimePrecision, league_name: str
 ) -> SeasonDataset:
-    reader = csv.reader(io.StringIO(text))
+    rows = _csv_rows(text)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise EmptySeasonError("season file is empty") from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
@@ -293,10 +304,9 @@ def _parse_csv(
     # Seasons repeat a few hundred distinct tokens across thousands of goals,
     # and GoalEvent is frozen, so each distinct token is parsed once.
     parsed: dict[str, GoalEvent] = {}
-    for row in reader:
+    for line, row in rows:
         if not row:
             continue  # blank line
-        line = reader.line_num
         if len(row) != len(CSV_HEADER):
             raise MalformedRowError(
                 f"expected {len(CSV_HEADER)} fields, got {len(row)}", line=line
@@ -376,6 +386,8 @@ def _parse_json(
         raise MalformedRowError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     except ValueError as exc:  # an integer with more digits than int() converts
         raise MalformedRowError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedRowError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("matches"), list):
         raise MalformedRowError('top level must be an object with a "matches" list')
     league = doc.get("league", league_name)

@@ -141,14 +141,10 @@ def _award(rule: ScoringRule, seg: SegmentBreakdown, hg: int, ag: int) -> Points
 
 
 def match_points(
-    match: MatchRecord,
-    system: ScoringSystem,
-    weights: WeightTriple = DEFAULT_WEIGHTS,
-    seg: SegmentBreakdown | None = None,
+    match: MatchRecord, system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS
 ) -> PointsAward:
-    """Both sides' awards under ``system``; ``seg`` is the match's breakdown if already known."""
-    seg = segment(match) if seg is None else seg
-    return _award(scoring_rule(system, weights), seg, *match.final_score)
+    """Both sides' awards under ``system``, computed from the match alone."""
+    return _award(scoring_rule(system, weights), segment(match), *match.final_score)
 
 
 def time_points(seg: SegmentBreakdown, weights: WeightTriple = DEFAULT_WEIGHTS) -> PointsAward:
@@ -159,18 +155,3 @@ def time_points(seg: SegmentBreakdown, weights: WeightTriple = DEFAULT_WEIGHTS) 
     the two awards always sum to 3 - T_level/T_match.
     """
     return _award(scoring_rule(ScoringSystem.TIME, weights), seg, 0, 0)
-
-
-def classic_points(match: MatchRecord) -> PointsAward:
-    """Standard 3-for-a-win points from the final score."""
-    return match_points(match, ScoringSystem.CLASSIC)
-
-
-def mixed_points(match: MatchRecord, seg: SegmentBreakdown | None = None) -> PointsAward:
-    """Even blend: half the (3,1,0) time share plus half the final-result points."""
-    return match_points(match, ScoringSystem.MIXED_HALF, seg=seg)
-
-
-def goaldiff_points(match: MatchRecord, seg: SegmentBreakdown | None = None) -> PointsAward:
-    """Equal thirds: (3,1,0) time share, final-result points, capped goal difference."""
-    return match_points(match, ScoringSystem.GOALDIFF_THIRD, seg=seg)

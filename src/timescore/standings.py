@@ -15,15 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .display import format_decimal, format_ratio
 from .errors import EmptySeasonError, NonPositiveLeaderError
 from .ingest import MatchRecord, SeasonDataset
-from .scoring import (
-    DEFAULT_WEIGHTS,
-    ScoringRule,
-    ScoringSystem,
-    WeightTriple,
-    final_result,
-    goal_diff_value,
-    scoring_rule,
-)
+from .scoring import ScoringRule, ScoringSystem, WeightTriple, final_result, goal_diff_value
 from .timeline import effective_length, segment
 
 
@@ -45,14 +37,6 @@ class LeagueTable(NamedTuple):
     system: ScoringSystem
     weights: WeightTriple
     rows: tuple[TableRow, ...]
-
-
-class StandingsEvolution(NamedTuple):
-    """Cumulative tables after each completed round, in round order."""
-
-    system: ScoringSystem
-    weights: WeightTriple
-    tables: tuple[LeagueTable, ...]
 
 
 class LeadershipStats(NamedTuple):
@@ -230,26 +214,6 @@ class SeasonLedger:
         return standings
 
 
-def final_table(
-    dataset: SeasonDataset,
-    system: ScoringSystem,
-    weights: WeightTriple = DEFAULT_WEIGHTS,
-) -> LeagueTable:
-    """Full-season table: per-match awards summed per team, ranked by the tie-break."""
-    return SeasonLedger(dataset).final(scoring_rule(system, weights)).table()
-
-
-def evolution(
-    dataset: SeasonDataset,
-    system: ScoringSystem,
-    weights: WeightTriple = DEFAULT_WEIGHTS,
-) -> StandingsEvolution:
-    """One cumulative table per round (round r includes all matches with round <= r)."""
-    rounds = SeasonLedger(dataset).rounds(scoring_rule(system, weights))
-    tables = tuple(standings.table() for standings in rounds)
-    return StandingsEvolution(system=system, weights=weights, tables=tables)
-
-
 def leadership(leaders: Sequence[str]) -> LeadershipStats:
     """How often the top of the table changed hands, given each round's leader."""
     leaders = tuple(leaders)
@@ -270,16 +234,6 @@ def rank_moves(orders: Sequence[Sequence]) -> int:
     return sum(
         1 for prev, cur in zip(orders, orders[1:]) for a, b in zip(prev, cur) if a != b
     )
-
-
-def leadership_stats(evo: StandingsEvolution) -> LeadershipStats:
-    """How often the top of the table changed hands across rounds."""
-    return leadership([table.rows[0].team for table in evo.tables])
-
-
-def overall_changes(evo: StandingsEvolution) -> int:
-    """Count of (team, consecutive-round pair) entries whose rank moved."""
-    return rank_moves([[row.team for row in table.rows] for table in evo.tables])
 
 
 def percent_of_leader(table: LeagueTable) -> tuple[Fraction, ...]:

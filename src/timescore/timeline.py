@@ -34,14 +34,6 @@ class SegmentBreakdown:
                 f"do not sum to the match length {self.t_match}"
             )
 
-    @property
-    def t_win_away(self) -> int:
-        return self.t_lose_home
-
-    @property
-    def t_lose_away(self) -> int:
-        return self.t_win_home
-
 
 def effective_length(match: MatchRecord) -> int:
     """Match length in seconds: declared if given, else 90' extended to the last goal."""

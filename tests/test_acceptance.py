@@ -15,15 +15,10 @@ from click.testing import CliRunner
 from matchgen import random_match_corpus, random_season, random_weight_triple
 from timescore.cli import main
 from timescore.display import format_decimal
-from timescore.indicators import (
-    avg_points_per_team_game,
-    draws_to_wins,
-    minutes_for_deficit,
-    points_ecdf,
-)
+from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side, parse_season
-from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, time_points
-from timescore.standings import LeagueTable, TableRow, final_table
+from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, scoring_rule, time_points
+from timescore.standings import LeagueTable, SeasonLedger, TableRow
 from timescore.timeline import SegmentBreakdown, segment, segment_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,7 +99,7 @@ def test_criterion_05_average_points_denominator():
             MatchRecord(round=i // 10 + 1, home=home, away=away, goals=goals)
         )
     season = SeasonDataset(matches=tuple(matches))
-    average = avg_points_per_team_game(season, ScoringSystem.CLASSIC)
+    average = SeasonLedger(season).final(scoring_rule(ScoringSystem.CLASSIC)).average()
     assert average == Fraction(1033, 760)
     assert format_decimal(average, 2) == "1.36"
     _ok(5, "380-fixture season totaling 1033 classic points averages 1033/760 (1.36)")
@@ -124,9 +119,11 @@ def test_criterion_07_mixed_final_points_are_exact_means():
     seasons = [parse_season(SEASON_CSV.read_bytes(), "csv")]
     seasons += [random_season(random.Random(seed)) for seed in (31, 32, 33)]
     for season in seasons:
-        classic = {r.team: r.points for r in final_table(season, ScoringSystem.CLASSIC).rows}
-        timed = {r.team: r.points for r in final_table(season, ScoringSystem.TIME).rows}
-        mixed = {r.team: r.points for r in final_table(season, ScoringSystem.MIXED_HALF).rows}
+        ledger = SeasonLedger(season)
+        classic, timed, mixed = (
+            {r.team: r.points for r in ledger.final(scoring_rule(system)).table().rows}
+            for system in (ScoringSystem.CLASSIC, ScoringSystem.TIME, ScoringSystem.MIXED_HALF)
+        )
         for team in classic:
             assert mixed[team] == (classic[team] + timed[team]) / 2
     _ok(7, "mixed final points equal the exact mean of classic and time final points")
@@ -169,8 +166,12 @@ def test_criterion_09_cli_determinism_and_goldens(tmp_path):
 def test_criterion_10_classic_ecdf_structure():
     seasons = [parse_season(SEASON_CSV.read_bytes(), "csv")]
     seasons += [random_season(random.Random(seed)) for seed in (41, 42)]
+    rule = scoring_rule(ScoringSystem.CLASSIC)
     for season in seasons:
-        steps = points_ecdf(season, ScoringSystem.CLASSIC)
-        assert {value for value, _ in steps} <= {Fraction(0), Fraction(1), Fraction(3)}
-        assert steps[-1][1] == 1
+        ledger = SeasonLedger(season)
+        awards = ledger.awards(rule)
+        steps = ecdf_counts(awards)
+        den = ledger.den(rule)
+        assert {Fraction(value, den) for value, _ in steps} <= {0, 1, 3}
+        assert steps[-1][1] == len(awards)
     _ok(10, "classic ECDF support within {0,1,3} and cumulative mass exactly 1")

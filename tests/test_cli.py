@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,9 +8,10 @@ from click.testing import CliRunner
 
 from timescore.cli import main
 from timescore.display import format_decimal
+from timescore.indicators import indicator_bundle
 from timescore.ingest import parse_season
-from timescore.scoring import ScoringSystem
-from timescore.standings import final_table
+from timescore.scoring import ScoringSystem, scoring_rule
+from timescore.standings import SeasonLedger
 
 ROOT = Path(__file__).resolve().parent.parent
 SEASON_CSV = ROOT / "data" / "synthetic_season.csv"
@@ -51,9 +55,9 @@ def test_commands_match_goldens_and_rerun_identically(
 
 def test_golden_table_cells_match_recomputation(runner):
     # Spot-check the frozen file against values recomputed from the library.
-    season = parse_season(SEASON_CSV.read_bytes(), "csv")
-    classic = final_table(season, ScoringSystem.CLASSIC)
-    time_table = final_table(season, ScoringSystem.TIME)
+    ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))
+    classic = ledger.final(scoring_rule(ScoringSystem.CLASSIC)).table()
+    time_table = ledger.final(scoring_rule(ScoringSystem.TIME)).table()
     lines = (GOLDEN / "table.csv").read_text().splitlines()
     top = lines[1].split(",")
     assert top[1] == classic.rows[0].team
@@ -156,11 +160,9 @@ def test_all_draws_fixture_gives_zero_gaps(runner, tmp_path):
 
 
 def test_bundled_fixture_time_gaps_at_most_classic(runner):
-    season = parse_season(SEASON_CSV.read_bytes(), "csv")
-    from timescore.indicators import compute_bundle
-
-    time_bundle = compute_bundle(season, ScoringSystem.TIME)
-    classic_bundle = compute_bundle(season, ScoringSystem.CLASSIC)
+    ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))
+    time_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.TIME))
+    classic_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.CLASSIC))
     assert time_bundle.gap_1_3_pct <= classic_bundle.gap_1_3_pct
     assert time_bundle.gap_1_9_pct <= classic_bundle.gap_1_9_pct
     assert time_bundle.gap_1_last_pct <= classic_bundle.gap_1_last_pct
@@ -257,3 +259,72 @@ def test_match_past_longest_allowed_exits_one_with_line(runner, tmp_path, row):
     assert result.exit_code == 1
     assert "MALFORMED_ROW" in result.stderr
     assert "(line 3)" in result.stderr
+
+
+def test_huge_round_number_exits_one_with_code(runner, tmp_path):
+    # The contiguity check must not build every round number up to the largest.
+    season = tmp_path / "rounds.csv"
+    season.write_text(
+        f"round,home,away,goals,length_min\n1,Alpha,Beta,,\n{10**12},Gamma,Delta,,\n"
+    )
+    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: NONCONTIGUOUS_ROUNDS: round numbers must form a contiguous range starting at 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1,Alpha,Be\rta,,", '1,Alpha,Beta,"' + "H:1," * 40000 + '",'],
+    ids=["bare_carriage_return", "field_past_csv_limit"],
+)
+def test_unreadable_csv_line_exits_one_with_line(runner, tmp_path, row):
+    season = tmp_path / "season.csv"
+    season.write_bytes(f"round,home,away,goals,length_min\n1,Gamma,Delta,,\n{row}\n".encode())
+    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: MALFORMED_ROW: bad CSV line: ")
+    assert "(line 3)" in result.stderr
+
+
+def test_deeply_nested_json_exits_one_with_code(runner, tmp_path):
+    season = tmp_path / "season.json"
+    season.write_text('{"matches": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr == "error: MALFORMED_ROW: invalid JSON: nested too deeply\n"
+
+
+def _run_report(cwd, *args):
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_report.py"), *args],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+
+
+def test_run_report_drops_repeated_systems_like_the_cli(runner, tmp_path):
+    result = _run_report(tmp_path, "--systems", "classic,classic", "--out", "script")
+    assert result.returncode == 0, result.stderr
+    assert _invoke(runner, "table", tmp_path / "cli", "--systems", "classic").exit_code == 0
+    table = (tmp_path / "script" / "table.csv").read_bytes()
+    assert table == (tmp_path / "cli" / "table.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args,code,message",
+    [
+        (["--systems", "foo"], 1, "error: unknown scoring system 'foo'"),
+        (["--season", "missing.csv"], 2, "error: [Errno 2] No such file or directory"),
+    ],
+    ids=["unknown_system", "missing_season"],
+)
+def test_run_report_errors_exit_like_the_cli(tmp_path, args, code, message):
+    result = _run_report(tmp_path, *args, "--out", "out")
+    assert result.returncode == code
+    assert result.stderr.startswith(message)
+    assert "Traceback" not in result.stderr

@@ -9,17 +9,19 @@ from matchgen import random_season
 from timescore.display import format_decimal
 from timescore.errors import EmptySeasonError, TooFewTeamsError, WrongSystemError
 from timescore.indicators import (
-    avg_points_per_team_game,
-    compute_bundle,
     draws_to_wins,
+    ecdf_counts,
     gaps,
+    indicator_bundle,
     minutes_for_deficit,
     minutes_to_upper,
-    points_ecdf,
 )
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
-from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, match_points
-from timescore.standings import LeagueTable, TableRow, final_table, percent_of_leader
+from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, match_points, scoring_rule
+from timescore.standings import LeagueTable, SeasonLedger, TableRow, percent_of_leader
+
+CLASSIC = scoring_rule(ScoringSystem.CLASSIC)
+TIME = scoring_rule(ScoringSystem.TIME)
 
 # Final classic points column of a real 20-team season (1033 points in total).
 REAL_CLASSIC_POINTS = [
@@ -88,14 +90,14 @@ class TestAveragePoints:
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B"), MatchRecord(1, "C", "D"))
         )
-        assert avg_points_per_team_game(season, ScoringSystem.TIME) == 1
+        assert SeasonLedger(season).final(TIME).average() == 1
 
     def test_denominator_is_team_appearances(self):
         # One decisive match: 3 points over 2 appearances.
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B", (GoalEvent(Side.HOME, 600),)),)
         )
-        assert avg_points_per_team_game(season, ScoringSystem.CLASSIC) == Fraction(3, 2)
+        assert SeasonLedger(season).final(CLASSIC).average() == Fraction(3, 2)
 
     def test_matches_manual_summation(self):
         season = random_season(random.Random(11))
@@ -104,16 +106,17 @@ class TestAveragePoints:
             award = match_points(match, ScoringSystem.TIME)
             total += award.home_pts + award.away_pts
         expected = total / (2 * len(season.matches))
-        assert avg_points_per_team_game(season, ScoringSystem.TIME) == expected
+        assert SeasonLedger(season).final(TIME).average() == expected
 
     def test_empty_season(self):
+        # No appearances to average over: the ledger refuses the season.
         with pytest.raises(EmptySeasonError):
-            avg_points_per_team_game(SeasonDataset(), ScoringSystem.TIME)
+            SeasonLedger(SeasonDataset())
 
     def test_time_average_strictly_below_three_halves(self):
         for seed in range(5):
             season = random_season(random.Random(seed))
-            avg = avg_points_per_team_game(season, ScoringSystem.TIME)
+            avg = SeasonLedger(season).final(TIME).average()
             assert 1 <= avg < Fraction(3, 2)
 
 
@@ -176,25 +179,28 @@ class TestDrawsToWins:
 
 class TestPointsEcdf:
     def test_all_goalless_is_single_step(self):
-        season = SeasonDataset(matches=(MatchRecord(1, "A", "B"),))
-        assert points_ecdf(season, ScoringSystem.TIME) == [(1, 1)]
+        ledger = SeasonLedger(SeasonDataset(matches=(MatchRecord(1, "A", "B"),)))
+        [(value, count)] = ecdf_counts(ledger.awards(TIME))
+        assert (Fraction(value, ledger.den(TIME)), count) == (1, 2)
 
     def test_classic_steps_match_result_counts(self):
         season = random_season(random.Random(13))
-        steps = points_ecdf(season, ScoringSystem.CLASSIC)
-        assert {value for value, _ in steps} <= {0, 1, 3}
+        ledger = SeasonLedger(season)
+        den = ledger.den(CLASSIC)
+        steps = ecdf_counts(ledger.awards(CLASSIC))
+        lookup = {Fraction(value, den): count for value, count in steps}
+        assert set(lookup) <= {0, 1, 3}
         losses = sum(
             1 for m in season.matches if m.final_score[0] != m.final_score[1]
         )
         draws = 2 * (len(season.matches) - losses)
-        total = 2 * len(season.matches)
-        lookup = dict(steps)
-        assert lookup[Fraction(0)] == Fraction(losses, total)
-        assert lookup[Fraction(1)] == Fraction(losses + draws, total)
-        assert lookup[Fraction(3)] == 1
+        assert lookup[0] == losses
+        assert lookup[1] == losses + draws
+        assert lookup[3] == 2 * len(season.matches)
 
     def test_matches_counting_oracle(self):
         season = random_season(random.Random(14))
+        ledger = SeasonLedger(season)
         for system in ScoringSystem:
             awards = []
             for match in season.matches:
@@ -205,34 +211,38 @@ class TestPointsEcdf:
                 (value, Fraction(sum(1 for a in awards if a <= value), n))
                 for value in sorted(set(awards))
             ]
-            assert points_ecdf(season, system) == expected
+            rule = scoring_rule(system)
+            den = ledger.den(rule)
+            steps = ecdf_counts(ledger.awards(rule))
+            assert [(Fraction(value, den), Fraction(i, n)) for value, i in steps] == expected
 
     def test_monotone_and_ends_at_one(self):
-        season = random_season(random.Random(15))
-        steps = points_ecdf(season, ScoringSystem.TIME)
-        fractions = [f for _, f in steps]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1
-        assert all(0 < value < 3 for value, _ in steps)
+        ledger = SeasonLedger(random_season(random.Random(15)))
+        awards = ledger.awards(TIME)
+        steps = ecdf_counts(awards)
+        counts = [count for _, count in steps]
+        assert counts == sorted(set(counts))
+        assert counts[-1] == len(awards)
+        assert all(0 < value < 3 * ledger.den(TIME) for value, _ in steps)
 
     def test_empty_season(self):
+        # No awards, no steps; the ledger refuses an empty season before that.
+        assert ecdf_counts([]) == []
         with pytest.raises(EmptySeasonError):
-            points_ecdf(SeasonDataset(), ScoringSystem.TIME)
+            SeasonLedger(SeasonDataset())
 
 
 class TestBundle:
     def test_bundle_fields_consistent_with_parts(self):
-        season = random_season(random.Random(16))
-        bundle = compute_bundle(season, ScoringSystem.TIME)
-        table = final_table(season, ScoringSystem.TIME)
-        gap_3, gap_9, gap_last = gaps(table)
+        ledger = SeasonLedger(random_season(random.Random(16)))
+        bundle = indicator_bundle(ledger, TIME)
+        final = ledger.final(TIME)
+        gap_3, gap_9, gap_last = gaps(final.table())
         assert (bundle.gap_1_3_pct, bundle.gap_1_9_pct, bundle.gap_1_last_pct) == (
             gap_3,
             gap_9,
             gap_last,
         )
-        assert bundle.avg_points_per_team_game == avg_points_per_team_game(
-            season, ScoringSystem.TIME
-        )
+        assert bundle.avg_points_per_team_game == final.average()
         assert 0 <= bundle.gap_1_3_pct <= 100
         assert bundle.distinct_leaders >= 1

@@ -13,6 +13,7 @@ from timescore.errors import (
     UnknownFormatError,
 )
 from timescore.ingest import (
+    SECONDS_PER_MINUTE,
     GoalEvent,
     MatchRecord,
     SeasonDataset,
@@ -24,6 +25,7 @@ from timescore.ingest import (
     parse_season,
     serialize_season,
 )
+from timescore.scoring import ScoringSystem, match_points
 
 HEADER = "round,home,away,goals,length_min\n"
 
@@ -370,3 +372,43 @@ def test_minute_error_bound_is_worst_match_sum():
     two = MatchRecord(1, "C", "D", (GoalEvent(Side.HOME, 60, TimePrecision.MINUTE_ROUNDED),))
     season = SeasonDataset(matches=(one, two))
     assert minute_error_bound(season) == 2 * Fraction(118, 5400)
+
+
+# Where a goal recorded at a whole minute may truly have fallen, in seconds
+# from the recorded time.
+_TRUE_OFFSET_S = {
+    TimePrecision.MINUTE_TRUNCATED: (0, 59),
+    TimePrecision.MINUTE_ROUNDED: (-30, 29),
+}
+
+
+@st.composite
+def recorded_and_true_matches(draw):
+    """A match of one to three minute-precision goals, and the same goals at true times.
+
+    Minutes run past 90' and no length is declared, so a late last goal moves
+    the match length along with its true time.
+    """
+    minutes = draw(st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True))
+    # One source times every goal of a match, so true times keep their order.
+    precision = draw(st.sampled_from(list(_TRUE_OFFSET_S)))
+    recorded, true = [], []
+    for minute in sorted(minutes):
+        side = draw(st.sampled_from(Side))
+        lo, hi = _TRUE_OFFSET_S[precision]
+        # The ends of the slack are where a lone goal meets the bound exactly.
+        offset = draw(st.sampled_from((lo, hi)) | st.integers(lo, hi))
+        recorded.append(GoalEvent(side, minute * SECONDS_PER_MINUTE, precision))
+        true.append(GoalEvent(side, minute * SECONDS_PER_MINUTE + offset))
+    return MatchRecord(1, "A", "B", tuple(recorded)), MatchRecord(1, "A", "B", tuple(true))
+
+
+@given(recorded_and_true_matches())
+@settings(max_examples=300)
+def test_minute_error_bound_covers_every_true_goal_time(matches):
+    recorded, true = matches
+    bound = minute_error_bound(SeasonDataset(matches=(recorded,)))
+    for system in (ScoringSystem.TIME, ScoringSystem.MIXED_HALF, ScoringSystem.GOALDIFF_THIRD):
+        shown, actual = match_points(recorded, system), match_points(true, system)
+        assert abs(shown.home_pts - actual.home_pts) <= bound
+        assert abs(shown.away_pts - actual.away_pts) <= bound

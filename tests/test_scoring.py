@@ -10,12 +10,9 @@ from timescore.scoring import (
     DEFAULT_WEIGHTS,
     ScoringSystem,
     WeightTriple,
-    classic_points,
     final_result,
     goal_diff_value,
-    goaldiff_points,
     match_points,
-    mixed_points,
     time_points,
 )
 from timescore.timeline import SegmentBreakdown, segment
@@ -78,36 +75,36 @@ class TestClassicPoints:
         ],
     )
     def test_final_score_mapping(self, goals, expected):
-        award = classic_points(MatchRecord(1, "Home", "Away", goals))
+        award = match_points(MatchRecord(1, "Home", "Away", goals), ScoringSystem.CLASSIC)
         assert (award.home_pts, award.away_pts) == expected
 
 
 class TestMixedPoints:
     def test_goalless(self):
-        award = mixed_points(GOALLESS)
+        award = match_points(GOALLESS, ScoringSystem.MIXED_HALF)
         assert (award.home_pts, award.away_pts) == (1, 1)
 
     def test_single_goal_at_thirty_minutes(self):
-        award = mixed_points(ONE_NIL_AT_THIRTY)
+        award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF)
         assert award.home_pts == Fraction(8, 3)
         assert award.away_pts == Fraction(1, 6)
 
     def test_equals_mean_of_classic_and_time(self):
         time_award = time_points(segment(ONE_NIL_AT_THIRTY))
-        classic_award = classic_points(ONE_NIL_AT_THIRTY)
-        mixed_award = mixed_points(ONE_NIL_AT_THIRTY)
+        classic_award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.CLASSIC)
+        mixed_award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF)
         assert mixed_award.home_pts == (time_award.home_pts + classic_award.home_pts) / 2
         assert mixed_award.away_pts == (time_award.away_pts + classic_award.away_pts) / 2
 
 
 class TestGoalDiffPoints:
     def test_goalless(self):
-        award = goaldiff_points(GOALLESS)
+        award = match_points(GOALLESS, ScoringSystem.GOALDIFF_THIRD)
         assert (award.home_pts, award.away_pts) == (Fraction(2, 3), Fraction(2, 3))
 
     def test_single_goal_at_thirty_minutes(self):
         # third of (7/3 time share + 3 result + 1 goal-diff) = 19/9
-        award = goaldiff_points(ONE_NIL_AT_THIRTY)
+        award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.GOALDIFF_THIRD)
         assert award.home_pts == Fraction(19, 9)
         assert award.away_pts == Fraction(1, 3) * (Fraction(1, 3) + 0 + 0)
 
@@ -151,10 +148,9 @@ def test_default_weights_total_in_two_to_three(match):
 
 @given(match_records())
 def test_mixed_is_mean_of_classic_and_time(match):
-    seg = segment(match)
-    mixed_award = mixed_points(match, seg)
-    time_award = time_points(seg)
-    classic_award = classic_points(match)
+    mixed_award = match_points(match, ScoringSystem.MIXED_HALF)
+    time_award = time_points(segment(match))
+    classic_award = match_points(match, ScoringSystem.CLASSIC)
     assert mixed_award.home_pts == (time_award.home_pts + classic_award.home_pts) / 2
     assert mixed_award.away_pts == (time_award.away_pts + classic_award.away_pts) / 2
 
@@ -197,7 +193,7 @@ def test_match_points_dispatch():
 
 def test_hybrids_ignore_configured_weights():
     heavy = WeightTriple(10, 1, 0)
-    assert mixed_points(ONE_NIL_AT_THIRTY).home_pts == match_points(
+    assert match_points(ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF).home_pts == match_points(
         ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF, heavy
     ).home_pts
 
@@ -210,13 +206,13 @@ def test_one_rule_matches_each_system_definition(match, weights):
     t = seg.t_match
     share = {
         "home": Fraction(3 * seg.t_win_home + seg.t_draw, t),
-        "away": Fraction(3 * seg.t_win_away + seg.t_draw, t),
+        "away": Fraction(3 * seg.t_lose_home + seg.t_draw, t),
     }
     weighted = {
         "home": (weights.alpha_w * seg.t_win_home + weights.alpha_d * seg.t_draw
                  + weights.alpha_l * seg.t_lose_home) / t,
-        "away": (weights.alpha_w * seg.t_win_away + weights.alpha_d * seg.t_draw
-                 + weights.alpha_l * seg.t_lose_away) / t,
+        "away": (weights.alpha_w * seg.t_lose_home + weights.alpha_d * seg.t_draw
+                 + weights.alpha_l * seg.t_win_home) / t,
     }
     result = {"home": final_result(hg, ag), "away": final_result(ag, hg)}
     bonus = {"home": goal_diff_value(hg, ag), "away": goal_diff_value(ag, hg)}

@@ -9,12 +9,10 @@ from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
 from timescore.scoring import ScoringSystem, match_points, scoring_rule
 from timescore.standings import (
     SeasonLedger,
-    evolution,
     evolution_to_csv,
-    final_table,
-    leadership_stats,
-    overall_changes,
+    leadership,
     percent_of_leader,
+    rank_moves,
 )
 from timescore.timeline import segment
 
@@ -48,6 +46,11 @@ HAND_SEASON = SeasonDataset(
     )
 )
 
+HAND_LEDGER = SeasonLedger(HAND_SEASON)
+TWO_TEAM_LEDGER = SeasonLedger(TWO_TEAM_SEASON)
+CLASSIC = scoring_rule(ScoringSystem.CLASSIC)
+TIME = scoring_rule(ScoringSystem.TIME)
+
 # Classic ranks recomputed by hand for HAND_SEASON, round by round.
 HAND_CLASSIC_RANKS = [
     ["P", "R", "S", "Q"],
@@ -58,24 +61,24 @@ HAND_CLASSIC_RANKS = [
 
 class TestFinalTable:
     def test_two_team_season_time_points(self):
-        table = final_table(TWO_TEAM_SEASON, ScoringSystem.TIME)
+        table = TWO_TEAM_LEDGER.final(TIME).table()
         assert [(r.team, r.points) for r in table.rows] == [
             ("A", Fraction(10, 3)),
             ("B", Fraction(4, 3)),
         ]
 
     def test_two_team_season_classic_points(self):
-        table = final_table(TWO_TEAM_SEASON, ScoringSystem.CLASSIC)
+        table = TWO_TEAM_LEDGER.final(CLASSIC).table()
         assert [(r.team, r.points) for r in table.rows] == [("A", 4), ("B", 1)]
 
     def test_leader_percent_is_one_hundred(self):
-        table = final_table(TWO_TEAM_SEASON, ScoringSystem.TIME)
+        table = TWO_TEAM_LEDGER.final(TIME).table()
         percents = percent_of_leader(table)
         assert percents[0] == 100
         assert percents[1] == 100 * Fraction(4, 3) / Fraction(10, 3)
 
     def test_counts_and_goal_columns(self):
-        table = final_table(TWO_TEAM_SEASON, ScoringSystem.CLASSIC)
+        table = TWO_TEAM_LEDGER.final(CLASSIC).table()
         top, bottom = table.rows
         assert (top.played, top.wins, top.draws, top.losses) == (2, 1, 1, 0)
         assert (top.goals_for, top.goal_diff) == (1, 1)
@@ -84,10 +87,10 @@ class TestFinalTable:
 
     def test_empty_season_rejected(self):
         with pytest.raises(EmptySeasonError):
-            final_table(SeasonDataset(), ScoringSystem.CLASSIC)
+            SeasonLedger(SeasonDataset())
 
     def test_ranks_are_contiguous(self):
-        table = final_table(HAND_SEASON, ScoringSystem.TIME)
+        table = HAND_LEDGER.final(TIME).table()
         assert [r.rank for r in table.rows] == [1, 2, 3, 4]
 
 
@@ -99,7 +102,7 @@ class TestTieBreak:
                 MatchRecord(1, "G", "H", (_goal(Side.HOME, 10),)),
             )
         )
-        table = final_table(season, ScoringSystem.CLASSIC)
+        table = SeasonLedger(season).final(CLASSIC).table()
         assert [r.team for r in table.rows] == ["E", "G", "H", "F"]
 
     def test_name_breaks_full_ties(self):
@@ -109,26 +112,24 @@ class TestTieBreak:
                 MatchRecord(1, "E", "F", (_goal(Side.HOME, 10),)),
             )
         )
-        table = final_table(season, ScoringSystem.CLASSIC)
+        table = SeasonLedger(season).final(CLASSIC).table()
         assert [r.team for r in table.rows] == ["E", "G", "F", "H"]
 
 
 class TestEvolution:
     def test_single_round_equals_final_table(self):
         season = SeasonDataset(matches=(MatchRecord(1, "A", "B", (_goal(Side.HOME, 30),)),))
-        evo = evolution(season, ScoringSystem.TIME)
-        assert len(evo.tables) == 1
-        assert evo.tables[0] == final_table(season, ScoringSystem.TIME)
+        ledger = SeasonLedger(season)
+        tables = [standings.table() for standings in ledger.rounds(TIME)]
+        assert tables == [ledger.final(TIME).table()]
 
     def test_hand_computed_rank_sequence(self):
-        evo = evolution(HAND_SEASON, ScoringSystem.CLASSIC)
-        got = [[row.team for row in table.rows] for table in evo.tables]
+        got = [[s.teams[i] for i in s.order] for s in HAND_LEDGER.rounds(CLASSIC)]
         assert got == HAND_CLASSIC_RANKS
 
     def test_played_counts_accumulate(self):
-        evo = evolution(HAND_SEASON, ScoringSystem.CLASSIC)
-        for round_no, table in enumerate(evo.tables, start=1):
-            assert sum(row.played for row in table.rows) == 4 * round_no
+        for round_no, standings in enumerate(HAND_LEDGER.rounds(CLASSIC), start=1):
+            assert sum(row.played for row in standings.table().rows) == 4 * round_no
 
     def test_goalless_season_all_tied_by_name(self):
         season = SeasonDataset(
@@ -139,21 +140,15 @@ class TestEvolution:
                 MatchRecord(2, "D", "C"),
             )
         )
-        evo = evolution(season, ScoringSystem.TIME)
-        for round_no, table in enumerate(evo.tables, start=1):
+        for round_no, standings in enumerate(SeasonLedger(season).rounds(TIME), start=1):
+            table = standings.table()
             assert [row.team for row in table.rows] == ["A", "B", "C", "D"]
             assert all(row.points == round_no for row in table.rows)
-
-    def test_final_table_equals_last_evolution_entry(self):
-        for system in ScoringSystem:
-            evo = evolution(HAND_SEASON, system)
-            assert evo.tables[-1] == final_table(HAND_SEASON, system)
 
 
 class TestLeadershipStats:
     def test_hand_season_sequence(self):
-        evo = evolution(HAND_SEASON, ScoringSystem.CLASSIC)
-        stats = leadership_stats(evo)
+        stats = leadership([s.teams[s.order[0]] for s in HAND_LEDGER.rounds(CLASSIC)])
         assert stats.leader_sequence == ("P", "S", "Q")
         assert stats.num_changes == 2
         assert stats.distinct_leaders == 3
@@ -175,15 +170,13 @@ class TestLeadershipStats:
                 MatchRecord(5, "A", "D", (_goal(Side.HOME, 10), _goal(Side.HOME, 20))),
             )
         )
-        evo = evolution(season, ScoringSystem.CLASSIC)
-        stats = leadership_stats(evo)
+        stats = leadership([s.teams[s.order[0]] for s in SeasonLedger(season).rounds(CLASSIC)])
         assert stats.leader_sequence == ("A", "A", "B", "B", "A")
         assert stats.num_changes == 2
         assert stats.distinct_leaders == 2
 
     def test_constant_leader(self):
-        evo = evolution(TWO_TEAM_SEASON, ScoringSystem.CLASSIC)
-        stats = leadership_stats(evo)
+        stats = leadership([s.teams[s.order[0]] for s in TWO_TEAM_LEDGER.rounds(CLASSIC)])
         assert stats.num_changes == 0
         assert stats.distinct_leaders == 1
 
@@ -197,8 +190,7 @@ class TestOverallChanges:
                 MatchRecord(2, "C", "B", (_goal(Side.HOME, 15),)),
             )
         )
-        evo = evolution(season, ScoringSystem.CLASSIC)
-        assert overall_changes(evo) == 0
+        assert rank_moves([s.order for s in SeasonLedger(season).rounds(CLASSIC)]) == 0
 
     def test_single_swap_counts_both_teams(self):
         season = SeasonDataset(
@@ -207,19 +199,17 @@ class TestOverallChanges:
                 MatchRecord(2, "B", "A", (_goal(Side.HOME, 10), _goal(Side.HOME, 20))),
             )
         )
-        evo = evolution(season, ScoringSystem.CLASSIC)
-        assert overall_changes(evo) == 2
+        assert rank_moves([s.order for s in SeasonLedger(season).rounds(CLASSIC)]) == 2
 
     def test_hand_season_total(self):
-        evo = evolution(HAND_SEASON, ScoringSystem.CLASSIC)
-        assert overall_changes(evo) == 7
+        assert rank_moves([s.order for s in HAND_LEDGER.rounds(CLASSIC)]) == 7
 
     def test_matches_recount_from_scratch(self):
         # Independent recount: rebuild each round's table directly from a
-        # truncated dataset and tally rank moves without the evolution path.
+        # truncated dataset and tally rank moves without the round stream.
         season = random_season(random.Random(20240817))
-        for system in (ScoringSystem.CLASSIC, ScoringSystem.TIME):
-            evo = evolution(season, system)
+        ledger = SeasonLedger(season)
+        for rule in (CLASSIC, TIME):
             recount = 0
             previous = None
             for round_no in range(1, season.num_rounds + 1):
@@ -228,20 +218,20 @@ class TestOverallChanges:
                 )
                 ranks = {
                     row.team: row.rank
-                    for row in final_table(subset, system).rows
+                    for row in SeasonLedger(subset).final(rule).table().rows
                 }
                 if previous is not None:
                     recount += sum(
                         1 for team, rank in ranks.items() if previous[team] != rank
                     )
                 previous = ranks
-            assert overall_changes(evo) == recount
+            assert rank_moves([s.order for s in ledger.rounds(rule)]) == recount
 
 
 class TestTotals:
     def test_time_total_is_three_minus_draw_share_summed(self):
         season = random_season(random.Random(7))
-        table = final_table(season, ScoringSystem.TIME)
+        table = SeasonLedger(season).final(TIME).table()
         total = sum((row.points for row in table.rows), Fraction(0))
         expected = Fraction(0)
         for match in season.matches:
@@ -251,7 +241,7 @@ class TestTotals:
 
     def test_classic_total_counts_decisive_and_drawn(self):
         season = random_season(random.Random(8))
-        table = final_table(season, ScoringSystem.CLASSIC)
+        table = SeasonLedger(season).final(CLASSIC).table()
         total = sum((row.points for row in table.rows), Fraction(0))
         decisive = sum(1 for m in season.matches if m.final_score[0] != m.final_score[1])
         drawn = len(season.matches) - decisive
@@ -259,22 +249,21 @@ class TestTotals:
 
     def test_rerun_is_identical(self):
         season = random_season(random.Random(9))
-        first = final_table(season, ScoringSystem.TIME)
-        second = final_table(season, ScoringSystem.TIME)
+        first = SeasonLedger(season).final(TIME).table()
+        second = SeasonLedger(season).final(TIME).table()
         assert first == second
 
 
 class TestExports:
     def test_evolution_csv_row_count(self):
-        rounds = SeasonLedger(HAND_SEASON).rounds(scoring_rule(ScoringSystem.CLASSIC))
-        lines = evolution_to_csv(rounds).splitlines()
+        lines = evolution_to_csv(HAND_LEDGER.rounds(CLASSIC)).splitlines()
         assert lines[0] == "round,team,rank,points"
         assert len(lines) == 1 + 3 * 4  # header + rounds * teams
 
 
 def test_award_accumulation_matches_manual_sum():
     season = HAND_SEASON
-    table = final_table(season, ScoringSystem.GOALDIFF_THIRD)
+    table = HAND_LEDGER.final(scoring_rule(ScoringSystem.GOALDIFF_THIRD)).table()
     manual = {team: Fraction(0) for team in season.teams}
     for match in season.matches:
         award = match_points(match, ScoringSystem.GOALDIFF_THIRD)

@@ -68,11 +68,6 @@ class TestSegment:
         assert mirrored.t_lose_home == seg.t_win_home
         assert mirrored.t_draw == seg.t_draw
 
-    def test_away_properties_mirror_home(self):
-        seg = segment(_match(GoalEvent(Side.AWAY, 900)))
-        assert seg.t_win_away == seg.t_lose_home == 4500
-        assert seg.t_lose_away == seg.t_win_home == 0
-
 
 class TestSegmentOracle:
     def test_goalless_at_one_second(self):

@@ -6,12 +6,11 @@ Identical inputs and flags always produce byte-identical outputs.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import click
 
@@ -26,17 +25,8 @@ from .indicators import (
     minutes_to_upper,
 )
 from .ingest import SeasonFormat, parse_season
-from .scoring import ScoringSystem, WeightTriple, scoring_rule
+from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
 from .standings import LeagueTable, SeasonLedger, evolution_to_csv, percent_of_leader
-
-
-class RunConfig(NamedTuple):
-    """What to report and how to render it; every report reads one season ledger."""
-
-    systems: tuple[ScoringSystem, ...]
-    weights: WeightTriple
-    display_decimals: int = 2
-    decimal_comma: bool = False
 
 
 def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
@@ -113,81 +103,52 @@ def build_comparison_csv(
     return out.getvalue()
 
 
-def table_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+def table_report(
+    ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
+) -> dict[str, str]:
     """table.csv: the final tables side by side."""
-    tables = [
-        ledger.final(scoring_rule(system, config.weights)).table() for system in config.systems
-    ]
-    return {
-        "table.csv": build_comparison_csv(
-            tables, decimals=config.display_decimals, comma=config.decimal_comma
-        )
-    }
+    tables = [ledger.final(rule).table() for rule in rules]
+    return {"table.csv": build_comparison_csv(tables, decimals=decimals, comma=comma)}
 
 
-def evolution_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+def evolution_report(
+    ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
+) -> dict[str, str]:
     """evolution_<system>.csv: each round's ranks and points."""
     return {
-        f"evolution_{system.value}.csv": evolution_to_csv(
-            ledger.rounds(scoring_rule(system, config.weights)),
-            decimals=config.display_decimals,
-            comma=config.decimal_comma,
+        f"evolution_{rule.system.value}.csv": evolution_to_csv(
+            ledger.rounds(rule), decimals=decimals, comma=comma
         )
-        for system in config.systems
+        for rule in rules
     }
 
 
-def indicators_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+def indicators_report(
+    ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
+) -> dict[str, str]:
     """indicators.csv and indicators.json: one column or object per system."""
-    bundles = [
-        (system, indicator_bundle(ledger, scoring_rule(system, config.weights)))
-        for system in config.systems
-    ]
+    bundles = [(rule.system, indicator_bundle(ledger, rule)) for rule in rules]
     return {
-        "indicators.csv": indicators_to_csv(bundles, comma=config.decimal_comma),
+        "indicators.csv": indicators_to_csv(bundles, comma=comma),
         "indicators.json": indicators_to_json(bundles),
     }
 
 
-def ecdf_report(config: RunConfig, ledger: SeasonLedger) -> dict[str, str]:
+def ecdf_report(
+    ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
+) -> dict[str, str]:
     """ecdf_<system>.csv: the distribution of per-team match awards."""
     files = {}
-    for system in config.systems:
-        rule = scoring_rule(system, config.weights)
+    for rule in rules:
         # One expression, so this system's sorted awards are freed before the next's.
-        files[f"ecdf_{system.value}.csv"] = ecdf_to_csv(
-            ecdf_counts(ledger.awards(rule)), ledger.den(rule), comma=config.decimal_comma
+        files[f"ecdf_{rule.system.value}.csv"] = ecdf_to_csv(
+            ecdf_counts(ledger.awards(rule)), ledger.den(rule), comma=comma
         )
     return files
 
 
-def write_report(files: dict[str, str], output_dir: Path) -> list[Path]:
-    """Write each named file as UTF-8 under ``output_dir`` (created if missing)."""
-    output_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, content in files.items():
-        path = output_dir / name
-        path.write_bytes(content.encode("utf-8"))
-        written.append(path)
-    return written
-
-
-@contextlib.contextmanager
-def exit_on_error() -> Iterator[None]:
-    """Exit 1 on a data or flag error and 2 on an I/O error, after an ``error:`` line."""
-    try:
-        yield
-    except ValueError as err:
-        # Bad flags, and every SeasonDataError (a ValueError carrying its code).
-        click.echo(f"error: {err}", err=True)
-        sys.exit(1)
-    except OSError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
-
-
 def _execute(
-    report: Callable[[RunConfig, SeasonLedger], dict[str, str]],
+    reports: Sequence[Callable[..., dict[str, str]]],
     input_path: Path,
     fmt: str | None,
     systems: str,
@@ -196,21 +157,34 @@ def _execute(
     decimals: int,
     decimal_comma: bool,
 ) -> None:
-    with exit_on_error():
-        config = RunConfig(
-            systems=_parse_systems(systems),
-            weights=WeightTriple.from_string(weights),
-            display_decimals=decimals,
-            decimal_comma=decimal_comma,
-        )
-        # The parsed season is dropped once its ledger is built, so the report
-        # reuses its memory.
+    """Run ``reports`` on one ledger and write their files only once all succeed.
+
+    Exits 1 on a data or flag error and 2 on an I/O error, after an ``error:`` line.
+    """
+    try:
+        parsed_systems = _parse_systems(systems)
+        triple = WeightTriple.from_string(weights)
+        rules = [scoring_rule(system, triple) for system in parsed_systems]
+        # The parsed season is dropped once its ledger is built, so the reports
+        # reuse its memory.
         ledger = SeasonLedger(
             parse_season(input_path.read_bytes(), _infer_format(input_path, fmt))
         )
-        written = write_report(report(config, ledger), output_dir)
-    for path in written:
-        click.echo(str(path))
+        files: dict[str, str] = {}
+        for report in reports:
+            files.update(report(ledger, rules, decimals, decimal_comma))
+        output_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            (output_dir / name).write_bytes(content.encode("utf-8"))
+    except ValueError as err:
+        # Bad flags, and every SeasonDataError (a ValueError carrying its code).
+        click.echo(f"error: {err}", err=True)
+        sys.exit(1)
+    except OSError as err:
+        click.echo(f"error: {err}", err=True)
+        sys.exit(2)
+    for name in files:
+        click.echo(str(output_dir / name))
 
 
 _SEASON_OPTIONS = (
@@ -278,25 +252,32 @@ def main() -> None:
 @_season_options
 def cmd_table(**kwargs) -> None:
     """Side-by-side final standings comparison (table.csv)."""
-    _execute(table_report, **kwargs)
+    _execute([table_report], **kwargs)
 
 
 @main.command("evolution")
 @_season_options
 def cmd_evolution(**kwargs) -> None:
     """Per-round rank/points trajectories (evolution_<system>.csv)."""
-    _execute(evolution_report, **kwargs)
+    _execute([evolution_report], **kwargs)
 
 
 @main.command("indicators")
 @_season_options
 def cmd_indicators(**kwargs) -> None:
     """Season competitiveness indicators (indicators.csv / indicators.json)."""
-    _execute(indicators_report, **kwargs)
+    _execute([indicators_report], **kwargs)
 
 
 @main.command("ecdf")
 @_season_options
 def cmd_ecdf(**kwargs) -> None:
     """Cumulative distribution of per-team match points (ecdf_<system>.csv)."""
-    _execute(ecdf_report, **kwargs)
+    _execute([ecdf_report], **kwargs)
+
+
+@main.command("report")
+@_season_options
+def cmd_report(**kwargs) -> None:
+    """Every report from one parse: the files of table, evolution, indicators and ecdf."""
+    _execute([table_report, evolution_report, indicators_report, ecdf_report], **kwargs)

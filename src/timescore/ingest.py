@@ -8,8 +8,9 @@ CSV (canonical)
     contains commas). A token is ``SIDE:MINUTE`` or ``SIDE:MINUTE+STOPPAGE``
     with SIDE one of ``H``/``A``; stoppage notation denotes the absolute
     minute, so ``90+3`` and ``93`` parse identically. ``length_min`` is an
-    optional integer match length in minutes (>= 90). No goal time or length
-    may exceed :data:`MAX_MATCH_LENGTH_S`. Example row::
+    optional integer match length in minutes (>= 90). Numbers are written in
+    ASCII digits. No goal time or length may exceed :data:`MAX_MATCH_LENGTH_S`.
+    Example row::
 
         1,Leicester,Sunderland,"H:52,H:71",
 
@@ -58,7 +59,12 @@ MAX_MATCH_LENGTH_S = 300 * SECONDS_PER_MINUTE
 
 CSV_HEADER = ("round", "home", "away", "goals", "length_min")
 
-_GOAL_TOKEN_RE = re.compile(r"^(?P<side>[HA]):(?P<minute>\d+)(?:\+(?P<stoppage>\d+))?$")
+# ASCII digits only: ``\d`` and ``int()`` would also take other scripts' digits,
+# and ``int()`` takes ``_`` separators.
+_GOAL_TOKEN_RE = re.compile(
+    r"^(?P<side>[HA]):(?P<minute>\d+)(?:\+(?P<stoppage>\d+))?$", re.ASCII
+)
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class Side(enum.Enum):
@@ -287,6 +293,13 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
         raise MalformedRowError(f"bad CSV line: {exc}", line=reader.line_num) from None
 
 
+def _csv_int(field: str, what: str) -> int:
+    """An integer CSV field: an optional sign and ASCII digits, spaces around allowed."""
+    if not _INT_RE.fullmatch(field.strip()):
+        raise MalformedRowError(f"bad {what} {field!r}")
+    return int(field)
+
+
 def _parse_csv(
     text: str, minute_precision: TimePrecision, league_name: str
 ) -> SeasonDataset:
@@ -313,10 +326,7 @@ def _parse_csv(
             )
         round_text, home, away, goals_field, length_field = row
         try:
-            try:
-                round_no = int(round_text.strip())
-            except ValueError:
-                raise MalformedRowError(f"bad round number {round_text!r}") from None
+            round_no = _csv_int(round_text, "round number")
             goals = []
             for tok in goals_field.split(","):
                 goal = parsed.get(tok)
@@ -327,12 +337,7 @@ def _parse_csv(
                 goals.append(goal)
             declared = None
             if length_field.strip():
-                try:
-                    declared = int(length_field.strip()) * SECONDS_PER_MINUTE
-                except ValueError:
-                    raise MalformedRowError(
-                        f"bad length_min value {length_field!r}"
-                    ) from None
+                declared = _csv_int(length_field, "length_min value") * SECONDS_PER_MINUTE
             matches.append(
                 MatchRecord(
                     round=round_no,

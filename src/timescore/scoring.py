@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .ingest import MatchRecord
 from .timeline import SegmentBreakdown, segment
+
+# One weight: an optional sign, then an integer, a decimal or a fraction a/b in
+# ASCII digits. Fraction() alone also takes exponents, ``_`` and non-ASCII digits.
+_WEIGHT_RE = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 class ScoringSystem(enum.Enum):
@@ -43,12 +48,17 @@ class WeightTriple:
 
     @classmethod
     def from_string(cls, text: str) -> "WeightTriple":
-        """Parse "W,D,L" where each part is an integer, decimal or fraction."""
-        parts = text.split(",")
+        """Parse "W,D,L" where each part is an integer, decimal or fraction a/b."""
+        parts = [part.strip() for part in text.split(",")]
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated weights, got {text!r}")
+        for part in parts:
+            if not _WEIGHT_RE.fullmatch(part):
+                raise ValueError(
+                    f"bad weight {part!r}: expected an integer, a decimal or a fraction a/b"
+                )
         try:
-            return cls(*(Fraction(p.strip()) for p in parts))
+            return cls(*map(Fraction, parts))
         except ZeroDivisionError:
             raise ValueError(f"weights must not divide by zero, got {text!r}") from None
 

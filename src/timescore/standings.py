@@ -42,7 +42,6 @@ class LeagueTable(NamedTuple):
 class LeadershipStats(NamedTuple):
     num_changes: int
     distinct_leaders: int
-    leader_sequence: tuple[str, ...]
 
 
 # Where a 3/1/0 result is counted in a team's (wins, draws, losses).
@@ -216,13 +215,8 @@ class SeasonLedger:
 
 def leadership(leaders: Sequence[str]) -> LeadershipStats:
     """How often the top of the table changed hands, given each round's leader."""
-    leaders = tuple(leaders)
     changes = sum(1 for prev, cur in zip(leaders, leaders[1:]) if prev != cur)
-    return LeadershipStats(
-        num_changes=changes,
-        distinct_leaders=len(set(leaders)),
-        leader_sequence=leaders,
-    )
+    return LeadershipStats(num_changes=changes, distinct_leaders=len(set(leaders)))
 
 
 def rank_moves(orders: Sequence[Sequence]) -> int:

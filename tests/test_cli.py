@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +21,7 @@ COMMANDS = {
     "indicators": ["indicators.csv", "indicators.json"],
     "ecdf": ["ecdf_classic.csv", "ecdf_time.csv"],
 }
+COMMANDS["report"] = [name for names in COMMANDS.values() for name in names]
 
 
 @pytest.fixture()
@@ -46,6 +44,8 @@ def test_commands_match_goldens_and_rerun_identically(
     for out_dir in (first, second):
         result = _invoke(runner, command, out_dir)
         assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [str(out_dir / name) for name in filenames]
+    assert sorted(p.name for p in first.iterdir()) == sorted(filenames)
     for name in filenames:
         once = (first / name).read_bytes()
         again = (second / name).read_bytes()
@@ -296,35 +296,51 @@ def test_deeply_nested_json_exits_one_with_code(runner, tmp_path):
     assert result.stderr == "error: MALFORMED_ROW: invalid JSON: nested too deeply\n"
 
 
-def _run_report(cwd, *args):
-    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_report.py"), *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
-    )
-
-
 def test_run_report_drops_repeated_systems_like_the_cli(runner, tmp_path):
-    result = _run_report(tmp_path, "--systems", "classic,classic", "--out", "script")
-    assert result.returncode == 0, result.stderr
+    result = _invoke(runner, "report", tmp_path / "report", "--systems", "classic,classic")
+    assert result.exit_code == 0, result.output
     assert _invoke(runner, "table", tmp_path / "cli", "--systems", "classic").exit_code == 0
-    table = (tmp_path / "script" / "table.csv").read_bytes()
+    table = (tmp_path / "report" / "table.csv").read_bytes()
     assert table == (tmp_path / "cli" / "table.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
-    "args,code,message",
+    "args,missing,code,message",
     [
-        (["--systems", "foo"], 1, "error: unknown scoring system 'foo'"),
-        (["--season", "missing.csv"], 2, "error: [Errno 2] No such file or directory"),
+        (["--systems", "foo"], False, 1, "error: unknown scoring system 'foo'"),
+        ([], True, 2, "error: [Errno 2] No such file or directory"),
     ],
     ids=["unknown_system", "missing_season"],
 )
-def test_run_report_errors_exit_like_the_cli(tmp_path, args, code, message):
-    result = _run_report(tmp_path, *args, "--out", "out")
-    assert result.returncode == code
+def test_run_report_errors_exit_like_the_cli(runner, tmp_path, args, missing, code, message):
+    season = tmp_path / "missing.csv" if missing else SEASON_CSV
+    result = _invoke(runner, "report", tmp_path / "out", *args, season=season)
+    assert result.exit_code == code
     assert result.stderr.startswith(message)
     assert "Traceback" not in result.stderr
+
+
+def test_report_data_error_writes_no_file(runner, tmp_path):
+    # Gaps need three teams: table, evolution and ecdf succeed, indicators fail.
+    two_teams = tmp_path / "two.csv"
+    two_teams.write_text("round,home,away,goals,length_min\n1,Alpha,Beta,H:10,\n")
+    out = tmp_path / "out"
+    result = _invoke(runner, "report", out, season=two_teams)
+    assert result.exit_code == 1
+    assert "TOO_FEW_TEAMS" in result.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "weights,bad",
+    [("1_0,1,0", "1_0"), ("\u0663,1,0", "\u0663"), ("1e5000,1,0", "1e5000")],
+    ids=["digit_separator", "arabic_indic_digit", "exponent"],
+)
+def test_weights_outside_the_grammar_exit_one_before_reading(runner, tmp_path, weights, bad):
+    # The season path does not exist: the weights must fail first, with exit 1.
+    result = _invoke(runner, "report", tmp_path / "out", "--weights", weights,
+                     season=tmp_path / "missing.csv")
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"error: bad weight {bad!r}: expected an integer, a decimal or a fraction a/b\n"
+    )

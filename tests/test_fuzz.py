@@ -46,7 +46,7 @@ def mutated_seasons(draw):
     return path.suffix, bytes(data)
 
 
-@given(mutated_seasons(), st.sampled_from(("table", "evolution", "indicators", "ecdf")))
+@given(mutated_seasons(), st.sampled_from(("table", "evolution", "indicators", "ecdf", "report")))
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_mutated_season_files_exit_cleanly(season, command):
     suffix, data = season

@@ -86,6 +86,10 @@ def test_declared_length_minutes_scaled_to_seconds():
         "1,Alpha,Beta,,80",        # declared length below regulation
         '1,Alpha,Beta,"H:95",92',  # declared length before last goal
         "1,Alpha,Beta,H:0,",       # goal at second zero
+        '1,Alpha,Beta,"H:\u0665\u0662",95',  # Arabic-Indic digits in a goal minute
+        '1,Alpha,Beta,"H:\uff15\uff12",95',  # fullwidth digits in a goal minute
+        '1,Alpha,Beta,"H:52",9_5',  # digit separator in length_min
+        "0_2,Alpha,Beta,,",        # digit separator in the round
     ],
 )
 def test_malformed_rows_report_line_number(row):
@@ -108,6 +112,12 @@ def test_bad_token_after_valid_rows_reports_its_line():
         parse_season(text, "csv")
     assert "H:3O" in str(excinfo.value)
     assert "line 5" in str(excinfo.value)
+
+
+def test_signed_and_padded_integers_still_parse():
+    season = parse_season(HEADER + " +1 ,Alpha,Beta,H:52, 95 \n", "csv")
+    assert season.matches[0].round == 1
+    assert season.matches[0].declared_length_s == 95 * SECONDS_PER_MINUTE
 
 
 @st.composite
@@ -258,7 +268,7 @@ def test_json_accepts_token_strings_and_objects():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("round", 1.5), ("round", True), ("length_min", 95.5)],
+    [("round", 1.5), ("round", True), ("length_min", 95.5), ("goals", ["H:\u0665\u0662"])],
 )
 def test_json_rejects_non_integer_numbers(field, value):
     obj = {"round": 1, "home": "A", "away": "B", "goals": []}

@@ -34,10 +34,19 @@ class TestWeightTriple:
     def test_from_string_accepts_rationals(self):
         w = WeightTriple.from_string("3, 1/2, 0.25")
         assert (w.alpha_w, w.alpha_d, w.alpha_l) == (3, Fraction(1, 2), Fraction(1, 4))
+        w = WeightTriple.from_string("+3.,.5,-1/2")
+        assert (w.alpha_w, w.alpha_d, w.alpha_l) == (3, Fraction(1, 2), Fraction(-1, 2))
 
     def test_from_string_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             WeightTriple.from_string("3,1")
+
+    @pytest.mark.parametrize(
+        "part", ["1_0", "\u0663", "\uff13", "1e5", "inf", "nan", "0x3", "1.5/2", "3/-1", "", "."]
+    )
+    def test_from_string_rejects_parts_outside_the_grammar(self, part):
+        with pytest.raises(ValueError, match="bad weight"):
+            WeightTriple.from_string(f"{part},-1,-2")
 
 
 class TestTimePoints:

@@ -148,8 +148,9 @@ class TestEvolution:
 
 class TestLeadershipStats:
     def test_hand_season_sequence(self):
-        stats = leadership([s.teams[s.order[0]] for s in HAND_LEDGER.rounds(CLASSIC)])
-        assert stats.leader_sequence == ("P", "S", "Q")
+        leaders = [s.teams[s.order[0]] for s in HAND_LEDGER.rounds(CLASSIC)]
+        assert leaders == ["P", "S", "Q"]
+        stats = leadership(leaders)
         assert stats.num_changes == 2
         assert stats.distinct_leaders == 3
 
@@ -170,8 +171,9 @@ class TestLeadershipStats:
                 MatchRecord(5, "A", "D", (_goal(Side.HOME, 10), _goal(Side.HOME, 20))),
             )
         )
-        stats = leadership([s.teams[s.order[0]] for s in SeasonLedger(season).rounds(CLASSIC)])
-        assert stats.leader_sequence == ("A", "A", "B", "B", "A")
+        leaders = [s.teams[s.order[0]] for s in SeasonLedger(season).rounds(CLASSIC)]
+        assert leaders == ["A", "A", "B", "B", "A"]
+        stats = leadership(leaders)
         assert stats.num_changes == 2
         assert stats.distinct_leaders == 2
 

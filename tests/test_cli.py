@@ -328,7 +328,7 @@ def test_report_data_error_writes_no_file(runner, tmp_path):
     result = _invoke(runner, "report", out, season=two_teams)
     assert result.exit_code == 1
     assert "TOO_FEW_TEAMS" in result.stderr
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,23 @@
 """Batch command-line front end: season file in, deterministic report files out.
 
-Exit codes: 0 on success, 1 for data/validation problems, 2 for I/O failures.
-Identical inputs and flags always produce byte-identical outputs.
+``timescore COMMAND --input FILE --out DIR [options]``. Every command takes the
+same seven options, so one argparse parser, built at import, reads them all;
+the command picks its reports from one table, which also writes the help's
+command list. The front end imports nothing outside the standard library.
+
+Exit codes: 0 on success, 1 for data/validation problems, 2 for I/O failures
+and for usage errors. Identical inputs and flags always produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
-
-import click
 
 from .display import format_decimal
 from .indicators import (
@@ -178,106 +183,107 @@ def _execute(
             (output_dir / name).write_bytes(content.encode("utf-8"))
     except ValueError as err:
         # Bad flags, and every SeasonDataError (a ValueError carrying its code).
-        click.echo(f"error: {err}", err=True)
+        print(f"error: {err}", file=sys.stderr)
         sys.exit(1)
     except OSError as err:
-        click.echo(f"error: {err}", err=True)
+        print(f"error: {err}", file=sys.stderr)
         sys.exit(2)
     for name in files:
-        click.echo(str(output_dir / name))
+        print(output_dir / name)
 
 
-_SEASON_OPTIONS = (
-    click.option(
-        "--input",
-        "input_path",
-        required=True,
-        type=click.Path(path_type=Path),
-        help="Season file (CSV or JSON).",
+# Each command: what it writes, and the reports that make its files.
+_COMMANDS: dict[str, tuple[str, tuple[Callable[..., dict[str, str]], ...]]] = {
+    "table": ("the final tables side by side: table.csv", (table_report,)),
+    "evolution": ("each round's ranks and points: evolution_<system>.csv", (evolution_report,)),
+    "indicators": (
+        "season competitiveness indicators: indicators.csv, indicators.json",
+        (indicators_report,),
     ),
-    click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["csv", "json"]),
-        default=None,
-        help="Input format; inferred from the file suffix when omitted.",
+    "ecdf": ("distribution of per-team match awards: ecdf_<system>.csv", (ecdf_report,)),
+    "report": (
+        "every file above from one parse, written only once all succeed",
+        (table_report, evolution_report, indicators_report, ecdf_report),
     ),
-    click.option(
-        "--systems",
-        default="classic,time",
-        show_default=True,
-        help="Comma-separated scoring systems: classic,time,mixed,goaldiff.",
-    ),
-    click.option(
-        "--weights",
-        default="3,1,0",
-        show_default=True,
-        help="Weights W,D,L for the time system (integers, decimals or fractions).",
-    ),
-    click.option(
-        "--out",
-        "output_dir",
-        required=True,
-        type=click.Path(path_type=Path),
-        help="Output directory (created if missing).",
-    ),
-    click.option(
-        "--decimals",
-        type=click.IntRange(0, 3),
-        default=2,
-        show_default=True,
-        help="Decimal places for points columns.",
-    ),
-    click.option(
-        "--decimal-comma",
-        "decimal_comma",
-        is_flag=True,
-        help="Render decimal values with a comma separator.",
-    ),
+}
+# The options that take a value; see _glue_values.
+_VALUE_OPTIONS = frozenset(
+    {"--input", "--format", "--systems", "--weights", "--out", "--decimals"}
 )
 
 
-def _season_options(f):
-    for option in reversed(_SEASON_OPTIONS):
-        f = option(f)
-    return f
+def _build_parser() -> argparse.ArgumentParser:
+    epilog = "commands:\n" + "".join(
+        f"  {name:<12}{summary}\n" for name, (summary, _) in _COMMANDS.items()
+    )
+    parser = argparse.ArgumentParser(
+        prog="timescore",
+        description="Recompute league standings and competitiveness reports from goal timelines.",
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        add_help=False,
+        allow_abbrev=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="COMMAND", help="one of the commands below"
+    )
+    parser.add_argument(
+        "--input", dest="input_path", required=True, type=Path, metavar="FILE",
+        help="Season file (CSV or JSON).",
+    )
+    parser.add_argument(
+        "--format", dest="fmt", choices=("csv", "json"), default=None,
+        help="Input format; inferred from the file suffix when omitted.",
+    )
+    parser.add_argument(
+        "--systems", default="classic,time",
+        help="Comma-separated scoring systems: classic,time,mixed,goaldiff "
+        "(default: %(default)s).",
+    )
+    parser.add_argument(
+        "--weights", default="3,1,0",
+        help="Weights W,D,L for the time system (integers, decimals or fractions; "
+        "default: %(default)s).",
+    )
+    parser.add_argument(
+        "--out", dest="output_dir", required=True, type=Path, metavar="DIR",
+        help="Output directory (created if missing).",
+    )
+    parser.add_argument(
+        "--decimals", type=int, choices=range(4), default=2,
+        help="Decimal places for points columns (default: %(default)s).",
+    )
+    parser.add_argument(
+        "--decimal-comma", dest="decimal_comma", action="store_true",
+        help="Render decimal values with a comma separator.",
+    )
+    return parser
 
 
-@click.group()
-def main() -> None:
-    """Recompute league standings and competitiveness reports from goal timelines."""
+# Built once: building costs about ten times as much as parsing.
+_PARSER = _build_parser()
 
 
-@main.command("table")
-@_season_options
-def cmd_table(**kwargs) -> None:
-    """Side-by-side final standings comparison (table.csv)."""
-    _execute([table_report], **kwargs)
+def _glue_values(argv: Sequence[str]) -> list[str]:
+    """Join each value option to the token after it, as ``--weights=-1,-2,-3``.
+
+    A value may start with "-" (a negative first weight); argparse would read
+    such a token as an option unless it is glued to its option with "=".
+    """
+    glued = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _VALUE_OPTIONS:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        glued.append(token)
+    return glued
 
 
-@main.command("evolution")
-@_season_options
-def cmd_evolution(**kwargs) -> None:
-    """Per-round rank/points trajectories (evolution_<system>.csv)."""
-    _execute([evolution_report], **kwargs)
-
-
-@main.command("indicators")
-@_season_options
-def cmd_indicators(**kwargs) -> None:
-    """Season competitiveness indicators (indicators.csv / indicators.json)."""
-    _execute([indicators_report], **kwargs)
-
-
-@main.command("ecdf")
-@_season_options
-def cmd_ecdf(**kwargs) -> None:
-    """Cumulative distribution of per-team match points (ecdf_<system>.csv)."""
-    _execute([ecdf_report], **kwargs)
-
-
-@main.command("report")
-@_season_options
-def cmd_report(**kwargs) -> None:
-    """Every report from one parse: the files of table, evolution, indicators and ecdf."""
-    _execute([table_report, evolution_report, indicators_report, ecdf_report], **kwargs)
+def main(argv: Sequence[str] | None = None, *, standalone_mode: bool = True) -> None:
+    """Run one command: ``timescore COMMAND --input FILE --out DIR [options]``."""
+    # standalone_mode is ignored; bench/run.py still passes it (ROADMAP item 1 drops it).
+    args = vars(_PARSER.parse_args(_glue_values(sys.argv[1:] if argv is None else argv)))
+    _execute(_COMMANDS[args.pop("command")][1], **args)

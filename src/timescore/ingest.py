@@ -9,7 +9,8 @@ CSV (canonical)
     with SIDE one of ``H``/``A``; stoppage notation denotes the absolute
     minute, so ``90+3`` and ``93`` parse identically. ``length_min`` is an
     optional integer match length in minutes (>= 90). Numbers are written in
-    ASCII digits. No goal time or length may exceed :data:`MAX_MATCH_LENGTH_S`.
+    ASCII digits, at most :data:`MAX_NUMBER_DIGITS` of them. No goal time or
+    length may exceed :data:`MAX_MATCH_LENGTH_S`.
     Example row::
 
         1,Leicester,Sunderland,"H:52,H:71",
@@ -35,7 +36,6 @@ import enum
 import io
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
@@ -56,6 +56,10 @@ REGULATION_LENGTH_S = 90 * SECONDS_PER_MINUTE
 # absurd clocks such as ``H:99999999999`` and bounds the match lengths whose lcm
 # the season ledger uses as its common denominator.
 MAX_MATCH_LENGTH_S = 300 * SECONDS_PER_MINUTE
+# The most digits a number in a season file, or a weight, may have. Numbers stay
+# far below CPython's 4,300-digit int conversion limit, so an over-long one fails
+# with a message that names its field.
+MAX_NUMBER_DIGITS = 100
 
 CSV_HEADER = ("round", "home", "away", "goals", "length_min")
 
@@ -64,7 +68,7 @@ CSV_HEADER = ("round", "home", "away", "goals", "length_min")
 _GOAL_TOKEN_RE = re.compile(
     r"^(?P<side>[HA]):(?P<minute>\d+)(?:\+(?P<stoppage>\d+))?$", re.ASCII
 )
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+_INT_RE = re.compile(r"[+-]?([0-9]+)")
 
 
 class Side(enum.Enum):
@@ -93,27 +97,63 @@ _PRECISION_SLACK_S = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class GoalEvent:
+class FrozenRecord:
+    """Base of the validated records: immutable, compared and hashed by value.
+
+    A subclass names its fields in ``__slots__``, validates in ``__init__`` and
+    stores each field with ``object.__setattr__``; any later assignment raises
+    AttributeError. Records of different classes, tuples included, never
+    compare equal.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GoalEvent(FrozenRecord):
     """One scored goal, timed in whole seconds from kickoff (1 to MAX_MATCH_LENGTH_S)."""
 
+    __slots__ = ("side", "time_s", "precision")
     side: Side
     time_s: int
-    precision: TimePrecision = TimePrecision.EXACT
+    precision: TimePrecision
 
-    def __post_init__(self) -> None:
-        if self.time_s < 1:
-            raise MalformedRowError(
-                f"goal time must be at least 1 second, got {self.time_s}"
-            )
-        if self.time_s > MAX_MATCH_LENGTH_S:
+    def __init__(
+        self, side: Side, time_s: int, precision: TimePrecision = TimePrecision.EXACT
+    ) -> None:
+        if time_s < 1:
+            raise MalformedRowError(f"goal time must be at least 1 second, got {time_s}")
+        if time_s > MAX_MATCH_LENGTH_S:
             raise MalformedRowError(
                 f"goal time is past the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
             )
+        _set = object.__setattr__
+        _set(self, "side", side)
+        _set(self, "time_s", time_s)
+        _set(self, "precision", precision)
 
 
-@dataclass(frozen=True, slots=True)
-class MatchRecord:
+class MatchRecord(FrozenRecord):
     """One fixture: round number, sides, ordered goals, optional length override.
 
     Team names are trimmed on construction. Goal times must strictly increase
@@ -122,44 +162,58 @@ class MatchRecord:
     and may not exceed MAX_MATCH_LENGTH_S.
     """
 
+    __slots__ = ("round", "home", "away", "goals", "declared_length_s")
     round: int
     home: str
     away: str
-    goals: tuple[GoalEvent, ...] = ()
-    declared_length_s: int | None = None
+    goals: tuple[GoalEvent, ...]
+    declared_length_s: int | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "home", self.home.strip())
-        object.__setattr__(self, "away", self.away.strip())
-        object.__setattr__(self, "goals", tuple(self.goals))
-        if self.round < 1:
-            raise MalformedRowError(f"round must be a positive integer, got {self.round}")
-        if not self.home or not self.away:
+    def __init__(
+        self,
+        round: int,
+        home: str,
+        away: str,
+        goals: tuple[GoalEvent, ...] = (),
+        declared_length_s: int | None = None,
+    ) -> None:
+        home = home.strip()
+        away = away.strip()
+        goals = tuple(goals)
+        if round < 1:
+            raise MalformedRowError(f"round must be a positive integer, got {round}")
+        if not home or not away:
             raise MalformedRowError("team names must be non-empty")
-        if self.home == self.away:
-            raise MalformedRowError(f"a team cannot play itself: {self.home!r}")
-        for prev, cur in zip(self.goals, self.goals[1:]):
+        if home == away:
+            raise MalformedRowError(f"a team cannot play itself: {home!r}")
+        for prev, cur in zip(goals, goals[1:]):
             if cur.time_s <= prev.time_s:
                 raise NonMonotonicGoalsError(
                     f"goal times must strictly increase, got {prev.time_s} s "
                     f"followed by {cur.time_s} s"
                 )
-        if self.declared_length_s is not None:
-            if self.declared_length_s < REGULATION_LENGTH_S:
+        if declared_length_s is not None:
+            if declared_length_s < REGULATION_LENGTH_S:
                 raise MalformedRowError(
-                    f"declared length {self.declared_length_s} s is shorter than "
+                    f"declared length {declared_length_s} s is shorter than "
                     f"regulation ({REGULATION_LENGTH_S} s)"
                 )
-            if self.declared_length_s > MAX_MATCH_LENGTH_S:
+            if declared_length_s > MAX_MATCH_LENGTH_S:
                 raise MalformedRowError(
                     f"declared length is longer than the longest allowed match "
                     f"({MAX_MATCH_LENGTH_S} s)"
                 )
-            if self.goals and self.declared_length_s < self.goals[-1].time_s:
+            if goals and declared_length_s < goals[-1].time_s:
                 raise MalformedRowError(
-                    f"declared length {self.declared_length_s} s precedes the "
-                    f"last goal at {self.goals[-1].time_s} s"
+                    f"declared length {declared_length_s} s precedes the "
+                    f"last goal at {goals[-1].time_s} s"
                 )
+        _set = object.__setattr__
+        _set(self, "round", round)
+        _set(self, "home", home)
+        _set(self, "away", away)
+        _set(self, "goals", goals)
+        _set(self, "declared_length_s", declared_length_s)
 
     @property
     def final_score(self) -> tuple[int, int]:
@@ -168,21 +222,21 @@ class MatchRecord:
         return home, len(self.goals) - home
 
 
-@dataclass(frozen=True, slots=True)
-class SeasonDataset:
+class SeasonDataset(FrozenRecord):
     """A validated collection of fixtures for one league season.
 
     Each ordered (home, away) pairing may appear at most once, and round
     numbers must form a contiguous range starting at 1.
     """
 
-    league_name: str = ""
-    matches: tuple[MatchRecord, ...] = ()
+    __slots__ = ("league_name", "matches")
+    league_name: str
+    matches: tuple[MatchRecord, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matches", tuple(self.matches))
+    def __init__(self, league_name: str = "", matches: tuple[MatchRecord, ...] = ()) -> None:
+        matches = tuple(matches)
         seen: set[tuple[str, str]] = set()
-        for m in self.matches:
+        for m in matches:
             pair = (m.home, m.away)
             if pair in seen:
                 raise DuplicateFixtureError(
@@ -190,11 +244,14 @@ class SeasonDataset:
                 )
             seen.add(pair)
         # Rounds are at least 1, so they run 1..max exactly when there are max of them.
-        rounds = {m.round for m in self.matches}
+        rounds = {m.round for m in matches}
         if rounds and len(rounds) != max(rounds):
             raise NonContiguousRoundsError(
                 "round numbers must form a contiguous range starting at 1"
             )
+        _set = object.__setattr__
+        _set(self, "league_name", league_name)
+        _set(self, "matches", matches)
 
     @property
     def teams(self) -> tuple[str, ...]:
@@ -211,12 +268,21 @@ def parse_goal_token(token: str, precision: TimePrecision) -> GoalEvent:
     m = _GOAL_TOKEN_RE.match(token.strip())
     if m is None:
         raise MalformedRowError(f"bad goal token {token!r}")
-    minute = int(m.group("minute")) + int(m.group("stoppage") or 0)
+    minute, stoppage = m.group("minute"), m.group("stoppage") or "0"
+    _check_digits(minute, "goal minute")
+    _check_digits(stoppage, "goal minute")
     return GoalEvent(
         side=Side(m.group("side")),
-        time_s=minute * SECONDS_PER_MINUTE,
+        time_s=(int(minute) + int(stoppage)) * SECONDS_PER_MINUTE,
         precision=precision,
     )
+
+
+def _check_digits(digits: str, what: str) -> None:
+    if len(digits) > MAX_NUMBER_DIGITS:
+        raise MalformedRowError(
+            f"bad {what}: {len(digits)} digits, at most {MAX_NUMBER_DIGITS} digits allowed"
+        )
 
 
 def format_goal_token(goal: GoalEvent) -> str:
@@ -294,9 +360,14 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _csv_int(field: str, what: str) -> int:
-    """An integer CSV field: an optional sign and ASCII digits, spaces around allowed."""
-    if not _INT_RE.fullmatch(field.strip()):
+    """An integer CSV field: an optional sign and ASCII digits, spaces around allowed.
+
+    More than MAX_NUMBER_DIGITS digits fail as MALFORMED_ROW.
+    """
+    m = _INT_RE.fullmatch(field.strip())
+    if m is None:
         raise MalformedRowError(f"bad {what} {field!r}")
+    _check_digits(m.group(1), what)
     return int(field)
 
 
@@ -349,8 +420,6 @@ def _parse_csv(
             )
         except SeasonDataError as err:
             raise _located(err, line) from None
-        except ValueError as exc:  # e.g. a number too long to print in a message
-            raise MalformedRowError(str(exc), line=line) from None
     return SeasonDataset(league_name=league_name, matches=tuple(matches))
 
 

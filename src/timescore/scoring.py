@@ -10,11 +10,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ingest import MatchRecord
+from .ingest import MAX_NUMBER_DIGITS, FrozenRecord, MatchRecord
 from .timeline import SegmentBreakdown, segment
 
 # One weight: an optional sign, then an integer, a decimal or a fraction a/b in
@@ -29,22 +28,25 @@ class ScoringSystem(enum.Enum):
     GOALDIFF_THIRD = "goaldiff"
 
 
-@dataclass(frozen=True, slots=True)
-class WeightTriple:
+class WeightTriple(FrozenRecord):
     """Weights applied to leading, level and trailing time (strictly ordered)."""
 
+    __slots__ = ("alpha_w", "alpha_d", "alpha_l")
     alpha_w: Fraction
     alpha_d: Fraction
     alpha_l: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("alpha_w", "alpha_d", "alpha_l"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not self.alpha_w > self.alpha_d > self.alpha_l:
+    def __init__(self, alpha_w: Fraction, alpha_d: Fraction, alpha_l: Fraction) -> None:
+        alpha_w, alpha_d, alpha_l = Fraction(alpha_w), Fraction(alpha_d), Fraction(alpha_l)
+        if not alpha_w > alpha_d > alpha_l:
             raise ValueError(
                 f"weights must satisfy alpha_w > alpha_d > alpha_l, got "
-                f"({self.alpha_w}, {self.alpha_d}, {self.alpha_l})"
+                f"({alpha_w}, {alpha_d}, {alpha_l})"
             )
+        _set = object.__setattr__
+        _set(self, "alpha_w", alpha_w)
+        _set(self, "alpha_d", alpha_d)
+        _set(self, "alpha_l", alpha_l)
 
     @classmethod
     def from_string(cls, text: str) -> "WeightTriple":
@@ -56,6 +58,11 @@ class WeightTriple:
             if not _WEIGHT_RE.fullmatch(part):
                 raise ValueError(
                     f"bad weight {part!r}: expected an integer, a decimal or a fraction a/b"
+                )
+            digits = sum(map(str.isdigit, part))
+            if digits > MAX_NUMBER_DIGITS:
+                raise ValueError(
+                    f"bad weight: {digits} digits, at most {MAX_NUMBER_DIGITS} digits allowed"
                 )
         try:
             return cls(*map(Fraction, parts))

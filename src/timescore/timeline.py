@@ -7,32 +7,35 @@ always sum exactly to the effective match length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ingest import REGULATION_LENGTH_S, MatchRecord, Side
+from .ingest import REGULATION_LENGTH_S, FrozenRecord, MatchRecord, Side
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentBreakdown:
+class SegmentBreakdown(FrozenRecord):
     """Durations (seconds) the home side spent leading, level and trailing.
 
     Away-side durations are the mirror image: the away side leads exactly
     while the home side trails, and level time is shared.
     """
 
+    __slots__ = ("t_win_home", "t_draw", "t_lose_home", "t_match")
     t_win_home: int
     t_draw: int
     t_lose_home: int
     t_match: int
 
-    def __post_init__(self) -> None:
-        if min(self.t_win_home, self.t_draw, self.t_lose_home) < 0:
+    def __init__(self, t_win_home: int, t_draw: int, t_lose_home: int, t_match: int) -> None:
+        if min(t_win_home, t_draw, t_lose_home) < 0:
             raise ValueError("segment durations must be non-negative")
-        if self.t_win_home + self.t_draw + self.t_lose_home != self.t_match:
+        if t_win_home + t_draw + t_lose_home != t_match:
             raise ValueError(
-                f"durations {self.t_win_home}+{self.t_draw}+{self.t_lose_home} "
-                f"do not sum to the match length {self.t_match}"
+                f"durations {t_win_home}+{t_draw}+{t_lose_home} "
+                f"do not sum to the match length {t_match}"
             )
+        _set = object.__setattr__
+        _set(self, "t_win_home", t_win_home)
+        _set(self, "t_draw", t_draw)
+        _set(self, "t_lose_home", t_lose_home)
+        _set(self, "t_match", t_match)
 
 
 def effective_length(match: MatchRecord) -> int:

@@ -10,10 +10,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from click.testing import CliRunner
-
+from clirun import run_cli
 from matchgen import random_match_corpus, random_season, random_weight_triple
-from timescore.cli import main
 from timescore.display import format_decimal
 from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side, parse_season
@@ -141,7 +139,6 @@ def test_criterion_08_extra_time_sensitivity():
 
 
 def test_criterion_09_cli_determinism_and_goldens(tmp_path):
-    runner = CliRunner()
     produced = {
         "table": ["table.csv"],
         "evolution": ["evolution_classic.csv", "evolution_time.csv"],
@@ -152,9 +149,7 @@ def test_criterion_09_cli_determinism_and_goldens(tmp_path):
         first = tmp_path / f"{command}_1"
         second = tmp_path / f"{command}_2"
         for out in (first, second):
-            result = runner.invoke(
-                main, [command, "--input", str(SEASON_CSV), "--out", str(out)]
-            )
+            result = run_cli([command, "--input", str(SEASON_CSV), "--out", str(out)])
             assert result.exit_code == 0, result.output
         for name in filenames:
             once = (first / name).read_bytes()

@@ -1,9 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from timescore.cli import main
+from clirun import run_cli
 from timescore.display import format_decimal
 from timescore.indicators import indicator_bundle
 from timescore.ingest import parse_season
@@ -24,25 +26,18 @@ COMMANDS = {
 COMMANDS["report"] = [name for names in COMMANDS.values() for name in names]
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def _invoke(runner, command, out_dir, *extra, season=SEASON_CSV):
-    return runner.invoke(
-        main, [command, "--input", str(season), "--out", str(out_dir), *extra]
-    )
+def _invoke(command, out_dir, *extra, season=SEASON_CSV):
+    return run_cli([command, "--input", str(season), "--out", str(out_dir), *extra])
 
 
 @pytest.mark.parametrize("command,filenames", COMMANDS.items())
 def test_commands_match_goldens_and_rerun_identically(
-    runner, tmp_path, command, filenames
+    tmp_path, command, filenames
 ):
     first = tmp_path / "first"
     second = tmp_path / "second"
     for out_dir in (first, second):
-        result = _invoke(runner, command, out_dir)
+        result = _invoke(command, out_dir)
         assert result.exit_code == 0, result.output
         assert result.output.splitlines() == [str(out_dir / name) for name in filenames]
     assert sorted(p.name for p in first.iterdir()) == sorted(filenames)
@@ -53,7 +48,7 @@ def test_commands_match_goldens_and_rerun_identically(
         assert once == (GOLDEN / name).read_bytes()
 
 
-def test_golden_table_cells_match_recomputation(runner):
+def test_golden_table_cells_match_recomputation():
     # Spot-check the frozen file against values recomputed from the library.
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))
     classic = ledger.final(scoring_rule(ScoringSystem.CLASSIC)).table()
@@ -66,8 +61,8 @@ def test_golden_table_cells_match_recomputation(runner):
     assert top[5] == format_decimal(time_table.rows[0].points, 2)
 
 
-def test_evolution_row_counts(runner, tmp_path):
-    result = _invoke(runner, "evolution", tmp_path, "--systems", "classic,time,mixed")
+def test_evolution_row_counts(tmp_path):
+    result = _invoke("evolution", tmp_path, "--systems", "classic,time,mixed")
     assert result.exit_code == 0
     season = parse_season(SEASON_CSV.read_bytes(), "csv")
     expected_rows = season.num_rounds * len(season.teams)
@@ -78,31 +73,31 @@ def test_evolution_row_counts(runner, tmp_path):
         assert len(lines) == 1 + expected_rows
 
 
-def test_csv_and_json_inputs_agree(runner, tmp_path):
+def test_csv_and_json_inputs_agree(tmp_path):
     csv_out = tmp_path / "csv"
     json_out = tmp_path / "json"
-    assert _invoke(runner, "table", csv_out).exit_code == 0
-    assert _invoke(runner, "table", json_out, season=SEASON_JSON).exit_code == 0
+    assert _invoke("table", csv_out).exit_code == 0
+    assert _invoke("table", json_out, season=SEASON_JSON).exit_code == 0
     assert (csv_out / "table.csv").read_bytes() == (json_out / "table.csv").read_bytes()
 
 
-def test_format_flag_overrides_suffix(runner, tmp_path):
+def test_format_flag_overrides_suffix(tmp_path):
     # The JSON file parsed as CSV must fail as data, not crash.
-    result = _invoke(runner, "table", tmp_path, "--format", "csv", season=SEASON_JSON)
+    result = _invoke("table", tmp_path, "--format", "csv", season=SEASON_JSON)
     assert result.exit_code == 1
     assert "MALFORMED_ROW" in result.stderr
 
 
-def test_default_weights_flag_equivalence(runner, tmp_path):
+def test_default_weights_flag_equivalence(tmp_path):
     explicit = tmp_path / "explicit"
     implicit = tmp_path / "implicit"
-    assert _invoke(runner, "table", explicit, "--weights", "3,1,0").exit_code == 0
-    assert _invoke(runner, "table", implicit).exit_code == 0
+    assert _invoke("table", explicit, "--weights", "3,1,0").exit_code == 0
+    assert _invoke("table", implicit).exit_code == 0
     assert (explicit / "table.csv").read_bytes() == (implicit / "table.csv").read_bytes()
 
 
-def test_decimal_comma_rendering(runner, tmp_path):
-    result = _invoke(runner, "indicators", tmp_path, "--decimal-comma")
+def test_decimal_comma_rendering(tmp_path):
+    result = _invoke("indicators", tmp_path, "--decimal-comma")
     assert result.exit_code == 0
     text = (tmp_path / "indicators.csv").read_text()
     first_gap_row = text.splitlines()[1]
@@ -112,54 +107,54 @@ def test_decimal_comma_rendering(runner, tmp_path):
     assert "31.6" not in text
 
 
-def test_empty_season_file_exits_one(runner, tmp_path):
+def test_empty_season_file_exits_one(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("round,home,away,goals,length_min\n")
-    result = _invoke(runner, "table", tmp_path / "out", season=empty)
+    result = _invoke("table", tmp_path / "out", season=empty)
     assert result.exit_code == 1
     assert "EMPTY_SEASON" in result.stderr
 
 
-def test_missing_input_exits_two(runner, tmp_path):
-    result = _invoke(runner, "table", tmp_path, season=tmp_path / "nope.csv")
+def test_missing_input_exits_two(tmp_path):
+    result = _invoke("table", tmp_path, season=tmp_path / "nope.csv")
     assert result.exit_code == 2
 
 
-def test_malformed_input_exits_one_with_line(runner, tmp_path):
+def test_malformed_input_exits_one_with_line(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("round,home,away,goals,length_min\n1,Alpha,Beta,H:zz,\n")
-    result = _invoke(runner, "table", tmp_path / "out", season=bad)
+    result = _invoke("table", tmp_path / "out", season=bad)
     assert result.exit_code == 1
     assert "MALFORMED_ROW" in result.stderr
     assert "line 2" in result.stderr
 
 
-def test_unknown_system_exits_one(runner, tmp_path):
-    result = _invoke(runner, "table", tmp_path, "--systems", "classic,elo")
+def test_unknown_system_exits_one(tmp_path):
+    result = _invoke("table", tmp_path, "--systems", "classic,elo")
     assert result.exit_code == 1
     assert "unknown scoring system" in result.stderr
 
 
-def test_bad_weights_exit_one(runner, tmp_path):
-    result = _invoke(runner, "table", tmp_path, "--weights", "1,2,3")
+def test_bad_weights_exit_one(tmp_path):
+    result = _invoke("table", tmp_path, "--weights", "1,2,3")
     assert result.exit_code == 1
 
 
-def test_all_draws_fixture_gives_zero_gaps(runner, tmp_path):
+def test_all_draws_fixture_gives_zero_gaps(tmp_path):
     all_draws = tmp_path / "draws.csv"
     all_draws.write_text(
         "round,home,away,goals,length_min\n"
         "1,Alpha,Beta,,\n1,Gamma,Delta,,\n"
         "2,Beta,Alpha,,\n2,Delta,Gamma,,\n"
     )
-    result = _invoke(runner, "indicators", tmp_path / "out", season=all_draws)
+    result = _invoke("indicators", tmp_path / "out", season=all_draws)
     assert result.exit_code == 0
     lines = (tmp_path / "out" / "indicators.csv").read_text().splitlines()
     for row in lines[1:4]:  # the three gap rows
         assert row.endswith(",0.0,0.0")
 
 
-def test_bundled_fixture_time_gaps_at_most_classic(runner):
+def test_bundled_fixture_time_gaps_at_most_classic():
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))
     time_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.TIME))
     classic_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.CLASSIC))
@@ -174,15 +169,15 @@ def test_bundled_csv_and_json_parse_identically():
     assert csv_season == json_season
 
 
-def test_stdout_lists_written_files(runner, tmp_path):
-    result = _invoke(runner, "ecdf", tmp_path)
+def test_stdout_lists_written_files(tmp_path):
+    result = _invoke("ecdf", tmp_path)
     assert result.exit_code == 0
     assert "ecdf_classic.csv" in result.output
     assert "ecdf_time.csv" in result.output
 
 
 @pytest.mark.parametrize("command", ["table", "indicators"])
-def test_zero_leader_exits_one_with_code(runner, tmp_path, command):
+def test_zero_leader_exits_one_with_code(tmp_path, command):
     # Every match 0-0 with weights 2,0,-1: all time points are 0.
     all_goalless = tmp_path / "goalless.csv"
     all_goalless.write_text(
@@ -190,21 +185,21 @@ def test_zero_leader_exits_one_with_code(runner, tmp_path, command):
         "1,Alpha,Beta,,\n1,Gamma,Delta,,\n"
         "2,Beta,Alpha,,\n2,Delta,Gamma,,\n"
     )
-    result = _invoke(runner, command, tmp_path / "out", "--weights", "2,0,-1", season=all_goalless)
+    result = _invoke(command, tmp_path / "out", "--weights", "2,0,-1", season=all_goalless)
     assert result.exit_code == 1
     assert "NON_POSITIVE_LEADER" in result.stderr
 
 
 @pytest.mark.parametrize("command", ["table", "indicators"])
-def test_negative_leader_exits_one_with_code(runner, tmp_path, command):
+def test_negative_leader_exits_one_with_code(tmp_path, command):
     # With alpha_w = 0 no award is positive, so a gap to the leader would be negative.
-    result = _invoke(runner, command, tmp_path, "--weights", "0,-1,-2")
+    result = _invoke(command, tmp_path, "--weights", "0,-1,-2")
     assert result.exit_code == 1
     assert "NON_POSITIVE_LEADER" in result.stderr
 
 
-def test_zero_denominator_weight_exits_one(runner, tmp_path):
-    result = _invoke(runner, "table", tmp_path, "--weights", "3,1/0,0")
+def test_zero_denominator_weight_exits_one(tmp_path):
+    result = _invoke("table", tmp_path, "--weights", "3,1/0,0")
     assert result.exit_code == 1
     assert "divide by zero" in result.stderr
 
@@ -213,27 +208,27 @@ def test_zero_denominator_weight_exits_one(runner, tmp_path):
     "home,away",
     [('["Alpha"]', '"Beta"'), ('"Alpha"', "7"), ('"Alpha"', "null")],
 )
-def test_json_team_names_must_be_strings(runner, tmp_path, home, away):
+def test_json_team_names_must_be_strings(tmp_path, home, away):
     season = tmp_path / "season.json"
     season.write_text(
         '{"matches": [{"round": 1, "home": "Gamma", "away": "Delta", "goals": []},'
         f' {{"round": 1, "home": {home}, "away": {away}, "goals": []}}]}}'
     )
-    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1
     assert "MALFORMED_ROW: match 2:" in result.stderr
     assert "must be a string" in result.stderr
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
-def test_non_utf8_input_exits_one_with_encoding_code(runner, tmp_path, suffix):
+def test_non_utf8_input_exits_one_with_encoding_code(tmp_path, suffix):
     season = tmp_path / f"season{suffix}"
     text = SEASON_CSV if suffix == ".csv" else SEASON_JSON
     # Latin-1 bytes for a team name on the third line.
     lines = text.read_bytes().split(b"\n")
     lines[2] = lines[2].replace(b"a", b"\xe9", 1)
     season.write_bytes(b"\n".join(lines))
-    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ENCODING: season file is not UTF-8")
     assert "(line 3)" in result.stderr
@@ -249,25 +244,25 @@ def test_non_utf8_input_exits_one_with_encoding_code(runner, tmp_path, suffix):
     ],
     ids=["goal_in_years", "stoppage_goal", "declared_length", "goal_digits"],
 )
-def test_match_past_longest_allowed_exits_one_with_line(runner, tmp_path, row):
+def test_match_past_longest_allowed_exits_one_with_line(tmp_path, row):
     season = tmp_path / "long.csv"
     season.write_text(
         "round,home,away,goals,length_min\n1,Alpha,Beta,H:300,300\n"
         f"1,Gamma,Delta,{row}\n"
     )
-    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1
     assert "MALFORMED_ROW" in result.stderr
     assert "(line 3)" in result.stderr
 
 
-def test_huge_round_number_exits_one_with_code(runner, tmp_path):
+def test_huge_round_number_exits_one_with_code(tmp_path):
     # The contiguity check must not build every round number up to the largest.
     season = tmp_path / "rounds.csv"
     season.write_text(
         f"round,home,away,goals,length_min\n1,Alpha,Beta,,\n{10**12},Gamma,Delta,,\n"
     )
-    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1
     assert result.stderr == (
         "error: NONCONTIGUOUS_ROUNDS: round numbers must form a contiguous range starting at 1\n"
@@ -279,27 +274,27 @@ def test_huge_round_number_exits_one_with_code(runner, tmp_path):
     ["1,Alpha,Be\rta,,", '1,Alpha,Beta,"' + "H:1," * 40000 + '",'],
     ids=["bare_carriage_return", "field_past_csv_limit"],
 )
-def test_unreadable_csv_line_exits_one_with_line(runner, tmp_path, row):
+def test_unreadable_csv_line_exits_one_with_line(tmp_path, row):
     season = tmp_path / "season.csv"
     season.write_bytes(f"round,home,away,goals,length_min\n1,Gamma,Delta,,\n{row}\n".encode())
-    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1
     assert result.stderr.startswith("error: MALFORMED_ROW: bad CSV line: ")
     assert "(line 3)" in result.stderr
 
 
-def test_deeply_nested_json_exits_one_with_code(runner, tmp_path):
+def test_deeply_nested_json_exits_one_with_code(tmp_path):
     season = tmp_path / "season.json"
     season.write_text('{"matches": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    result = _invoke(runner, "table", tmp_path / "out", season=season)
+    result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1
     assert result.stderr == "error: MALFORMED_ROW: invalid JSON: nested too deeply\n"
 
 
-def test_run_report_drops_repeated_systems_like_the_cli(runner, tmp_path):
-    result = _invoke(runner, "report", tmp_path / "report", "--systems", "classic,classic")
+def test_run_report_drops_repeated_systems_like_the_cli(tmp_path):
+    result = _invoke("report", tmp_path / "report", "--systems", "classic,classic")
     assert result.exit_code == 0, result.output
-    assert _invoke(runner, "table", tmp_path / "cli", "--systems", "classic").exit_code == 0
+    assert _invoke("table", tmp_path / "cli", "--systems", "classic").exit_code == 0
     table = (tmp_path / "report" / "table.csv").read_bytes()
     assert table == (tmp_path / "cli" / "table.csv").read_bytes()
 
@@ -312,20 +307,20 @@ def test_run_report_drops_repeated_systems_like_the_cli(runner, tmp_path):
     ],
     ids=["unknown_system", "missing_season"],
 )
-def test_run_report_errors_exit_like_the_cli(runner, tmp_path, args, missing, code, message):
+def test_run_report_errors_exit_like_the_cli(tmp_path, args, missing, code, message):
     season = tmp_path / "missing.csv" if missing else SEASON_CSV
-    result = _invoke(runner, "report", tmp_path / "out", *args, season=season)
+    result = _invoke("report", tmp_path / "out", *args, season=season)
     assert result.exit_code == code
     assert result.stderr.startswith(message)
     assert "Traceback" not in result.stderr
 
 
-def test_report_data_error_writes_no_file(runner, tmp_path):
+def test_report_data_error_writes_no_file(tmp_path):
     # Gaps need three teams: table, evolution and ecdf succeed, indicators fail.
     two_teams = tmp_path / "two.csv"
     two_teams.write_text("round,home,away,goals,length_min\n1,Alpha,Beta,H:10,\n")
     out = tmp_path / "out"
-    result = _invoke(runner, "report", out, season=two_teams)
+    result = _invoke("report", out, season=two_teams)
     assert result.exit_code == 1
     assert "TOO_FEW_TEAMS" in result.stderr
     assert not out.exists()
@@ -336,11 +331,92 @@ def test_report_data_error_writes_no_file(runner, tmp_path):
     [("1_0,1,0", "1_0"), ("\u0663,1,0", "\u0663"), ("1e5000,1,0", "1e5000")],
     ids=["digit_separator", "arabic_indic_digit", "exponent"],
 )
-def test_weights_outside_the_grammar_exit_one_before_reading(runner, tmp_path, weights, bad):
+def test_weights_outside_the_grammar_exit_one_before_reading(tmp_path, weights, bad):
     # The season path does not exist: the weights must fail first, with exit 1.
-    result = _invoke(runner, "report", tmp_path / "out", "--weights", weights,
+    result = _invoke("report", tmp_path / "out", "--weights", weights,
                      season=tmp_path / "missing.csv")
     assert result.exit_code == 1
     assert result.stderr == (
         f"error: bad weight {bad!r}: expected an integer, a decimal or a fraction a/b\n"
+    )
+
+
+def test_cli_import_leaves_out_click_dataclasses_and_inspect():
+    code = (
+        "import sys, timescore.cli; "
+        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--out", "{out}"],
+        ["table", "--input", str(SEASON_CSV)],
+        ["table", "--input", str(SEASON_CSV), "--out", "{out}", "--decimals", "4"],
+        ["table", "--input", str(SEASON_CSV), "--out", "{out}", "--format", "xml"],
+        ["tabel", "--input", str(SEASON_CSV), "--out", "{out}"],
+        ["--input", str(SEASON_CSV), "--out", "{out}"],
+    ],
+    ids=["missing_input", "missing_out", "decimals_4", "format_xml", "unknown_command",
+         "no_command"],
+)
+def test_usage_errors_exit_two_and_write_nothing(tmp_path, argv):
+    out = tmp_path / "out"
+    result = run_cli([arg.format(out=out) for arg in argv])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("usage: ")
+    assert "Traceback" not in result.stderr
+    assert result.output == ""
+    assert not out.exists()
+
+
+def test_help_exits_zero_and_names_every_command():
+    result = run_cli(["--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith("usage: ")
+    for command in COMMANDS:
+        assert f"\n  {command} " in result.output
+
+
+def test_value_options_take_values_that_start_with_a_dash(tmp_path):
+    # A negative first weight must reach the weight check, not the option parser.
+    spaced = _invoke("table", tmp_path / "spaced", "--weights", "-1,-2,-3")
+    glued = _invoke("table", tmp_path / "glued", "--weights=-1,-2,-3")
+    assert spaced == glued
+    assert spaced.exit_code == 1
+    assert spaced.stderr.startswith("error: NON_POSITIVE_LEADER: ")
+
+
+def test_weight_past_the_digit_cap_exits_one_before_reading(tmp_path):
+    weights = "1" + "0" * 5000 + ",1,0"
+    result = _invoke("table", tmp_path / "out", "--weights", weights,
+                     season=tmp_path / "missing.csv")
+    assert result.exit_code == 1
+    assert result.stderr == "error: bad weight: 5001 digits, at most 100 digits allowed\n"
+
+
+@pytest.mark.parametrize(
+    "row,field",
+    [
+        ("9" * 5000 + ",Gamma,Delta,,", "round number"),
+        ("1,Gamma,Delta,,9" + "0" * 4999, "length_min value"),
+        ("1,Gamma,Delta,H:" + "9" * 5000 + ",", "goal minute"),
+        ("1,Gamma,Delta,H:90+" + "9" * 5000 + ",", "goal minute"),
+    ],
+    ids=["round", "length_min", "goal_minute", "stoppage_minute"],
+)
+def test_csv_number_past_the_digit_cap_is_malformed_with_line(tmp_path, row, field):
+    season = tmp_path / "season.csv"
+    season.write_text(f"round,home,away,goals,length_min\n1,Alpha,Beta,,\n{row}\n")
+    result = _invoke("table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"error: MALFORMED_ROW: bad {field}: 5000 digits, at most 100 digits allowed (line 3)\n"
     )

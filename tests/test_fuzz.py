@@ -8,11 +8,10 @@ import re
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timescore.cli import main
+from clirun import run_cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SEASONS = (DATA / "synthetic_season.csv", DATA / "synthetic_season.json")
@@ -53,14 +52,11 @@ def test_mutated_season_files_exit_cleanly(season, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"season{suffix}"
         path.write_bytes(data)
-        result = CliRunner().invoke(
-            main,
+        # run_cli lets any exception other than SystemExit propagate and fail the test.
+        result = run_cli(
             [command, "--input", str(path), "--out", str(Path(tmp) / "out"),
-             "--systems", "classic,time,mixed,goaldiff"],
+             "--systems", "classic,time,mixed,goaldiff"]
         )
-    assert result.exception is None or isinstance(result.exception, SystemExit), repr(
-        result.exception
-    )
     assert result.exit_code in (0, 1, 2)
     if result.exit_code == 1:
         assert CODED_ERROR.match(result.stderr), result.stderr

@@ -25,7 +25,8 @@ from timescore.ingest import (
     parse_season,
     serialize_season,
 )
-from timescore.scoring import ScoringSystem, match_points
+from timescore.scoring import ScoringSystem, WeightTriple, match_points
+from timescore.timeline import SegmentBreakdown
 
 HEADER = "round,home,away,goals,length_min\n"
 
@@ -422,3 +423,34 @@ def test_minute_error_bound_covers_every_true_goal_time(matches):
         shown, actual = match_points(recorded, system), match_points(true, system)
         assert abs(shown.home_pts - actual.home_pts) <= bound
         assert abs(shown.away_pts - actual.away_pts) <= bound
+
+
+_GOAL = GoalEvent(Side.HOME, 600, TimePrecision.EXACT)
+_MATCH = MatchRecord(1, "Alpha", "Beta", (_GOAL,), 5700)
+
+
+@pytest.mark.parametrize(
+    "cls,fields,values,other",
+    [
+        (GoalEvent, ("side", "time_s", "precision"), (Side.HOME, 600, TimePrecision.EXACT),
+         (Side.AWAY, 600, TimePrecision.EXACT)),
+        (MatchRecord, ("round", "home", "away", "goals", "declared_length_s"),
+         (1, "Alpha", "Beta", (_GOAL,), 5700), (1, "Alpha", "Beta", (_GOAL,), None)),
+        (SeasonDataset, ("league_name", "matches"), ("L", (_MATCH,)), ("M", (_MATCH,))),
+        (SegmentBreakdown, ("t_win_home", "t_draw", "t_lose_home", "t_match"),
+         (10, 20, 30, 60), (10, 30, 20, 60)),
+        (WeightTriple, ("alpha_w", "alpha_d", "alpha_l"),
+         (Fraction(3), Fraction(1), Fraction(0)), (Fraction(2), Fraction(1), Fraction(0))),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
+)
+def test_records_are_immutable_values(cls, fields, values, other):
+    record = cls(*values)
+    for name, value in zip(fields, values):
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    twin = cls(*values)
+    assert record == twin and hash(record) == hash(twin)
+    assert record != cls(*other)
+    assert record != values and values != record

@@ -1,6 +1,5 @@
 """The season ledger against per-match awards summed and ranked from scratch."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from timescore.ingest import SeasonDataset
+from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, match_points, scoring_rule
 from timescore.standings import SeasonLedger
 
@@ -20,7 +19,8 @@ def _with_second_lengths(season: SeasonDataset, rng: random.Random) -> SeasonDat
     for match in season.matches:
         if rng.random() < 0.5:
             floor = max(5400, match.goals[-1].time_s if match.goals else 0)
-            match = dataclasses.replace(match, declared_length_s=floor + rng.randint(1, 600))
+            length = floor + rng.randint(1, 600)
+            match = MatchRecord(match.round, match.home, match.away, match.goals, length)
         matches.append(match)
     return SeasonDataset(matches=tuple(matches))
 

@@ -58,3 +58,7 @@ class WrongSystemError(SeasonDataError):
 
 class NonPositiveLeaderError(SeasonDataError):
     code = "NON_POSITIVE_LEADER"
+
+
+class TooManyLengthsError(SeasonDataError):
+    code = "TOO_MANY_LENGTHS"

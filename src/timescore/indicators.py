@@ -65,24 +65,19 @@ def gaps(table: LeagueTable) -> tuple[Fraction, Fraction, Fraction]:
     return 100 - percents[2], 100 - percents[min(9, len(rows)) - 1], 100 - percents[-1]
 
 
-def minutes_for_deficit(
-    deficit: Fraction,
-    t_match_s: int = REGULATION_LENGTH_S,
-    weights: WeightTriple = DEFAULT_WEIGHTS,
-) -> Fraction:
+def minutes_for_deficit(deficit: Fraction, weights: WeightTriple = DEFAULT_WEIGHTS) -> Fraction:
     """Minutes earlier a single victory goal must fall to recover ``deficit`` points.
 
     Anticipating a winning goal by m minutes converts m minutes of the
     scorer's level time into leading time, worth (alpha_w - alpha_d)*m/T_match
-    points, so m = deficit * T_match / (alpha_w - alpha_d).
+    points, so m = deficit * T_match / (alpha_w - alpha_d), with T_match the
+    90-minute regulation length.
     """
-    t_match_min = Fraction(t_match_s, SECONDS_PER_MINUTE)
+    t_match_min = Fraction(REGULATION_LENGTH_S, SECONDS_PER_MINUTE)
     return deficit * t_match_min / (weights.alpha_w - weights.alpha_d)
 
 
-def minutes_to_upper(
-    table: LeagueTable, t_match_s: int = REGULATION_LENGTH_S
-) -> list[OvertakeMetric]:
+def minutes_to_upper(table: LeagueTable) -> list[OvertakeMetric]:
     """Per team below the top: minutes to erase the deficit to the row above.
 
     Only meaningful for time-share tables (WRONG_SYSTEM otherwise). The leader
@@ -97,7 +92,7 @@ def minutes_to_upper(
     metrics = []
     for above, row in zip(table.rows, table.rows[1:]):
         deficit = above.points - row.points
-        minutes = minutes_for_deficit(deficit, t_match_s, table.weights)
+        minutes = minutes_for_deficit(deficit, table.weights)
         metrics.append(
             OvertakeMetric(
                 team=row.team,

@@ -36,6 +36,7 @@ import enum
 import io
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Iterator
 
@@ -53,8 +54,8 @@ from .errors import (
 SECONDS_PER_MINUTE = 60
 REGULATION_LENGTH_S = 90 * SECONDS_PER_MINUTE
 # The longest match accepted, stoppage and extra time included. It rejects
-# absurd clocks such as ``H:99999999999`` and bounds the match lengths whose lcm
-# the season ledger uses as its common denominator.
+# absurd clocks such as ``H:99999999999``. It does not bound the lcm of a
+# season's match lengths, which the season ledger checks (TOO_MANY_LENGTHS).
 MAX_MATCH_LENGTH_S = 300 * SECONDS_PER_MINUTE
 # The most digits a number in a season file, or a weight, may have. Numbers stay
 # far below CPython's 4,300-digit int conversion limit, so an over-long one fails
@@ -313,7 +314,6 @@ def parse_season(
     fmt: SeasonFormat | str,
     *,
     minute_precision: TimePrecision = TimePrecision.MINUTE_TRUNCATED,
-    league_name: str = "",
 ) -> SeasonDataset:
     """Parse season file content into a validated :class:`SeasonDataset`.
 
@@ -322,8 +322,6 @@ def parse_season(
         fmt: ``SeasonFormat`` or the strings ``"csv"`` / ``"json"``.
         minute_precision: Precision flag given to goals supplied as minute
             tokens (sources differ in whether they truncate or round).
-        league_name: Fallback league name for the CSV format, which has no
-            league field of its own.
 
     Raises:
         SeasonDataError: with code MALFORMED_ROW (row/line reported),
@@ -345,8 +343,8 @@ def parse_season(
     if not text.strip():
         raise EmptySeasonError("season file is empty")
     if fmt is SeasonFormat.CSV:
-        return _parse_csv(text, minute_precision, league_name)
-    return _parse_json(text, minute_precision, league_name)
+        return _parse_csv(text, minute_precision)
+    return _parse_json(text, minute_precision)
 
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -371,9 +369,7 @@ def _csv_int(field: str, what: str) -> int:
     return int(field)
 
 
-def _parse_csv(
-    text: str, minute_precision: TimePrecision, league_name: str
-) -> SeasonDataset:
+def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
     rows = _csv_rows(text)
     try:
         _, header = next(rows)
@@ -420,7 +416,7 @@ def _parse_csv(
             )
         except SeasonDataError as err:
             raise _located(err, line) from None
-    return SeasonDataset(league_name=league_name, matches=tuple(matches))
+    return SeasonDataset(matches=tuple(matches))
 
 
 def _require_int(value: Any, what: str) -> int:
@@ -451,20 +447,20 @@ def _parse_json_goal(entry: Any, minute_precision: TimePrecision) -> GoalEvent:
     raise MalformedRowError(f"goal entry must be a token string or object, got {entry!r}")
 
 
-def _parse_json(
-    text: str, minute_precision: TimePrecision, league_name: str
-) -> SeasonDataset:
+def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRowError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    except ValueError as exc:  # an integer with more digits than int() converts
-        raise MalformedRowError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer with more digits than int() converts
+        raise MalformedRowError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:
         raise MalformedRowError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("matches"), list):
         raise MalformedRowError('top level must be an object with a "matches" list')
-    league = doc.get("league", league_name)
+    league = doc.get("league", "")
     if not isinstance(league, str):
         raise MalformedRowError('"league" must be a string')
     matches = []

@@ -1,8 +1,10 @@
-"""Per-match point awards under the four scoring systems.
+"""The four scoring systems as one integer rule, and the time-system weights.
 
-The four systems are one rule with different integer coefficients (see
-:class:`ScoringRule`), so an award is an exact ratio of integers; any decimal
-you see in an output file is presentation-only rounding.
+Each system is a :class:`ScoringRule`: integer coefficients on a side's
+leading, level and trailing seconds, its 3/1/0 result and its goal-difference
+bonus. The season ledger applies the rule to every match, so an award is an
+exact ratio of integers; any decimal in an output file is presentation-only
+rounding.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ingest import MAX_NUMBER_DIGITS, FrozenRecord, MatchRecord
-from .timeline import SegmentBreakdown, segment
+from .ingest import MAX_NUMBER_DIGITS, FrozenRecord
 
 # One weight: an optional sign, then an integer, a decimal or a fraction a/b in
 # ASCII digits. Fraction() alone also takes exponents, ``_`` and non-ASCII digits.
@@ -73,14 +74,6 @@ class WeightTriple(FrozenRecord):
 DEFAULT_WEIGHTS = WeightTriple(Fraction(3), Fraction(1), Fraction(0))
 
 
-class PointsAward(NamedTuple):
-    """Both sides' points for one match under one scoring system."""
-
-    home_pts: Fraction
-    away_pts: Fraction
-    system: ScoringSystem
-
-
 def final_result(goals_for: int, goals_against: int) -> int:
     """Match outcome on the 3/1/0 scale for the side scoring ``goals_for``."""
     if goals_for > goals_against:
@@ -113,22 +106,6 @@ class ScoringRule(NamedTuple):
     goal_diff: int
     scale: int
 
-    def numerators(self, seg: SegmentBreakdown, hg: int, ag: int) -> tuple[int, int]:
-        """(home, away) awards over ``scale * seg.t_match`` for a match ending hg-ag."""
-        # Runs once per match per system, so terms with a zero coefficient are skipped.
-        home = away = 0
-        if self.result:
-            home, away = self.result * final_result(hg, ag), self.result * final_result(ag, hg)
-        if self.goal_diff:
-            home += self.goal_diff * goal_diff_value(hg, ag)
-            away += self.goal_diff * goal_diff_value(ag, hg)
-        win, draw, lose, t_match = seg.t_win_home, seg.t_draw, seg.t_lose_home, seg.t_match
-        level = self.level * draw
-        return (
-            self.lead * win + level + self.trail * lose + home * t_match,
-            self.lead * lose + level + self.trail * win + away * t_match,
-        )
-
 
 def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS) -> ScoringRule:
     """The coefficients of ``system``; only ``time`` reads the weights.
@@ -149,26 +126,3 @@ def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS)
     if system is ScoringSystem.GOALDIFF_THIRD:
         return ScoringRule(system, weights, 3, 1, 0, 1, 1, 3)
     raise ValueError(f"unknown scoring system: {system!r}")
-
-
-def _award(rule: ScoringRule, seg: SegmentBreakdown, hg: int, ag: int) -> PointsAward:
-    home, away = rule.numerators(seg, hg, ag)
-    den = rule.scale * seg.t_match
-    return PointsAward(Fraction(home, den), Fraction(away, den), rule.system)
-
-
-def match_points(
-    match: MatchRecord, system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS
-) -> PointsAward:
-    """Both sides' awards under ``system``, computed from the match alone."""
-    return _award(scoring_rule(system, weights), segment(match), *match.final_score)
-
-
-def time_points(seg: SegmentBreakdown, weights: WeightTriple = DEFAULT_WEIGHTS) -> PointsAward:
-    """Weighted share of the match clock spent leading / level / trailing.
-
-    home = (alpha_w*T_lead + alpha_d*T_level + alpha_l*T_trail) / T_match,
-    and symmetrically for the away side. With the default (3, 1, 0) weights
-    the two awards always sum to 3 - T_level/T_match.
-    """
-    return _award(scoring_rule(ScoringSystem.TIME, weights), seg, 0, 0)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .display import format_decimal, format_ratio
-from .errors import EmptySeasonError, NonPositiveLeaderError
+from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
 from .ingest import MatchRecord, SeasonDataset
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, final_result, goal_diff_value
 from .timeline import effective_length, segment
@@ -37,6 +37,14 @@ class LeagueTable(NamedTuple):
     system: ScoringSystem
     weights: WeightTriple
     rows: tuple[TableRow, ...]
+
+
+# The most bits the lcm of a season's match lengths may have. An lcm past it is
+# at least 2**9966 and so has more than 3,000 digits. Up to it, every total and
+# average has a denominator below 10**300 (the weight scale) * lcm * appearances,
+# so each rendered rational stays under CPython's 4,300-digit int-to-str limit. A
+# season of every whole-second length from 90:00 to 120:00 has a 2,231-digit lcm.
+MAX_LENGTH_LCM_BITS = 9966
 
 
 class LeadershipStats(NamedTuple):
@@ -138,6 +146,11 @@ class SeasonLedger:
         index = {team: i for i, team in enumerate(self.teams)}
         lengths = {effective_length(match) for match in dataset.matches}
         self.length_lcm = math.lcm(*lengths)
+        if self.length_lcm.bit_length() > MAX_LENGTH_LCM_BITS:
+            raise TooManyLengthsError(
+                f"the {len(lengths)} distinct match lengths have an lcm of more than "
+                "3000 digits, too large for exact points"
+            )
         length_factor = {t: self.length_lcm // t for t in lengths}
         by_round: list[list[MatchRecord]] = [[] for _ in range(dataset.num_rounds)]
         for match in dataset.matches:
@@ -185,7 +198,7 @@ class SeasonLedger:
         lead, level, trail = rule.lead, rule.level, rule.trail
         result, goal_diff = rule.result, rule.goal_diff
         # ScoringRule's award numerator, inlined because it runs once per side
-        # per system; match_points computes it independently for the tests.
+        # per system; tests/reference.py scores each system from its definition.
         for rows in self._rows:
             yield [
                 (lead * w + level * d + trail * l + (result * r + goal_diff * g) * t) * factor

@@ -73,38 +73,3 @@ def segment(match: MatchRecord) -> SegmentBreakdown:
     else:
         lose += tail
     return SegmentBreakdown(win, draw, lose, t_match)
-
-
-def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> SegmentBreakdown:
-    """Reference implementation: step the clock and classify each step.
-
-    Simulates the score at ``resolution_s``-second steps, classifying each
-    step by the score sign at the step's start (a goal at time t counts from
-    the step starting at t). A trailing remainder shorter than the resolution
-    is handled as one final short step. At 1-second resolution this equals
-    :func:`segment` exactly; it exists as an independently-coded check.
-    """
-    if resolution_s < 1:
-        raise ValueError("resolution must be a positive number of seconds")
-    t_match = effective_length(match)
-    goals = match.goals
-    win = draw = lose = 0
-    home = away = 0
-    i = 0
-    t = 0
-    while t < t_match:
-        while i < len(goals) and goals[i].time_s <= t:
-            if goals[i].side is Side.HOME:
-                home += 1
-            else:
-                away += 1
-            i += 1
-        step = min(resolution_s, t_match - t)
-        if home > away:
-            win += step
-        elif home == away:
-            draw += step
-        else:
-            lose += step
-        t += step
-    return SegmentBreakdown(win, draw, lose, t_match)

@@ -12,18 +12,20 @@ from pathlib import Path
 
 from clirun import run_cli
 from matchgen import random_match_corpus, random_season, random_weight_triple
+from reference import package_awards, paper_awards, segment_oracle
 from timescore.display import format_decimal
 from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side, parse_season
-from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, scoring_rule, time_points
+from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, scoring_rule
 from timescore.standings import LeagueTable, SeasonLedger, TableRow
-from timescore.timeline import SegmentBreakdown, segment, segment_oracle
+from timescore.timeline import SegmentBreakdown, segment
 
 ROOT = Path(__file__).resolve().parent.parent
 SEASON_CSV = ROOT / "data" / "synthetic_season.csv"
 GOLDEN = ROOT / "tests" / "golden"
 
 CORPUS = random_match_corpus(1000, seed=987654321)
+TIME = scoring_rule(ScoringSystem.TIME)
 
 
 def _ok(number: int, text: str) -> None:
@@ -35,12 +37,12 @@ def test_criterion_01_sum_identity_for_random_weights():
     triples = [random_weight_triple(rng) for _ in range(20)]
     start = time.perf_counter()
     segments = [segment(match) for match in CORPUS]
-    for weights, seg in itertools.product(triples, segments):
-        award = time_points(seg, weights)
+    for weights, (match, seg) in itertools.product(triples, zip(CORPUS, segments)):
+        home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
         expected = (weights.alpha_w + weights.alpha_l) + (
             2 * weights.alpha_d - weights.alpha_w - weights.alpha_l
         ) * Fraction(seg.t_draw, seg.t_match)
-        assert award.home_pts + award.away_pts == expected
+        assert home + away == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 5, f"took {elapsed:.2f}s, budget is 5s"
     _ok(1, f"sum identity exact on 1000 matches x 20 weight triples ({elapsed:.2f}s)")
@@ -48,22 +50,26 @@ def test_criterion_01_sum_identity_for_random_weights():
 
 def test_criterion_02_default_weights_ranges():
     for match in CORPUS:
-        award = time_points(segment(match))
-        total = award.home_pts + award.away_pts
+        home, away = package_awards(match, TIME)
+        total = home + away
         assert 2 <= total < 3
         if not match.goals:
-            assert (award.home_pts, award.away_pts) == (1, 1)
+            assert (home, away) == (1, 1)
         else:
-            assert 0 < award.home_pts < 3
-            assert 0 < award.away_pts < 3
+            assert 0 < home < 3
+            assert 0 < away < 3
     _ok(2, "per-match totals in [2,3) and awards in (0,3); goalless pairs exactly (1,1)")
 
 
 def test_criterion_03_thirty_minute_lead_equals_goalless_draw():
-    lead_then_trail = time_points(SegmentBreakdown(1800, 0, 3600, 5400))
-    goalless = time_points(segment(MatchRecord(1, "Home", "Away")))
-    assert lead_then_trail.home_pts == Fraction(1)
-    assert lead_then_trail.home_pts == goalless.home_pts
+    # No goal sequence leads 30' then trails 60' without a level second, so
+    # the paper formula scores that breakdown.
+    lead_then_trail, _ = paper_awards(
+        SegmentBreakdown(1800, 0, 3600, 5400), (1, 2), ScoringSystem.TIME
+    )
+    goalless, _ = package_awards(MatchRecord(1, "Home", "Away"), TIME)
+    assert lead_then_trail == Fraction(1)
+    assert lead_then_trail == goalless
     _ok(3, "leading 30' and trailing 60' is worth exactly 1.0, same as a 0-0 draw")
 
 
@@ -129,10 +135,10 @@ def test_criterion_07_mixed_final_points_are_exact_means():
 
 def test_criterion_08_extra_time_sensitivity():
     at_ninety = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 5400),))
-    base = time_points(segment(at_ninety)).home_pts
+    base = package_awards(at_ninety, TIME)[0]
     for k in range(1, 11):
         shifted = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, (90 + k) * 60),))
-        moved = time_points(segment(shifted)).home_pts
+        moved = package_awards(shifted, TIME)[0]
         change = abs(moved - base)
         assert change <= Fraction(2 * k, 90 + k)
     _ok(8, "moving a lone decisive goal from 90' to 90+k' shifts <= 2k/(90+k) points, k=1..10")

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +10,10 @@ import pytest
 from clirun import run_cli
 from timescore.display import format_decimal
 from timescore.indicators import indicator_bundle
-from timescore.ingest import parse_season
+from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
+from timescore.synthetic import double_round_robin
 
 ROOT = Path(__file__).resolve().parent.parent
 SEASON_CSV = ROOT / "data" / "synthetic_season.csv"
@@ -289,6 +292,58 @@ def test_deeply_nested_json_exits_one_with_code(tmp_path):
     result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1
     assert result.stderr == "error: MALFORMED_ROW: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "digits,message",
+    [
+        (4300, "match 1: declared length is longer than the longest allowed match (18000 s)"),
+        (5000, "invalid JSON: an integer has more than 4300 digits"),
+    ],
+    ids=["at_conversion_limit", "past_conversion_limit"],
+)
+def test_json_integer_digits_exit_one_with_a_coded_message(tmp_path, digits, message):
+    # json.loads cannot convert an integer past CPython's digit limit; one at
+    # the limit still reaches its field check.
+    number = "9" + "0" * (digits - 1)
+    season = tmp_path / "season.json"
+    season.write_text(
+        '{"matches": [{"round": 1, "home": "A", "away": "B", "length_s": ' + number + "}]}"
+    )
+    result = _invoke("table", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: MALFORMED_ROW: {message}\n"
+
+
+def _largest_primes_up_to(limit, count):
+    primes = []
+    for n in range(limit, 1, -1):
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.append(n)
+            if len(primes) == count:
+                return primes
+    raise ValueError(f"fewer than {count} primes up to {limit}")
+
+
+@pytest.mark.parametrize("command", ["indicators", "report"])
+def test_season_with_too_many_match_lengths_exits_one_and_writes_nothing(tmp_path, command):
+    # A 30-team double round robin where each match lasts a distinct prime
+    # number of seconds, every one within the longest allowed match: the lcm
+    # of the lengths has about 3,600 digits, past the ledger's 3,000.
+    rounds = double_round_robin([f"T{i:02d}" for i in range(30)])
+    lengths = iter(_largest_primes_up_to(MAX_MATCH_LENGTH_S, 870))
+    matches = [
+        {"round": round_no, "home": home, "away": away, "length_s": next(lengths)}
+        for round_no, pairs in enumerate(rounds, start=1)
+        for home, away in pairs
+    ]
+    season = tmp_path / "lengths.json"
+    season.write_text(json.dumps({"matches": matches}))
+    result = _invoke(command, tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: TOO_MANY_LENGTHS: ")
+    assert result.output == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_report_drops_repeated_systems_like_the_cli(tmp_path):

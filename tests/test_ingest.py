@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import paper_match_awards
 from timescore.errors import (
     DuplicateFixtureError,
     EmptySeasonError,
@@ -25,7 +26,7 @@ from timescore.ingest import (
     parse_season,
     serialize_season,
 )
-from timescore.scoring import ScoringSystem, WeightTriple, match_points
+from timescore.scoring import ScoringSystem, WeightTriple
 from timescore.timeline import SegmentBreakdown
 
 HEADER = "round,home,away,goals,length_min\n"
@@ -420,9 +421,9 @@ def test_minute_error_bound_covers_every_true_goal_time(matches):
     recorded, true = matches
     bound = minute_error_bound(SeasonDataset(matches=(recorded,)))
     for system in (ScoringSystem.TIME, ScoringSystem.MIXED_HALF, ScoringSystem.GOALDIFF_THIRD):
-        shown, actual = match_points(recorded, system), match_points(true, system)
-        assert abs(shown.home_pts - actual.home_pts) <= bound
-        assert abs(shown.away_pts - actual.away_pts) <= bound
+        shown, actual = paper_match_awards(recorded, system), paper_match_awards(true, system)
+        assert abs(shown[0] - actual[0]) <= bound
+        assert abs(shown[1] - actual[1]) <= bound
 
 
 _GOAL = GoalEvent(Side.HOME, 600, TimePrecision.EXACT)

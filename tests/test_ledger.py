@@ -1,4 +1,4 @@
-"""The season ledger against per-match awards summed and ranked from scratch."""
+"""The season ledger against paper-formula awards summed and ranked from scratch."""
 
 import random
 from fractions import Fraction
@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
+from reference import paper_match_awards
 from timescore.ingest import MatchRecord, SeasonDataset
-from timescore.scoring import ScoringSystem, match_points, scoring_rule
+from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
 
 
@@ -34,10 +35,10 @@ def _expected_rounds(season: SeasonDataset, system, weights):
         for match in season.matches:
             if match.round != round_no:
                 continue
-            award = match_points(match, system, weights)
+            home_pts, away_pts = paper_match_awards(match, system, weights)
             hg, ag = match.final_score
-            points[match.home] += award.home_pts
-            points[match.away] += award.away_pts
+            points[match.home] += home_pts
+            points[match.away] += away_pts
             goals_for[match.home] += hg
             goals_for[match.away] += ag
             goal_diff[match.home] += hg - ag

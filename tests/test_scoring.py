@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import match_records, weight_triples
+from reference import package_awards, paper_awards, paper_match_awards
 from timescore.ingest import GoalEvent, MatchRecord, Side
 from timescore.scoring import (
     DEFAULT_WEIGHTS,
@@ -12,13 +13,19 @@ from timescore.scoring import (
     WeightTriple,
     final_result,
     goal_diff_value,
-    match_points,
-    time_points,
+    scoring_rule,
 )
 from timescore.timeline import SegmentBreakdown, segment
 
 GOALLESS = MatchRecord(1, "Home", "Away")
 ONE_NIL_AT_THIRTY = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 1800),))
+CLASSIC, TIME, MIXED, GOALDIFF = (
+    scoring_rule(system)
+    for system in (
+        ScoringSystem.CLASSIC, ScoringSystem.TIME,
+        ScoringSystem.MIXED_HALF, ScoringSystem.GOALDIFF_THIRD,
+    )
+)
 
 
 class TestWeightTriple:
@@ -51,26 +58,27 @@ class TestWeightTriple:
 
 class TestTimePoints:
     def test_goalless_draw_awards_one_each(self):
-        award = time_points(segment(GOALLESS))
-        assert (award.home_pts, award.away_pts) == (1, 1)
+        assert package_awards(GOALLESS, TIME) == (1, 1)
 
     def test_thirty_minute_lead_and_sixty_trailing_equals_a_draw(self):
         # Leading a third of the match and trailing the rest is worth exactly
-        # the same as being level throughout.
-        award = time_points(SegmentBreakdown(1800, 0, 3600, 5400))
-        assert award.home_pts == 1
-        assert award.home_pts == time_points(segment(GOALLESS)).home_pts
+        # the same as being level throughout. No goal sequence gives this
+        # breakdown, so the paper formula scores it.
+        home, _ = paper_awards(SegmentBreakdown(1800, 0, 3600, 5400), (1, 2), ScoringSystem.TIME)
+        assert home == 1
+        assert home == package_awards(GOALLESS, TIME)[0]
 
     def test_single_goal_at_thirty_minutes(self):
-        award = time_points(segment(ONE_NIL_AT_THIRTY))
-        assert award.home_pts == Fraction(7, 3)
-        assert award.away_pts == Fraction(1, 3)
+        home, away = package_awards(ONE_NIL_AT_THIRTY, TIME)
+        assert home == Fraction(7, 3)
+        assert away == Fraction(1, 3)
         seg = segment(ONE_NIL_AT_THIRTY)
-        assert award.home_pts + award.away_pts == 3 - Fraction(seg.t_draw, seg.t_match)
+        assert home + away == 3 - Fraction(seg.t_draw, seg.t_match)
 
     def test_custom_weights(self):
-        award = time_points(segment(ONE_NIL_AT_THIRTY), WeightTriple(2, 1, 0))
-        assert award.home_pts == Fraction(2 * 3600 + 1800, 5400)
+        rule = scoring_rule(ScoringSystem.TIME, WeightTriple(2, 1, 0))
+        home, _ = package_awards(ONE_NIL_AT_THIRTY, rule)
+        assert home == Fraction(2 * 3600 + 1800, 5400)
 
 
 class TestClassicPoints:
@@ -84,38 +92,35 @@ class TestClassicPoints:
         ],
     )
     def test_final_score_mapping(self, goals, expected):
-        award = match_points(MatchRecord(1, "Home", "Away", goals), ScoringSystem.CLASSIC)
-        assert (award.home_pts, award.away_pts) == expected
+        assert package_awards(MatchRecord(1, "Home", "Away", goals), CLASSIC) == expected
 
 
 class TestMixedPoints:
     def test_goalless(self):
-        award = match_points(GOALLESS, ScoringSystem.MIXED_HALF)
-        assert (award.home_pts, award.away_pts) == (1, 1)
+        assert package_awards(GOALLESS, MIXED) == (1, 1)
 
     def test_single_goal_at_thirty_minutes(self):
-        award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF)
-        assert award.home_pts == Fraction(8, 3)
-        assert award.away_pts == Fraction(1, 6)
+        home, away = package_awards(ONE_NIL_AT_THIRTY, MIXED)
+        assert home == Fraction(8, 3)
+        assert away == Fraction(1, 6)
 
     def test_equals_mean_of_classic_and_time(self):
-        time_award = time_points(segment(ONE_NIL_AT_THIRTY))
-        classic_award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.CLASSIC)
-        mixed_award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF)
-        assert mixed_award.home_pts == (time_award.home_pts + classic_award.home_pts) / 2
-        assert mixed_award.away_pts == (time_award.away_pts + classic_award.away_pts) / 2
+        time_award = package_awards(ONE_NIL_AT_THIRTY, TIME)
+        classic_award = package_awards(ONE_NIL_AT_THIRTY, CLASSIC)
+        mixed_award = package_awards(ONE_NIL_AT_THIRTY, MIXED)
+        assert mixed_award[0] == (time_award[0] + classic_award[0]) / 2
+        assert mixed_award[1] == (time_award[1] + classic_award[1]) / 2
 
 
 class TestGoalDiffPoints:
     def test_goalless(self):
-        award = match_points(GOALLESS, ScoringSystem.GOALDIFF_THIRD)
-        assert (award.home_pts, award.away_pts) == (Fraction(2, 3), Fraction(2, 3))
+        assert package_awards(GOALLESS, GOALDIFF) == (Fraction(2, 3), Fraction(2, 3))
 
     def test_single_goal_at_thirty_minutes(self):
         # third of (7/3 time share + 3 result + 1 goal-diff) = 19/9
-        award = match_points(ONE_NIL_AT_THIRTY, ScoringSystem.GOALDIFF_THIRD)
-        assert award.home_pts == Fraction(19, 9)
-        assert award.away_pts == Fraction(1, 3) * (Fraction(1, 3) + 0 + 0)
+        home, away = package_awards(ONE_NIL_AT_THIRTY, GOALDIFF)
+        assert home == Fraction(19, 9)
+        assert away == Fraction(1, 3) * (Fraction(1, 3) + 0 + 0)
 
     def test_goal_difference_caps_at_three(self):
         goals = tuple(GoalEvent(Side.HOME, 600 * (i + 1)) for i in range(4))
@@ -137,31 +142,31 @@ class TestGoalDiffPoints:
 @settings(max_examples=120)
 def test_sum_identity_for_general_weights(match, weights):
     seg = segment(match)
-    award = time_points(seg, weights)
+    home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
     expected = (weights.alpha_w + weights.alpha_l) + (
         2 * weights.alpha_d - weights.alpha_w - weights.alpha_l
     ) * Fraction(seg.t_draw, seg.t_match)
-    assert award.home_pts + award.away_pts == expected
+    assert home + away == expected
 
 
 @given(match_records())
 def test_default_weights_total_in_two_to_three(match):
-    award = time_points(segment(match))
-    total = award.home_pts + award.away_pts
+    home, away = package_awards(match, TIME)
+    total = home + away
     assert 2 <= total < 3
-    assert 0 < award.home_pts < 3
-    assert 0 < award.away_pts < 3
+    assert 0 < home < 3
+    assert 0 < away < 3
     if not match.goals:
-        assert (award.home_pts, award.away_pts) == (1, 1)
+        assert (home, away) == (1, 1)
 
 
 @given(match_records())
 def test_mixed_is_mean_of_classic_and_time(match):
-    mixed_award = match_points(match, ScoringSystem.MIXED_HALF)
-    time_award = time_points(segment(match))
-    classic_award = match_points(match, ScoringSystem.CLASSIC)
-    assert mixed_award.home_pts == (time_award.home_pts + classic_award.home_pts) / 2
-    assert mixed_award.away_pts == (time_award.away_pts + classic_award.away_pts) / 2
+    mixed_award = package_awards(match, MIXED)
+    time_award = package_awards(match, TIME)
+    classic_award = package_awards(match, CLASSIC)
+    assert mixed_award[0] == (time_award[0] + classic_award[0]) / 2
+    assert mixed_award[1] == (time_award[1] + classic_award[1]) / 2
 
 
 @given(
@@ -183,54 +188,39 @@ def test_lead_duration_decides_points_not_placement(start, duration):
     late_lead = MatchRecord(
         1, "Home", "Away", (GoalEvent(Side.HOME, 5400 - duration),)
     )
-    assert time_points(segment(mid_lead)).home_pts == time_points(segment(late_lead)).home_pts
+    assert package_awards(mid_lead, TIME)[0] == package_awards(late_lead, TIME)[0]
 
 
 def test_one_minute_shift_moves_exactly_two_sixtieths_of_regulation():
     early = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 5280),))
     late = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 5340),))
-    delta = time_points(segment(early)).home_pts - time_points(segment(late)).home_pts
+    delta = package_awards(early, TIME)[0] - package_awards(late, TIME)[0]
     assert delta == Fraction(2 * 60, 5400)
 
 
-def test_match_points_dispatch():
+def test_each_system_scores_with_its_own_rule():
     for system in ScoringSystem:
-        award = match_points(ONE_NIL_AT_THIRTY, system)
-        assert award.system is system
-    assert match_points(ONE_NIL_AT_THIRTY, ScoringSystem.TIME).home_pts == Fraction(7, 3)
+        assert scoring_rule(system).system is system
+    expected = {
+        CLASSIC: (3, 0),
+        TIME: (Fraction(7, 3), Fraction(1, 3)),
+        MIXED: (Fraction(8, 3), Fraction(1, 6)),
+        GOALDIFF: (Fraction(19, 9), Fraction(1, 9)),
+    }
+    for rule, awards in expected.items():
+        assert package_awards(ONE_NIL_AT_THIRTY, rule) == awards
 
 
 def test_hybrids_ignore_configured_weights():
-    heavy = WeightTriple(10, 1, 0)
-    assert match_points(ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF).home_pts == match_points(
-        ONE_NIL_AT_THIRTY, ScoringSystem.MIXED_HALF, heavy
-    ).home_pts
+    heavy = scoring_rule(ScoringSystem.MIXED_HALF, WeightTriple(10, 1, 0))
+    assert package_awards(ONE_NIL_AT_THIRTY, MIXED)[0] == package_awards(
+        ONE_NIL_AT_THIRTY, heavy
+    )[0]
 
 
 @given(match_records(), weight_triples())
 def test_one_rule_matches_each_system_definition(match, weights):
-    # The documented definitions, written out in Fractions one system at a time.
-    seg = segment(match)
-    hg, ag = match.final_score
-    t = seg.t_match
-    share = {
-        "home": Fraction(3 * seg.t_win_home + seg.t_draw, t),
-        "away": Fraction(3 * seg.t_lose_home + seg.t_draw, t),
-    }
-    weighted = {
-        "home": (weights.alpha_w * seg.t_win_home + weights.alpha_d * seg.t_draw
-                 + weights.alpha_l * seg.t_lose_home) / t,
-        "away": (weights.alpha_w * seg.t_lose_home + weights.alpha_d * seg.t_draw
-                 + weights.alpha_l * seg.t_win_home) / t,
-    }
-    result = {"home": final_result(hg, ag), "away": final_result(ag, hg)}
-    bonus = {"home": goal_diff_value(hg, ag), "away": goal_diff_value(ag, hg)}
-    expected = {
-        ScoringSystem.CLASSIC: {s: Fraction(result[s]) for s in result},
-        ScoringSystem.TIME: weighted,
-        ScoringSystem.MIXED_HALF: {s: (share[s] + result[s]) / 2 for s in result},
-        ScoringSystem.GOALDIFF_THIRD: {s: (share[s] + result[s] + bonus[s]) / 3 for s in result},
-    }
-    for system, want in expected.items():
-        award = match_points(match, system, weights)
-        assert (award.home_pts, award.away_pts) == (want["home"], want["away"])
+    # The documented definitions, written out in Fractions in tests/reference.py.
+    for system in ScoringSystem:
+        want = paper_match_awards(match, system, weights)
+        assert package_awards(match, scoring_rule(system, weights)) == want

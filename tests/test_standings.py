@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from matchgen import random_season
+from reference import paper_match_awards
 from timescore.errors import EmptySeasonError
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
-from timescore.scoring import ScoringSystem, match_points, scoring_rule
+from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import (
     SeasonLedger,
     evolution_to_csv,
@@ -268,8 +269,8 @@ def test_award_accumulation_matches_manual_sum():
     table = HAND_LEDGER.final(scoring_rule(ScoringSystem.GOALDIFF_THIRD)).table()
     manual = {team: Fraction(0) for team in season.teams}
     for match in season.matches:
-        award = match_points(match, ScoringSystem.GOALDIFF_THIRD)
-        manual[match.home] += award.home_pts
-        manual[match.away] += award.away_pts
+        home_pts, away_pts = paper_match_awards(match, ScoringSystem.GOALDIFF_THIRD)
+        manual[match.home] += home_pts
+        manual[match.away] += away_pts
     for row in table.rows:
         assert row.points == manual[row.team]

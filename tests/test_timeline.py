@@ -2,13 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from matchgen import match_records
+from reference import segment_oracle
 from timescore.ingest import GoalEvent, MatchRecord, Side
-from timescore.timeline import (
-    SegmentBreakdown,
-    effective_length,
-    segment,
-    segment_oracle,
-)
+from timescore.timeline import SegmentBreakdown, effective_length, segment
 
 
 def _match(*goals, declared=None):

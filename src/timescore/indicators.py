@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .display import format_decimal, format_ratio
+from .display import format_decimal, format_ratios
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
 from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple
@@ -130,6 +130,11 @@ def draws_to_wins(table: LeagueTable) -> list[OvertakeMetric]:
     return metrics
 
 
+# Rows of an ECDF file rendered per format_ratios call; cell lists for a whole
+# file would raise a command's peak memory.
+_ECDF_BLOCK_ROWS = 1024
+
+
 def ecdf_counts(awards: list[int]) -> list[tuple[int, int]]:
     """(value, number of awards <= value) at each distinct value; sorts ``awards`` in place."""
     awards.sort()
@@ -211,8 +216,12 @@ def ecdf_to_csv(steps: Sequence[tuple[int, int]], den: int, *, comma: bool = Fal
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["points", "cumulative_fraction"])
-    writer.writerows(
-        [format_ratio(value, den, 6, comma=comma), format_ratio(count, total, 6, comma=comma)]
-        for value, count in steps
-    )
+    for start in range(0, len(steps), _ECDF_BLOCK_ROWS):
+        block = steps[start : start + _ECDF_BLOCK_ROWS]
+        writer.writerows(
+            zip(
+                format_ratios([value for value, _ in block], den, 6, comma=comma),
+                format_ratios([count for _, count in block], total, 6, comma=comma),
+            )
+        )
     return out.getvalue()

@@ -85,6 +85,11 @@ class TimePrecision(enum.Enum):
     EXACT = "exact"
 
 
+# Each member by its value, for the JSON goal fields (see _member).
+_SIDES = {side.value: side for side in Side}
+_PRECISIONS = {precision.value: precision for precision in TimePrecision}
+
+
 class SeasonFormat(enum.Enum):
     CSV = "csv"
     JSON = "json"
@@ -286,6 +291,22 @@ def _check_digits(digits: str, what: str) -> None:
         )
 
 
+class _TokenMemo(dict):
+    """Goal token -> GoalEvent, each distinct token parsed once per season file.
+
+    Seasons repeat a few hundred distinct tokens across thousands of goals, and
+    GoalEvent is frozen, so the CSV goals field and JSON token strings share one
+    parsed event per token.
+    """
+
+    def __init__(self, precision: TimePrecision) -> None:
+        self.precision = precision
+
+    def __missing__(self, token: str) -> GoalEvent:
+        goal = self[token] = parse_goal_token(token, self.precision)
+        return goal
+
+
 def format_goal_token(goal: GoalEvent) -> str:
     """Render a whole-minute goal as its canonical token (absolute minute)."""
     if goal.time_s % SECONDS_PER_MINUTE != 0:
@@ -381,9 +402,7 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             line=1,
         )
     matches = []
-    # Seasons repeat a few hundred distinct tokens across thousands of goals,
-    # and GoalEvent is frozen, so each distinct token is parsed once.
-    parsed: dict[str, GoalEvent] = {}
+    tokens = _TokenMemo(minute_precision)
     for line, row in rows:
         if not row:
             continue  # blank line
@@ -396,11 +415,11 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             round_no = _csv_int(round_text, "round number")
             goals = []
             for tok in goals_field.split(","):
-                goal = parsed.get(tok)
+                goal = tokens.get(tok)
                 if goal is None:
                     if not tok.strip():
                         continue  # empty field or stray comma
-                    goal = parsed[tok] = parse_goal_token(tok, minute_precision)
+                    goal = tokens[tok]
                 goals.append(goal)
             declared = None
             if length_field.strip():
@@ -410,7 +429,7 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
                     round=round_no,
                     home=home,
                     away=away,
-                    goals=tuple(goals),
+                    goals=goals,
                     declared_length_s=declared,
                 )
             )
@@ -420,7 +439,8 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
 
 
 def _require_int(value: Any, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    # JSON yields exact types, so this also rejects true and false.
+    if type(value) is not int:
         raise MalformedRowError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -431,19 +451,29 @@ def _require_str(value: Any, what: str) -> str:
     return value
 
 
-def _parse_json_goal(entry: Any, minute_precision: TimePrecision) -> GoalEvent:
-    if isinstance(entry, str):
-        return parse_goal_token(entry, minute_precision)
-    if isinstance(entry, dict):
+def _member(members: dict, enum_cls: type[enum.Enum], value: Any) -> Any:
+    """``members[value]``, else ``enum_cls(value)``, which raises the enum's own error.
+
+    Unhashable values miss too. The dict lookup is much cheaper than
+    ``Enum.__call__``, which only a miss pays.
+    """
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum_cls(value)
+
+
+def _parse_json_goal(entry: Any, tokens: _TokenMemo) -> GoalEvent:
+    if type(entry) is dict:
         try:
-            side = Side(entry["side"])
+            side = _member(_SIDES, Side, entry["side"])
             raw_time = entry["time_s"]
-            precision = TimePrecision(entry.get("precision", TimePrecision.EXACT.value))
+            precision = _member(_PRECISIONS, TimePrecision, entry.get("precision", "exact"))
         except (KeyError, ValueError) as exc:
             raise MalformedRowError(f"bad goal object {entry!r}: {exc}") from None
-        return GoalEvent(
-            side=side, time_s=_require_int(raw_time, "goal time_s"), precision=precision
-        )
+        return GoalEvent(side, _require_int(raw_time, "goal time_s"), precision)
+    if type(entry) is str:
+        return tokens[entry]
     raise MalformedRowError(f"goal entry must be a token string or object, got {entry!r}")
 
 
@@ -453,8 +483,10 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
     except json.JSONDecodeError as exc:
         raise MalformedRowError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     except ValueError:  # an integer with more digits than int() converts
+        limit = sys.get_int_max_str_digits()
         raise MalformedRowError(
-            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+            f"invalid JSON: an integer has more than {limit} digits",
+            line=_long_integer_line(text, limit),
         ) from None
     except RecursionError:
         raise MalformedRowError("invalid JSON: nested too deeply") from None
@@ -464,6 +496,7 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
     if not isinstance(league, str):
         raise MalformedRowError('"league" must be a string')
     matches = []
+    tokens = _TokenMemo(minute_precision)
     for i, obj in enumerate(doc["matches"], start=1):
         try:
             if not isinstance(obj, dict):
@@ -475,10 +508,7 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
                 declared = _require_int(obj["length_min"], "length_min") * SECONDS_PER_MINUTE
             elif obj.get("length_s") is not None:
                 declared = _require_int(obj["length_s"], "length_s")
-            goals = tuple(
-                _parse_json_goal(entry, minute_precision)
-                for entry in obj.get("goals", [])
-            )
+            goals = [_parse_json_goal(entry, tokens) for entry in obj.get("goals", ())]
             matches.append(
                 MatchRecord(
                     round=_require_int(obj["round"], "round"),
@@ -493,6 +523,25 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRowError(f"match {i}: {exc}") from None
     return SeasonDataset(league_name=league, matches=tuple(matches))
+
+
+# A JSON string, or a JSON number. Left to re's cache, not compiled at import:
+# only a failed parse uses it.
+_JSON_SCALAR = r'"(?:[^"\\]|\\.)*"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?'
+
+
+def _long_integer_line(text: str, limit: int) -> int | None:
+    """The line of the first JSON integer with more than ``limit`` digits.
+
+    json.loads has read the text up to that integer, so up to there the text
+    is valid JSON: strings are skipped whole, and numbers with a fraction or
+    an exponent are floats.
+    """
+    for m in re.finditer(_JSON_SCALAR, text):
+        digits = m.group().lstrip("-")
+        if len(digits) > limit and digits.isdigit():
+            return text.count("\n", 0, m.start()) + 1
+    return None
 
 
 def serialize_season(dataset: SeasonDataset, fmt: SeasonFormat | str) -> str:

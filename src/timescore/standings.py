@@ -12,11 +12,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .display import format_decimal, format_ratio
+from .display import format_decimal, format_ratios
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
 from .ingest import MatchRecord, SeasonDataset
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, final_result, goal_diff_value
-from .timeline import effective_length, segment
+from .timeline import effective_length, timeline
 
 
 class TableRow(NamedTuple):
@@ -164,11 +164,9 @@ class SeasonLedger:
         for matches in by_round:
             sides, rows = [], []
             for match in matches:
-                seg = segment(match)
-                win, draw, lose, t = seg.t_win_home, seg.t_draw, seg.t_lose_home, seg.t_match
+                win, draw, lose, t, hg, ag = timeline(match)
                 factor = length_factor[t]
                 home, away = index[match.home], index[match.away]
-                hg, ag = match.final_score
                 home_result, away_result = final_result(hg, ag), final_result(ag, hg)
                 sides += (home, away)
                 rows += (
@@ -267,9 +265,10 @@ def evolution_to_csv(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["round", "team", "rank", "points"])
     for round_no, standings in enumerate(rounds, start=1):
-        teams, points, den = standings.teams, standings.points, standings.den
+        teams, points, order = standings.teams, standings.points, standings.order
+        cells = format_ratios([points[i] for i in order], standings.den, decimals, comma=comma)
         writer.writerows(
-            [round_no, teams[i], rank, format_ratio(points[i], den, decimals, comma=comma)]
-            for rank, i in enumerate(standings.order, start=1)
+            [round_no, teams[i], rank, cell]
+            for rank, (i, cell) in enumerate(zip(order, cells), start=1)
         )
     return out.getvalue()

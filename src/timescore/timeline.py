@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from .ingest import REGULATION_LENGTH_S, FrozenRecord, MatchRecord, Side
 
+# Bound once: an enum member lookup costs several times a global's, once per goal.
+_HOME = Side.HOME
+
 
 class SegmentBreakdown(FrozenRecord):
     """Durations (seconds) the home side spent leading, level and trailing.
@@ -46,8 +49,12 @@ def effective_length(match: MatchRecord) -> int:
     return max(REGULATION_LENGTH_S, last_goal)
 
 
-def segment(match: MatchRecord) -> SegmentBreakdown:
-    """Accumulate leading/level/trailing durations by walking the goals in order."""
+def timeline(match: MatchRecord) -> tuple[int, int, int, int, int, int]:
+    """One walk over the goals: (leading, level, trailing, T, home goals, away goals).
+
+    Leading, level and trailing are the home side's seconds and T is the
+    :func:`effective_length`; the goals are the final score.
+    """
     t_match = effective_length(match)
     win = draw = lose = 0
     home = away = 0
@@ -60,7 +67,7 @@ def segment(match: MatchRecord) -> SegmentBreakdown:
             draw += span
         else:
             lose += span
-        if goal.side is Side.HOME:
+        if goal.side is _HOME:
             home += 1
         else:
             away += 1
@@ -72,4 +79,9 @@ def segment(match: MatchRecord) -> SegmentBreakdown:
         draw += tail
     else:
         lose += tail
-    return SegmentBreakdown(win, draw, lose, t_match)
+    return win, draw, lose, t_match, home, away
+
+
+def segment(match: MatchRecord) -> SegmentBreakdown:
+    """The validated leading/level/trailing breakdown of :func:`timeline`."""
+    return SegmentBreakdown(*timeline(match)[:4])

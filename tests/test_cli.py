@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -49,6 +50,26 @@ def test_commands_match_goldens_and_rerun_identically(
         again = (second / name).read_bytes()
         assert once == again
         assert once == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["league60_minute", "league60_exact"])
+def test_sixty_team_reports_match_the_benchmark_digests(tmp_path, monkeypatch, name):
+    # The benchmark's 60-team seasons at the seed whose input and output
+    # digests bench/expected.json records; this reads bench/ and writes nothing there.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import FULL_TEAMS, WORKLOADS, season_bytes
+
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())[name]
+    workload = WORKLOADS[name]
+    data = season_bytes(workload.kind, 1, FULL_TEAMS)
+    assert hashlib.sha256(data).hexdigest() == expected["input_sha256"]
+    season = tmp_path / ("season.csv" if workload.kind == "minute" else "season.json")
+    season.write_bytes(data)
+    out_dir = tmp_path / "out"
+    result = _invoke("report", out_dir, *workload.flags, season=season)
+    assert result.exit_code == 0, result.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == expected["outputs"]
 
 
 def test_golden_table_cells_match_recomputation():
@@ -298,17 +319,20 @@ def test_deeply_nested_json_exits_one_with_code(tmp_path):
     "digits,message",
     [
         (4300, "match 1: declared length is longer than the longest allowed match (18000 s)"),
-        (5000, "invalid JSON: an integer has more than 4300 digits"),
+        (5000, "invalid JSON: an integer has more than 4300 digits (line 3)"),
     ],
     ids=["at_conversion_limit", "past_conversion_limit"],
 )
 def test_json_integer_digits_exit_one_with_a_coded_message(tmp_path, digits, message):
     # json.loads cannot convert an integer past CPython's digit limit; one at
-    # the limit still reaches its field check.
+    # the limit still reaches its field check. A team name made of digits
+    # comes first, so the error must name the number's line, not the first
+    # long run of digits in the file.
     number = "9" + "0" * (digits - 1)
     season = tmp_path / "season.json"
     season.write_text(
-        '{"matches": [{"round": 1, "home": "A", "away": "B", "length_s": ' + number + "}]}"
+        '{"matches": [\n{"round": 1, "home": "' + "1" * 5000 + '", "away": "B",\n'
+        ' "length_s": ' + number + "}]}"
     )
     result = _invoke("table", tmp_path / "out", season=season)
     assert result.exit_code == 1

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timescore.display import format_decimal, format_ratio
+from timescore.display import format_decimal, format_ratio, format_ratios
 
 
 @pytest.mark.parametrize(
@@ -38,3 +39,40 @@ def test_unreduced_ratio_renders_like_reduced_fraction(num, den, k, decimals, co
     assert format_ratio(num * k, den * k, decimals, comma=comma) == format_decimal(
         Fraction(num, den), decimals, comma=comma
     )
+
+
+def _rendered_by_hand(num, den, decimals, comma):
+    """floor(num/den * 10**decimals + 1/2), with the point put in by hand."""
+    digits = math.floor(Fraction(num, den) * 10**decimals + Fraction(1, 2))
+    text = str(abs(digits)).rjust(decimals + 1, "0")
+    if decimals:
+        text = text[:-decimals] + ("," if comma else ".") + text[-decimals:]
+    return "-" + text if digits < 0 else text
+
+
+@st.composite
+def _columns(draw):
+    """(nums, den, decimals) with denominators of up to 3,000 bits.
+
+    Half of the columns are made of exact halves and their neighbours.
+    """
+    decimals = draw(st.sampled_from([0, 1, 2, 3, 6]))
+    twice_scale = 2 * 10**decimals
+    if draw(st.booleans()):
+        # num / den * 10**decimals is an odd number of halves when num is an odd multiple of unit.
+        unit = draw(st.integers(1, 2**3000 // twice_scale))
+        den = unit * twice_scale
+        odd = st.integers(-(2**64), 2**64).map(lambda q: (2 * q + 1) * unit)
+        nums = st.one_of(odd, odd.map(lambda n: n + 1), odd.map(lambda n: n - 1))
+    else:
+        den = draw(st.integers(1, 2**3000))
+        nums = st.integers(-(2**3000), 2**3000)
+    return draw(st.lists(nums, max_size=20)), den, decimals
+
+
+@given(_columns(), st.booleans())
+def test_format_ratios_equals_rounding_by_hand(column, comma):
+    nums, den, decimals = column
+    assert format_ratios(nums, den, decimals, comma=comma) == [
+        _rendered_by_hand(num, den, decimals, comma) for num in nums
+    ]

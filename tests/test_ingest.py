@@ -309,6 +309,33 @@ def test_json_match_length_is_capped(longest, too_long):
         parse_season(_json_match(too_long), "json")
 
 
+@pytest.mark.parametrize(
+    "goal,message",
+    [
+        (
+            '{"side": "X", "time_s": 60}',
+            "bad goal object {'side': 'X', 'time_s': 60}: 'X' is not a valid Side",
+        ),
+        (
+            '{"side": ["H"], "time_s": 60}',
+            "bad goal object {'side': ['H'], 'time_s': 60}: ['H'] is not a valid Side",
+        ),
+        (
+            '{"side": "H", "time_s": 60, "precision": "Exact"}',
+            "bad goal object {'side': 'H', 'time_s': 60, 'precision': 'Exact'}: "
+            "'Exact' is not a valid TimePrecision",
+        ),
+        ('{"side": "H", "time_s": true}', "goal time_s must be an integer, got True"),
+        ('{"time_s": 60}', "bad goal object {'time_s': 60}: 'side'"),
+    ],
+    ids=["unknown_side", "unhashable_side", "unknown_precision", "bool_time", "missing_side"],
+)
+def test_json_goal_object_errors_name_the_bad_field(goal, message):
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_season(_json_match(f'"goals": [{{"side": "H", "time_s": 30}}, {goal}]'), "json")
+    assert str(excinfo.value) == f"MALFORMED_ROW: match 1: {message}"
+
+
 def test_json_integer_too_long_to_convert_is_malformed():
     with pytest.raises(MalformedRowError):
         parse_season(_json_match('"length_s": 1' + "0" * 5000), "json")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from matchgen import match_records
 from reference import segment_oracle
 from timescore.ingest import GoalEvent, MatchRecord, Side
-from timescore.timeline import SegmentBreakdown, effective_length, segment
+from timescore.timeline import SegmentBreakdown, effective_length, segment, timeline
 
 
 def _match(*goals, declared=None):
@@ -89,6 +89,14 @@ class TestSegmentOracle:
 @settings(max_examples=150)
 def test_segment_equals_oracle_at_one_second(match):
     assert segment(match) == segment_oracle(match, 1)
+
+
+@given(match_records())
+@settings(max_examples=150)
+def test_timeline_counts_the_final_score_and_equals_the_oracle(match):
+    win, draw, lose, t_match, home, away = timeline(match)
+    assert (home, away) == match.final_score
+    assert SegmentBreakdown(win, draw, lose, t_match) == segment_oracle(match, 1)
 
 
 @given(match_records())

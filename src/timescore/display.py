@@ -32,12 +32,7 @@ def format_ratios(
     return cells
 
 
-def format_ratio(num: int, den: int, decimals: int = 2, *, comma: bool = False) -> str:
-    """One ratio rendered by :func:`format_ratios`."""
-    return format_ratios((num,), den, decimals, comma=comma)[0]
-
-
 def format_decimal(value: Fraction | int, decimals: int = 2, *, comma: bool = False) -> str:
-    """Fixed-point rendering of an exact rational, half-up (see :func:`format_ratio`)."""
+    """Fixed-point rendering of an exact rational, half-up (see :func:`format_ratios`)."""
     value = Fraction(value)
-    return format_ratio(value.numerator, value.denominator, decimals, comma=comma)
+    return format_ratios((value.numerator,), value.denominator, decimals, comma=comma)[0]

@@ -17,9 +17,10 @@ CSV (canonical)
 
 JSON (mirror)
     An object ``{"league": str, "matches": [...]}``. Each match mirrors the
-    CSV fields; its ``goals`` entries are either token strings as above or
-    objects ``{"side": "H"|"A", "time_s": int, "precision": str}`` for data
-    with better-than-minute resolution. Match length is ``length_min`` or,
+    CSV fields; its ``goals``, when present, is a list whose entries are
+    either token strings as above or objects
+    ``{"side": "H"|"A", "time_s": int, "precision": str}`` for data with
+    better-than-minute resolution. Match length is ``length_min`` or,
     when not a whole number of minutes, ``length_s``. Team names must be
     JSON strings.
 
@@ -220,12 +221,6 @@ class MatchRecord(FrozenRecord):
         _set(self, "away", away)
         _set(self, "goals", goals)
         _set(self, "declared_length_s", declared_length_s)
-
-    @property
-    def final_score(self) -> tuple[int, int]:
-        """(home goals, away goals) at the final whistle."""
-        home = sum(1 for g in self.goals if g.side is Side.HOME)
-        return home, len(self.goals) - home
 
 
 class SeasonDataset(FrozenRecord):
@@ -501,14 +496,18 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
         try:
             if not isinstance(obj, dict):
                 raise MalformedRowError("match entry must be an object")
-            if obj.get("length_min") is not None and obj.get("length_s") is not None:
+            length_min, length_s = obj.get("length_min"), obj.get("length_s")
+            if length_min is not None and length_s is not None:
                 raise MalformedRowError("give length_min or length_s, not both")
             declared = None
-            if obj.get("length_min") is not None:
-                declared = _require_int(obj["length_min"], "length_min") * SECONDS_PER_MINUTE
-            elif obj.get("length_s") is not None:
-                declared = _require_int(obj["length_s"], "length_s")
-            goals = [_parse_json_goal(entry, tokens) for entry in obj.get("goals", ())]
+            if length_min is not None:
+                declared = _require_int(length_min, "length_min") * SECONDS_PER_MINUTE
+            elif length_s is not None:
+                declared = _require_int(length_s, "length_s")
+            entries = obj.get("goals", [])
+            if type(entries) is not list:
+                raise MalformedRowError(f"goals must be a list, got {entries!r}")
+            goals = [_parse_json_goal(entry, tokens) for entry in entries]
             matches.append(
                 MatchRecord(
                     round=_require_int(obj["round"], "round"),

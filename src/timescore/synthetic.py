@@ -78,13 +78,11 @@ def synthetic_match(
     )
 
 
-def synthetic_season(
-    seed: int, teams: Sequence[str], league_name: str = ""
-) -> SeasonDataset:
+def synthetic_season(seed: int, teams: Sequence[str]) -> SeasonDataset:
     """A complete double round-robin season with seeded random scorelines."""
     rng = random.Random(seed)
     matches = []
     for round_no, pairs in enumerate(double_round_robin(teams), start=1):
         for home, away in pairs:
             matches.append(synthetic_match(rng, round_no, home, away))
-    return SeasonDataset(league_name=league_name, matches=tuple(matches))
+    return SeasonDataset(matches=tuple(matches))

@@ -7,38 +7,10 @@ always sum exactly to the effective match length.
 
 from __future__ import annotations
 
-from .ingest import REGULATION_LENGTH_S, FrozenRecord, MatchRecord, Side
+from .ingest import REGULATION_LENGTH_S, MatchRecord, Side
 
 # Bound once: an enum member lookup costs several times a global's, once per goal.
 _HOME = Side.HOME
-
-
-class SegmentBreakdown(FrozenRecord):
-    """Durations (seconds) the home side spent leading, level and trailing.
-
-    Away-side durations are the mirror image: the away side leads exactly
-    while the home side trails, and level time is shared.
-    """
-
-    __slots__ = ("t_win_home", "t_draw", "t_lose_home", "t_match")
-    t_win_home: int
-    t_draw: int
-    t_lose_home: int
-    t_match: int
-
-    def __init__(self, t_win_home: int, t_draw: int, t_lose_home: int, t_match: int) -> None:
-        if min(t_win_home, t_draw, t_lose_home) < 0:
-            raise ValueError("segment durations must be non-negative")
-        if t_win_home + t_draw + t_lose_home != t_match:
-            raise ValueError(
-                f"durations {t_win_home}+{t_draw}+{t_lose_home} "
-                f"do not sum to the match length {t_match}"
-            )
-        _set = object.__setattr__
-        _set(self, "t_win_home", t_win_home)
-        _set(self, "t_draw", t_draw)
-        _set(self, "t_lose_home", t_lose_home)
-        _set(self, "t_match", t_match)
 
 
 def effective_length(match: MatchRecord) -> int:
@@ -80,8 +52,3 @@ def timeline(match: MatchRecord) -> tuple[int, int, int, int, int, int]:
     else:
         lose += tail
     return win, draw, lose, t_match, home, away
-
-
-def segment(match: MatchRecord) -> SegmentBreakdown:
-    """The validated leading/level/trailing breakdown of :func:`timeline`."""
-    return SegmentBreakdown(*timeline(match)[:4])

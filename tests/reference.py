@@ -1,10 +1,12 @@
-"""Reference code for the tests: the paper's award formulas and a step-by-step segmenter.
+"""Reference code for the tests: the paper's award formulas, a step-by-step segmenter
+and a goal count.
 
 ``paper_awards`` scores a match straight from the definitions of the four
 systems in ``Fraction`` arithmetic. It shares no code with the package's
 integer scoring rule, so a test that compares the season ledger with it
 compares two independent codings. ``package_awards`` scores one match the way
-the CLI does, through a one-match :class:`SeasonLedger`.
+the CLI does, through a one-match :class:`SeasonLedger`. ``segment_oracle`` and
+``final_score`` recompute what :func:`timeline` returns without its walk.
 """
 
 from fractions import Fraction
@@ -12,15 +14,18 @@ from fractions import Fraction
 from timescore.ingest import MatchRecord, SeasonDataset, Side
 from timescore.scoring import ScoringSystem, WeightTriple
 from timescore.standings import SeasonLedger
-from timescore.timeline import SegmentBreakdown, effective_length, segment
+from timescore.timeline import effective_length, timeline
 
 PAPER_WEIGHTS = WeightTriple(3, 1, 0)
 
 
-def _time_share(seg: SegmentBreakdown, weights: WeightTriple) -> tuple[Fraction, Fraction]:
+Breakdown = tuple[int, int, int, int]  # the home side's (leading, level, trailing, T) seconds
+
+
+def _time_share(seg: Breakdown, weights: WeightTriple) -> tuple[Fraction, Fraction]:
     """(alpha_w*T_lead + alpha_d*T_level + alpha_l*T_trail) / T for (home, away)."""
     w, d, l = weights.alpha_w, weights.alpha_d, weights.alpha_l
-    lead, level, trail, t = seg.t_win_home, seg.t_draw, seg.t_lose_home, seg.t_match
+    lead, level, trail, t = seg
     return (w * lead + d * level + l * trail) / t, (w * trail + d * level + l * lead) / t
 
 
@@ -29,18 +34,18 @@ def _classic(goals_for: int, goals_against: int) -> int:
 
 
 def paper_awards(
-    seg: SegmentBreakdown,
-    final_score: tuple[int, int],
+    seg: Breakdown,
+    score: tuple[int, int],
     system: ScoringSystem,
     weights: WeightTriple = PAPER_WEIGHTS,
 ) -> tuple[Fraction, Fraction]:
-    """(home, away) points of a match with breakdown ``seg`` that ended ``final_score``.
+    """(home, away) points of a match with breakdown ``seg`` that ended ``score``.
 
     classic is 3/1/0; time is the time share under ``weights``; mixed is
     (time share at 3,1,0 + classic) / 2; goaldiff is (time share at 3,1,0 +
     classic + the goal difference clamped to 0..3) / 3.
     """
-    hg, ag = final_score
+    hg, ag = score
     classic = (Fraction(_classic(hg, ag)), Fraction(_classic(ag, hg)))
     if system is ScoringSystem.CLASSIC:
         return classic
@@ -57,8 +62,8 @@ def paper_awards(
 def paper_match_awards(
     match: MatchRecord, system: ScoringSystem, weights: WeightTriple = PAPER_WEIGHTS
 ) -> tuple[Fraction, Fraction]:
-    """:func:`paper_awards` for ``match``, segmented by the package's ``segment``."""
-    return paper_awards(segment(match), match.final_score, system, weights)
+    """:func:`paper_awards` for ``match``, segmented by the package's ``timeline``."""
+    return paper_awards(timeline(match)[:4], final_score(match), system, weights)
 
 
 def package_awards(match: MatchRecord, rule) -> tuple[Fraction, Fraction]:
@@ -70,14 +75,14 @@ def package_awards(match: MatchRecord, rule) -> tuple[Fraction, Fraction]:
     return Fraction(home, den), Fraction(away, den)
 
 
-def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> SegmentBreakdown:
+def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:
     """Reference implementation: step the clock and classify each step.
 
     Simulates the score at ``resolution_s``-second steps, classifying each
     step by the score sign at the step's start (a goal at time t counts from
     the step starting at t). A trailing remainder shorter than the resolution
     is handled as one final short step. At 1-second resolution this equals
-    :func:`segment` exactly; it exists as an independently-coded check.
+    ``timeline(match)[:4]`` exactly; it exists as an independently-coded check.
     """
     if resolution_s < 1:
         raise ValueError("resolution must be a positive number of seconds")
@@ -102,4 +107,10 @@ def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> SegmentBreakdow
         else:
             lose += step
         t += step
-    return SegmentBreakdown(win, draw, lose, t_match)
+    return win, draw, lose, t_match
+
+
+def final_score(match: MatchRecord) -> tuple[int, int]:
+    """(home goals, away goals) at the final whistle, counted apart from :func:`timeline`."""
+    home = sum(1 for g in match.goals if g.side is Side.HOME)
+    return home, len(match.goals) - home

@@ -18,7 +18,7 @@ from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side, parse_season
 from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, scoring_rule
 from timescore.standings import LeagueTable, SeasonLedger, TableRow
-from timescore.timeline import SegmentBreakdown, segment
+from timescore.timeline import timeline
 
 ROOT = Path(__file__).resolve().parent.parent
 SEASON_CSV = ROOT / "data" / "synthetic_season.csv"
@@ -36,12 +36,12 @@ def test_criterion_01_sum_identity_for_random_weights():
     rng = random.Random(24680)
     triples = [random_weight_triple(rng) for _ in range(20)]
     start = time.perf_counter()
-    segments = [segment(match) for match in CORPUS]
-    for weights, (match, seg) in itertools.product(triples, zip(CORPUS, segments)):
+    draw_shares = [Fraction(walk[1], walk[3]) for walk in map(timeline, CORPUS)]
+    for weights, (match, draw_share) in itertools.product(triples, zip(CORPUS, draw_shares)):
         home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
         expected = (weights.alpha_w + weights.alpha_l) + (
             2 * weights.alpha_d - weights.alpha_w - weights.alpha_l
-        ) * Fraction(seg.t_draw, seg.t_match)
+        ) * draw_share
         assert home + away == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 5, f"took {elapsed:.2f}s, budget is 5s"
@@ -64,9 +64,7 @@ def test_criterion_02_default_weights_ranges():
 def test_criterion_03_thirty_minute_lead_equals_goalless_draw():
     # No goal sequence leads 30' then trails 60' without a level second, so
     # the paper formula scores that breakdown.
-    lead_then_trail, _ = paper_awards(
-        SegmentBreakdown(1800, 0, 3600, 5400), (1, 2), ScoringSystem.TIME
-    )
+    lead_then_trail, _ = paper_awards((1800, 0, 3600, 5400), (1, 2), ScoringSystem.TIME)
     goalless, _ = package_awards(MatchRecord(1, "Home", "Away"), TIME)
     assert lead_then_trail == Fraction(1)
     assert lead_then_trail == goalless
@@ -113,10 +111,10 @@ def test_criterion_06_segment_matches_oracle_at_one_second():
     assert any(g.time_s > 5400 for m in CORPUS for g in m.goals), "corpus lacks stoppage goals"
     start = time.perf_counter()
     for match in CORPUS:
-        assert segment(match) == segment_oracle(match, 1)
+        assert timeline(match)[:4] == segment_oracle(match, 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"took {elapsed:.2f}s, budget is 30s"
-    _ok(6, f"segment equals 1-second oracle on 1000 matches incl. stoppage time ({elapsed:.2f}s)")
+    _ok(6, f"timeline equals 1-second oracle on 1000 matches incl. stoppage time ({elapsed:.2f}s)")
 
 
 def test_criterion_07_mixed_final_points_are_exact_means():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timescore.display import format_decimal, format_ratio, format_ratios
+from timescore.display import format_decimal, format_ratios
 
 
 @pytest.mark.parametrize(
@@ -24,7 +24,7 @@ from timescore.display import format_decimal, format_ratio, format_ratios
 )
 def test_format_ratio_exact_halves_and_negatives(num, den, decimals, expected):
     for k in (1, 3, 10**40):
-        assert format_ratio(num * k, den * k, decimals) == expected
+        assert format_ratios((num * k,), den * k, decimals) == [expected]
     assert format_decimal(Fraction(num, den), decimals) == expected
 
 
@@ -36,9 +36,9 @@ def test_format_ratio_exact_halves_and_negatives(num, den, decimals, expected):
     st.booleans(),
 )
 def test_unreduced_ratio_renders_like_reduced_fraction(num, den, k, decimals, comma):
-    assert format_ratio(num * k, den * k, decimals, comma=comma) == format_decimal(
-        Fraction(num, den), decimals, comma=comma
-    )
+    assert format_ratios((num * k,), den * k, decimals, comma=comma) == [
+        format_decimal(Fraction(num, den), decimals, comma=comma)
+    ]
 
 
 def _rendered_by_hand(num, den, decimals, comma):

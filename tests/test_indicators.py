@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matchgen import random_season
-from reference import paper_match_awards
+from reference import final_score, paper_match_awards
 from timescore.display import format_decimal
 from timescore.errors import EmptySeasonError, TooFewTeamsError, WrongSystemError
 from timescore.indicators import (
@@ -190,9 +190,7 @@ class TestPointsEcdf:
         steps = ecdf_counts(ledger.awards(CLASSIC))
         lookup = {Fraction(value, den): count for value, count in steps}
         assert set(lookup) <= {0, 1, 3}
-        losses = sum(
-            1 for m in season.matches if m.final_score[0] != m.final_score[1]
-        )
+        losses = sum(hg != ag for hg, ag in map(final_score, season.matches))
         draws = 2 * (len(season.matches) - losses)
         assert lookup[0] == losses
         assert lookup[1] == losses + draws

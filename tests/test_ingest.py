@@ -27,7 +27,6 @@ from timescore.ingest import (
     serialize_season,
 )
 from timescore.scoring import ScoringSystem, WeightTriple
-from timescore.timeline import SegmentBreakdown
 
 HEADER = "round,home,away,goals,length_min\n"
 
@@ -336,6 +335,27 @@ def test_json_goal_object_errors_name_the_bad_field(goal, message):
     assert str(excinfo.value) == f"MALFORMED_ROW: match 1: {message}"
 
 
+@pytest.mark.parametrize(
+    "goals,shown",
+    [
+        ('""', "''"),
+        ("{}", "{}"),
+        ('"H:10"', "'H:10'"),
+        ("null", "None"),
+        ('{"side": "H", "time_s": 10}', "{'side': 'H', 'time_s': 10}"),
+    ],
+    ids=["empty_string", "empty_object", "token_string", "null", "goal_object"],
+)
+def test_json_goals_must_be_a_list(goals, shown):
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_season(_json_match(f'"goals": {goals}'), "json")
+    assert str(excinfo.value) == f"MALFORMED_ROW: match 1: goals must be a list, got {shown}"
+
+
+def test_json_match_without_goals_is_goalless():
+    assert parse_season(_json_match('"length_s": 5400'), "json").matches[0].goals == ()
+
+
 def test_json_integer_too_long_to_convert_is_malformed():
     with pytest.raises(MalformedRowError):
         parse_season(_json_match('"length_s": 1' + "0" * 5000), "json")
@@ -348,7 +368,13 @@ def test_json_rejects_both_length_keys():
     )
     with pytest.raises(MalformedRowError) as excinfo:
         parse_season(doc, "json")
-    assert "match 1" in str(excinfo.value)
+    assert str(excinfo.value) == "MALFORMED_ROW: match 1: give length_min or length_s, not both"
+
+
+def test_json_non_integer_length_names_the_field():
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_season(_json_match('"length_min": 95.5'), "json")
+    assert str(excinfo.value) == "MALFORMED_ROW: match 1: length_min must be an integer, got 95.5"
 
 
 def test_json_syntax_error_reports_line():
@@ -465,8 +491,6 @@ _MATCH = MatchRecord(1, "Alpha", "Beta", (_GOAL,), 5700)
         (MatchRecord, ("round", "home", "away", "goals", "declared_length_s"),
          (1, "Alpha", "Beta", (_GOAL,), 5700), (1, "Alpha", "Beta", (_GOAL,), None)),
         (SeasonDataset, ("league_name", "matches"), ("L", (_MATCH,)), ("M", (_MATCH,))),
-        (SegmentBreakdown, ("t_win_home", "t_draw", "t_lose_home", "t_match"),
-         (10, 20, 30, 60), (10, 30, 20, 60)),
         (WeightTriple, ("alpha_w", "alpha_d", "alpha_l"),
          (Fraction(3), Fraction(1), Fraction(0)), (Fraction(2), Fraction(1), Fraction(0))),
     ],

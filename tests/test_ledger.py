@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from reference import paper_match_awards
+from reference import final_score, paper_match_awards
 from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
@@ -36,7 +36,7 @@ def _expected_rounds(season: SeasonDataset, system, weights):
             if match.round != round_no:
                 continue
             home_pts, away_pts = paper_match_awards(match, system, weights)
-            hg, ag = match.final_score
+            hg, ag = final_score(match)
             points[match.home] += home_pts
             points[match.away] += away_pts
             goals_for[match.home] += hg

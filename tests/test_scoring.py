@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import match_records, weight_triples
-from reference import package_awards, paper_awards, paper_match_awards
+from reference import final_score, package_awards, paper_awards, paper_match_awards
 from timescore.ingest import GoalEvent, MatchRecord, Side
 from timescore.scoring import (
     DEFAULT_WEIGHTS,
@@ -15,7 +15,7 @@ from timescore.scoring import (
     goal_diff_value,
     scoring_rule,
 )
-from timescore.timeline import SegmentBreakdown, segment
+from timescore.timeline import timeline
 
 GOALLESS = MatchRecord(1, "Home", "Away")
 ONE_NIL_AT_THIRTY = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 1800),))
@@ -64,7 +64,7 @@ class TestTimePoints:
         # Leading a third of the match and trailing the rest is worth exactly
         # the same as being level throughout. No goal sequence gives this
         # breakdown, so the paper formula scores it.
-        home, _ = paper_awards(SegmentBreakdown(1800, 0, 3600, 5400), (1, 2), ScoringSystem.TIME)
+        home, _ = paper_awards((1800, 0, 3600, 5400), (1, 2), ScoringSystem.TIME)
         assert home == 1
         assert home == package_awards(GOALLESS, TIME)[0]
 
@@ -72,8 +72,8 @@ class TestTimePoints:
         home, away = package_awards(ONE_NIL_AT_THIRTY, TIME)
         assert home == Fraction(7, 3)
         assert away == Fraction(1, 3)
-        seg = segment(ONE_NIL_AT_THIRTY)
-        assert home + away == 3 - Fraction(seg.t_draw, seg.t_match)
+        _, draw, _, t_match, _, _ = timeline(ONE_NIL_AT_THIRTY)
+        assert home + away == 3 - Fraction(draw, t_match)
 
     def test_custom_weights(self):
         rule = scoring_rule(ScoringSystem.TIME, WeightTriple(2, 1, 0))
@@ -125,7 +125,7 @@ class TestGoalDiffPoints:
     def test_goal_difference_caps_at_three(self):
         goals = tuple(GoalEvent(Side.HOME, 600 * (i + 1)) for i in range(4))
         match = MatchRecord(1, "Home", "Away", goals)
-        assert goal_diff_value(*match.final_score) == 3
+        assert goal_diff_value(*final_score(match)) == 3
 
     @pytest.mark.parametrize(
         "gf,ga,expected", [(0, 0, 0), (0, 2, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3), (5, 1, 3)]
@@ -141,11 +141,11 @@ class TestGoalDiffPoints:
 @given(match_records(), weight_triples())
 @settings(max_examples=120)
 def test_sum_identity_for_general_weights(match, weights):
-    seg = segment(match)
+    _, draw, _, t_match, _, _ = timeline(match)
     home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
     expected = (weights.alpha_w + weights.alpha_l) + (
         2 * weights.alpha_d - weights.alpha_w - weights.alpha_l
-    ) * Fraction(seg.t_draw, seg.t_match)
+    ) * Fraction(draw, t_match)
     assert home + away == expected
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from matchgen import random_season
-from reference import paper_match_awards
+from reference import final_score, paper_match_awards
 from timescore.errors import EmptySeasonError
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
 from timescore.scoring import ScoringSystem, scoring_rule
@@ -15,7 +15,7 @@ from timescore.standings import (
     percent_of_leader,
     rank_moves,
 )
-from timescore.timeline import segment
+from timescore.timeline import timeline
 
 
 def _goal(side, minute):
@@ -238,15 +238,15 @@ class TestTotals:
         total = sum((row.points for row in table.rows), Fraction(0))
         expected = Fraction(0)
         for match in season.matches:
-            seg = segment(match)
-            expected += 3 - Fraction(seg.t_draw, seg.t_match)
+            _, draw, _, t_match, _, _ = timeline(match)
+            expected += 3 - Fraction(draw, t_match)
         assert total == expected
 
     def test_classic_total_counts_decisive_and_drawn(self):
         season = random_season(random.Random(8))
         table = SeasonLedger(season).final(CLASSIC).table()
         total = sum((row.points for row in table.rows), Fraction(0))
-        decisive = sum(1 for m in season.matches if m.final_score[0] != m.final_score[1])
+        decisive = sum(hg != ag for hg, ag in map(final_score, season.matches))
         drawn = len(season.matches) - decisive
         assert total == 3 * decisive + 2 * drawn
 

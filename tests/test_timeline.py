@@ -84,6 +84,12 @@ class TestSegmentOracle:
 
 @given(match_records())
 @settings(max_examples=150)
+def test_segment_equals_oracle_at_one_second(match):
+    assert timeline(match)[:4] == segment_oracle(match, 1)
+
+
+@given(match_records())
+@settings(max_examples=150)
 def test_timeline_counts_the_final_score_and_equals_the_oracle(match):
     assert timeline(match) == segment_oracle(match, 1) + final_score(match)
 

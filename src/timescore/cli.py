@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .display import format_decimal
+from .display import format_ratios
 from .indicators import (
     draws_to_wins,
     ecdf_counts,
@@ -31,7 +31,7 @@ from .indicators import (
 )
 from .ingest import SeasonFormat, parse_season
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
-from .standings import LeagueTable, SeasonLedger, evolution_to_csv, percent_of_leader
+from .standings import SeasonLedger, Standings, evolution_to_csv, percent_of_leader
 
 
 def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
@@ -59,61 +59,57 @@ def _infer_format(path: Path, fmt: str | None) -> SeasonFormat:
 
 
 def build_comparison_csv(
-    tables: Sequence[LeagueTable],
+    finals: Sequence[Standings],
+    draws: Sequence[int],
     *,
     decimals: int = 2,
     comma: bool = False,
 ) -> str:
-    """Side-by-side comparison of final tables, one rank-aligned block per system.
+    """Side-by-side comparison of final standings, one rank-aligned block per system.
 
     A time block gets a minutes-to-overtake column and a classic block gets a
-    draws-to-wins column; the top row has no metric in either.
+    draws-to-wins column; the top row has no metric in either. ``draws`` is
+    each team's drawn matches (:attr:`SeasonLedger.draws`); a draws-to-wins
+    count capped at them renders as ``N*``.
     """
     header = ["rank"]
-    for table in tables:
-        name = table.system.value
+    columns: list[list[str]] = []
+    for standings in finals:
+        name = standings.rule.system.value
         header += [f"{name}_team", f"{name}_points", f"{name}_pct_of_1st"]
-    time_table = next((t for t in tables if t.system is ScoringSystem.TIME), None)
-    classic_table = next((t for t in tables if t.system is ScoringSystem.CLASSIC), None)
-    if time_table is not None:
+        order, points = standings.order, standings.points
+        percents, leader = percent_of_leader(standings)
+        columns += (
+            [standings.teams[i] for i in order],
+            format_ratios([points[i] for i in order], standings.den, decimals, comma=comma),
+            format_ratios(percents, leader, 0, comma=comma),
+        )
+    time_final = next((s for s in finals if s.rule.system is ScoringSystem.TIME), None)
+    classic_final = next((s for s in finals if s.rule.system is ScoringSystem.CLASSIC), None)
+    if time_final is not None:
         header.append("time_min_to_upper")
-    if classic_table is not None:
+        nums, den = minutes_to_upper(time_final)
+        columns.append(["", *format_ratios(nums, den, 0, comma=comma)])
+    if classic_final is not None:
         header.append("classic_draws_to_wins")
-
-    percents = [percent_of_leader(table) for table in tables]
-    time_metrics = minutes_to_upper(time_table) if time_table is not None else []
-    classic_metrics = draws_to_wins(classic_table) if classic_table is not None else []
+        metrics = draws_to_wins(classic_final, draws)
+        columns.append(["", *(f"{n}*" if capped else str(n) for n, capped in metrics)])
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for i in range(len(tables[0].rows)):
-        row: list[str] = [str(i + 1)]
-        for table, pcts in zip(tables, percents):
-            table_row = table.rows[i]
-            row += [
-                table_row.team,
-                format_decimal(table_row.points, decimals, comma=comma),
-                format_decimal(pcts[i], 0, comma=comma),
-            ]
-        if time_table is not None:
-            row.append(
-                ""
-                if i == 0
-                else format_decimal(time_metrics[i - 1].minutes_to_upper, 0, comma=comma)
-            )
-        if classic_table is not None:
-            row.append("" if i == 0 else str(classic_metrics[i - 1].draws_to_wins))
-        writer.writerow(row)
+    writer.writerows([rank, *cells] for rank, cells in enumerate(zip(*columns), start=1))
     return out.getvalue()
 
 
 def table_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
-    """table.csv: the final tables side by side."""
-    tables = [ledger.final(rule).table() for rule in rules]
-    return {"table.csv": build_comparison_csv(tables, decimals=decimals, comma=comma)}
+    """table.csv: the final standings, the last of each rule's rounds, side by side."""
+    finals = [list(ledger.rounds(rule))[-1] for rule in rules]
+    return {
+        "table.csv": build_comparison_csv(finals, ledger.draws, decimals=decimals, comma=comma)
+    }
 
 
 def evolution_report(

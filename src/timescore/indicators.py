@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -17,7 +16,7 @@ from .display import format_decimal, format_ratios
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
 from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple
-from .standings import LeagueTable, SeasonLedger, leadership, percent_of_leader, rank_moves
+from .standings import SeasonLedger, Standings, leadership, percent_of_leader, rank_moves
 
 
 class IndicatorBundle(NamedTuple):
@@ -32,101 +31,72 @@ class IndicatorBundle(NamedTuple):
     avg_points_per_team_game: Fraction
 
 
-class OvertakeMetric(NamedTuple):
-    """What one team would need to overtake the team ranked directly above it.
-
-    ``minutes_to_upper`` is filled for time-share tables (how many minutes
-    earlier a single victory goal would need to fall); ``draws_to_wins`` for
-    classic tables (how many drawn matches converted to wins close the gap).
-    ``precision_limited`` flags sub-minute answers that minute-resolution data
-    cannot support; ``capped`` flags a draws→wins count limited by the team's
-    actual draw count.
-    """
-
-    team: str
-    deficit_pts: Fraction
-    minutes_to_upper: Fraction | None = None
-    draws_to_wins: int | None = None
-    precision_limited: bool = False
-    capped: bool = False
-
-
-def gaps(table: LeagueTable) -> tuple[Fraction, Fraction, Fraction]:
-    """Percentage points deficits of the 3rd, 9th and last rows to the leader.
+def gaps(standings: Standings) -> tuple[Fraction, Fraction, Fraction]:
+    """Percentage points deficits of the 3rd, 9th and last teams to the leader.
 
     Each gap is 100*(P_1 - P_k)/P_1, so the leader must have positive points
-    (NON_POSITIVE_LEADER otherwise). Tables shorter than nine rows fall back
-    to the last row for the 9th-place gap.
+    (NON_POSITIVE_LEADER otherwise). Leagues of fewer than nine teams fall
+    back to the last team for the 9th-place gap.
     """
-    rows = table.rows
-    if len(rows) < 3:
-        raise TooFewTeamsError(f"need at least 3 teams, got {len(rows)}")
-    percents = percent_of_leader(table)
-    return 100 - percents[2], 100 - percents[min(9, len(rows)) - 1], 100 - percents[-1]
+    n = len(standings.teams)
+    if n < 3:
+        raise TooFewTeamsError(f"need at least 3 teams, got {n}")
+    percents, leader = percent_of_leader(standings)
+    third, ninth, last = (Fraction(percents[k], leader) for k in (2, min(9, n) - 1, n - 1))
+    return 100 - third, 100 - ninth, 100 - last
 
 
 def minutes_for_deficit(deficit: Fraction, weights: WeightTriple = DEFAULT_WEIGHTS) -> Fraction:
-    """Minutes earlier a single victory goal must fall to recover ``deficit`` points.
+    """``deficit`` points as minutes of leading instead of level time in a 90-minute match.
 
-    Anticipating a winning goal by m minutes converts m minutes of the
-    scorer's level time into leading time, worth (alpha_w - alpha_d)*m/T_match
-    points, so m = deficit * T_match / (alpha_w - alpha_d), with T_match the
-    90-minute regulation length.
+    A minute of level time turned into leading time is worth
+    (alpha_w - alpha_d)/T_match points, with T_match the 90-minute regulation
+    length, so m = deficit * T_match / (alpha_w - alpha_d). This is a unit
+    conversion. It is how much earlier one go-ahead goal from level must fall
+    only in a 90-minute match (a longer one needs more minutes) and only up to
+    a deficit of alpha_w - alpha_d, which takes all 90 minutes; a larger
+    deficit reads past 90.
     """
     t_match_min = Fraction(REGULATION_LENGTH_S, SECONDS_PER_MINUTE)
     return deficit * t_match_min / (weights.alpha_w - weights.alpha_d)
 
 
-def minutes_to_upper(table: LeagueTable) -> list[OvertakeMetric]:
-    """Per team below the top: minutes to erase the deficit to the row above.
+def minutes_to_upper(standings: Standings) -> tuple[list[int], int]:
+    """Per team below the top: its deficit to the team above, in :func:`minutes_for_deficit`.
 
-    Only meaningful for time-share tables (WRONG_SYSTEM otherwise). The leader
-    has no metric, so the list covers ranks 2..n in order. Deficits under one
-    minute are flagged precision-limited: minute-resolution goal data cannot
-    distinguish them.
+    Only meaningful for time standings (WRONG_SYSTEM otherwise). The leader
+    has no metric, so the numerators cover ranks 2..n in order; they share
+    one denominator, returned with them.
     """
-    if table.system is not ScoringSystem.TIME:
+    if standings.rule.system is not ScoringSystem.TIME:
         raise WrongSystemError(
-            f"minutes-to-upper applies to time tables, got {table.system.value!r}"
+            f"minutes-to-upper applies to time tables, got {standings.rule.system.value!r}"
         )
-    metrics = []
-    for above, row in zip(table.rows, table.rows[1:]):
-        deficit = above.points - row.points
-        minutes = minutes_for_deficit(deficit, table.weights)
-        metrics.append(
-            OvertakeMetric(
-                team=row.team,
-                deficit_pts=deficit,
-                minutes_to_upper=minutes,
-                precision_limited=0 < minutes < 1,
-            )
-        )
-    return metrics
+    # The conversion is linear, so one point's worth scales every deficit.
+    per_point = minutes_for_deficit(Fraction(1), standings.rule.weights)
+    order, points = standings.order, standings.points
+    nums = [(points[a] - points[b]) * per_point.numerator for a, b in zip(order, order[1:])]
+    return nums, standings.den * per_point.denominator
 
 
-def draws_to_wins(table: LeagueTable) -> list[OvertakeMetric]:
-    """Per team below the top: drawn matches to convert into wins to catch the row above.
+def draws_to_wins(standings: Standings, draws: Sequence[int]) -> list[tuple[int, bool]]:
+    """Per team below the top: drawn matches to convert into wins to catch the team above.
 
-    Classic tables only (WRONG_SYSTEM otherwise). Each conversion gains two
-    points, so the raw answer is ceil(deficit/2); it is capped at the team's
-    actual draw count, with ``capped`` set when the cap binds.
+    Classic standings only (WRONG_SYSTEM otherwise). Each conversion gains two
+    points, so the raw answer is ceil(deficit/2). It is capped at the team's
+    drawn matches, ``draws`` indexed like ``standings.teams``; each entry is
+    (count, whether the cap binds), for ranks 2..n in order.
     """
-    if table.system is not ScoringSystem.CLASSIC:
+    if standings.rule.system is not ScoringSystem.CLASSIC:
         raise WrongSystemError(
-            f"draws-to-wins applies to classic tables, got {table.system.value!r}"
+            f"draws-to-wins applies to classic tables, got {standings.rule.system.value!r}"
         )
+    order, points, twice_den = standings.order, standings.points, 2 * standings.den
     metrics = []
-    for above, row in zip(table.rows, table.rows[1:]):
-        deficit = above.points - row.points
-        raw = math.ceil(deficit / 2)
-        metrics.append(
-            OvertakeMetric(
-                team=row.team,
-                deficit_pts=deficit,
-                draws_to_wins=min(raw, row.draws),
-                capped=raw > row.draws,
-            )
-        )
+    for above, team in zip(order, order[1:]):
+        # ceil(deficit/2) in ints: -floor(-x) == ceil(x).
+        raw = -((points[team] - points[above]) // twice_den)
+        metrics.append((min(raw, draws[team]), raw > draws[team]))
     return metrics
 
 
@@ -151,7 +121,7 @@ def indicator_bundle(ledger: SeasonLedger, rule: ScoringRule) -> IndicatorBundle
     orders = []
     for standings in ledger.rounds(rule):
         orders.append(standings.order)
-    gap_3, gap_9, gap_last = gaps(standings.table())
+    gap_3, gap_9, gap_last = gaps(standings)
     leads = leadership([ledger.teams[order[0]] for order in orders])
     return IndicatorBundle(
         gap_1_3_pct=gap_3,

@@ -1,7 +1,7 @@
-"""The season ledger, league tables, round-by-round evolution and rank-movement statistics.
+"""The season ledger, round-by-round standings and rank-movement statistics.
 
 Team points are integers over one denominator per scoring system, ranked on
-integer keys; they become ``Fraction`` only where a table row is built.
+integer keys; they become ``Fraction`` only in the indicators that are ratios.
 """
 
 from __future__ import annotations
@@ -12,31 +12,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .display import format_decimal, format_ratios
+from .display import format_ratios
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
 from .ingest import MatchRecord, SeasonDataset
-from .scoring import ScoringRule, ScoringSystem, WeightTriple, final_result, goal_diff_value
+from .scoring import ScoringRule, final_result, goal_diff_value
 from .timeline import effective_length, timeline
-
-
-class TableRow(NamedTuple):
-    team: str
-    points: Fraction
-    played: int
-    wins: int
-    draws: int
-    losses: int
-    goals_for: int
-    goal_diff: int
-    rank: int
-
-
-class LeagueTable(NamedTuple):
-    """A ranked table plus the system/weights it was computed under."""
-
-    system: ScoringSystem
-    weights: WeightTriple
-    rows: tuple[TableRow, ...]
 
 
 # The most bits the lcm of a season's match lengths may have. An lcm past it is
@@ -52,77 +32,52 @@ class LeadershipStats(NamedTuple):
     distinct_leaders: int
 
 
-# Where a 3/1/0 result is counted in a team's (wins, draws, losses).
-_WDL_SLOT = {3: 0, 1: 1, 0: 2}
-
-
-class RoundTotals(NamedTuple):
-    """Every team's rule-independent totals after one round, indexed like the ledger's teams.
-
-    ``wdl[3*i:3*i + 3]`` is team i's (wins, draws, losses). ``tiebreak`` lists
-    the team indices by goal difference desc, goals scored desc, name asc.
-    """
-
-    goals_for: list[int]
-    goal_diff: list[int]
-    wdl: list[int]
-    tiebreak: list[int]
-
-
 class Standings:
     """Cumulative standings under one rule after some round, indexed like ``teams``.
 
-    ``points[i] / den`` is team i's exact points total and ``totals`` holds
-    the round's goals and results. ``order`` lists the team indices by rank.
-    A :meth:`SeasonLedger.rounds` stream updates one object in place, so read
-    it before asking for the next round.
+    ``points[i] / den`` is team i's exact points total and ``appearances``
+    counts the team appearances so far. ``order`` lists the team indices by
+    rank. A :meth:`SeasonLedger.rounds` stream updates one object in place, so
+    read it before asking for the next round.
     """
 
-    __slots__ = ("teams", "rule", "den", "points", "totals", "order")
+    __slots__ = ("teams", "rule", "den", "points", "appearances", "_tiebreak", "_order")
 
     def __init__(self, teams: tuple[str, ...], rule: ScoringRule, den: int) -> None:
         self.teams = teams
         self.rule = rule
         self.den = den
         self.points = [0] * len(teams)
+        self.appearances = 0
+        self._tiebreak: Sequence[int] = range(len(teams))
+        self._order: list[int] | None = None
 
-    def add(self, sides: list[int], awards: list[int]) -> None:
-        """Add one round's awards; ``sides`` names the team index of each."""
+    def add(self, sides: list[int], awards: list[int], tiebreak: Sequence[int]) -> None:
+        """Add one round's awards; ``sides`` names the team index of each.
+
+        ``tiebreak`` lists the team indices by goal difference desc, goals
+        scored desc, name asc, after this round.
+        """
         points = self.points
         for team, award in zip(sides, awards):
             points[team] += award
+        self.appearances += len(sides)
+        self._tiebreak = tiebreak
+        self._order = None
 
-    def rank(self, totals: RoundTotals) -> None:
-        # Tie-break: points desc, goal difference desc, goals scored desc, name
-        # asc. The sort is stable, also with reverse=True, so sorting the
-        # round's tie-break order by points applies all four.
-        self.totals = totals
-        self.order = sorted(totals.tiebreak, key=self.points.__getitem__, reverse=True)
+    @property
+    def order(self) -> list[int]:
+        """The team indices by rank, sorted the first time it is read after :meth:`add`."""
+        if self._order is None:
+            # Tie-break: points desc, goal difference desc, goals scored desc,
+            # name asc. The sort is stable, also with reverse=True, so sorting
+            # the round's tie-break order by points applies all four.
+            self._order = sorted(self._tiebreak, key=self.points.__getitem__, reverse=True)
+        return self._order
 
     def average(self) -> Fraction:
         """Mean points per team appearance so far."""
-        return Fraction(sum(self.points), self.den * sum(self.totals.wdl))
-
-    def table(self) -> LeagueTable:
-        """The ranked table with exact ``Fraction`` points."""
-        goals_for, goal_diff, wdl, _ = self.totals
-        rows = []
-        for rank, i in enumerate(self.order, start=1):
-            wins, draws, losses = wdl[3 * i : 3 * i + 3]
-            rows.append(
-                TableRow(
-                    team=self.teams[i],
-                    points=Fraction(self.points[i], self.den),
-                    played=wins + draws + losses,
-                    wins=wins,
-                    draws=draws,
-                    losses=losses,
-                    goals_for=goals_for[i],
-                    goal_diff=goal_diff[i],
-                    rank=rank,
-                )
-            )
-        return LeagueTable(system=self.rule.system, weights=self.rule.weights, rows=tuple(rows))
+        return Fraction(sum(self.points), self.den * self.appearances)
 
 
 class SeasonLedger:
@@ -131,9 +86,9 @@ class SeasonLedger:
     Each round keeps one row of ints per side of each fixture: its leading,
     level and trailing seconds, its 3/1/0 result, its capped goal-difference
     bonus, the match length T and the length factor ``length_lcm // T``,
-    where ``length_lcm`` is the lcm of the distinct match lengths. Totals that
-    no rule changes (goals, goal difference, wins, draws, losses and the
-    tie-break order they imply) are computed once per season. Under a rule,
+    where ``length_lcm`` is the lcm of the distinct match lengths. What no
+    rule changes is computed once per season: each round's tie-break order
+    and each team's season ``draws``. Under a rule,
     awards and totals are integers over ``rule.scale * length_lcm``: each
     award is multiplied by its length factor once, so every other stored
     value stays small.
@@ -157,35 +112,35 @@ class SeasonLedger:
             by_round[match.round - 1].append(match)
 
         n = len(self.teams)
-        goals_for, goal_diff, wdl = [0] * n, [0] * n, [0] * (3 * n)
+        goals_for, goal_diff = [0] * n, [0] * n
+        self.draws = [0] * n
         self._sides: list[list[int]] = []
         self._rows: list[list[tuple[int, ...]]] = []
-        self._totals: list[RoundTotals] = []
+        self._tiebreaks: list[list[int]] = []
         for matches in by_round:
             sides, rows = [], []
             for match in matches:
                 win, draw, lose, t, hg, ag = timeline(match)
                 factor = length_factor[t]
                 home, away = index[match.home], index[match.away]
-                home_result, away_result = final_result(hg, ag), final_result(ag, hg)
                 sides += (home, away)
                 rows += (
-                    (win, draw, lose, home_result, goal_diff_value(hg, ag), t, factor),
-                    (lose, draw, win, away_result, goal_diff_value(ag, hg), t, factor),
+                    (win, draw, lose, final_result(hg, ag), goal_diff_value(hg, ag), t, factor),
+                    (lose, draw, win, final_result(ag, hg), goal_diff_value(ag, hg), t, factor),
                 )
                 goals_for[home] += hg
                 goals_for[away] += ag
                 goal_diff[home] += hg - ag
                 goal_diff[away] += ag - hg
-                wdl[3 * home + _WDL_SLOT[home_result]] += 1
-                wdl[3 * away + _WDL_SLOT[away_result]] += 1
+                if hg == ag:
+                    self.draws[home] += 1
+                    self.draws[away] += 1
             # Teams are indexed in name order and the sort is stable, so equal
             # keys stay in name order.
             keys = list(zip(goal_diff, goals_for))
-            tiebreak = sorted(range(n), key=keys.__getitem__, reverse=True)
+            self._tiebreaks.append(sorted(range(n), key=keys.__getitem__, reverse=True))
             self._sides.append(sides)
             self._rows.append(rows)
-            self._totals.append(RoundTotals(goals_for[:], goal_diff[:], wdl[:], tiebreak))
 
     def den(self, rule: ScoringRule) -> int:
         """The common denominator of every award and total under ``rule``."""
@@ -208,20 +163,15 @@ class SeasonLedger:
         return [award for awards in self._round_awards(rule) for award in awards]
 
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
-        """Cumulative standings after each round; one :class:`Standings` updated in place."""
-        standings = Standings(self.teams, rule, self.den(rule))
-        for sides, awards, totals in zip(self._sides, self._round_awards(rule), self._totals):
-            standings.add(sides, awards)
-            standings.rank(totals)
-            yield standings
+        """Cumulative standings after each round; one :class:`Standings` updated in place.
 
-    def final(self, rule: ScoringRule) -> Standings:
-        """The standings after the last round, ranked once."""
+        The last item is the final standings. A round whose ``order`` is never
+        read is never ranked.
+        """
         standings = Standings(self.teams, rule, self.den(rule))
-        for sides, awards in zip(self._sides, self._round_awards(rule)):
-            standings.add(sides, awards)
-        standings.rank(self._totals[-1])
-        return standings
+        for sides, awards, tiebreak in zip(self._sides, self._round_awards(rule), self._tiebreaks):
+            standings.add(sides, awards, tiebreak)
+            yield standings
 
 
 def leadership(leaders: Sequence[str]) -> LeadershipStats:
@@ -241,20 +191,22 @@ def rank_moves(orders: Sequence[Sequence]) -> int:
     )
 
 
-def percent_of_leader(table: LeagueTable) -> tuple[Fraction, ...]:
-    """Each row's points as an exact percentage of the leader's points.
+def percent_of_leader(standings: Standings) -> tuple[list[int], int]:
+    """Each team's points, in rank order, as an exact percentage of the leader's.
 
-    Shares of the leader mean something only when the leader has points, so a
-    leader on zero or fewer points raises NON_POSITIVE_LEADER.
+    Returns the numerators and their one denominator, the leader's points
+    numerator. Shares of the leader mean something only when the leader has
+    points, so a leader on zero or fewer points raises NON_POSITIVE_LEADER.
     """
-    leader = table.rows[0]
-    if leader.points <= 0:
+    order, points = standings.order, standings.points
+    leader = points[order[0]]
+    if leader <= 0:
         raise NonPositiveLeaderError(
-            f"{table.system.value} leader {leader.team} has "
-            f"{format_decimal(leader.points)} points; "
+            f"{standings.rule.system.value} leader {standings.teams[order[0]]} has "
+            f"{format_ratios((leader,), standings.den)[0]} points; "
             "percentages of the leader need a positive leader"
         )
-    return tuple(100 * row.points / leader.points for row in table.rows)
+    return [100 * points[i] for i in order], leader
 
 
 def evolution_to_csv(

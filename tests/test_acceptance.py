@@ -16,8 +16,8 @@ from reference import package_awards, paper_awards, segment_oracle
 from timescore.display import format_decimal
 from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side, parse_season
-from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, scoring_rule
-from timescore.standings import LeagueTable, SeasonLedger, TableRow
+from timescore.scoring import ScoringSystem, scoring_rule
+from timescore.standings import SeasonLedger, Standings
 from timescore.timeline import timeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,17 +76,10 @@ def test_criterion_04_overtake_arithmetic():
     assert minutes == Fraction(3285, 100)
     assert format_decimal(minutes, 0) == "33"
 
-    rows = tuple(
-        TableRow(team=name, points=Fraction(points), played=38, wins=0, draws=draws,
-                 losses=0, goals_for=0, goal_diff=0, rank=rank)
-        for rank, (name, points, draws) in enumerate(
-            [("Lead", 81, 4), ("Chase", 71, 11), ("Third", 60, 6)], start=1
-        )
-    )
-    table = LeagueTable(system=ScoringSystem.CLASSIC, weights=DEFAULT_WEIGHTS, rows=rows)
-    metrics = draws_to_wins(table)
-    assert metrics[0].deficit_pts == 10
-    assert metrics[0].draws_to_wins == 5
+    standings = Standings(("Chase", "Lead", "Third"), scoring_rule(ScoringSystem.CLASSIC), 1)
+    standings.add([0, 1, 2], [71, 81, 60], [0, 1, 2])
+    assert standings.order == [1, 0, 2]
+    assert draws_to_wins(standings, [11, 4, 6]) == [(5, False), (6, False)]
     _ok(4, "deficit 0.73 -> 32.85 min (displays 33); deficit 10 -> 5 draws-to-wins")
 
 
@@ -101,7 +94,8 @@ def test_criterion_05_average_points_denominator():
             MatchRecord(round=i // 10 + 1, home=home, away=away, goals=goals)
         )
     season = SeasonDataset(matches=tuple(matches))
-    average = SeasonLedger(season).final(scoring_rule(ScoringSystem.CLASSIC)).average()
+    *_, final = SeasonLedger(season).rounds(scoring_rule(ScoringSystem.CLASSIC))
+    average = final.average()
     assert average == Fraction(1033, 760)
     assert format_decimal(average, 2) == "1.36"
     _ok(5, "380-fixture season totaling 1033 classic points averages 1033/760 (1.36)")
@@ -122,10 +116,13 @@ def test_criterion_07_mixed_final_points_are_exact_means():
     seasons += [random_season(random.Random(seed)) for seed in (31, 32, 33)]
     for season in seasons:
         ledger = SeasonLedger(season)
-        classic, timed, mixed = (
-            {r.team: r.points for r in ledger.final(scoring_rule(system)).table().rows}
-            for system in (ScoringSystem.CLASSIC, ScoringSystem.TIME, ScoringSystem.MIXED_HALF)
-        )
+        points = []
+        for system in (ScoringSystem.CLASSIC, ScoringSystem.TIME, ScoringSystem.MIXED_HALF):
+            *_, final = ledger.rounds(scoring_rule(system))
+            points.append(
+                {team: Fraction(p, final.den) for team, p in zip(final.teams, final.points)}
+            )
+        classic, timed, mixed = points
         for team in classic:
             assert mixed[team] == (classic[team] + timed[team]) / 2
     _ok(7, "mixed final points equal the exact mean of classic and time final points")

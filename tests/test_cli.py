@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -75,14 +76,36 @@ def test_sixty_team_reports_match_the_benchmark_digests(tmp_path, monkeypatch, n
 def test_golden_table_cells_match_recomputation():
     # Spot-check the frozen file against values recomputed from the library.
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))
-    classic = ledger.final(scoring_rule(ScoringSystem.CLASSIC)).table()
-    time_table = ledger.final(scoring_rule(ScoringSystem.TIME)).table()
+    *_, classic = ledger.rounds(scoring_rule(ScoringSystem.CLASSIC))
+    *_, timed = ledger.rounds(scoring_rule(ScoringSystem.TIME))
     lines = (GOLDEN / "table.csv").read_text().splitlines()
     top = lines[1].split(",")
-    assert top[1] == classic.rows[0].team
-    assert top[2] == format_decimal(classic.rows[0].points, 2)
-    assert top[4] == time_table.rows[0].team
-    assert top[5] == format_decimal(time_table.rows[0].points, 2)
+    for final, (team, points) in ((classic, top[1:3]), (timed, top[4:6])):
+        leader = final.order[0]
+        assert team == final.teams[leader]
+        assert points == format_decimal(Fraction(final.points[leader], final.den), 2)
+
+
+def test_draws_to_wins_capped_at_the_teams_draws_is_marked(tmp_path):
+    # Alpha wins all three; the rest draw with each other. Beta is 7 points
+    # behind, ceil(7/2) = 4 conversions, but has only 2 draws to convert.
+    season = tmp_path / "capped.csv"
+    season.write_text(
+        "round,home,away,goals,length_min\n"
+        "1,Alpha,Beta,H:10,\n1,Gamma,Delta,,\n"
+        "2,Alpha,Gamma,H:10,\n2,Beta,Delta,,\n"
+        "3,Alpha,Delta,H:10,\n3,Beta,Gamma,,\n"
+    )
+    result = _invoke("table", tmp_path / "out", season=season)
+    assert result.exit_code == 0, result.stderr
+    assert (tmp_path / "out" / "table.csv").read_text() == (
+        "rank,classic_team,classic_points,classic_pct_of_1st,time_team,time_points,"
+        "time_pct_of_1st,time_min_to_upper,classic_draws_to_wins\n"
+        "1,Alpha,9.00,100,Alpha,8.33,100,,\n"
+        "2,Beta,2.00,22,Beta,2.11,25,280,2*\n"
+        "3,Delta,2.00,22,Delta,2.11,25,0,0\n"
+        "4,Gamma,2.00,22,Gamma,2.11,25,0,0\n"
+    )
 
 
 def test_evolution_row_counts(tmp_path):

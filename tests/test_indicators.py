@@ -1,13 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from matchgen import random_season
-from reference import final_score, paper_match_awards
-from timescore.display import format_decimal
+from matchgen import random_season, weight_triples
+from reference import final_score, package_awards, paper_match_awards
+from timescore.display import format_decimal, format_ratios
 from timescore.errors import EmptySeasonError, TooFewTeamsError, WrongSystemError
 from timescore.indicators import (
     draws_to_wins,
@@ -18,8 +19,8 @@ from timescore.indicators import (
     minutes_to_upper,
 )
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
-from timescore.scoring import DEFAULT_WEIGHTS, ScoringSystem, scoring_rule
-from timescore.standings import LeagueTable, SeasonLedger, TableRow, percent_of_leader
+from timescore.scoring import ScoringSystem, scoring_rule
+from timescore.standings import SeasonLedger, Standings, percent_of_leader
 
 CLASSIC = scoring_rule(ScoringSystem.CLASSIC)
 TIME = scoring_rule(ScoringSystem.TIME)
@@ -30,28 +31,23 @@ REAL_CLASSIC_POINTS = [
 ]
 
 
-def _table(points, system, draws=None):
-    rows = tuple(
-        TableRow(
-            team=f"T{rank:02d}",
-            points=Fraction(p),
-            played=38,
-            wins=0,
-            draws=0 if draws is None else draws[rank - 1],
-            losses=0,
-            goals_for=0,
-            goal_diff=0,
-            rank=rank,
-        )
-        for rank, p in enumerate(points, start=1)
-    )
-    return LeagueTable(system=system, weights=DEFAULT_WEIGHTS, rows=rows)
+def _standings(points, system, den=1):
+    """Standings of teams T01, T02, ... holding ``points`` (non-increasing) over ``den``."""
+    teams = tuple(f"T{rank:02d}" for rank in range(1, len(points) + 1))
+    standings = Standings(teams, scoring_rule(system), den)
+    # One round; the tie-break order is name order, so equal points keep it.
+    standings.add(range(len(teams)), [int(p * den) for p in points], range(len(teams)))
+    return standings
+
+
+def _final(ledger, rule):
+    *_, final = ledger.rounds(rule)
+    return final
 
 
 class TestGaps:
     def test_real_season_gap_values(self):
-        table = _table(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC)
-        gap_3, gap_9, gap_last = gaps(table)
+        gap_3, gap_9, gap_last = gaps(_standings(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC))
         assert gap_3 == Fraction(100 * (81 - 70), 81)
         assert gap_9 == Fraction(100 * (81 - 51), 81)
         assert gap_last == Fraction(100 * (81 - 17), 81)
@@ -60,29 +56,27 @@ class TestGaps:
         assert format_decimal(gap_last, 1) == "79.0"
 
     def test_gap_is_complement_of_percent_of_leader(self):
-        table = _table(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC)
-        percents = percent_of_leader(table)
-        gap_3, gap_9, gap_last = gaps(table)
-        assert gap_3 == 100 - percents[2]
-        assert gap_9 == 100 - percents[8]
-        assert gap_last == 100 - percents[-1]
+        standings = _standings(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC, den=5400)
+        percents, leader = percent_of_leader(standings)
+        gap_3, gap_9, gap_last = gaps(standings)
+        assert gap_3 == 100 - Fraction(percents[2], leader)
+        assert gap_9 == 100 - Fraction(percents[8], leader)
+        assert gap_last == 100 - Fraction(percents[-1], leader)
 
     def test_percent_display_half_up(self):
-        table = _table(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC)
-        percents = percent_of_leader(table)
-        assert format_decimal(percents[1], 0) == "88"  # 71/81 = 87.65...
+        standings = _standings(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC)
+        percents, leader = percent_of_leader(standings)
+        assert format_ratios(percents[1:2], leader, 0) == ["88"]  # 71/81 = 87.65...
 
     def test_equal_points_give_zero_gaps(self):
-        table = _table([10, 10, 10, 10], ScoringSystem.CLASSIC)
-        assert gaps(table) == (0, 0, 0)
+        assert gaps(_standings([10, 10, 10, 10], ScoringSystem.CLASSIC)) == (0, 0, 0)
 
     def test_too_few_teams(self):
         with pytest.raises(TooFewTeamsError):
-            gaps(_table([3, 1], ScoringSystem.CLASSIC))
+            gaps(_standings([3, 1], ScoringSystem.CLASSIC))
 
     def test_short_table_ninth_falls_back_to_last(self):
-        table = _table([10, 8, 5], ScoringSystem.CLASSIC)
-        gap_3, gap_9, gap_last = gaps(table)
+        gap_3, gap_9, gap_last = gaps(_standings([10, 8, 5], ScoringSystem.CLASSIC))
         assert gap_3 == gap_9 == gap_last == 50
 
 
@@ -91,14 +85,14 @@ class TestAveragePoints:
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B"), MatchRecord(1, "C", "D"))
         )
-        assert SeasonLedger(season).final(TIME).average() == 1
+        assert _final(SeasonLedger(season), TIME).average() == 1
 
     def test_denominator_is_team_appearances(self):
         # One decisive match: 3 points over 2 appearances.
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B", (GoalEvent(Side.HOME, 600),)),)
         )
-        assert SeasonLedger(season).final(CLASSIC).average() == Fraction(3, 2)
+        assert _final(SeasonLedger(season), CLASSIC).average() == Fraction(3, 2)
 
     def test_matches_manual_summation(self):
         season = random_season(random.Random(11))
@@ -106,7 +100,7 @@ class TestAveragePoints:
         for match in season.matches:
             total += sum(paper_match_awards(match, ScoringSystem.TIME))
         expected = total / (2 * len(season.matches))
-        assert SeasonLedger(season).final(TIME).average() == expected
+        assert _final(SeasonLedger(season), TIME).average() == expected
 
     def test_empty_season(self):
         # No appearances to average over: the ledger refuses the season.
@@ -116,7 +110,7 @@ class TestAveragePoints:
     def test_time_average_strictly_below_three_halves(self):
         for seed in range(5):
             season = random_season(random.Random(seed))
-            avg = SeasonLedger(season).final(TIME).average()
+            avg = _final(SeasonLedger(season), TIME).average()
             assert 1 <= avg < Fraction(3, 2)
 
 
@@ -129,52 +123,68 @@ class TestMinutesToUpper:
     def test_zero_deficit_is_zero_minutes(self):
         assert minutes_for_deficit(Fraction(0)) == 0
 
-    def test_sub_minute_deficit_flagged(self):
-        table = _table([Fraction(7502, 100), Fraction(7500, 100), Fraction(60)], ScoringSystem.TIME)
-        metrics = minutes_to_upper(table)
-        assert metrics[0].minutes_to_upper == Fraction(9, 10)
-        assert metrics[0].precision_limited
-        assert not metrics[1].precision_limited
+    def test_sub_minute_deficit_is_exact(self):
+        standings = _standings(
+            [Fraction(7502, 100), Fraction(7500, 100), Fraction(60)], ScoringSystem.TIME, den=100
+        )
+        nums, den = minutes_to_upper(standings)
+        assert [Fraction(num, den) for num in nums] == [Fraction(9, 10), 675]
+        assert format_ratios(nums, den, 0) == ["1", "675"]
 
     @given(st.fractions(min_value=0, max_value=5))
     def test_linear_in_deficit(self, deficit):
         assert minutes_for_deficit(2 * deficit) == 2 * minutes_for_deficit(deficit)
 
+    @given(st.data(), weight_triples())
+    @settings(deadline=None)
+    def test_go_ahead_goal_moved_earlier_gains_its_minutes(self, data, weights):
+        # A 90' match: goals on distinct seconds up to 90:00, random sides.
+        spacing = st.lists(st.integers(1, 1080), min_size=1, max_size=5)
+        times = list(itertools.accumulate(data.draw(spacing)))
+        n = len(times)
+        sides = data.draw(st.lists(st.sampled_from(Side), min_size=n, max_size=n))
+        level = [i for i in range(n) if sides[:i].count(Side.HOME) * 2 == i]
+        j = data.draw(st.sampled_from(level))  # 0 is level: no goal before it
+        sides[j] = Side.HOME
+        previous = times[j - 1] if j else 0
+        # Move the go-ahead goal m whole minutes earlier, past no other goal.
+        assume(times[j] - previous > 60)
+        m = data.draw(st.integers(1, (times[j] - previous - 1) // 60))
+        rule = scoring_rule(ScoringSystem.TIME, weights)
+        goals = [GoalEvent(side, t) for side, t in zip(sides, times)]
+        before, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
+        goals[j] = GoalEvent(Side.HOME, times[j] - 60 * m)
+        after, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
+        assert minutes_for_deficit(after - before, weights) == m
+
     def test_table_metrics_use_the_row_above(self):
-        table = _table([10, 8, 5], ScoringSystem.TIME)
-        metrics = minutes_to_upper(table)
-        assert [m.team for m in metrics] == ["T02", "T03"]
-        assert [m.deficit_pts for m in metrics] == [2, 3]
-        assert metrics[0].minutes_to_upper == 2 * 45
-        assert metrics[1].minutes_to_upper == 3 * 45
+        nums, den = minutes_to_upper(_standings([10, 8, 5], ScoringSystem.TIME))
+        # Deficits of 2 and 3 points, at 90/(3 - 1) = 45 minutes a point.
+        assert [Fraction(num, den) for num in nums] == [2 * 45, 3 * 45]
 
     def test_wrong_system_rejected(self):
         with pytest.raises(WrongSystemError):
-            minutes_to_upper(_table([10, 8, 5], ScoringSystem.CLASSIC))
+            minutes_to_upper(_standings([10, 8, 5], ScoringSystem.CLASSIC))
 
 
 class TestDrawsToWins:
     def test_ten_point_deficit_needs_five_swaps(self):
-        table = _table([81, 71, 60], ScoringSystem.CLASSIC, draws=[4, 11, 6])
-        metrics = draws_to_wins(table)
-        assert metrics[0].draws_to_wins == 5
-        assert not metrics[0].capped
+        standings = _standings([81, 71, 60], ScoringSystem.CLASSIC, den=5400)
+        assert draws_to_wins(standings, [4, 11, 6])[0] == (5, False)
 
     def test_ceiling_of_half_deficit(self):
-        table = _table([10, 7, 7], ScoringSystem.CLASSIC, draws=[5, 5, 5])
-        metrics = draws_to_wins(table)
-        assert metrics[0].draws_to_wins == 2  # ceil(3/2)
-        assert metrics[1].draws_to_wins == 0
+        standings = _standings([10, 7, 7], ScoringSystem.CLASSIC, den=5400)
+        # ceil(3/2), then no deficit.
+        assert draws_to_wins(standings, [5, 5, 5]) == [(2, False), (0, False)]
 
     def test_cap_binds_at_actual_draw_count(self):
-        table = _table([20, 10, 5], ScoringSystem.CLASSIC, draws=[0, 2, 0])
-        metrics = draws_to_wins(table)
-        assert metrics[0].draws_to_wins == 2
-        assert metrics[0].capped
+        standings = _standings([20, 10, 5], ScoringSystem.CLASSIC)
+        # ceil(10/2) = 5 is more than the 2 draws; ceil(5/2) = 3 is not more than 3.
+        assert draws_to_wins(standings, [0, 2, 3]) == [(2, True), (3, False)]
 
     def test_wrong_system_rejected(self):
         with pytest.raises(WrongSystemError):
-            draws_to_wins(_table([10, 8, 5], ScoringSystem.TIME))
+            draws_to_wins(_standings([10, 8, 5], ScoringSystem.TIME), [0, 0, 0])
 
 
 class TestPointsEcdf:
@@ -233,8 +243,8 @@ class TestBundle:
     def test_bundle_fields_consistent_with_parts(self):
         ledger = SeasonLedger(random_season(random.Random(16)))
         bundle = indicator_bundle(ledger, TIME)
-        final = ledger.final(TIME)
-        gap_3, gap_9, gap_last = gaps(final.table())
+        final = _final(ledger, TIME)
+        gap_3, gap_9, gap_last = gaps(final)
         assert (bundle.gap_1_3_pct, bundle.gap_1_9_pct, bundle.gap_1_last_pct) == (
             gap_3,
             gap_9,

@@ -71,16 +71,30 @@ def test_ledger_rounds_equal_summed_match_points(seed, weights, teams):
 
 @given(st.integers(0, 2**32), weight_triples())
 @settings(max_examples=25, deadline=None)
-def test_final_equals_last_round(seed, weights):
+def test_order_read_once_equals_order_read_every_round(seed, weights):
+    # Standings rank lazily: a stream whose order is read only after the last
+    # round must end where a stream read every round ends, and both where the
+    # from-scratch recount ends.
     rng = random.Random(seed)
     season = _with_second_lengths(random_season(rng, num_teams=6), rng)
     ledger = SeasonLedger(season)
+    draws = dict.fromkeys(season.teams, 0)
+    for match in season.matches:
+        home_goals, away_goals = final_score(match)
+        if home_goals == away_goals:
+            draws[match.home] += 1
+            draws[match.away] += 1
+    assert dict(zip(ledger.teams, ledger.draws)) == draws
     for system in ScoringSystem:
         rule = scoring_rule(system, weights)
-        for last in ledger.rounds(rule):
-            pass
-        final = ledger.final(rule)
-        assert final.order == last.order
-        assert final.points == last.points
-        # Rows carry order, points, wins/draws/losses and goals.
-        assert final.table() == last.table()
+        *_, read_once = ledger.rounds(rule)
+        for read_every_round in ledger.rounds(rule):
+            read_every_round.order  # ranks this round
+        *_, (points, order) = _expected_rounds(season, system, weights)
+        for standings in (read_once, read_every_round):
+            assert [standings.teams[i] for i in standings.order] == order
+            assert [Fraction(p, standings.den) for p in standings.points] == [
+                points[team] for team in standings.teams
+            ]
+            # Each fixture is one appearance for each side.
+            assert standings.appearances == 2 * len(season.matches)

@@ -60,39 +60,47 @@ HAND_CLASSIC_RANKS = [
 ]
 
 
+def _final(ledger, rule):
+    """The final standings: the last item of the rounds stream."""
+    *_, final = ledger.rounds(rule)
+    return final
+
+
+def _ranked(standings):
+    """(team, exact points) in rank order."""
+    return [
+        (standings.teams[i], Fraction(standings.points[i], standings.den))
+        for i in standings.order
+    ]
+
+
 class TestFinalTable:
     def test_two_team_season_time_points(self):
-        table = TWO_TEAM_LEDGER.final(TIME).table()
-        assert [(r.team, r.points) for r in table.rows] == [
+        assert _ranked(_final(TWO_TEAM_LEDGER, TIME)) == [
             ("A", Fraction(10, 3)),
             ("B", Fraction(4, 3)),
         ]
 
     def test_two_team_season_classic_points(self):
-        table = TWO_TEAM_LEDGER.final(CLASSIC).table()
-        assert [(r.team, r.points) for r in table.rows] == [("A", 4), ("B", 1)]
+        assert _ranked(_final(TWO_TEAM_LEDGER, CLASSIC)) == [("A", 4), ("B", 1)]
 
     def test_leader_percent_is_one_hundred(self):
-        table = TWO_TEAM_LEDGER.final(TIME).table()
-        percents = percent_of_leader(table)
-        assert percents[0] == 100
-        assert percents[1] == 100 * Fraction(4, 3) / Fraction(10, 3)
+        percents, leader = percent_of_leader(_final(TWO_TEAM_LEDGER, TIME))
+        assert Fraction(percents[0], leader) == 100
+        assert Fraction(percents[1], leader) == 100 * Fraction(4, 3) / Fraction(10, 3)
 
-    def test_counts_and_goal_columns(self):
-        table = TWO_TEAM_LEDGER.final(CLASSIC).table()
-        top, bottom = table.rows
-        assert (top.played, top.wins, top.draws, top.losses) == (2, 1, 1, 0)
-        assert (top.goals_for, top.goal_diff) == (1, 1)
-        assert (bottom.played, bottom.wins, bottom.draws, bottom.losses) == (2, 0, 1, 1)
-        assert (bottom.goals_for, bottom.goal_diff) == (0, -1)
+    def test_draws_and_appearances(self):
+        # A won at home and drew away; B lost away and drew at home.
+        assert TWO_TEAM_LEDGER.draws == [1, 1]
+        assert _final(TWO_TEAM_LEDGER, CLASSIC).appearances == 4
 
     def test_empty_season_rejected(self):
         with pytest.raises(EmptySeasonError):
             SeasonLedger(SeasonDataset())
 
     def test_ranks_are_contiguous(self):
-        table = HAND_LEDGER.final(TIME).table()
-        assert [r.rank for r in table.rows] == [1, 2, 3, 4]
+        # Every team holds exactly one rank.
+        assert sorted(_final(HAND_LEDGER, TIME).order) == [0, 1, 2, 3]
 
 
 class TestTieBreak:
@@ -103,8 +111,8 @@ class TestTieBreak:
                 MatchRecord(1, "G", "H", (_goal(Side.HOME, 10),)),
             )
         )
-        table = SeasonLedger(season).final(CLASSIC).table()
-        assert [r.team for r in table.rows] == ["E", "G", "H", "F"]
+        ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
+        assert [team for team, _ in ranked] == ["E", "G", "H", "F"]
 
     def test_name_breaks_full_ties(self):
         season = SeasonDataset(
@@ -113,16 +121,16 @@ class TestTieBreak:
                 MatchRecord(1, "E", "F", (_goal(Side.HOME, 10),)),
             )
         )
-        table = SeasonLedger(season).final(CLASSIC).table()
-        assert [r.team for r in table.rows] == ["E", "G", "F", "H"]
+        ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
+        assert [team for team, _ in ranked] == ["E", "G", "F", "H"]
 
 
 class TestEvolution:
     def test_single_round_equals_final_table(self):
         season = SeasonDataset(matches=(MatchRecord(1, "A", "B", (_goal(Side.HOME, 30),)),))
-        ledger = SeasonLedger(season)
-        tables = [standings.table() for standings in ledger.rounds(TIME)]
-        assert tables == [ledger.final(TIME).table()]
+        # A leads 60' of 90' and is level for 30'; the one round is the final.
+        [only] = [_ranked(standings) for standings in SeasonLedger(season).rounds(TIME)]
+        assert only == [("A", Fraction(7, 3)), ("B", Fraction(1, 3))]
 
     def test_hand_computed_rank_sequence(self):
         got = [[s.teams[i] for i in s.order] for s in HAND_LEDGER.rounds(CLASSIC)]
@@ -130,7 +138,7 @@ class TestEvolution:
 
     def test_played_counts_accumulate(self):
         for round_no, standings in enumerate(HAND_LEDGER.rounds(CLASSIC), start=1):
-            assert sum(row.played for row in standings.table().rows) == 4 * round_no
+            assert standings.appearances == 4 * round_no
 
     def test_goalless_season_all_tied_by_name(self):
         season = SeasonDataset(
@@ -142,9 +150,9 @@ class TestEvolution:
             )
         )
         for round_no, standings in enumerate(SeasonLedger(season).rounds(TIME), start=1):
-            table = standings.table()
-            assert [row.team for row in table.rows] == ["A", "B", "C", "D"]
-            assert all(row.points == round_no for row in table.rows)
+            ranked = _ranked(standings)
+            assert [team for team, _ in ranked] == ["A", "B", "C", "D"]
+            assert all(points == round_no for _, points in ranked)
 
 
 class TestLeadershipStats:
@@ -219,10 +227,8 @@ class TestOverallChanges:
                 subset = SeasonDataset(
                     matches=tuple(m for m in season.matches if m.round <= round_no)
                 )
-                ranks = {
-                    row.team: row.rank
-                    for row in SeasonLedger(subset).final(rule).table().rows
-                }
+                final = _final(SeasonLedger(subset), rule)
+                ranks = {final.teams[i]: rank for rank, i in enumerate(final.order, start=1)}
                 if previous is not None:
                     recount += sum(
                         1 for team, rank in ranks.items() if previous[team] != rank
@@ -234,8 +240,7 @@ class TestOverallChanges:
 class TestTotals:
     def test_time_total_is_three_minus_draw_share_summed(self):
         season = random_season(random.Random(7))
-        table = SeasonLedger(season).final(TIME).table()
-        total = sum((row.points for row in table.rows), Fraction(0))
+        total = sum(points for _, points in _ranked(_final(SeasonLedger(season), TIME)))
         expected = Fraction(0)
         for match in season.matches:
             _, draw, _, t_match, _, _ = timeline(match)
@@ -244,16 +249,15 @@ class TestTotals:
 
     def test_classic_total_counts_decisive_and_drawn(self):
         season = random_season(random.Random(8))
-        table = SeasonLedger(season).final(CLASSIC).table()
-        total = sum((row.points for row in table.rows), Fraction(0))
+        total = sum(points for _, points in _ranked(_final(SeasonLedger(season), CLASSIC)))
         decisive = sum(hg != ag for hg, ag in map(final_score, season.matches))
         drawn = len(season.matches) - decisive
         assert total == 3 * decisive + 2 * drawn
 
     def test_rerun_is_identical(self):
         season = random_season(random.Random(9))
-        first = SeasonLedger(season).final(TIME).table()
-        second = SeasonLedger(season).final(TIME).table()
+        first = _ranked(_final(SeasonLedger(season), TIME))
+        second = _ranked(_final(SeasonLedger(season), TIME))
         assert first == second
 
 
@@ -266,11 +270,10 @@ class TestExports:
 
 def test_award_accumulation_matches_manual_sum():
     season = HAND_SEASON
-    table = HAND_LEDGER.final(scoring_rule(ScoringSystem.GOALDIFF_THIRD)).table()
+    ranked = _ranked(_final(HAND_LEDGER, scoring_rule(ScoringSystem.GOALDIFF_THIRD)))
     manual = {team: Fraction(0) for team in season.teams}
     for match in season.matches:
         home_pts, away_pts = paper_match_awards(match, ScoringSystem.GOALDIFF_THIRD)
         manual[match.home] += home_pts
         manual[match.away] += away_pts
-    for row in table.rows:
-        assert row.points == manual[row.team]
+    assert dict(ranked) == manual

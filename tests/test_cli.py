@@ -73,6 +73,43 @@ def test_sixty_team_reports_match_the_benchmark_digests(tmp_path, monkeypatch, n
     assert digests == expected["outputs"]
 
 
+# The bundled season's report bytes under flags the goldens do not cover: every
+# system, fractional weights, three decimals with a comma (quoted cells), and
+# zero decimals.
+PINNED_FLAG_DIGESTS = {
+    "--systems classic,time,mixed,goaldiff --weights 3,1/2,0 --decimals 3 --decimal-comma": {
+        "ecdf_classic.csv": "0496f5cf17633a1eb0008763fcbd75539828b239d656bd39362cf15b0a8b27d9",
+        "ecdf_goaldiff.csv": "d0a81e3e0adc2135775f62f7dd74a680f120ee22245a95f56572db2d185cbaa0",
+        "ecdf_mixed.csv": "2d0ecc1b73b36f77db7cae031c3f356cdf226cb94211e271813cff8237f89008",
+        "ecdf_time.csv": "059f65dc33ed4cd73cf33178cdca9c38b7cfd9b114081223d3b22066273fa65f",
+        "evolution_classic.csv": "33959c5ca2f403384522f167836605ba457b0c245447fe9f9f18b68531a58455",
+        "evolution_goaldiff.csv": "001b2616b14c1e52108f692e21947af4da536342bd4183658814465cb9367c68",
+        "evolution_mixed.csv": "59ff2ce105701d7ff0179c46dbb6308b84f74c7f479af08adfef265e6e00b84f",
+        "evolution_time.csv": "cfac6589673712adaf30ef66c120331484d807ec8538760540e22568fe8e52f9",
+        "indicators.csv": "43d286ec5c8096169034e2f5d61e79577bfdce29a7e946ad80630c7474303a2e",
+        "indicators.json": "6404e622d59b1d49773db622a9c0b7b97a5c7daf28d495e69bef015daf9d15d0",
+        "table.csv": "6645f10729846e6fa1027a799d0a35f9e4c18500e3a0f24fca40663b858d7908",
+    },
+    "--decimals 0": {
+        "ecdf_classic.csv": "d3a6f03e34583075adf3f0106f8ddc9d98a0c44efa36db5511ec2200a63713f3",
+        "ecdf_time.csv": "a721f39b08151bddf785162073c4bda9c47b06946ab92e57ebc96990cba79e96",
+        "evolution_classic.csv": "309e3e895d6129b2624de1939c9979ba33a727e40e427bb3d10fed7d33973e84",
+        "evolution_time.csv": "c387d45f488a49f4e719c821f44ac8210ec4ad2214dff0eb4a9901e39caa1056",
+        "indicators.csv": "4d9c959580db49b10db8bdb939c0f15c3f05778a1bd9b1e7d396b5405cf7c600",
+        "indicators.json": "c3f92bf758c00abcf47f53695107ddbd4466296af2153c50047ae0d387dda516",
+        "table.csv": "95a35f8d5adcad368c8b35e3b7f4163d56f43fdf8dc1d7a42fdb588fce9bd50f",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", PINNED_FLAG_DIGESTS)
+def test_report_bytes_under_non_default_flags_are_pinned(tmp_path, flags):
+    result = _invoke("report", tmp_path, *flags.split())
+    assert result.exit_code == 0, result.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == PINNED_FLAG_DIGESTS[flags]
+
+
 def test_golden_table_cells_match_recomputation():
     # Spot-check the frozen file against values recomputed from the library.
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))

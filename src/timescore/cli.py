@@ -3,7 +3,9 @@
 ``timescore COMMAND --input FILE --out DIR [options]``. Every command takes the
 same seven options, so one argparse parser, built at import, reads them all;
 the command picks its reports from one table, which also writes the help's
-command list. The front end imports nothing outside the standard library.
+command list. Each report function turns the ledger into its files, so every
+byte of CSV and JSON is rendered here; the other modules only compute. The
+front end imports nothing outside the standard library.
 
 Exit codes: 0 on success, 1 for data/validation problems, 2 for I/O failures
 and for usage errors. Identical inputs and flags always produce byte-identical
@@ -15,23 +17,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .display import format_ratios
-from .indicators import (
-    draws_to_wins,
-    ecdf_counts,
-    ecdf_to_csv,
-    indicator_bundle,
-    indicators_to_csv,
-    indicators_to_json,
-    minutes_to_upper,
-)
+from .display import format_decimal, format_ratios
+from .indicators import draws_to_wins, ecdf_counts, indicator_bundle, minutes_to_upper
 from .ingest import SeasonFormat, parse_season
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
-from .standings import SeasonLedger, Standings, evolution_to_csv, percent_of_leader
+from .standings import SeasonLedger, Standings, percent_of_leader
 
 
 def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
@@ -58,92 +53,133 @@ def _infer_format(path: Path, fmt: str | None) -> SeasonFormat:
     return SeasonFormat.JSON if path.suffix.lower() == ".json" else SeasonFormat.CSV
 
 
-def build_comparison_csv(
-    finals: Sequence[Standings],
-    draws: Sequence[int],
-    *,
-    decimals: int = 2,
-    comma: bool = False,
-) -> str:
-    """Side-by-side comparison of final standings, one rank-aligned block per system.
-
-    A time block gets a minutes-to-overtake column and a classic block gets a
-    draws-to-wins column; the top row has no metric in either. ``draws`` is
-    each team's drawn matches (:attr:`SeasonLedger.draws`); a draws-to-wins
-    count capped at them renders as ``N*``.
-    """
-    header = ["rank"]
-    columns: list[list[str]] = []
-    for standings in finals:
-        name = standings.rule.system.value
-        header += [f"{name}_team", f"{name}_points", f"{name}_pct_of_1st"]
-        order, points = standings.order, standings.points
-        percents, leader = percent_of_leader(standings)
-        columns += (
-            [standings.teams[i] for i in order],
-            format_ratios([points[i] for i in order], standings.den, decimals, comma=comma),
-            format_ratios(percents, leader, 0, comma=comma),
-        )
-    time_final = next((s for s in finals if s.rule.system is ScoringSystem.TIME), None)
-    classic_final = next((s for s in finals if s.rule.system is ScoringSystem.CLASSIC), None)
-    if time_final is not None:
-        header.append("time_min_to_upper")
-        nums, den = minutes_to_upper(time_final)
-        columns.append(["", *format_ratios(nums, den, 0, comma=comma)])
-    if classic_final is not None:
-        header.append("classic_draws_to_wins")
-        metrics = draws_to_wins(classic_final, draws)
-        columns.append(["", *(f"{n}*" if capped else str(n) for n, capped in metrics)])
-
+def _csv_text(header: Sequence[object], rows: Iterable[Iterable[object]]) -> str:
+    """A CSV file's text: ``header``, then ``rows``, each line ending in a bare newline."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([rank, *cells] for rank, cells in enumerate(zip(*columns), start=1))
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def _points_cells(standings: Standings, decimals: int, comma: bool) -> list[str]:
+    """Each team's points, in rank order, as one rendered column."""
+    points, den = standings.points, standings.den
+    return format_ratios([points[i] for i in standings.order], den, decimals, comma=comma)
 
 
 def table_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
-    """table.csv: the final standings, the last of each rule's rounds, side by side."""
-    finals = [list(ledger.rounds(rule))[-1] for rule in rules]
-    return {
-        "table.csv": build_comparison_csv(finals, ledger.draws, decimals=decimals, comma=comma)
-    }
+    """table.csv: the final standings side by side, one rank-aligned block per rule.
+
+    A time block adds a minutes-to-overtake column and a classic block a
+    draws-to-wins column; the top row has no metric in either. A draws-to-wins
+    count capped at the team's drawn matches renders as ``N*``.
+    """
+    header = ["rank"]
+    columns: list[list[str]] = []
+    finals: dict[ScoringSystem, Standings] = {}
+    for rule in rules:
+        *_, standings = ledger.rounds(rule)
+        finals[rule.system] = standings
+        name = rule.system.value
+        header += [f"{name}_team", f"{name}_points", f"{name}_pct_of_1st"]
+        percents, leader = percent_of_leader(standings)
+        columns += (
+            [standings.teams[i] for i in standings.order],
+            _points_cells(standings, decimals, comma),
+            format_ratios(percents, leader, 0, comma=comma),
+        )
+    if ScoringSystem.TIME in finals:
+        header.append("time_min_to_upper")
+        nums, den = minutes_to_upper(finals[ScoringSystem.TIME])
+        columns.append(["", *format_ratios(nums, den, 0, comma=comma)])
+    if ScoringSystem.CLASSIC in finals:
+        header.append("classic_draws_to_wins")
+        metrics = draws_to_wins(finals[ScoringSystem.CLASSIC], ledger.draws)
+        columns.append(["", *(f"{n}*" if capped else str(n) for n, capped in metrics)])
+    rows = ([rank, *cells] for rank, cells in enumerate(zip(*columns), start=1))
+    return {"table.csv": _csv_text(header, rows)}
 
 
 def evolution_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
-    """evolution_<system>.csv: each round's ranks and points."""
+    """evolution_<system>.csv: each round's (round, team, rank, points), long form for plotting."""
     return {
-        f"evolution_{rule.system.value}.csv": evolution_to_csv(
-            ledger.rounds(rule), decimals=decimals, comma=comma
+        f"evolution_{rule.system.value}.csv": _csv_text(
+            ["round", "team", "rank", "points"],
+            (
+                [round_no, standings.teams[i], rank, cell]
+                for round_no, standings in enumerate(ledger.rounds(rule), start=1)
+                for rank, (i, cell) in enumerate(
+                    zip(standings.order, _points_cells(standings, decimals, comma)), start=1
+                )
+            ),
         )
         for rule in rules
     }
 
 
+# Each indicator row: its label, its IndicatorBundle field, and the decimals of
+# its CSV cells (None for a count).
+_INDICATOR_ROWS = (
+    ("Gap 1st-3rd place (%)", "gap_1_3_pct", 1),
+    ("Gap 1st-9th place (%)", "gap_1_9_pct", 1),
+    ("Gap 1st-last (%)", "gap_1_last_pct", 1),
+    ("# Overall Changes", "overall_changes", None),
+    ("# Changes on Leadership", "leadership_changes", None),
+    ("# Different Leaders", "distinct_leaders", None),
+    ("Aver. points per game", "avg_points_per_team_game", 2),
+)
+
+
 def indicators_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
-    """indicators.csv and indicators.json: one column or object per system."""
-    bundles = [(rule.system, indicator_bundle(ledger, rule)) for rule in rules]
+    """indicators.csv and indicators.json: one column or object per system.
+
+    The CSV rounds each ratio to its row's decimals; the JSON keeps it exact,
+    as a string.
+    """
+    bundles = [(rule.system.value, indicator_bundle(ledger, rule)) for rule in rules]
+    doc: dict[str, dict[str, object]] = {system: {} for system, _ in bundles}
+    rows = []
+    for label, attr, places in _INDICATOR_ROWS:
+        row: list[object] = [label]
+        for system, bundle in bundles:
+            value = getattr(bundle, attr)
+            if places is None:
+                row.append(value)
+            else:
+                row.append(format_decimal(value, places, comma=comma))
+                value = str(value)
+            doc[system][attr] = value
+        rows.append(row)
     return {
-        "indicators.csv": indicators_to_csv(bundles, comma=comma),
-        "indicators.json": indicators_to_json(bundles),
+        "indicators.csv": _csv_text(["indicator", *doc], rows),
+        "indicators.json": json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
     }
 
 
 def ecdf_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
-    """ecdf_<system>.csv: the distribution of per-team match awards."""
+    """ecdf_<system>.csv: the distribution of per-team match awards, ready to plot.
+
+    One row per distinct award: its points and the fraction of awards at or
+    below it, both to six decimals, which keep the steps apart.
+    """
     files = {}
     for rule in rules:
-        # One expression, so this system's sorted awards are freed before the next's.
-        files[f"ecdf_{rule.system.value}.csv"] = ecdf_to_csv(
-            ecdf_counts(ledger.awards(rule)), ledger.den(rule), comma=comma
+        steps = ecdf_counts(ledger.awards(rule))
+        files[f"ecdf_{rule.system.value}.csv"] = _csv_text(
+            ["points", "cumulative_fraction"],
+            zip(
+                format_ratios([value for value, _ in steps], ledger.den(rule), 6, comma=comma),
+                format_ratios([count for _, count in steps], steps[-1][1], 6, comma=comma),
+            ),
         )
     return files
 

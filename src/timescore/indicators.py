@@ -1,18 +1,15 @@
 """Season-level competitiveness metrics and overtake what-ifs.
 
 Everything here is computed from exact integer or rational points, so repeated
-runs are bit-identical; rounding happens only in the CSV/JSON renderers.
+runs are bit-identical; rounding happens only where ``cli`` renders the report
+files.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .display import format_decimal, format_ratios
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
 from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple
@@ -100,11 +97,6 @@ def draws_to_wins(standings: Standings, draws: Sequence[int]) -> list[tuple[int,
     return metrics
 
 
-# Rows of an ECDF file rendered per format_ratios call; cell lists for a whole
-# file would raise a command's peak memory.
-_ECDF_BLOCK_ROWS = 1024
-
-
 def ecdf_counts(awards: list[int]) -> list[tuple[int, int]]:
     """(value, number of awards <= value) at each distinct value; sorts ``awards`` in place."""
     awards.sort()
@@ -132,66 +124,3 @@ def indicator_bundle(ledger: SeasonLedger, rule: ScoringRule) -> IndicatorBundle
         distinct_leaders=leads.distinct_leaders,
         avg_points_per_team_game=standings.average(),
     )
-
-
-_INDICATOR_ROWS = (
-    ("Gap 1st-3rd place (%)", "gap_1_3_pct", 1),
-    ("Gap 1st-9th place (%)", "gap_1_9_pct", 1),
-    ("Gap 1st-last (%)", "gap_1_last_pct", 1),
-    ("# Overall Changes", "overall_changes", None),
-    ("# Changes on Leadership", "leadership_changes", None),
-    ("# Different Leaders", "distinct_leaders", None),
-    ("Aver. points per game", "avg_points_per_team_game", 2),
-)
-
-
-def indicators_to_csv(
-    bundles: Sequence[tuple[ScoringSystem, IndicatorBundle]],
-    *,
-    comma: bool = False,
-) -> str:
-    """Fixed-order indicator rows, one value column per system."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["indicator"] + [system.value for system, _ in bundles])
-    for label, attr, decimals in _INDICATOR_ROWS:
-        row = [label]
-        for _, bundle in bundles:
-            value = getattr(bundle, attr)
-            if decimals is None:
-                row.append(str(value))
-            else:
-                row.append(format_decimal(value, decimals, comma=comma))
-        writer.writerow(row)
-    return out.getvalue()
-
-
-def indicators_to_json(
-    bundles: Sequence[tuple[ScoringSystem, IndicatorBundle]],
-) -> str:
-    """Indicator bundles keyed by system, with exact rationals as strings."""
-    doc = {
-        system.value: {
-            attr: getattr(bundle, attr) if decimals is None else str(getattr(bundle, attr))
-            for _, attr, decimals in _INDICATOR_ROWS
-        }
-        for system, bundle in bundles
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def ecdf_to_csv(steps: Sequence[tuple[int, int]], den: int, *, comma: bool = False) -> str:
-    """Plot-ready CSV of :func:`ecdf_counts` steps over ``den``; six decimals keep steps apart."""
-    total = steps[-1][1]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["points", "cumulative_fraction"])
-    for start in range(0, len(steps), _ECDF_BLOCK_ROWS):
-        block = steps[start : start + _ECDF_BLOCK_ROWS]
-        writer.writerows(
-            zip(
-                format_ratios([value for value, _ in block], den, 6, comma=comma),
-                format_ratios([count for _, count in block], total, 6, comma=comma),
-            )
-        )
-    return out.getvalue()

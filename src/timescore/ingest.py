@@ -302,16 +302,6 @@ class _TokenMemo(dict):
         return goal
 
 
-def format_goal_token(goal: GoalEvent) -> str:
-    """Render a whole-minute goal as its canonical token (absolute minute)."""
-    if goal.time_s % SECONDS_PER_MINUTE != 0:
-        raise ValueError(
-            f"goal at {goal.time_s} s is not on a whole minute; "
-            "use the JSON format for second-resolution data"
-        )
-    return f"{goal.side.value}:{goal.time_s // SECONDS_PER_MINUTE}"
-
-
 def _coerce_format(fmt: SeasonFormat | str) -> SeasonFormat:
     if isinstance(fmt, SeasonFormat):
         return fmt
@@ -578,8 +568,15 @@ def _serialize_csv(dataset: SeasonDataset) -> str:
                 f"declared length {m.declared_length_s} s is not a whole minute; "
                 "use the JSON format"
             )
-        goals = ",".join(format_goal_token(g) for g in m.goals)
-        writer.writerow([m.round, m.home, m.away, goals, length])
+        tokens = []
+        for g in m.goals:
+            if g.time_s % SECONDS_PER_MINUTE != 0:
+                raise ValueError(
+                    f"goal at {g.time_s} s is not on a whole minute; "
+                    "use the JSON format for second-resolution data"
+                )
+            tokens.append(f"{g.side.value}:{g.time_s // SECONDS_PER_MINUTE}")
+        writer.writerow([m.round, m.home, m.away, ",".join(tokens), length])
     return out.getvalue()
 
 

@@ -6,11 +6,9 @@ integer keys; they become ``Fraction`` only in the indicators that are ratios.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .display import format_ratios
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
@@ -207,20 +205,3 @@ def percent_of_leader(standings: Standings) -> tuple[list[int], int]:
             "percentages of the leader need a positive leader"
         )
     return [100 * points[i] for i in order], leader
-
-
-def evolution_to_csv(
-    rounds: Iterable[Standings], *, decimals: int = 2, comma: bool = False
-) -> str:
-    """Long-form (round, team, rank, points) CSV suitable for plotting tools."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["round", "team", "rank", "points"])
-    for round_no, standings in enumerate(rounds, start=1):
-        teams, points, order = standings.teams, standings.points, standings.order
-        cells = format_ratios([points[i] for i in order], standings.den, decimals, comma=comma)
-        writer.writerows(
-            [round_no, teams[i], rank, cell]
-            for rank, (i, cell) in enumerate(zip(order, cells), start=1)
-        )
-    return out.getvalue()

@@ -154,6 +154,7 @@ def test_evolution_row_counts(tmp_path):
     assert written == ["evolution_classic.csv", "evolution_mixed.csv", "evolution_time.csv"]
     for path in tmp_path.iterdir():
         lines = path.read_text().splitlines()
+        assert lines[0] == "round,team,rank,points"
         assert len(lines) == 1 + expected_rows
 
 

@@ -383,11 +383,35 @@ def test_json_syntax_error_reports_line():
     assert excinfo.value.line == 2
 
 
-def test_csv_serializer_refuses_exact_precision():
-    season = SeasonDataset(
-        matches=(MatchRecord(1, "A", "B", (GoalEvent(Side.HOME, 725, TimePrecision.EXACT),)),)
-    )
-    with pytest.raises(ValueError):
+def _one_match(goals=(), length_s=None, league=""):
+    return SeasonDataset(league, (MatchRecord(1, "A", "B", goals, length_s),))
+
+
+TRUNCATED, ROUNDED = TimePrecision.MINUTE_TRUNCATED, TimePrecision.MINUTE_ROUNDED
+
+
+@pytest.mark.parametrize(
+    "season,message",
+    [
+        (
+            _one_match((GoalEvent(Side.HOME, 725, TimePrecision.EXACT),)),
+            "CSV carries minute-resolution goals with one uniform precision",
+        ),
+        (
+            _one_match((GoalEvent(Side.HOME, 60, TRUNCATED), GoalEvent(Side.AWAY, 120, ROUNDED))),
+            "CSV carries minute-resolution goals with one uniform precision",
+        ),
+        (_one_match(league="Premier"), "CSV has no league field"),
+        (
+            _one_match((GoalEvent(Side.HOME, 61, TRUNCATED),)),
+            "goal at 61 s is not on a whole minute",
+        ),
+        (_one_match(length_s=5430), "declared length 5430 s is not a whole minute"),
+    ],
+    ids=["exact", "mixed_precisions", "league", "off_minute_goal", "off_minute_length"],
+)
+def test_csv_serializer_refuses_what_csv_cannot_carry(season, message):
+    with pytest.raises(ValueError, match=message):
         serialize_season(season, "csv")
 
 

@@ -10,7 +10,6 @@ from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import (
     SeasonLedger,
-    evolution_to_csv,
     leadership,
     percent_of_leader,
     rank_moves,
@@ -259,13 +258,6 @@ class TestTotals:
         first = _ranked(_final(SeasonLedger(season), TIME))
         second = _ranked(_final(SeasonLedger(season), TIME))
         assert first == second
-
-
-class TestExports:
-    def test_evolution_csv_row_count(self):
-        lines = evolution_to_csv(HAND_LEDGER.rounds(CLASSIC)).splitlines()
-        assert lines[0] == "round,team,rank,points"
-        assert len(lines) == 1 + 3 * 4  # header + rounds * teams
 
 
 def test_award_accumulation_matches_manual_sum():

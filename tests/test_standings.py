@@ -5,6 +5,7 @@ import pytest
 
 from matchgen import random_season
 from reference import final_score, paper_match_awards
+from timescore.cli import evolution_report
 from timescore.errors import EmptySeasonError
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
 from timescore.scoring import ScoringSystem, scoring_rule
@@ -258,6 +259,14 @@ class TestTotals:
         first = _ranked(_final(SeasonLedger(season), TIME))
         second = _ranked(_final(SeasonLedger(season), TIME))
         assert first == second
+
+
+class TestExports:
+    def test_evolution_csv_row_count(self):
+        files = evolution_report(HAND_LEDGER, [CLASSIC], decimals=2, comma=False)
+        lines = files["evolution_classic.csv"].splitlines()
+        assert lines[0] == "round,team,rank,points"
+        assert len(lines) == 1 + 3 * 4  # header + rounds * teams
 
 
 def test_award_accumulation_matches_manual_sum():

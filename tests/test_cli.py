@@ -110,6 +110,75 @@ def test_report_bytes_under_non_default_flags_are_pinned(tmp_path, flags):
     assert digests == PINNED_FLAG_DIGESTS[flags]
 
 
+# Team names that force CSV quoting: a comma, a double quote, a line feed and a
+# carriage return, plus one non-ASCII name that needs none.
+AWKWARD_TEAMS = ("Alpha, FC", 'Beta "B"', "Gam\nma", "Delta\r2", "Zéta")
+# A single round robin of the five, two matches a round, with goals (side,
+# time_s) that give every system distinct, non-round points.
+AWKWARD_FIXTURES = (
+    (1, 0, 1, [("H", 600), ("A", 4000)]),
+    (1, 2, 3, [("A", 1500)]),
+    (2, 4, 0, [("H", 300), ("H", 5000)]),
+    (2, 1, 2, []),
+    (3, 3, 4, [("A", 2700), ("H", 5300)]),
+    (3, 0, 2, [("H", 100)]),
+    (4, 1, 3, [("A", 3333)]),
+    (4, 2, 4, [("H", 45), ("A", 46), ("H", 5399)]),
+    (5, 0, 3, []),
+    (5, 1, 4, [("H", 2000)]),
+)
+AWKWARD_DIGESTS = {
+    "": {
+        "ecdf_classic.csv": "a829dd1e7b56a2805ab53522044eff3de6e21d91971051a3fd701b9bf19d9153",
+        "ecdf_time.csv": "f19ff135a0136dff9ea060d5bd81b02a13741c5f94e5d56467da072736a0f618",
+        "evolution_classic.csv": "854d4180053ed7abd96c22079aca632169f1c207786bab295d94080e6e60784a",
+        "evolution_time.csv": "6d7f2eab8b380079cbb67f3a29281aef1d237ea84704919078fa20b48cf3e802",
+        "indicators.csv": "7593f86b9b0a25e8bcfd5d51d7b6406f0a4e910ca6832f6f4995b4f3f57f7645",
+        "indicators.json": "7a2a092e0ca64f54a266f5c8d6cf9fb2a72b5d2c21213462dcda4492fd630be3",
+        "table.csv": "791cfc68c8de2d1aeba7f7a6548b5ea1c8a3fc9d33920294b0dd42d4131e3b8e",
+    },
+    "--decimal-comma --decimals 1": {
+        "ecdf_classic.csv": "a67bd43e503380d28699d765c74a6335a94d90c9293e874525068bc939b8d762",
+        "ecdf_time.csv": "ebed6a3fcba94ca89be42f935f943f2259292c478ea7619015a9185f0573ff95",
+        "evolution_classic.csv": "eb500ed0f05338685905722e058da46a9bd9f424f17118f12315e3c84c6eaa45",
+        "evolution_time.csv": "ec782d349a3308561d5c73cc18da4b43d9065af342388a2b93aa302c5ee7c90c",
+        "indicators.csv": "a18df74c4763e2853a4063997f0b49f16209aa07a6588034e4f7b197b03a04ed",
+        "indicators.json": "7a2a092e0ca64f54a266f5c8d6cf9fb2a72b5d2c21213462dcda4492fd630be3",
+        "table.csv": "868749178db4a4c3f2e6596a4db0bc264bd67731589a808c4e71c9b158a4b30f",
+    },
+}
+
+
+def _awkward_season(path):
+    matches = [
+        {
+            "round": round_no,
+            "home": AWKWARD_TEAMS[home],
+            "away": AWKWARD_TEAMS[away],
+            "goals": [{"side": side, "time_s": time_s} for side, time_s in goals],
+        }
+        for round_no, home, away, goals in AWKWARD_FIXTURES
+    ]
+    path.write_text(json.dumps({"matches": matches}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("flags", AWKWARD_DIGESTS)
+def test_report_bytes_for_team_names_that_need_quoting_are_pinned(tmp_path, flags):
+    season = _awkward_season(tmp_path / "awkward.json")
+    out_dir = tmp_path / "out"
+    result = _invoke("report", out_dir, *flags.split(), season=season)
+    assert result.exit_code == 0, result.stderr
+    # The digests are of the bytes that Python 3.10 and 3.11 write, whose csv
+    # module leaves a lone "\r" unquoted when the line terminator is "\n"; a
+    # csv module that quotes it changes only that cell.
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes().replace(b'"Delta\r2"', b"Delta\r2")).hexdigest()
+        for p in out_dir.iterdir()
+    }
+    assert digests == AWKWARD_DIGESTS[flags]
+
+
 def test_golden_table_cells_match_recomputation():
     # Spot-check the frozen file against values recomputed from the library.
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))

@@ -4,8 +4,11 @@
 same seven options, so one argparse parser, built at import, reads them all;
 the command picks its reports from one table, which also writes the help's
 command list. Each report function turns the ledger into its files, so every
-byte of CSV and JSON is rendered here; the other modules only compute. The
-front end imports nothing outside the standard library.
+byte of CSV and JSON is rendered here; the other modules only compute. A report
+builds each CSV file as columns of text, each headed by its header cell;
+``_csv_text`` joins the cells with commas and newlines, and hands the rows to
+``csv.writer`` only when some cell holds a comma, a double quote, a carriage
+return or a line feed. The front end imports nothing outside the standard library.
 
 Exit codes: 0 on success, 1 for data/validation problems, 2 for I/O failures
 and for usage errors. Identical inputs and flags always produce byte-identical
@@ -20,7 +23,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .display import format_decimal, format_ratios
 from .indicators import draws_to_wins, ecdf_counts, indicator_bundle, minutes_to_upper
@@ -53,19 +56,25 @@ def _infer_format(path: Path, fmt: str | None) -> SeasonFormat:
     return SeasonFormat.JSON if path.suffix.lower() == ".json" else SeasonFormat.CSV
 
 
-def _csv_text(header: Sequence[object], rows: Iterable[Iterable[object]]) -> str:
-    """A CSV file's text: ``header``, then ``rows``, each line ending in a bare newline."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+def _csv_text(columns: Sequence[Sequence[str]]) -> str:
+    """A CSV file's text from its columns, each headed by its header cell.
+
+    Lines end in a bare newline. Each row needs two or more cells: the csv
+    module quotes a row of one empty cell, which a plain join would not.
+    """
+    cells = "".join(map("".join, columns))
+    if "," in cells or '"' in cells or "\r" in cells or "\n" in cells:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(zip(*columns))
+        return out.getvalue()
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _points_cells(standings: Standings, decimals: int, comma: bool) -> list[str]:
     """Each team's points, in rank order, as one rendered column."""
-    points, den = standings.points, standings.den
-    return format_ratios([points[i] for i in standings.order], den, decimals, comma=comma)
+    return format_ratios(
+        map(standings.points.__getitem__, standings.order), standings.den, decimals, comma=comma
+    )
 
 
 def table_report(
@@ -77,49 +86,43 @@ def table_report(
     draws-to-wins column; the top row has no metric in either. A draws-to-wins
     count capped at the team's drawn matches renders as ``N*``.
     """
-    header = ["rank"]
-    columns: list[list[str]] = []
+    columns = [["rank", *map(str, range(1, len(ledger.teams) + 1))]]
     finals: dict[ScoringSystem, Standings] = {}
     for rule in rules:
         *_, standings = ledger.rounds(rule)
         finals[rule.system] = standings
         name = rule.system.value
-        header += [f"{name}_team", f"{name}_points", f"{name}_pct_of_1st"]
         percents, leader = percent_of_leader(standings)
         columns += (
-            [standings.teams[i] for i in standings.order],
-            _points_cells(standings, decimals, comma),
-            format_ratios(percents, leader, 0, comma=comma),
+            [f"{name}_team", *map(standings.teams.__getitem__, standings.order)],
+            [f"{name}_points", *_points_cells(standings, decimals, comma)],
+            [f"{name}_pct_of_1st", *format_ratios(percents, leader, 0, comma=comma)],
         )
     if ScoringSystem.TIME in finals:
-        header.append("time_min_to_upper")
         nums, den = minutes_to_upper(finals[ScoringSystem.TIME])
-        columns.append(["", *format_ratios(nums, den, 0, comma=comma)])
+        columns.append(["time_min_to_upper", "", *format_ratios(nums, den, 0, comma=comma)])
     if ScoringSystem.CLASSIC in finals:
-        header.append("classic_draws_to_wins")
         metrics = draws_to_wins(finals[ScoringSystem.CLASSIC], ledger.draws)
-        columns.append(["", *(f"{n}*" if capped else str(n) for n, capped in metrics)])
-    rows = ([rank, *cells] for rank, cells in enumerate(zip(*columns), start=1))
-    return {"table.csv": _csv_text(header, rows)}
+        cells = [f"{n}*" if capped else str(n) for n, capped in metrics]
+        columns.append(["classic_draws_to_wins", "", *cells])
+    return {"table.csv": _csv_text(columns)}
 
 
 def evolution_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
     """evolution_<system>.csv: each round's (round, team, rank, points), long form for plotting."""
-    return {
-        f"evolution_{rule.system.value}.csv": _csv_text(
-            ["round", "team", "rank", "points"],
-            (
-                [round_no, standings.teams[i], rank, cell]
-                for round_no, standings in enumerate(ledger.rounds(rule), start=1)
-                for rank, (i, cell) in enumerate(
-                    zip(standings.order, _points_cells(standings, decimals, comma)), start=1
-                )
-            ),
-        )
-        for rule in rules
-    }
+    ranks = list(map(str, range(1, len(ledger.teams) + 1)))
+    files = {}
+    for rule in rules:
+        columns = rounds, teams, rank_cells, points = ["round"], ["team"], ["rank"], ["points"]
+        for round_no, standings in enumerate(ledger.rounds(rule), start=1):
+            rounds += [str(round_no)] * len(ranks)
+            teams += map(standings.teams.__getitem__, standings.order)
+            rank_cells += ranks
+            points += _points_cells(standings, decimals, comma)
+        files[f"evolution_{rule.system.value}.csv"] = _csv_text(columns)
+    return files
 
 
 # Each indicator row: its label, its IndicatorBundle field, and the decimals of
@@ -145,20 +148,20 @@ def indicators_report(
     """
     bundles = [(rule.system.value, indicator_bundle(ledger, rule)) for rule in rules]
     doc: dict[str, dict[str, object]] = {system: {} for system, _ in bundles}
-    rows = []
-    for label, attr, places in _INDICATOR_ROWS:
-        row: list[object] = [label]
-        for system, bundle in bundles:
+    columns = [["indicator", *(label for label, _, _ in _INDICATOR_ROWS)]]
+    for system, bundle in bundles:
+        column = [system]
+        for _, attr, places in _INDICATOR_ROWS:
             value = getattr(bundle, attr)
             if places is None:
-                row.append(value)
+                column.append(str(value))
             else:
-                row.append(format_decimal(value, places, comma=comma))
+                column.append(format_decimal(value, places, comma=comma))
                 value = str(value)
             doc[system][attr] = value
-        rows.append(row)
+        columns.append(column)
     return {
-        "indicators.csv": _csv_text(["indicator", *doc], rows),
+        "indicators.csv": _csv_text(columns),
         "indicators.json": json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
     }
 
@@ -173,14 +176,11 @@ def ecdf_report(
     """
     files = {}
     for rule in rules:
-        steps = ecdf_counts(ledger.awards(rule))
-        files[f"ecdf_{rule.system.value}.csv"] = _csv_text(
-            ["points", "cumulative_fraction"],
-            zip(
-                format_ratios([value for value, _ in steps], ledger.den(rule), 6, comma=comma),
-                format_ratios([count for _, count in steps], steps[-1][1], 6, comma=comma),
-            ),
-        )
+        values, counts = zip(*ecdf_counts(ledger.awards(rule)))
+        files[f"ecdf_{rule.system.value}.csv"] = _csv_text((
+            ["points", *format_ratios(values, ledger.den(rule), 6, comma=comma)],
+            ["cumulative_fraction", *format_ratios(counts, counts[-1], 6, comma=comma)],
+        ))
     return files
 
 

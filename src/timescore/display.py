@@ -14,22 +14,18 @@ def format_ratios(
     A ratio need not be reduced: floor(num/den * 10**decimals + 1/2) is the
     same for every representation of one rational. ``comma=True`` swaps the
     decimal point for a comma (the convention used in several European league
-    tables). Rendering a whole column in one call sets up the scale and the
-    format once.
+    tables). A whole column is rounded in one pass and rendered in another.
     """
     scale = 10**decimals
     twice_scale, twice_den = 2 * scale, 2 * den
-    # str.format ignores the fraction digits when decimals is 0.
-    template = f"{{}}{',' if comma else '.'}{{:0{decimals}d}}" if decimals else "{}"
-    positive, negative = template.format, ("-" + template).format
-    cells = []
-    for num in nums:
-        digits = (num * twice_scale + den) // twice_den
-        if digits < 0:
-            cells.append(negative(*divmod(-digits, scale)))
-        else:
-            cells.append(positive(*divmod(digits, scale)))
-    return cells
+    digits = [(num * twice_scale + den) // twice_den for num in nums]
+    if not decimals:
+        return list(map(str, digits))
+    template = f"%d{',' if comma else '.'}%0{decimals}d"
+    return [
+        template % divmod(d, scale) if d >= 0 else "-" + template % divmod(-d, scale)
+        for d in digits
+    ]
 
 
 def format_decimal(value: Fraction | int, decimals: int = 2, *, comma: bool = False) -> str:

@@ -163,7 +163,8 @@ class GoalEvent(FrozenRecord):
 class MatchRecord(FrozenRecord):
     """One fixture: round number, sides, ordered goals, optional length override.
 
-    Team names are trimmed on construction. Goal times must strictly increase
+    Team names are trimmed on construction and may not hold a NUL, which
+    Python 3.10's csv writer cannot write. Goal times must strictly increase
     (two goals can never share the same second). A declared length, when
     present, must cover both the 90-minute regulation span and every goal,
     and may not exceed MAX_MATCH_LENGTH_S.
@@ -191,6 +192,8 @@ class MatchRecord(FrozenRecord):
             raise MalformedRowError(f"round must be a positive integer, got {round}")
         if not home or not away:
             raise MalformedRowError("team names must be non-empty")
+        if "\0" in home or "\0" in away:
+            raise MalformedRowError("team names must not contain a NUL character")
         if home == away:
             raise MalformedRowError(f"a team cannot play itself: {home!r}")
         for prev, cur in zip(goals, goals[1:]):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from clirun import run_cli
+from timescore.cli import _csv_text
 from timescore.display import format_decimal
 from timescore.indicators import indicator_bundle
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
@@ -177,6 +182,33 @@ def test_report_bytes_for_team_names_that_need_quoting_are_pinned(tmp_path, flag
         for p in out_dir.iterdir()
     }
     assert digests == AWKWARD_DIGESTS[flags]
+
+
+# Cell text: often only the characters a CSV cell may need quoting for, plus a
+# space, a letter and non-ASCII; otherwise any text but NUL, which ingest rejects.
+_CELLS = st.one_of(
+    st.text(alphabet=',"\r\n aé€', max_size=4),
+    st.text(alphabet=st.characters(exclude_characters="\0"), max_size=6),
+)
+
+
+@st.composite
+def _text_columns(draw):
+    """Two to five equal-length columns of cell text, a header and up to six rows each."""
+    rows, width = draw(st.integers(1, 7)), draw(st.integers(2, 5))
+    return [draw(st.lists(_CELLS, min_size=rows, max_size=rows)) for _ in range(width)]
+
+
+@given(_text_columns())
+@example([["a", "b,c"], ["d", "e"]])
+@example([["a", 'b"c'], ["d", "e"]])
+@example([["a", "b\rc"], ["d", "e"]])
+@example([["a", "b\nc"], ["d", "e"]])
+@example([["h", ""], ["", "é"]])
+def test_csv_text_equals_csv_writer(columns):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(zip(*columns))
+    assert _csv_text(columns) == out.getvalue()
 
 
 def test_golden_table_cells_match_recomputation():
@@ -372,6 +404,21 @@ def test_json_team_names_must_be_strings(tmp_path, home, away):
     assert result.exit_code == 1
     assert "MALFORMED_ROW: match 2:" in result.stderr
     assert "must be a string" in result.stderr
+
+
+def test_json_team_name_with_nul_exits_one_with_code(tmp_path):
+    # Python 3.10's csv writer cannot write a NUL, so ingest rejects it on every version.
+    season = tmp_path / "season.json"
+    season.write_text(
+        '{"matches": [{"round": 1, "home": "Gamma", "away": "Delta", "goals": []},'
+        ' {"round": 1, "home": "Al\\u0000pha", "away": "Beta", "goals": []}]}'
+    )
+    result = _invoke("report", tmp_path / "out", season=season)
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: MALFORMED_ROW: match 2: team names must not contain a NUL character\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])

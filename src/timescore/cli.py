@@ -1,14 +1,14 @@
 """Batch command-line front end: season file in, deterministic report files out.
 
 ``timescore COMMAND --input FILE --out DIR [options]``. Every command takes the
-same seven options, so one argparse parser, built at import, reads them all;
-the command picks its reports from one table, which also writes the help's
-command list. Each report function turns the ledger into its files, so every
-byte of CSV and JSON is rendered here; the other modules only compute. A report
-builds each CSV file as columns of text, each headed by its header cell;
-``_csv_text`` joins the cells with commas and newlines, and hands the rows to
-``csv.writer`` only when some cell holds a comma, a double quote, a carriage
-return or a line feed. The front end imports nothing outside the standard library.
+same six options, so one argparse parser, built at import, reads them all; the
+season file's content, not its name, picks the CSV or JSON parser. The command
+picks its reports from one table, which also writes the help's command list.
+Each report function turns the ledger into its files, so every byte of CSV and
+JSON is laid out here; the other modules compute, and ``display`` renders
+values and cells. A report builds each CSV file as columns of text, each headed
+by its header cell, and ``display.csv_text`` writes the file's text. The front
+end imports nothing outside the standard library.
 
 Exit codes: 0 on success, 1 for data/validation problems, 2 for I/O failures
 and for usage errors. Identical inputs and flags always produce byte-identical
@@ -18,16 +18,14 @@ outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .display import format_decimal, format_ratios
+from .display import csv_text, format_decimal, format_ratios
 from .indicators import draws_to_wins, ecdf_counts, indicator_bundle, minutes_to_upper
-from .ingest import SeasonFormat, parse_season
+from .ingest import parse_season
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
 from .standings import SeasonLedger, Standings, percent_of_leader
 
@@ -48,26 +46,6 @@ def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
         if system not in systems:
             systems.append(system)
     return tuple(systems)
-
-
-def _infer_format(path: Path, fmt: str | None) -> SeasonFormat:
-    if fmt is not None:
-        return SeasonFormat(fmt)
-    return SeasonFormat.JSON if path.suffix.lower() == ".json" else SeasonFormat.CSV
-
-
-def _csv_text(columns: Sequence[Sequence[str]]) -> str:
-    """A CSV file's text from its columns, each headed by its header cell.
-
-    Lines end in a bare newline. Each row needs two or more cells: the csv
-    module quotes a row of one empty cell, which a plain join would not.
-    """
-    cells = "".join(map("".join, columns))
-    if "," in cells or '"' in cells or "\r" in cells or "\n" in cells:
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(zip(*columns))
-        return out.getvalue()
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _points_cells(standings: Standings, decimals: int, comma: bool) -> list[str]:
@@ -105,7 +83,7 @@ def table_report(
         metrics = draws_to_wins(finals[ScoringSystem.CLASSIC], ledger.draws)
         cells = [f"{n}*" if capped else str(n) for n, capped in metrics]
         columns.append(["classic_draws_to_wins", "", *cells])
-    return {"table.csv": _csv_text(columns)}
+    return {"table.csv": csv_text(columns)}
 
 
 def evolution_report(
@@ -121,7 +99,7 @@ def evolution_report(
             teams += map(standings.teams.__getitem__, standings.order)
             rank_cells += ranks
             points += _points_cells(standings, decimals, comma)
-        files[f"evolution_{rule.system.value}.csv"] = _csv_text(columns)
+        files[f"evolution_{rule.system.value}.csv"] = csv_text(columns)
     return files
 
 
@@ -161,7 +139,7 @@ def indicators_report(
             doc[system][attr] = value
         columns.append(column)
     return {
-        "indicators.csv": _csv_text(columns),
+        "indicators.csv": csv_text(columns),
         "indicators.json": json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
     }
 
@@ -176,8 +154,9 @@ def ecdf_report(
     """
     files = {}
     for rule in rules:
-        values, counts = zip(*ecdf_counts(ledger.awards(rule)))
-        files[f"ecdf_{rule.system.value}.csv"] = _csv_text((
+        awards = [award for standings in ledger.rounds(rule) for award in standings.awards]
+        values, counts = zip(*ecdf_counts(awards))
+        files[f"ecdf_{rule.system.value}.csv"] = csv_text((
             ["points", *format_ratios(values, ledger.den(rule), 6, comma=comma)],
             ["cumulative_fraction", *format_ratios(counts, counts[-1], 6, comma=comma)],
         ))
@@ -187,7 +166,6 @@ def ecdf_report(
 def _execute(
     reports: Sequence[Callable[..., dict[str, str]]],
     input_path: Path,
-    fmt: str | None,
     systems: str,
     weights: str,
     output_dir: Path,
@@ -204,9 +182,7 @@ def _execute(
         rules = [scoring_rule(system, triple) for system in parsed_systems]
         # The parsed season is dropped once its ledger is built, so the reports
         # reuse its memory.
-        ledger = SeasonLedger(
-            parse_season(input_path.read_bytes(), _infer_format(input_path, fmt))
-        )
+        ledger = SeasonLedger(parse_season(input_path.read_bytes()))
         files: dict[str, str] = {}
         for report in reports:
             files.update(report(ledger, rules, decimals, decimal_comma))
@@ -239,9 +215,7 @@ _COMMANDS: dict[str, tuple[str, tuple[Callable[..., dict[str, str]], ...]]] = {
     ),
 }
 # The options that take a value; see _glue_values.
-_VALUE_OPTIONS = frozenset(
-    {"--input", "--format", "--systems", "--weights", "--out", "--decimals"}
-)
+_VALUE_OPTIONS = frozenset({"--input", "--systems", "--weights", "--out", "--decimals"})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,11 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--input", dest="input_path", required=True, type=Path, metavar="FILE",
-        help="Season file (CSV or JSON).",
-    )
-    parser.add_argument(
-        "--format", dest="fmt", choices=("csv", "json"), default=None,
-        help="Input format; inferred from the file suffix when omitted.",
+        help="Season file, CSV or JSON (told apart by its content).",
     )
     parser.add_argument(
         "--systems", default="classic,time",

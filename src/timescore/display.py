@@ -1,9 +1,9 @@
-"""Exact-to-decimal rendering. Core values stay rational; this is presentation only."""
+"""Presentation only: exact values as decimal text, and columns as CSV text."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def format_ratios(
@@ -32,3 +32,24 @@ def format_decimal(value: Fraction | int, decimals: int = 2, *, comma: bool = Fa
     """Fixed-point rendering of an exact rational, half-up (see :func:`format_ratios`)."""
     value = Fraction(value)
     return format_ratios((value.numerator,), value.denominator, decimals, comma=comma)[0]
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def csv_text(columns: Sequence[Sequence[str]]) -> str:
+    """A CSV file's text from its columns, each headed by its header cell.
+
+    Lines end in a bare newline. A cell holding a comma, a double quote, a
+    carriage return or a line feed is quoted, its double quotes doubled, so
+    every CSV reader reads the rows back whole; when no cell holds one, the
+    cells are joined as they are. Each row needs two or more cells: a row of
+    one empty cell would read back as a blank line.
+    """
+    if _needs_quotes("".join(map("".join, columns))):
+        columns = [
+            ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in column]
+            for column in columns
+        ]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"

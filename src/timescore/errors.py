@@ -40,10 +40,6 @@ class NonContiguousRoundsError(SeasonDataError):
     code = "NONCONTIGUOUS_ROUNDS"
 
 
-class UnknownFormatError(SeasonDataError):
-    code = "UNKNOWN_FORMAT"
-
-
 class EmptySeasonError(SeasonDataError):
     code = "EMPTY_SEASON"
 

@@ -1,6 +1,7 @@
 """Season-file ingestion: domain records, validation, and the on-disk formats.
 
-Two interchangeable formats are supported.
+Two interchangeable formats are supported; :func:`parse_season` tells them
+apart by the content.
 
 CSV (canonical)
     Header ``round,home,away,goals,length_min``, one fixture per row. The
@@ -41,6 +42,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Iterator
 
+from .display import csv_text
 from .errors import (
     DuplicateFixtureError,
     EmptySeasonError,
@@ -49,7 +51,6 @@ from .errors import (
     NonContiguousRoundsError,
     NonMonotonicGoalsError,
     SeasonDataError,
-    UnknownFormatError,
 )
 
 SECONDS_PER_MINUTE = 60
@@ -89,11 +90,6 @@ class TimePrecision(enum.Enum):
 # Each member by its value, for the JSON goal fields (see _member).
 _SIDES = {side.value: side for side in Side}
 _PRECISIONS = {precision.value: precision for precision in TimePrecision}
-
-
-class SeasonFormat(enum.Enum):
-    CSV = "csv"
-    JSON = "json"
 
 
 # Worst-case timing slack (seconds) a single recorded goal can hide.
@@ -163,8 +159,9 @@ class GoalEvent(FrozenRecord):
 class MatchRecord(FrozenRecord):
     """One fixture: round number, sides, ordered goals, optional length override.
 
-    Team names are trimmed on construction and may not hold a NUL, which
-    Python 3.10's csv writer cannot write. Goal times must strictly increase
+    Team names are trimmed on construction and may not hold a NUL, which is
+    part of no name and which readers of the report files, such as Python
+    3.10's csv reader, stop at. Goal times must strictly increase
     (two goals can never share the same second). A declared length, when
     present, must cover both the 90-minute regulation span and every goal,
     and may not exceed MAX_MATCH_LENGTH_S.
@@ -305,40 +302,31 @@ class _TokenMemo(dict):
         return goal
 
 
-def _coerce_format(fmt: SeasonFormat | str) -> SeasonFormat:
-    if isinstance(fmt, SeasonFormat):
-        return fmt
-    try:
-        return SeasonFormat(str(fmt).lower())
-    except ValueError:
-        raise UnknownFormatError(f"unknown season format {fmt!r}") from None
-
-
 def _located(err: SeasonDataError, line: int) -> SeasonDataError:
     return type(err)(err.message, line=line)
 
 
 def parse_season(
     data: bytes | str,
-    fmt: SeasonFormat | str,
     *,
     minute_precision: TimePrecision = TimePrecision.MINUTE_TRUNCATED,
 ) -> SeasonDataset:
     """Parse season file content into a validated :class:`SeasonDataset`.
 
+    The content picks the parser: text whose first character after the BOM
+    and any leading whitespace is ``{`` or ``[`` is JSON, anything else CSV.
+
     Args:
         data: Raw file content (UTF-8 bytes or already-decoded text).
-        fmt: ``SeasonFormat`` or the strings ``"csv"`` / ``"json"``.
         minute_precision: Precision flag given to goals supplied as minute
             tokens (sources differ in whether they truncate or round).
 
     Raises:
         SeasonDataError: with code MALFORMED_ROW (row/line reported),
             DUPLICATE_FIXTURE, NONMONOTONIC_GOALS, NONCONTIGUOUS_ROUNDS,
-            UNKNOWN_FORMAT, ENCODING for bytes that are not UTF-8, or
-            EMPTY_SEASON for an entirely empty file.
+            ENCODING for bytes that are not UTF-8, or EMPTY_SEASON for an
+            entirely empty file.
     """
-    fmt = _coerce_format(fmt)
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8-sig")
@@ -349,11 +337,12 @@ def parse_season(
             ) from None
     else:
         text = data.lstrip("\ufeff")
-    if not text.strip():
+    first = text.lstrip()[:1]
+    if not first:
         raise EmptySeasonError("season file is empty")
-    if fmt is SeasonFormat.CSV:
-        return _parse_csv(text, minute_precision)
-    return _parse_json(text, minute_precision)
+    if first in "{[":
+        return _parse_json(text, minute_precision)
+    return _parse_csv(text, minute_precision)
 
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -536,17 +525,18 @@ def _long_integer_line(text: str, limit: int) -> int | None:
     return None
 
 
-def serialize_season(dataset: SeasonDataset, fmt: SeasonFormat | str) -> str:
-    """Render a dataset back to file text.
+def serialize_season(dataset: SeasonDataset, fmt: str) -> str:
+    """Render a dataset back to file text; ``fmt`` is ``"csv"`` or ``"json"``.
 
     CSV can only represent whole-minute goal times with one uniform
     non-EXACT precision and no league name; anything else raises ValueError
-    (use JSON, which round-trips every valid dataset).
+    (use JSON, which round-trips every valid dataset), as does any other ``fmt``.
     """
-    fmt = _coerce_format(fmt)
-    if fmt is SeasonFormat.CSV:
+    if fmt == "csv":
         return _serialize_csv(dataset)
-    return _serialize_json(dataset)
+    if fmt == "json":
+        return _serialize_json(dataset)
+    raise ValueError(f"unknown season format {fmt!r}; use 'csv' or 'json'")
 
 
 def _serialize_csv(dataset: SeasonDataset) -> str:
@@ -558,9 +548,7 @@ def _serialize_csv(dataset: SeasonDataset) -> str:
             "CSV carries minute-resolution goals with one uniform precision; "
             "use the JSON format"
         )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    rows = [CSV_HEADER]
     for m in dataset.matches:
         if m.declared_length_s is None:
             length = ""
@@ -579,8 +567,8 @@ def _serialize_csv(dataset: SeasonDataset) -> str:
                     "use the JSON format for second-resolution data"
                 )
             tokens.append(f"{g.side.value}:{g.time_s // SECONDS_PER_MINUTE}")
-        writer.writerow([m.round, m.home, m.away, ",".join(tokens), length])
-    return out.getvalue()
+        rows.append((str(m.round), m.home, m.away, ",".join(tokens), length))
+    return csv_text(list(zip(*rows)))
 
 
 def _serialize_json(dataset: SeasonDataset) -> str:

@@ -34,18 +34,20 @@ class Standings:
     """Cumulative standings under one rule after some round, indexed like ``teams``.
 
     ``points[i] / den`` is team i's exact points total and ``appearances``
-    counts the team appearances so far. ``order`` lists the team indices by
-    rank. A :meth:`SeasonLedger.rounds` stream updates one object in place, so
-    read it before asking for the next round.
+    counts the team appearances so far. ``awards`` holds the latest round's
+    awards over ``den``, one per side (home, away per fixture). ``order`` lists
+    the team indices by rank. A :meth:`SeasonLedger.rounds` stream updates one
+    object in place, so read it before asking for the next round.
     """
 
-    __slots__ = ("teams", "rule", "den", "points", "appearances", "_tiebreak", "_order")
+    __slots__ = ("teams", "rule", "den", "points", "awards", "appearances", "_tiebreak", "_order")
 
     def __init__(self, teams: tuple[str, ...], rule: ScoringRule, den: int) -> None:
         self.teams = teams
         self.rule = rule
         self.den = den
         self.points = [0] * len(teams)
+        self.awards: list[int] = []
         self.appearances = 0
         self._tiebreak: Sequence[int] = range(len(teams))
         self._order: list[int] | None = None
@@ -59,6 +61,7 @@ class Standings:
         points = self.points
         for team, award in zip(sides, awards):
             points[team] += award
+        self.awards = awards
         self.appearances += len(sides)
         self._tiebreak = tiebreak
         self._order = None
@@ -144,30 +147,22 @@ class SeasonLedger:
         """The common denominator of every award and total under ``rule``."""
         return rule.scale * self.length_lcm
 
-    def _round_awards(self, rule: ScoringRule) -> Iterator[list[int]]:
-        """Each round's awards over :meth:`den`, one per side, in ``_sides`` order."""
-        lead, level, trail = rule.lead, rule.level, rule.trail
-        result, goal_diff = rule.result, rule.goal_diff
-        # ScoringRule's award numerator, inlined because it runs once per side
-        # per system; tests/reference.py scores each system from its definition.
-        for rows in self._rows:
-            yield [
-                (lead * w + level * d + trail * l + (result * r + goal_diff * g) * t) * factor
-                for w, d, l, r, g, t, factor in rows
-            ]
-
-    def awards(self, rule: ScoringRule) -> list[int]:
-        """Every team's award in every match (home, away per fixture) over :meth:`den`."""
-        return [award for awards in self._round_awards(rule) for award in awards]
-
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
         """Cumulative standings after each round; one :class:`Standings` updated in place.
 
-        The last item is the final standings. A round whose ``order`` is never
-        read is never ranked.
+        Each item also carries its round's awards. The last item is the final
+        standings. A round whose ``order`` is never read is never ranked.
         """
         standings = Standings(self.teams, rule, self.den(rule))
-        for sides, awards, tiebreak in zip(self._sides, self._round_awards(rule), self._tiebreaks):
+        lead, level, trail = rule.lead, rule.level, rule.trail
+        result, goal_diff = rule.result, rule.goal_diff
+        for sides, rows, tiebreak in zip(self._sides, self._rows, self._tiebreaks):
+            # ScoringRule's award numerator, inlined because it runs once per side
+            # per system; tests/reference.py scores each system from its definition.
+            awards = [
+                (lead * w + level * d + trail * l + (result * r + goal_diff * g) * t) * factor
+                for w, d, l, r, g, t, factor in rows
+            ]
             standings.add(sides, awards, tiebreak)
             yield standings
 

@@ -4,8 +4,9 @@ and a goal count.
 ``paper_awards`` scores a match straight from the definitions of the four
 systems in ``Fraction`` arithmetic. It shares no code with the package's
 integer scoring rule, so a test that compares the season ledger with it
-compares two independent codings. ``package_awards`` scores one match the way
-the CLI does, through a one-match :class:`SeasonLedger`. ``segment_oracle`` and
+compares two independent codings. ``season_awards`` collects a ledger's awards
+from its rounds, as the CLI's ECDF does, and ``package_awards`` scores one match
+that way through a one-match :class:`SeasonLedger`. ``segment_oracle`` and
 ``final_score`` recompute what :func:`timeline` returns without its walk.
 """
 
@@ -66,11 +67,16 @@ def paper_match_awards(
     return paper_awards(timeline(match)[:4], final_score(match), system, weights)
 
 
+def season_awards(ledger: SeasonLedger, rule) -> list[int]:
+    """Every award of the season over ``ledger.den(rule)``, round by round, home then away."""
+    return [award for standings in ledger.rounds(rule) for award in standings.awards]
+
+
 def package_awards(match: MatchRecord, rule) -> tuple[Fraction, Fraction]:
     """(home, away) awards of ``match`` under ``rule``, from a one-match season ledger."""
     one = MatchRecord(1, match.home, match.away, match.goals, match.declared_length_s)
     ledger = SeasonLedger(SeasonDataset(matches=(one,)))
-    home, away = ledger.awards(rule)
+    home, away = season_awards(ledger, rule)
     den = ledger.den(rule)
     return Fraction(home, den), Fraction(away, den)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from clirun import run_cli
 from matchgen import random_match_corpus, random_season, random_weight_triple
-from reference import package_awards, paper_awards, segment_oracle
+from reference import package_awards, paper_awards, season_awards, segment_oracle
 from timescore.display import format_decimal
 from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side, parse_season
@@ -112,7 +112,7 @@ def test_criterion_06_segment_matches_oracle_at_one_second():
 
 
 def test_criterion_07_mixed_final_points_are_exact_means():
-    seasons = [parse_season(SEASON_CSV.read_bytes(), "csv")]
+    seasons = [parse_season(SEASON_CSV.read_bytes())]
     seasons += [random_season(random.Random(seed)) for seed in (31, 32, 33)]
     for season in seasons:
         ledger = SeasonLedger(season)
@@ -160,12 +160,12 @@ def test_criterion_09_cli_determinism_and_goldens(tmp_path):
 
 
 def test_criterion_10_classic_ecdf_structure():
-    seasons = [parse_season(SEASON_CSV.read_bytes(), "csv")]
+    seasons = [parse_season(SEASON_CSV.read_bytes())]
     seasons += [random_season(random.Random(seed)) for seed in (41, 42)]
     rule = scoring_rule(ScoringSystem.CLASSIC)
     for season in seasons:
         ledger = SeasonLedger(season)
-        awards = ledger.awards(rule)
+        awards = season_awards(ledger, rule)
         steps = ecdf_counts(awards)
         den = ledger.den(rule)
         assert {Fraction(value, den) for value, _ in steps} <= {0, 1, 3}

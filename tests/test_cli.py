@@ -14,8 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clirun import run_cli
-from timescore.cli import _csv_text
-from timescore.display import format_decimal
+from timescore.display import csv_text, format_decimal
 from timescore.indicators import indicator_bundle
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
@@ -136,20 +135,20 @@ AWKWARD_DIGESTS = {
     "": {
         "ecdf_classic.csv": "a829dd1e7b56a2805ab53522044eff3de6e21d91971051a3fd701b9bf19d9153",
         "ecdf_time.csv": "f19ff135a0136dff9ea060d5bd81b02a13741c5f94e5d56467da072736a0f618",
-        "evolution_classic.csv": "854d4180053ed7abd96c22079aca632169f1c207786bab295d94080e6e60784a",
-        "evolution_time.csv": "6d7f2eab8b380079cbb67f3a29281aef1d237ea84704919078fa20b48cf3e802",
+        "evolution_classic.csv": "4ba198ada3f543956042e0a20e87477eef2952aab2637b98a2f8e048be48dcde",
+        "evolution_time.csv": "ead0122e197b2e0d02758b0e3acb543557cb99abcf80a32d0b842ad096e01a52",
         "indicators.csv": "7593f86b9b0a25e8bcfd5d51d7b6406f0a4e910ca6832f6f4995b4f3f57f7645",
         "indicators.json": "7a2a092e0ca64f54a266f5c8d6cf9fb2a72b5d2c21213462dcda4492fd630be3",
-        "table.csv": "791cfc68c8de2d1aeba7f7a6548b5ea1c8a3fc9d33920294b0dd42d4131e3b8e",
+        "table.csv": "87f6c26421fd73a6de485d20537b92c10e20bb3d2c8e053a8181cc091515b82b",
     },
     "--decimal-comma --decimals 1": {
         "ecdf_classic.csv": "a67bd43e503380d28699d765c74a6335a94d90c9293e874525068bc939b8d762",
         "ecdf_time.csv": "ebed6a3fcba94ca89be42f935f943f2259292c478ea7619015a9185f0573ff95",
-        "evolution_classic.csv": "eb500ed0f05338685905722e058da46a9bd9f424f17118f12315e3c84c6eaa45",
-        "evolution_time.csv": "ec782d349a3308561d5c73cc18da4b43d9065af342388a2b93aa302c5ee7c90c",
+        "evolution_classic.csv": "887bb627225ae4ebade489b058dc2114022c083c09f7916508c451ecb10e7dab",
+        "evolution_time.csv": "16c381e8c7aff6b1f3dd7b36acb4a9bb11a5e3cd6cf5508d06ec0e5a32cc2d79",
         "indicators.csv": "a18df74c4763e2853a4063997f0b49f16209aa07a6588034e4f7b197b03a04ed",
         "indicators.json": "7a2a092e0ca64f54a266f5c8d6cf9fb2a72b5d2c21213462dcda4492fd630be3",
-        "table.csv": "868749178db4a4c3f2e6596a4db0bc264bd67731589a808c4e71c9b158a4b30f",
+        "table.csv": "ddc114b4f6a2de5156774c394fe8a87b309d91c3570fc99df41cdea1362855df",
     },
 }
 
@@ -174,14 +173,16 @@ def test_report_bytes_for_team_names_that_need_quoting_are_pinned(tmp_path, flag
     out_dir = tmp_path / "out"
     result = _invoke("report", out_dir, *flags.split(), season=season)
     assert result.exit_code == 0, result.stderr
-    # The digests are of the bytes that Python 3.10 and 3.11 write, whose csv
-    # module leaves a lone "\r" unquoted when the line terminator is "\n"; a
-    # csv module that quotes it changes only that cell.
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes().replace(b'"Delta\r2"', b"Delta\r2")).hexdigest()
-        for p in out_dir.iterdir()
-    }
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == AWKWARD_DIGESTS[flags]
+    # Every file reads back as rows of one width, with every team name whole.
+    for path in out_dir.glob("*.csv"):
+        header, *rows = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+        assert {len(row) for row in rows} == {len(header)}, path.name
+        team_columns = [i for i, name in enumerate(header) if name.endswith("team")]
+        assert bool(team_columns) == path.name.startswith(("table", "evolution")), path.name
+        for i in team_columns:
+            assert {row[i] for row in rows} == set(AWKWARD_TEAMS), path.name
 
 
 # Cell text: often only the characters a CSV cell may need quoting for, plus a
@@ -206,14 +207,18 @@ def _text_columns(draw):
 @example([["a", "b\nc"], ["d", "e"]])
 @example([["h", ""], ["", "é"]])
 def test_csv_text_equals_csv_writer(columns):
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(zip(*columns))
-    assert _csv_text(columns) == out.getvalue()
+    text = csv_text(columns)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == list(map(list, zip(*columns)))
+    # csv.writer leaves a lone carriage return unquoted, so a reader splits its row.
+    if not any("\r" in cell for column in columns for cell in column):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(zip(*columns))
+        assert text == out.getvalue()
 
 
 def test_golden_table_cells_match_recomputation():
     # Spot-check the frozen file against values recomputed from the library.
-    ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))
+    ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes()))
     *_, classic = ledger.rounds(scoring_rule(ScoringSystem.CLASSIC))
     *_, timed = ledger.rounds(scoring_rule(ScoringSystem.TIME))
     lines = (GOLDEN / "table.csv").read_text().splitlines()
@@ -249,7 +254,7 @@ def test_draws_to_wins_capped_at_the_teams_draws_is_marked(tmp_path):
 def test_evolution_row_counts(tmp_path):
     result = _invoke("evolution", tmp_path, "--systems", "classic,time,mixed")
     assert result.exit_code == 0
-    season = parse_season(SEASON_CSV.read_bytes(), "csv")
+    season = parse_season(SEASON_CSV.read_bytes())
     expected_rows = season.num_rounds * len(season.teams)
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == ["evolution_classic.csv", "evolution_mixed.csv", "evolution_time.csv"]
@@ -267,11 +272,17 @@ def test_csv_and_json_inputs_agree(tmp_path):
     assert (csv_out / "table.csv").read_bytes() == (json_out / "table.csv").read_bytes()
 
 
-def test_format_flag_overrides_suffix(tmp_path):
-    # The JSON file parsed as CSV must fail as data, not crash.
-    result = _invoke("table", tmp_path, "--format", "csv", season=SEASON_JSON)
-    assert result.exit_code == 1
-    assert "MALFORMED_ROW" in result.stderr
+@pytest.mark.parametrize(
+    "source,name", [(SEASON_JSON, "season.csv"), (SEASON_CSV, "season.json")],
+    ids=["json_named_csv", "csv_named_json"],
+)
+def test_season_content_not_its_name_picks_the_parser(tmp_path, source, name):
+    season = tmp_path / name
+    season.write_bytes(source.read_bytes())
+    result = _invoke("report", tmp_path / "out", season=season)
+    assert result.exit_code == 0, result.stderr
+    for golden in COMMANDS["report"]:
+        assert (tmp_path / "out" / golden).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_default_weights_flag_equivalence(tmp_path):
@@ -341,7 +352,7 @@ def test_all_draws_fixture_gives_zero_gaps(tmp_path):
 
 
 def test_bundled_fixture_time_gaps_at_most_classic():
-    ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes(), "csv"))
+    ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes()))
     time_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.TIME))
     classic_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.CLASSIC))
     assert time_bundle.gap_1_3_pct <= classic_bundle.gap_1_3_pct
@@ -350,8 +361,8 @@ def test_bundled_fixture_time_gaps_at_most_classic():
 
 
 def test_bundled_csv_and_json_parse_identically():
-    csv_season = parse_season(SEASON_CSV.read_bytes(), "csv")
-    json_season = parse_season(SEASON_JSON.read_bytes(), "json")
+    csv_season = parse_season(SEASON_CSV.read_bytes())
+    json_season = parse_season(SEASON_JSON.read_bytes())
     assert csv_season == json_season
 
 
@@ -616,11 +627,11 @@ def test_cli_import_leaves_out_click_dataclasses_and_inspect():
         ["table", "--out", "{out}"],
         ["table", "--input", str(SEASON_CSV)],
         ["table", "--input", str(SEASON_CSV), "--out", "{out}", "--decimals", "4"],
-        ["table", "--input", str(SEASON_CSV), "--out", "{out}", "--format", "xml"],
+        ["table", "--input", str(SEASON_CSV), "--out", "{out}", "--format", "json"],
         ["tabel", "--input", str(SEASON_CSV), "--out", "{out}"],
         ["--input", str(SEASON_CSV), "--out", "{out}"],
     ],
-    ids=["missing_input", "missing_out", "decimals_4", "format_xml", "unknown_command",
+    ids=["missing_input", "missing_out", "decimals_4", "no_format_option", "unknown_command",
          "no_command"],
 )
 def test_usage_errors_exit_two_and_write_nothing(tmp_path, argv):

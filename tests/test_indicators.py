@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from reference import final_score, package_awards, paper_match_awards
+from reference import final_score, package_awards, paper_match_awards, season_awards
 from timescore.display import format_decimal, format_ratios
 from timescore.errors import EmptySeasonError, TooFewTeamsError, WrongSystemError
 from timescore.indicators import (
@@ -190,14 +190,14 @@ class TestDrawsToWins:
 class TestPointsEcdf:
     def test_all_goalless_is_single_step(self):
         ledger = SeasonLedger(SeasonDataset(matches=(MatchRecord(1, "A", "B"),)))
-        [(value, count)] = ecdf_counts(ledger.awards(TIME))
+        [(value, count)] = ecdf_counts(season_awards(ledger, TIME))
         assert (Fraction(value, ledger.den(TIME)), count) == (1, 2)
 
     def test_classic_steps_match_result_counts(self):
         season = random_season(random.Random(13))
         ledger = SeasonLedger(season)
         den = ledger.den(CLASSIC)
-        steps = ecdf_counts(ledger.awards(CLASSIC))
+        steps = ecdf_counts(season_awards(ledger, CLASSIC))
         lookup = {Fraction(value, den): count for value, count in steps}
         assert set(lookup) <= {0, 1, 3}
         losses = sum(hg != ag for hg, ag in map(final_score, season.matches))
@@ -220,12 +220,12 @@ class TestPointsEcdf:
             ]
             rule = scoring_rule(system)
             den = ledger.den(rule)
-            steps = ecdf_counts(ledger.awards(rule))
+            steps = ecdf_counts(season_awards(ledger, rule))
             assert [(Fraction(value, den), Fraction(i, n)) for value, i in steps] == expected
 
     def test_monotone_and_ends_at_one(self):
         ledger = SeasonLedger(random_season(random.Random(15)))
-        awards = ledger.awards(TIME)
+        awards = season_awards(ledger, TIME)
         steps = ecdf_counts(awards)
         counts = [count for _, count in steps]
         assert counts == sorted(set(counts))

@@ -11,14 +11,12 @@ from timescore.errors import (
     MalformedRowError,
     NonContiguousRoundsError,
     NonMonotonicGoalsError,
-    UnknownFormatError,
 )
 from timescore.ingest import (
     SECONDS_PER_MINUTE,
     GoalEvent,
     MatchRecord,
     SeasonDataset,
-    SeasonFormat,
     Side,
     TimePrecision,
     minute_error_bound,
@@ -33,7 +31,7 @@ HEADER = "round,home,away,goals,length_min\n"
 
 def test_parse_basic_row():
     csv_text = HEADER + '1,Leicester,Sunderland,"H:52,H:71",\n'
-    season = parse_season(csv_text, "csv")
+    season = parse_season(csv_text)
     assert len(season.matches) == 1
     match = season.matches[0]
     assert match.round == 1
@@ -58,21 +56,20 @@ def test_stoppage_token_equals_plain_absolute_token():
 
 
 def test_goalless_match_is_valid():
-    season = parse_season(HEADER + "1,Alpha,Beta,,\n", "csv")
+    season = parse_season(HEADER + "1,Alpha,Beta,,\n")
     assert season.matches[0].goals == ()
 
 
 def test_minute_precision_flag_applies_to_all_tokens():
     season = parse_season(
         HEADER + '1,Alpha,Beta,"H:10",\n',
-        "csv",
         minute_precision=TimePrecision.MINUTE_ROUNDED,
     )
     assert season.matches[0].goals[0].precision is TimePrecision.MINUTE_ROUNDED
 
 
 def test_declared_length_minutes_scaled_to_seconds():
-    season = parse_season(HEADER + '1,Alpha,Beta,"H:90+5",96\n', "csv")
+    season = parse_season(HEADER + '1,Alpha,Beta,"H:90+5",96\n')
     assert season.matches[0].declared_length_s == 96 * 60
 
 
@@ -95,7 +92,7 @@ def test_declared_length_minutes_scaled_to_seconds():
 )
 def test_malformed_rows_report_line_number(row):
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season(HEADER + row + "\n", "csv")
+        parse_season(HEADER + row + "\n")
     assert "MALFORMED_ROW" in str(excinfo.value)
     assert "line 2" in str(excinfo.value)
 
@@ -110,13 +107,13 @@ def test_bad_token_after_valid_rows_reports_its_line():
         '2,Delta,Gamma,"H:10,A:20,H:3O",\n'
     )
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season(text, "csv")
+        parse_season(text)
     assert "H:3O" in str(excinfo.value)
     assert "line 5" in str(excinfo.value)
 
 
 def test_signed_and_padded_integers_still_parse():
-    season = parse_season(HEADER + " +1 ,Alpha,Beta,H:52, 95 \n", "csv")
+    season = parse_season(HEADER + " +1 ,Alpha,Beta,H:52, 95 \n")
     assert season.matches[0].round == 1
     assert season.matches[0].declared_length_s == 95 * SECONDS_PER_MINUTE
 
@@ -144,7 +141,7 @@ def _goal_fields(draw):
 def test_parsed_goals_equal_each_token_parsed_alone(fields, precision):
     # Minutes repeat across rows (and so do whole tokens), so parsed goals are shared.
     rows = [f'1,Home{i},Away{i},"{",".join(tokens)}",' for i, tokens in enumerate(fields)]
-    season = parse_season(HEADER + "\n".join(rows) + "\n", "csv", minute_precision=precision)
+    season = parse_season(HEADER + "\n".join(rows) + "\n", minute_precision=precision)
     assert [match.goals for match in season.matches] == [
         tuple(parse_goal_token(token, precision) for token in tokens) for tokens in fields
     ]
@@ -152,24 +149,24 @@ def test_parsed_goals_equal_each_token_parsed_alone(fields, precision):
 
 def test_wrong_header_rejected():
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season("a,b,c\n1,Alpha,Beta,,\n", "csv")
+        parse_season("a,b,c\n1,Alpha,Beta,,\n")
     assert "line 1" in str(excinfo.value)
 
 
 def test_duplicate_fixture_rejected():
     text = HEADER + "1,Alpha,Beta,,\n2,Alpha,Beta,,\n"
     with pytest.raises(DuplicateFixtureError):
-        parse_season(text, "csv")
+        parse_season(text)
 
 
 def test_reversed_fixture_is_not_a_duplicate():
     text = HEADER + "1,Alpha,Beta,,\n2,Beta,Alpha,,\n"
-    assert len(parse_season(text, "csv").matches) == 2
+    assert len(parse_season(text).matches) == 2
 
 
 def test_nonmonotonic_goals_rejected():
     with pytest.raises(NonMonotonicGoalsError):
-        parse_season(HEADER + '1,Alpha,Beta,"H:20,A:10",\n', "csv")
+        parse_season(HEADER + '1,Alpha,Beta,"H:20,A:10",\n')
 
 
 def test_same_second_goals_rejected():
@@ -179,23 +176,50 @@ def test_same_second_goals_rejected():
 
 def test_noncontiguous_rounds_rejected():
     with pytest.raises(NonContiguousRoundsError):
-        parse_season(HEADER + "1,Alpha,Beta,,\n3,Beta,Alpha,,\n", "csv")
+        parse_season(HEADER + "1,Alpha,Beta,,\n3,Beta,Alpha,,\n")
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(UnknownFormatError):
-        parse_season(HEADER, "xml")
+    season = parse_season(HEADER + "1,Alpha,Beta,,\n")
+    with pytest.raises(ValueError, match="unknown season format 'xml'"):
+        serialize_season(season, "xml")
+
+
+def test_json_behind_a_bom_and_blank_lines_parses_as_json():
+    doc = '\ufeff\n  \n\t{"league": "L", "matches": [{"round": 1, "home": "A", "away": "B"}]}'
+    for data in (doc, doc.encode("utf-8")):
+        season = parse_season(data)
+        assert season.league_name == "L"
+        assert [(m.home, m.away) for m in season.matches] == [("A", "B")]
+
+
+def test_top_level_json_array_is_not_a_season():
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_season(" []")
+    assert str(excinfo.value) == (
+        'MALFORMED_ROW: top level must be an object with a "matches" list'
+    )
+
+
+def test_json_scalar_is_read_as_csv_and_fails_at_its_header():
+    # Only text that opens with "{" or "[" goes to the JSON parser.
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_season("null\n")
+    assert excinfo.value.line == 1
+    assert str(excinfo.value).startswith(
+        "MALFORMED_ROW: expected header 'round,home,away,goals,length_min', got 'null'"
+    )
 
 
 def test_empty_file_rejected():
     with pytest.raises(EmptySeasonError):
-        parse_season("", "csv")
+        parse_season("")
     with pytest.raises(EmptySeasonError):
-        parse_season(b"  \n \n", "json")
+        parse_season(b"  \n \n")
 
 
 def test_header_only_file_is_an_empty_season():
-    season = parse_season(HEADER, "csv")
+    season = parse_season(HEADER)
     assert season.matches == ()
 
 
@@ -204,13 +228,13 @@ def test_no_rows_silently_dropped():
     data_rows = [
         line for line in text.splitlines()[1:] if line.strip()
     ]
-    season = parse_season(text, "csv")
+    season = parse_season(text)
     assert len(season.matches) == len(data_rows)
 
 
 def test_crlf_and_bom_tolerated():
     text = "﻿" + HEADER.rstrip("\n") + "\r\n" + '1,Alpha,Beta,"H:10",\r\n'
-    season = parse_season(text.encode("utf-8"), "csv")
+    season = parse_season(text.encode("utf-8"))
     assert season.matches[0].goals[0].time_s == 600
 
 
@@ -223,10 +247,22 @@ def test_csv_round_trip_identical():
         + '2,Delta,Gamma,"H:3",\n'
     )
     for precision in (TimePrecision.MINUTE_TRUNCATED, TimePrecision.MINUTE_ROUNDED):
-        season = parse_season(text, "csv", minute_precision=precision)
+        season = parse_season(text, minute_precision=precision)
         rendered = serialize_season(season, "csv")
-        again = parse_season(rendered, SeasonFormat.CSV, minute_precision=precision)
+        again = parse_season(rendered, minute_precision=precision)
         assert again == season
+
+
+def test_csv_round_trip_keeps_team_names_that_need_quoting():
+    names = ("Alpha, FC", 'Beta "B"', "Gam\nma", "Delta\r2")
+    goals = (GoalEvent(Side.HOME, 600, TimePrecision.MINUTE_TRUNCATED),)
+    season = SeasonDataset(
+        matches=tuple(
+            MatchRecord(round_no, home, away, goals)
+            for round_no, (home, away) in enumerate(zip(names, names[1:] + names[:1]), start=1)
+        )
+    )
+    assert parse_season(serialize_season(season, "csv")) == season
 
 
 def test_json_round_trip_identical_with_exact_times():
@@ -247,7 +283,7 @@ def test_json_round_trip_identical_with_exact_times():
         ),
     )
     rendered = serialize_season(season, "json")
-    assert parse_season(rendered, "json") == season
+    assert parse_season(rendered) == season
 
 
 def test_json_accepts_token_strings_and_objects():
@@ -261,7 +297,7 @@ def test_json_accepts_token_strings_and_objects():
       ]
     }
     """
-    season = parse_season(doc, "json")
+    season = parse_season(doc)
     goals = season.matches[0].goals
     assert goals[0] == GoalEvent(Side.HOME, 3120, TimePrecision.MINUTE_TRUNCATED)
     assert goals[1] == GoalEvent(Side.AWAY, 5403, TimePrecision.EXACT)
@@ -277,7 +313,7 @@ def test_json_rejects_non_integer_numbers(field, value):
     import json
 
     with pytest.raises(MalformedRowError):
-        parse_season(json.dumps({"matches": [obj]}), "json")
+        parse_season(json.dumps({"matches": [obj]}))
 
 
 def test_json_rejects_fractional_goal_time():
@@ -286,7 +322,7 @@ def test_json_rejects_fractional_goal_time():
         ' "goals": [{"side": "H", "time_s": 10.5}]}]}'
     )
     with pytest.raises(MalformedRowError):
-        parse_season(doc, "json")
+        parse_season(doc)
 
 
 def _json_match(fields: str) -> str:
@@ -303,9 +339,9 @@ def _json_match(fields: str) -> str:
     ids=["length_s", "length_min", "goal_time_s"],
 )
 def test_json_match_length_is_capped(longest, too_long):
-    assert parse_season(_json_match(longest), "json").matches
+    assert parse_season(_json_match(longest)).matches
     with pytest.raises(MalformedRowError):
-        parse_season(_json_match(too_long), "json")
+        parse_season(_json_match(too_long))
 
 
 @pytest.mark.parametrize(
@@ -331,7 +367,7 @@ def test_json_match_length_is_capped(longest, too_long):
 )
 def test_json_goal_object_errors_name_the_bad_field(goal, message):
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season(_json_match(f'"goals": [{{"side": "H", "time_s": 30}}, {goal}]'), "json")
+        parse_season(_json_match(f'"goals": [{{"side": "H", "time_s": 30}}, {goal}]'))
     assert str(excinfo.value) == f"MALFORMED_ROW: match 1: {message}"
 
 
@@ -348,17 +384,17 @@ def test_json_goal_object_errors_name_the_bad_field(goal, message):
 )
 def test_json_goals_must_be_a_list(goals, shown):
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season(_json_match(f'"goals": {goals}'), "json")
+        parse_season(_json_match(f'"goals": {goals}'))
     assert str(excinfo.value) == f"MALFORMED_ROW: match 1: goals must be a list, got {shown}"
 
 
 def test_json_match_without_goals_is_goalless():
-    assert parse_season(_json_match('"length_s": 5400'), "json").matches[0].goals == ()
+    assert parse_season(_json_match('"length_s": 5400')).matches[0].goals == ()
 
 
 def test_json_integer_too_long_to_convert_is_malformed():
     with pytest.raises(MalformedRowError):
-        parse_season(_json_match('"length_s": 1' + "0" * 5000), "json")
+        parse_season(_json_match('"length_s": 1' + "0" * 5000))
 
 
 def test_json_rejects_both_length_keys():
@@ -367,19 +403,19 @@ def test_json_rejects_both_length_keys():
         ' "length_min": 95, "length_s": 5700}]}'
     )
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season(doc, "json")
+        parse_season(doc)
     assert str(excinfo.value) == "MALFORMED_ROW: match 1: give length_min or length_s, not both"
 
 
 def test_json_non_integer_length_names_the_field():
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season(_json_match('"length_min": 95.5'), "json")
+        parse_season(_json_match('"length_min": 95.5'))
     assert str(excinfo.value) == "MALFORMED_ROW: match 1: length_min must be an integer, got 95.5"
 
 
 def test_json_syntax_error_reports_line():
     with pytest.raises(MalformedRowError) as excinfo:
-        parse_season('{"matches": [\n  {bad}\n]}', "json")
+        parse_season('{"matches": [\n  {bad}\n]}')
     assert excinfo.value.line == 2
 
 
@@ -416,7 +452,7 @@ def test_csv_serializer_refuses_what_csv_cannot_carry(season, message):
 
 
 def test_team_names_trimmed():
-    season = parse_season(HEADER + "1,  Alpha ,Beta,,\n", "csv")
+    season = parse_season(HEADER + "1,  Alpha ,Beta,,\n")
     assert season.matches[0].home == "Alpha"
     assert season.teams == ("Alpha", "Beta")
 

@@ -185,6 +185,61 @@ def test_report_bytes_for_team_names_that_need_quoting_are_pinned(tmp_path, flag
             assert {row[i] for row in rows} == set(AWKWARD_TEAMS), path.name
 
 
+# A four-team exact-second season whose match lengths differ, so the season-wide
+# lcm is large. Round 1's away goal at 9 s of 5,760 gives the home side a time
+# award of 9/5760 = 0.0015625 at the default weights: an exact half at six decimals.
+EXACT_FIXTURES = (
+    (1, "North", "South", [("A", 9)], 5760),
+    (1, "East", "West", [("H", 1234), ("A", 4321), ("H", 5555)], 5587),
+    (2, "North", "East", [("A", 2718), ("A", 3141)], None),
+    (2, "South", "West", [], 5701),
+    (3, "North", "West", [("H", 1), ("A", 5399)], 5431),
+    (3, "South", "East", [("H", 4444)], 5820),
+)
+EXACT_ECDF_DIGESTS = {
+    "--systems classic,time,mixed,goaldiff": {
+        "ecdf_classic.csv": "d3a6f03e34583075adf3f0106f8ddc9d98a0c44efa36db5511ec2200a63713f3",
+        "ecdf_goaldiff.csv": "4e17b091c6d3fd76664d4d965ae9d8c3933469698da7e6c0882777b632f6b537",
+        "ecdf_mixed.csv": "4f1e86fb55691b599f8e42eceb9e93b6d5d8accc6192a617654c340b753b1785",
+        "ecdf_time.csv": "5ee18a401e4f2c10f4b9036a83460a1409aab3ed492823e66ddb9d5fa76304c3",
+    },
+    # Negative awards: trailing time is worth -7/11 a second.
+    "--systems time --weights 10,1/3,-7/11": {
+        "ecdf_time.csv": "bbe36d200030f3ced6040182a2aa2735bc36636426a252e6455b0bb70ca72cd7",
+    },
+}
+
+
+def _exact_season(path):
+    matches = []
+    for round_no, home, away, goals, length_s in EXACT_FIXTURES:
+        match = {
+            "round": round_no,
+            "home": home,
+            "away": away,
+            "goals": [{"side": side, "time_s": time_s} for side, time_s in goals],
+        }
+        if length_s is not None:
+            match["length_s"] = length_s
+        matches.append(match)
+    path.write_text(json.dumps({"matches": matches}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("flags", EXACT_ECDF_DIGESTS)
+def test_ecdf_bytes_for_an_exact_second_season_are_pinned(tmp_path, flags):
+    season = _exact_season(tmp_path / "exact.json")
+    out_dir = tmp_path / "out"
+    result = _invoke("ecdf", out_dir, *flags.split(), season=season)
+    assert result.exit_code == 0, result.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == EXACT_ECDF_DIGESTS[flags]
+    if "--weights" not in flags:
+        # The exact half 0.0015625 is the lowest award and rounds up.
+        lines = (out_dir / "ecdf_time.csv").read_text().splitlines()
+        assert lines[1] == "0.001563,0.083333"
+
+
 # Cell text: often only the characters a CSV cell may need quoting for, plus a
 # space, a letter and non-ASCII; otherwise any text but NUL, which ingest rejects.
 _CELLS = st.one_of(

@@ -24,7 +24,13 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .display import csv_text, format_decimal, format_ratios
-from .indicators import draws_to_wins, ecdf_counts, indicator_bundle, minutes_to_upper
+from .indicators import (
+    ECDF_DECIMALS,
+    draws_to_wins,
+    ecdf_steps,
+    indicator_bundle,
+    minutes_to_upper,
+)
 from .ingest import parse_season
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
 from .standings import SeasonLedger, Standings, percent_of_leader
@@ -149,16 +155,16 @@ def ecdf_report(
 ) -> dict[str, str]:
     """ecdf_<system>.csv: the distribution of per-team match awards, ready to plot.
 
-    One row per distinct award: its points and the fraction of awards at or
-    below it, both to six decimals, which keep the steps apart.
+    One row per distinct exact award: its points and the fraction of awards at
+    or below it, both to six decimals. Two awards closer than a millionth can
+    share a points cell, as on exact-second data.
     """
     files = {}
     for rule in rules:
-        awards = [award for standings in ledger.rounds(rule) for award in standings.awards]
-        values, counts = zip(*ecdf_counts(awards))
+        uppers, counts, bits = ecdf_steps(ledger.awards(rule), rule.scale, ledger.max_length)
         files[f"ecdf_{rule.system.value}.csv"] = csv_text((
-            ["points", *format_ratios(values, ledger.den(rule), 6, comma=comma)],
-            ["cumulative_fraction", *format_ratios(counts, counts[-1], 6, comma=comma)],
+            ["points", *format_ratios(uppers, 1 << bits, ECDF_DECIMALS, comma=comma)],
+            ["cumulative_fraction", *format_ratios(counts, counts[-1], ECDF_DECIMALS, comma=comma)],
         ))
     return files
 

@@ -8,7 +8,7 @@ files.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
@@ -95,6 +95,42 @@ def draws_to_wins(standings: Standings, draws: Sequence[int]) -> list[tuple[int,
         raw = -((points[team] - points[above]) // twice_den)
         metrics.append((min(raw, draws[team]), raw > draws[team]))
     return metrics
+
+
+# Decimal places of an ECDF points cell; ecdf_steps sizes its keys for them.
+ECDF_DECIMALS = 6
+
+
+def ecdf_steps(
+    awards: Iterable[tuple[list[int], list[int]]], scale: int, max_length: int
+) -> tuple[list[int], tuple[int, ...], int]:
+    """The awards' ECDF on exact keys: ``(uppers, counts, bits)``, one step per distinct award.
+
+    ``awards`` yields ``(nums, lengths)`` as :meth:`SeasonLedger.awards` does,
+    each award ``n / m`` with ``m = scale * T`` and ``T <= max_length``. In
+    increasing order of award, ``counts[i]`` awards are at or below the i-th,
+    and ``uppers[i] / 2**bits``, just above it, renders to ``ECDF_DECIMALS``
+    places, halves up, as the award itself does.
+    """
+    # Each award's key is floor(n/m * 2**bits), an int of about 40 bits, where
+    # with M = scale * max_length, 2**bits >= M**2 and 2**bits > 2*M*10**6 (for
+    # six decimals). Order and ties: two distinct awards differ by at least
+    # 1/(m*m') >= 1/M**2 >= 2**-bits, so distinct awards get distinct keys in
+    # their order. Rendering: an award a lies in [key/2**bits, (key+1)/2**bits).
+    # Half-up rounding takes floor(a*10**6 + 1/2), and that quantity is a
+    # multiple of 1/(2m): an integer, or at least 1/(2m) below the next one.
+    # Moving a up to (key+1)/2**bits moves it by at most 10**6/2**bits, which is
+    # below 1/(2m), so the floor stays the same, exact halves included.
+    max_den = scale * max_length
+    bits = max(
+        (max_den * max_den - 1).bit_length(),
+        (2 * max_den * 10**ECDF_DECIMALS).bit_length(),
+    )
+    keys = [
+        (n << bits) // (scale * t) for nums, lengths in awards for n, t in zip(nums, lengths)
+    ]
+    values, counts = zip(*ecdf_counts(keys))
+    return [key + 1 for key in values], counts, bits
 
 
 def ecdf_counts(awards: list[int]) -> list[tuple[int, int]]:

@@ -34,34 +34,33 @@ class Standings:
     """Cumulative standings under one rule after some round, indexed like ``teams``.
 
     ``points[i] / den`` is team i's exact points total and ``appearances``
-    counts the team appearances so far. ``awards`` holds the latest round's
-    awards over ``den``, one per side (home, away per fixture). ``order`` lists
-    the team indices by rank. A :meth:`SeasonLedger.rounds` stream updates one
-    object in place, so read it before asking for the next round.
+    counts the team appearances so far. ``order`` lists the team indices by
+    rank. A :meth:`SeasonLedger.rounds` stream updates one object in place, so
+    read it before asking for the next round.
     """
 
-    __slots__ = ("teams", "rule", "den", "points", "awards", "appearances", "_tiebreak", "_order")
+    __slots__ = ("teams", "rule", "den", "points", "appearances", "_tiebreak", "_order")
 
     def __init__(self, teams: tuple[str, ...], rule: ScoringRule, den: int) -> None:
         self.teams = teams
         self.rule = rule
         self.den = den
         self.points = [0] * len(teams)
-        self.awards: list[int] = []
         self.appearances = 0
         self._tiebreak: Sequence[int] = range(len(teams))
         self._order: list[int] | None = None
 
-    def add(self, sides: list[int], awards: list[int], tiebreak: Sequence[int]) -> None:
-        """Add one round's awards; ``sides`` names the team index of each.
+    def add(
+        self, sides: list[int], nums: list[int], factors: list[int], tiebreak: Sequence[int]
+    ) -> None:
+        """Add one round's awards ``nums[k] * factors[k] / den`` to team ``sides[k]``.
 
         ``tiebreak`` lists the team indices by goal difference desc, goals
         scored desc, name asc, after this round.
         """
         points = self.points
-        for team, award in zip(sides, awards):
-            points[team] += award
-        self.awards = awards
+        for team, num, factor in zip(sides, nums, factors):
+            points[team] += num * factor
         self.appearances += len(sides)
         self._tiebreak = tiebreak
         self._order = None
@@ -86,13 +85,13 @@ class SeasonLedger:
 
     Each round keeps one row of ints per side of each fixture: its leading,
     level and trailing seconds, its 3/1/0 result, its capped goal-difference
-    bonus, the match length T and the length factor ``length_lcm // T``,
-    where ``length_lcm`` is the lcm of the distinct match lengths. What no
-    rule changes is computed once per season: each round's tie-break order
-    and each team's season ``draws``. Under a rule,
-    awards and totals are integers over ``rule.scale * length_lcm``: each
-    award is multiplied by its length factor once, so every other stored
-    value stays small.
+    bonus and the match length T; and, per side, T and the length factor
+    ``length_lcm // T``, where ``length_lcm`` is the lcm of the distinct match
+    lengths. What no rule changes is computed once per season: each round's
+    tie-break order and each team's season ``draws``. Under a rule, an award
+    is a small integer over ``rule.scale * T`` (:meth:`awards`), and totals
+    are integers over ``rule.scale * length_lcm``: each award is multiplied by
+    its length factor once, as it is added.
     """
 
     def __init__(self, dataset: SeasonDataset) -> None:
@@ -102,6 +101,7 @@ class SeasonLedger:
         index = {team: i for i, team in enumerate(self.teams)}
         lengths = {effective_length(match) for match in dataset.matches}
         self.length_lcm = math.lcm(*lengths)
+        self.max_length = max(lengths)
         if self.length_lcm.bit_length() > MAX_LENGTH_LCM_BITS:
             raise TooManyLengthsError(
                 f"the {len(lengths)} distinct match lengths have an lcm of more than "
@@ -117,18 +117,22 @@ class SeasonLedger:
         self.draws = [0] * n
         self._sides: list[list[int]] = []
         self._rows: list[list[tuple[int, ...]]] = []
+        self._lengths: list[list[int]] = []
+        self._factors: list[list[int]] = []
         self._tiebreaks: list[list[int]] = []
         for matches in by_round:
-            sides, rows = [], []
+            sides, rows, round_lengths, factors = [], [], [], []
             for match in matches:
                 win, draw, lose, t, hg, ag = timeline(match)
                 factor = length_factor[t]
                 home, away = index[match.home], index[match.away]
                 sides += (home, away)
                 rows += (
-                    (win, draw, lose, final_result(hg, ag), goal_diff_value(hg, ag), t, factor),
-                    (lose, draw, win, final_result(ag, hg), goal_diff_value(ag, hg), t, factor),
+                    (win, draw, lose, final_result(hg, ag), goal_diff_value(hg, ag), t),
+                    (lose, draw, win, final_result(ag, hg), goal_diff_value(ag, hg), t),
                 )
+                round_lengths += (t, t)
+                factors += (factor, factor)
                 goals_for[home] += hg
                 goals_for[away] += ag
                 goal_diff[home] += hg - ag
@@ -142,28 +146,39 @@ class SeasonLedger:
             self._tiebreaks.append(sorted(range(n), key=keys.__getitem__, reverse=True))
             self._sides.append(sides)
             self._rows.append(rows)
+            self._lengths.append(round_lengths)
+            self._factors.append(factors)
 
     def den(self, rule: ScoringRule) -> int:
         """The common denominator of every award and total under ``rule``."""
         return rule.scale * self.length_lcm
 
+    def awards(self, rule: ScoringRule) -> Iterator[tuple[list[int], list[int]]]:
+        """Each round's awards as ``(nums, lengths)``, one entry per side, home then away.
+
+        A side's award is ``nums[k] / (rule.scale * lengths[k])``, the numerator
+        of :class:`ScoringRule` over its own match length; this is the one place
+        the package computes an award.
+        """
+        lead, level, trail = rule.lead, rule.level, rule.trail
+        result, goal_diff = rule.result, rule.goal_diff
+        for rows, lengths in zip(self._rows, self._lengths):
+            yield [
+                lead * w + level * d + trail * l + (result * r + goal_diff * g) * t
+                for w, d, l, r, g, t in rows
+            ], lengths
+
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
         """Cumulative standings after each round; one :class:`Standings` updated in place.
 
-        Each item also carries its round's awards. The last item is the final
-        standings. A round whose ``order`` is never read is never ranked.
+        The last item is the final standings. A round whose ``order`` is never
+        read is never ranked.
         """
         standings = Standings(self.teams, rule, self.den(rule))
-        lead, level, trail = rule.lead, rule.level, rule.trail
-        result, goal_diff = rule.result, rule.goal_diff
-        for sides, rows, tiebreak in zip(self._sides, self._rows, self._tiebreaks):
-            # ScoringRule's award numerator, inlined because it runs once per side
-            # per system; tests/reference.py scores each system from its definition.
-            awards = [
-                (lead * w + level * d + trail * l + (result * r + goal_diff * g) * t) * factor
-                for w, d, l, r, g, t, factor in rows
-            ]
-            standings.add(sides, awards, tiebreak)
+        for (nums, _), sides, factors, tiebreak in zip(
+            self.awards(rule), self._sides, self._factors, self._tiebreaks
+        ):
+            standings.add(sides, nums, factors, tiebreak)
             yield standings
 
 

@@ -4,12 +4,16 @@ and a goal count.
 ``paper_awards`` scores a match straight from the definitions of the four
 systems in ``Fraction`` arithmetic. It shares no code with the package's
 integer scoring rule, so a test that compares the season ledger with it
-compares two independent codings. ``season_awards`` collects a ledger's awards
-from its rounds, as the CLI's ECDF does, and ``package_awards`` scores one match
-that way through a one-match :class:`SeasonLedger`. ``segment_oracle`` and
+compares two independent codings. ``season_awards`` reads a ledger's awards
+from :meth:`SeasonLedger.awards` as ``Fraction``, and ``package_awards`` scores
+one match that way through a one-match :class:`SeasonLedger`. ``ecdf_columns``
+renders an ECDF from exact awards by counting. ``segment_oracle`` and
 ``final_score`` recompute what :func:`timeline` returns without its walk.
 """
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 from timescore.ingest import MatchRecord, SeasonDataset, Side
@@ -67,18 +71,43 @@ def paper_match_awards(
     return paper_awards(timeline(match)[:4], final_score(match), system, weights)
 
 
-def season_awards(ledger: SeasonLedger, rule) -> list[int]:
-    """Every award of the season over ``ledger.den(rule)``, round by round, home then away."""
-    return [award for standings in ledger.rounds(rule) for award in standings.awards]
+def season_awards(ledger: SeasonLedger, rule) -> list[Fraction]:
+    """Every award of the season, round by round, home then away."""
+    return [
+        Fraction(num, rule.scale * t)
+        for nums, lengths in ledger.awards(rule)
+        for num, t in zip(nums, lengths)
+    ]
 
 
 def package_awards(match: MatchRecord, rule) -> tuple[Fraction, Fraction]:
     """(home, away) awards of ``match`` under ``rule``, from a one-match season ledger."""
     one = MatchRecord(1, match.home, match.away, match.goals, match.declared_length_s)
-    ledger = SeasonLedger(SeasonDataset(matches=(one,)))
-    home, away = season_awards(ledger, rule)
-    den = ledger.den(rule)
-    return Fraction(home, den), Fraction(away, den)
+    home, away = season_awards(SeasonLedger(SeasonDataset(matches=(one,))), rule)
+    return home, away
+
+
+def half_up(value: Fraction, decimals: int) -> str:
+    """``value`` to ``decimals`` places, halves rounded up, from floor and divmod alone."""
+    digits = math.floor(value * 10**decimals + Fraction(1, 2))
+    sign = "-" if digits < 0 else ""
+    whole, frac = divmod(abs(digits), 10**decimals)
+    return f"{sign}{whole}.{frac:0{decimals}d}"
+
+
+def ecdf_columns(awards: list[Fraction]) -> tuple[list[str], list[str]]:
+    """An ECDF's points and cumulative-fraction cells at six decimals, by counting.
+
+    One row per distinct award, in increasing order; the fraction is the share
+    of ``awards`` at or below it.
+    """
+    tally = Counter(awards)
+    values = sorted(tally)
+    counts = itertools.accumulate(tally[value] for value in values)
+    return (
+        [half_up(value, 6) for value in values],
+        [half_up(Fraction(count, len(awards)), 6) for count in counts],
+    )
 
 
 def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:

@@ -14,10 +14,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clirun import run_cli
+from reference import ecdf_columns, paper_match_awards
 from timescore.display import csv_text, format_decimal
 from timescore.indicators import indicator_bundle
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
-from timescore.scoring import ScoringSystem, scoring_rule
+from timescore.scoring import ScoringSystem, WeightTriple, scoring_rule
 from timescore.standings import SeasonLedger
 from timescore.synthetic import double_round_robin
 
@@ -75,6 +76,30 @@ def test_sixty_team_reports_match_the_benchmark_digests(tmp_path, monkeypatch, n
     assert result.exit_code == 0, result.stderr
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == expected["outputs"]
+
+
+def test_sixty_team_exact_ecdf_matches_a_fraction_recount(tmp_path, monkeypatch):
+    # Another seed of the benchmark's exact-second season: 60 teams, thousands of
+    # distinct awards and a season-wide lcm of thousands of bits. Each file's
+    # columns are recounted from the paper's formulas in Fraction arithmetic.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import FULL_TEAMS, WORKLOADS, season_bytes
+
+    workload = WORKLOADS["league60_exact"]
+    data = season_bytes(workload.kind, 7, FULL_TEAMS)
+    season = tmp_path / "season.json"
+    season.write_bytes(data)
+    out_dir = tmp_path / "out"
+    result = _invoke("ecdf", out_dir, *workload.flags, season=season)
+    assert result.exit_code == 0, result.stderr
+    flags = dict(zip(workload.flags[::2], workload.flags[1::2]))
+    weights = WeightTriple.from_string(flags["--weights"])
+    matches = parse_season(data).matches
+    for system in ScoringSystem:
+        awards = [a for match in matches for a in paper_match_awards(match, system, weights)]
+        header, *rows = (out_dir / f"ecdf_{system.value}.csv").read_text().splitlines()
+        assert header == "points,cumulative_fraction"
+        assert [row.split(",") for row in rows] == list(map(list, zip(*ecdf_columns(awards))))
 
 
 # The bundled season's report bytes under flags the goldens do not cover: every

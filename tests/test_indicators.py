@@ -1,18 +1,26 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from matchgen import random_season, weight_triples
-from reference import final_score, package_awards, paper_match_awards, season_awards
+from matchgen import random_season, random_weight_triple, weight_triples
+from reference import (
+    final_score,
+    half_up,
+    package_awards,
+    paper_match_awards,
+    season_awards,
+)
 from timescore.display import format_decimal, format_ratios
 from timescore.errors import EmptySeasonError, TooFewTeamsError, WrongSystemError
 from timescore.indicators import (
     draws_to_wins,
     ecdf_counts,
+    ecdf_steps,
     gaps,
     indicator_bundle,
     minutes_for_deficit,
@@ -36,7 +44,8 @@ def _standings(points, system, den=1):
     teams = tuple(f"T{rank:02d}" for rank in range(1, len(points) + 1))
     standings = Standings(teams, scoring_rule(system), den)
     # One round; the tie-break order is name order, so equal points keep it.
-    standings.add(range(len(teams)), [int(p * den) for p in points], range(len(teams)))
+    ones = [1] * len(teams)
+    standings.add(range(len(teams)), [int(p * den) for p in points], ones, range(len(teams)))
     return standings
 
 
@@ -190,15 +199,11 @@ class TestDrawsToWins:
 class TestPointsEcdf:
     def test_all_goalless_is_single_step(self):
         ledger = SeasonLedger(SeasonDataset(matches=(MatchRecord(1, "A", "B"),)))
-        [(value, count)] = ecdf_counts(season_awards(ledger, TIME))
-        assert (Fraction(value, ledger.den(TIME)), count) == (1, 2)
+        assert ecdf_counts(season_awards(ledger, TIME)) == [(1, 2)]
 
     def test_classic_steps_match_result_counts(self):
         season = random_season(random.Random(13))
-        ledger = SeasonLedger(season)
-        den = ledger.den(CLASSIC)
-        steps = ecdf_counts(season_awards(ledger, CLASSIC))
-        lookup = {Fraction(value, den): count for value, count in steps}
+        lookup = dict(ecdf_counts(season_awards(SeasonLedger(season), CLASSIC)))
         assert set(lookup) <= {0, 1, 3}
         losses = sum(hg != ag for hg, ag in map(final_score, season.matches))
         draws = 2 * (len(season.matches) - losses)
@@ -207,21 +212,28 @@ class TestPointsEcdf:
         assert lookup[3] == 2 * len(season.matches)
 
     def test_matches_counting_oracle(self):
-        season = random_season(random.Random(14))
-        ledger = SeasonLedger(season)
-        for system in ScoringSystem:
-            awards = []
-            for match in season.matches:
-                awards.extend(paper_match_awards(match, system))
-            n = len(awards)
-            expected = [
-                (value, Fraction(sum(1 for a in awards if a <= value), n))
-                for value in sorted(set(awards))
-            ]
-            rule = scoring_rule(system)
-            den = ledger.den(rule)
-            steps = ecdf_counts(season_awards(ledger, rule))
-            assert [(Fraction(value, den), Fraction(i, n)) for value, i in steps] == expected
+        for seed in range(14, 20):
+            rng = random.Random(seed)
+            season = random_season(rng)
+            weights = random_weight_triple(rng)
+            ledger = SeasonLedger(season)
+            for system in ScoringSystem:
+                awards = []
+                for match in season.matches:
+                    awards.extend(paper_match_awards(match, system, weights))
+                n = len(awards)
+                expected = [
+                    (value, Fraction(sum(1 for a in awards if a <= value), n))
+                    for value in sorted(set(awards))
+                ]
+                rule = scoring_rule(system, weights)
+                uppers, counts, bits = ecdf_steps(
+                    ledger.awards(rule), rule.scale, ledger.max_length
+                )
+                assert [Fraction(i, n) for i in counts] == [share for _, share in expected]
+                assert format_ratios(uppers, 1 << bits, 6) == [
+                    half_up(value, 6) for value, _ in expected
+                ]
 
     def test_monotone_and_ends_at_one(self):
         ledger = SeasonLedger(random_season(random.Random(15)))
@@ -230,13 +242,58 @@ class TestPointsEcdf:
         counts = [count for _, count in steps]
         assert counts == sorted(set(counts))
         assert counts[-1] == len(awards)
-        assert all(0 < value < 3 * ledger.den(TIME) for value, _ in steps)
+        assert all(0 < value < 3 for value, _ in steps)
 
     def test_empty_season(self):
         # No awards, no steps; the ledger refuses an empty season before that.
         assert ecdf_counts([]) == []
         with pytest.raises(EmptySeasonError):
             SeasonLedger(SeasonDataset())
+
+
+@st.composite
+def _award_sets(draw):
+    """(scale, max_length, [(n, t)]): awards n/(scale*t) with t <= max_length.
+
+    Beside free draws, the list holds an equal award over another length, the
+    nearest awards over another length, and exact six-decimal halves, odd
+    multiples of 1/(128 * 5**k).
+    """
+    scale = draw(st.integers(1, 60))
+    max_length = draw(st.integers(1, 7200))
+    lengths = st.integers(1, max_length)
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(lengths)
+        n = draw(st.integers(-40 * scale * t, 40 * scale * t))
+        pairs.append((n, t))
+        other = draw(lengths)
+        if other % t == 0:
+            pairs.append((n * (other // t), other))
+        nearest = n * other // t
+        pairs += ((nearest, other), (nearest + 1, other))
+        q = 128 * 5 ** draw(st.integers(0, 6))
+        step = q // math.gcd(q, scale)
+        if step <= max_length:
+            t = step * draw(st.integers(1, max_length // step))
+            odd = 2 * draw(st.integers(-3 * q, 3 * q)) + 1
+            pairs.append((odd * scale * t // q, t))
+    return scale, max_length, pairs
+
+
+@given(_award_sets())
+@example((1, 5760, [(9, 5760), (-9, 5760), (1, 2880), (5, 3200), (-1, 128)]))
+@settings(max_examples=300, deadline=None)
+def test_ecdf_steps_order_tie_and_render_like_the_awards(case):
+    scale, max_length, pairs = case
+    nums, lengths = (list(column) for column in zip(*pairs))
+    uppers, counts, bits = ecdf_steps([(nums, lengths)], scale, max_length)
+    awards = [Fraction(n, scale * t) for n, t in pairs]
+    values = sorted(set(awards))
+    # One step per distinct award, in order, each on its own key.
+    assert uppers == [math.floor(value * 2**bits) + 1 for value in values]
+    assert list(counts) == [sum(a <= value for a in awards) for value in values]
+    assert format_ratios(uppers, 1 << bits, 6) == [half_up(value, 6) for value in values]
 
 
 class TestBundle:

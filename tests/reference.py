@@ -7,7 +7,8 @@ integer scoring rule, so a test that compares the season ledger with it
 compares two independent codings. ``season_awards`` reads a ledger's awards
 from :meth:`SeasonLedger.awards` as ``Fraction``, and ``package_awards`` scores
 one match that way through a one-match :class:`SeasonLedger`. ``ecdf_columns``
-renders an ECDF from exact awards by counting. ``segment_oracle`` and
+renders an ECDF from exact awards by counting, and ``rendered_by_hand`` rounds
+one value half up without the package's renderer. ``segment_oracle`` and
 ``final_score`` recompute what :func:`timeline` returns without its walk.
 """
 
@@ -87,12 +88,13 @@ def package_awards(match: MatchRecord, rule) -> tuple[Fraction, Fraction]:
     return home, away
 
 
-def half_up(value: Fraction, decimals: int) -> str:
-    """``value`` to ``decimals`` places, halves rounded up, from floor and divmod alone."""
+def rendered_by_hand(value: Fraction, decimals: int, comma: bool = False) -> str:
+    """floor(value * 10**decimals + 1/2), with the point put in by hand."""
     digits = math.floor(value * 10**decimals + Fraction(1, 2))
-    sign = "-" if digits < 0 else ""
-    whole, frac = divmod(abs(digits), 10**decimals)
-    return f"{sign}{whole}.{frac:0{decimals}d}"
+    text = str(abs(digits)).rjust(decimals + 1, "0")
+    if decimals:
+        text = text[:-decimals] + ("," if comma else ".") + text[-decimals:]
+    return "-" + text if digits < 0 else text
 
 
 def ecdf_columns(awards: list[Fraction]) -> tuple[list[str], list[str]]:
@@ -105,8 +107,8 @@ def ecdf_columns(awards: list[Fraction]) -> tuple[list[str], list[str]]:
     values = sorted(tally)
     counts = itertools.accumulate(tally[value] for value in values)
     return (
-        [half_up(value, 6) for value in values],
-        [half_up(Fraction(count, len(awards)), 6) for count in counts],
+        [rendered_by_hand(value, 6) for value in values],
+        [rendered_by_hand(Fraction(count, len(awards)), 6) for count in counts],
     )
 
 

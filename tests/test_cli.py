@@ -178,23 +178,30 @@ AWKWARD_DIGESTS = {
 }
 
 
-def _awkward_season(path):
-    matches = [
-        {
+def _json_season(path, fixtures):
+    """Write ``(round, home, away, [(side, time_s)], length_s or None)`` fixtures as JSON."""
+    matches = []
+    for round_no, home, away, goals, length_s in fixtures:
+        match = {
             "round": round_no,
-            "home": AWKWARD_TEAMS[home],
-            "away": AWKWARD_TEAMS[away],
+            "home": home,
+            "away": away,
             "goals": [{"side": side, "time_s": time_s} for side, time_s in goals],
         }
-        for round_no, home, away, goals in AWKWARD_FIXTURES
-    ]
+        if length_s is not None:
+            match["length_s"] = length_s
+        matches.append(match)
     path.write_text(json.dumps({"matches": matches}), encoding="utf-8")
     return path
 
 
 @pytest.mark.parametrize("flags", AWKWARD_DIGESTS)
 def test_report_bytes_for_team_names_that_need_quoting_are_pinned(tmp_path, flags):
-    season = _awkward_season(tmp_path / "awkward.json")
+    fixtures = [
+        (round_no, AWKWARD_TEAMS[home], AWKWARD_TEAMS[away], goals, None)
+        for round_no, home, away, goals in AWKWARD_FIXTURES
+    ]
+    season = _json_season(tmp_path / "awkward.json", fixtures)
     out_dir = tmp_path / "out"
     result = _invoke("report", out_dir, *flags.split(), season=season)
     assert result.exit_code == 0, result.stderr
@@ -235,25 +242,9 @@ EXACT_ECDF_DIGESTS = {
 }
 
 
-def _exact_season(path):
-    matches = []
-    for round_no, home, away, goals, length_s in EXACT_FIXTURES:
-        match = {
-            "round": round_no,
-            "home": home,
-            "away": away,
-            "goals": [{"side": side, "time_s": time_s} for side, time_s in goals],
-        }
-        if length_s is not None:
-            match["length_s"] = length_s
-        matches.append(match)
-    path.write_text(json.dumps({"matches": matches}), encoding="utf-8")
-    return path
-
-
 @pytest.mark.parametrize("flags", EXACT_ECDF_DIGESTS)
 def test_ecdf_bytes_for_an_exact_second_season_are_pinned(tmp_path, flags):
-    season = _exact_season(tmp_path / "exact.json")
+    season = _json_season(tmp_path / "exact.json", EXACT_FIXTURES)
     out_dir = tmp_path / "out"
     result = _invoke("ecdf", out_dir, *flags.split(), season=season)
     assert result.exit_code == 0, result.stderr

@@ -1,10 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import rendered_by_hand
 from timescore.display import format_decimal, format_ratios
 
 
@@ -41,15 +41,6 @@ def test_unreduced_ratio_renders_like_reduced_fraction(num, den, k, decimals, co
     ]
 
 
-def _rendered_by_hand(num, den, decimals, comma):
-    """floor(num/den * 10**decimals + 1/2), with the point put in by hand."""
-    digits = math.floor(Fraction(num, den) * 10**decimals + Fraction(1, 2))
-    text = str(abs(digits)).rjust(decimals + 1, "0")
-    if decimals:
-        text = text[:-decimals] + ("," if comma else ".") + text[-decimals:]
-    return "-" + text if digits < 0 else text
-
-
 @st.composite
 def _columns(draw):
     """(nums, den, decimals) with denominators of up to 3,000 bits.
@@ -74,5 +65,5 @@ def _columns(draw):
 def test_format_ratios_equals_rounding_by_hand(column, comma):
     nums, den, decimals = column
     assert format_ratios(nums, den, decimals, comma=comma) == [
-        _rendered_by_hand(num, den, decimals, comma) for num in nums
+        rendered_by_hand(Fraction(num, den), decimals, comma) for num in nums
     ]

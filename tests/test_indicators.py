@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from matchgen import random_season, random_weight_triple, weight_triples
 from reference import (
     final_score,
-    half_up,
     package_awards,
     paper_match_awards,
+    rendered_by_hand,
     season_awards,
 )
 from timescore.display import format_decimal, format_ratios
@@ -232,7 +232,7 @@ class TestPointsEcdf:
                 )
                 assert [Fraction(i, n) for i in counts] == [share for _, share in expected]
                 assert format_ratios(uppers, 1 << bits, 6) == [
-                    half_up(value, 6) for value, _ in expected
+                    rendered_by_hand(value, 6) for value, _ in expected
                 ]
 
     def test_monotone_and_ends_at_one(self):
@@ -293,7 +293,7 @@ def test_ecdf_steps_order_tie_and_render_like_the_awards(case):
     # One step per distinct award, in order, each on its own key.
     assert uppers == [math.floor(value * 2**bits) + 1 for value in values]
     assert list(counts) == [sum(a <= value for a in awards) for value in values]
-    assert format_ratios(uppers, 1 << bits, 6) == [half_up(value, 6) for value in values]
+    assert format_ratios(uppers, 1 << bits, 6) == [rendered_by_hand(value, 6) for value in values]
 
 
 class TestBundle:

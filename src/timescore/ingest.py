@@ -1,4 +1,4 @@
-"""Season-file ingestion: domain records, validation, and the on-disk formats.
+"""Season-file ingestion: domain records, and parsing and validation of the on-disk formats.
 
 Two interchangeable formats are supported; :func:`parse_season` tells them
 apart by the content.
@@ -42,7 +42,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .display import csv_text
 from .errors import (
     DuplicateFixtureError,
     EmptySeasonError,
@@ -525,82 +524,20 @@ def _long_integer_line(text: str, limit: int) -> int | None:
     return None
 
 
-def serialize_season(dataset: SeasonDataset, fmt: str) -> str:
-    """Render a dataset back to file text; ``fmt`` is ``"csv"`` or ``"json"``.
-
-    CSV can only represent whole-minute goal times with one uniform
-    non-EXACT precision and no league name; anything else raises ValueError
-    (use JSON, which round-trips every valid dataset), as does any other ``fmt``.
-    """
-    if fmt == "csv":
-        return _serialize_csv(dataset)
-    if fmt == "json":
-        return _serialize_json(dataset)
-    raise ValueError(f"unknown season format {fmt!r}; use 'csv' or 'json'")
-
-
-def _serialize_csv(dataset: SeasonDataset) -> str:
-    if dataset.league_name:
-        raise ValueError("CSV has no league field; use the JSON format")
-    precisions = {g.precision for m in dataset.matches for g in m.goals}
-    if TimePrecision.EXACT in precisions or len(precisions) > 1:
-        raise ValueError(
-            "CSV carries minute-resolution goals with one uniform precision; "
-            "use the JSON format"
-        )
-    rows = [CSV_HEADER]
-    for m in dataset.matches:
-        if m.declared_length_s is None:
-            length = ""
-        elif m.declared_length_s % SECONDS_PER_MINUTE == 0:
-            length = str(m.declared_length_s // SECONDS_PER_MINUTE)
-        else:
-            raise ValueError(
-                f"declared length {m.declared_length_s} s is not a whole minute; "
-                "use the JSON format"
-            )
-        tokens = []
-        for g in m.goals:
-            if g.time_s % SECONDS_PER_MINUTE != 0:
-                raise ValueError(
-                    f"goal at {g.time_s} s is not on a whole minute; "
-                    "use the JSON format for second-resolution data"
-                )
-            tokens.append(f"{g.side.value}:{g.time_s // SECONDS_PER_MINUTE}")
-        rows.append((str(m.round), m.home, m.away, ",".join(tokens), length))
-    return csv_text(list(zip(*rows)))
-
-
-def _serialize_json(dataset: SeasonDataset) -> str:
-    matches = []
-    for m in dataset.matches:
-        entry: dict[str, Any] = {
-            "round": m.round,
-            "home": m.home,
-            "away": m.away,
-            "goals": [
-                {"side": g.side.value, "time_s": g.time_s, "precision": g.precision.value}
-                for g in m.goals
-            ],
-        }
-        if m.declared_length_s is not None:
-            if m.declared_length_s % SECONDS_PER_MINUTE == 0:
-                entry["length_min"] = m.declared_length_s // SECONDS_PER_MINUTE
-            else:
-                entry["length_s"] = m.declared_length_s
-        matches.append(entry)
-    doc = {"league": dataset.league_name, "matches": matches}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
 def minute_error_bound(dataset: SeasonDataset) -> Fraction:
-    """Worst-case per-match points error implied by the goal-time precision flags.
+    """A bound on the per-match points error implied by the goal-time precision flags.
 
     Each goal recorded at minute resolution can be off by up to 59 s when the
     source truncates (30 s when it rounds to the nearest minute), and a timing
-    shift of d seconds moves at most 2·d/5400 points between the two sides of
-    a 90-minute match. Per-goal bounds are summed within each match and the
-    maximum over all matches is returned, as an exact rational.
+    shift of d seconds is taken to move at most 2·d/5400 points between the two
+    sides of a 90-minute match. Per-goal bounds are summed within each match and
+    the maximum over all matches is returned, as an exact rational.
+
+    The bound holds for ``classic``, ``mixed`` and ``goaldiff``, and for ``time``
+    when neither weight step (w−d or d−l) exceeds 2, as at the default 3,1,0. A
+    larger step moves an award further: one truncated home goal at 30′ of a 90′
+    match moves its ``time`` award by up to 59/600 at weights 10,1,0, where this
+    bound gives 59/2700.
     """
     worst = Fraction(0)
     for m in dataset.matches:

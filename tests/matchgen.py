@@ -7,9 +7,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from gen_synthetic_season import double_round_robin
 from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
 from timescore.scoring import WeightTriple
-from timescore.synthetic import double_round_robin
 
 # Fuzz goal times run to 100 minutes so stoppage-time handling is exercised.
 MAX_FUZZ_TIME_S = 6000

@@ -14,13 +14,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clirun import run_cli
+from gen_synthetic_season import double_round_robin
 from reference import ecdf_columns, paper_match_awards
 from timescore.display import csv_text, format_decimal
 from timescore.indicators import indicator_bundle
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
 from timescore.scoring import ScoringSystem, WeightTriple, scoring_rule
 from timescore.standings import SeasonLedger
-from timescore.synthetic import double_round_robin
 
 ROOT = Path(__file__).resolve().parent.parent
 SEASON_CSV = ROOT / "data" / "synthetic_season.csv"

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import paper_match_awards
+from timescore.display import csv_text
 from timescore.errors import (
     DuplicateFixtureError,
     EmptySeasonError,
@@ -13,6 +15,7 @@ from timescore.errors import (
     NonMonotonicGoalsError,
 )
 from timescore.ingest import (
+    CSV_HEADER,
     SECONDS_PER_MINUTE,
     GoalEvent,
     MatchRecord,
@@ -22,7 +25,6 @@ from timescore.ingest import (
     minute_error_bound,
     parse_goal_token,
     parse_season,
-    serialize_season,
 )
 from timescore.scoring import ScoringSystem, WeightTriple
 
@@ -179,12 +181,6 @@ def test_noncontiguous_rounds_rejected():
         parse_season(HEADER + "1,Alpha,Beta,,\n3,Beta,Alpha,,\n")
 
 
-def test_unknown_format_rejected():
-    season = parse_season(HEADER + "1,Alpha,Beta,,\n")
-    with pytest.raises(ValueError, match="unknown season format 'xml'"):
-        serialize_season(season, "xml")
-
-
 def test_json_behind_a_bom_and_blank_lines_parses_as_json():
     doc = '\ufeff\n  \n\t{"league": "L", "matches": [{"round": 1, "home": "A", "away": "B"}]}'
     for data in (doc, doc.encode("utf-8")):
@@ -246,23 +242,32 @@ def test_csv_round_trip_identical():
         + '2,Beta,Alpha,"A:77",95\n'
         + '2,Delta,Gamma,"H:3",\n'
     )
+    # The same season spelled as JSON token strings.
+    matches = [
+        {"round": 1, "home": "Alpha", "away": "Beta", "goals": ["H:12", "A:45+1", "H:90+4"]},
+        {"round": 1, "home": "Gamma", "away": "Delta"},
+        {"round": 2, "home": "Beta", "away": "Alpha", "goals": ["A:77"], "length_min": 95},
+        {"round": 2, "home": "Delta", "away": "Gamma", "goals": ["H:3"]},
+    ]
+    doc = json.dumps({"matches": matches})
     for precision in (TimePrecision.MINUTE_TRUNCATED, TimePrecision.MINUTE_ROUNDED):
         season = parse_season(text, minute_precision=precision)
-        rendered = serialize_season(season, "csv")
-        again = parse_season(rendered, minute_precision=precision)
-        assert again == season
+        assert parse_season(doc, minute_precision=precision) == season
+        assert {g.precision for m in season.matches for g in m.goals} == {precision}
 
 
 def test_csv_round_trip_keeps_team_names_that_need_quoting():
     names = ("Alpha, FC", 'Beta "B"', "Gam\nma", "Delta\r2")
+    fixtures = [
+        (round_no, home, away)
+        for round_no, (home, away) in enumerate(zip(names, names[1:] + names[:1]), start=1)
+    ]
+    rows = [CSV_HEADER, *((str(r), home, away, "H:10", "") for r, home, away in fixtures)]
     goals = (GoalEvent(Side.HOME, 600, TimePrecision.MINUTE_TRUNCATED),)
     season = SeasonDataset(
-        matches=tuple(
-            MatchRecord(round_no, home, away, goals)
-            for round_no, (home, away) in enumerate(zip(names, names[1:] + names[:1]), start=1)
-        )
+        matches=tuple(MatchRecord(r, home, away, goals) for r, home, away in fixtures)
     )
-    assert parse_season(serialize_season(season, "csv")) == season
+    assert parse_season(csv_text(list(zip(*rows)))) == season
 
 
 def test_json_round_trip_identical_with_exact_times():
@@ -282,8 +287,23 @@ def test_json_round_trip_identical_with_exact_times():
             MatchRecord(1, "Gamma", "Delta", ()),
         ),
     )
-    rendered = serialize_season(season, "json")
-    assert parse_season(rendered) == season
+    doc = {
+        "league": "Exact League",
+        "matches": [
+            {
+                "round": 1,
+                "home": "Alpha",
+                "away": "Beta",
+                "goals": [
+                    {"side": "H", "time_s": 725, "precision": "exact"},
+                    {"side": "A", "time_s": 5403, "precision": "exact"},
+                ],
+                "length_s": 5403,
+            },
+            {"round": 1, "home": "Gamma", "away": "Delta", "goals": []},
+        ],
+    }
+    assert parse_season(json.dumps(doc)) == season
 
 
 def test_json_accepts_token_strings_and_objects():
@@ -310,8 +330,6 @@ def test_json_accepts_token_strings_and_objects():
 def test_json_rejects_non_integer_numbers(field, value):
     obj = {"round": 1, "home": "A", "away": "B", "goals": []}
     obj[field] = value
-    import json
-
     with pytest.raises(MalformedRowError):
         parse_season(json.dumps({"matches": [obj]}))
 
@@ -417,38 +435,6 @@ def test_json_syntax_error_reports_line():
     with pytest.raises(MalformedRowError) as excinfo:
         parse_season('{"matches": [\n  {bad}\n]}')
     assert excinfo.value.line == 2
-
-
-def _one_match(goals=(), length_s=None, league=""):
-    return SeasonDataset(league, (MatchRecord(1, "A", "B", goals, length_s),))
-
-
-TRUNCATED, ROUNDED = TimePrecision.MINUTE_TRUNCATED, TimePrecision.MINUTE_ROUNDED
-
-
-@pytest.mark.parametrize(
-    "season,message",
-    [
-        (
-            _one_match((GoalEvent(Side.HOME, 725, TimePrecision.EXACT),)),
-            "CSV carries minute-resolution goals with one uniform precision",
-        ),
-        (
-            _one_match((GoalEvent(Side.HOME, 60, TRUNCATED), GoalEvent(Side.AWAY, 120, ROUNDED))),
-            "CSV carries minute-resolution goals with one uniform precision",
-        ),
-        (_one_match(league="Premier"), "CSV has no league field"),
-        (
-            _one_match((GoalEvent(Side.HOME, 61, TRUNCATED),)),
-            "goal at 61 s is not on a whole minute",
-        ),
-        (_one_match(length_s=5430), "declared length 5430 s is not a whole minute"),
-    ],
-    ids=["exact", "mixed_precisions", "league", "off_minute_goal", "off_minute_length"],
-)
-def test_csv_serializer_refuses_what_csv_cannot_carry(season, message):
-    with pytest.raises(ValueError, match=message):
-        serialize_season(season, "csv")
 
 
 def test_team_names_trimmed():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clirun import run_cli
 from reference import paper_match_awards
 from timescore.display import csv_text
 from timescore.errors import (
@@ -552,3 +553,131 @@ def test_records_are_immutable_values(cls, fields, values, other):
     assert record == twin and hash(record) == hash(twin)
     assert record != cls(*other)
     assert record != values and values != record
+
+
+def _csv_season(row: str) -> str:
+    return HEADER + "1,Gamma,Delta,,\n" + row + "\n"
+
+
+def _json_season(match: str) -> str:
+    return '{"matches": [\n{"round": 1, "home": "Gamma", "away": "Delta"},\n' + match + "\n]}"
+
+
+def _json_goals(goals: str, extra: str = "") -> str:
+    return _json_season(
+        '{"round": 1, "home": "A", "away": "B", "goals": [' + goals + "]" + extra + "}"
+    )
+
+
+# One season file per fault, and the exact line the CLI prints for it. A CSV
+# fault sits on line 3; a JSON fault is match 2, and the text carries no line.
+# The last cases hold two faults each: which one is reported pins the order
+# of the checks.
+_FAULTS = [
+    ("csv_bad_token", _csv_season("1,A,B,H:xx,"),
+     "MALFORMED_ROW: bad goal token 'H:xx' (line 3)"),
+    ("json_bad_token", _json_goals('"H:1x"'),
+     "MALFORMED_ROW: match 2: bad goal token 'H:1x'"),
+    ("csv_goal_at_zero", _csv_season("1,A,B,A:0,"),
+     "MALFORMED_ROW: goal time must be at least 1 second, got 0 (line 3)"),
+    ("json_goal_at_zero", _json_goals('{"side": "A", "time_s": 0}'),
+     "MALFORMED_ROW: match 2: goal time must be at least 1 second, got 0"),
+    ("json_negative_goal", _json_goals('{"side": "H", "time_s": -5}'),
+     "MALFORMED_ROW: match 2: goal time must be at least 1 second, got -5"),
+    ("csv_goal_past_300", _csv_season('1,A,B,"H:10,A:300+1",'),
+     "MALFORMED_ROW: goal time is past the longest allowed match (18000 s) (line 3)"),
+    ("json_goal_past_300", _json_goals('{"side": "H", "time_s": 18001}'),
+     "MALFORMED_ROW: match 2: goal time is past the longest allowed match (18000 s)"),
+    ("csv_nonmonotonic", _csv_season('1,A,B,"H:20,A:10",'),
+     "NONMONOTONIC_GOALS: goal times must strictly increase, got 1200 s followed by 600 s"
+     " (line 3)"),
+    ("json_same_second", _json_goals('"H:10", {"side": "A", "time_s": 600}'),
+     "NONMONOTONIC_GOALS: match 2: goal times must strictly increase, got 600 s followed"
+     " by 600 s"),
+    ("json_bad_side", _json_goals('{"side": "h", "time_s": 60}'),
+     "MALFORMED_ROW: match 2: bad goal object {'side': 'h', 'time_s': 60}:"
+     " 'h' is not a valid Side"),
+    ("json_unhashable_side", _json_goals('{"side": {}, "time_s": 60}'),
+     "MALFORMED_ROW: match 2: bad goal object {'side': {}, 'time_s': 60}:"
+     " {} is not a valid Side"),
+    ("json_bad_precision", _json_goals('{"side": "H", "time_s": 60, "precision": "minute"}'),
+     "MALFORMED_ROW: match 2: bad goal object {'side': 'H', 'time_s': 60, 'precision':"
+     " 'minute'}: 'minute' is not a valid TimePrecision"),
+    ("json_unhashable_precision",
+     _json_goals('{"side": "H", "time_s": 60, "precision": ["exact"]}'),
+     "MALFORMED_ROW: match 2: bad goal object {'side': 'H', 'time_s': 60, 'precision':"
+     " ['exact']}: ['exact'] is not a valid TimePrecision"),
+    ("json_float_time", _json_goals('{"side": "H", "time_s": 60.0}'),
+     "MALFORMED_ROW: match 2: goal time_s must be an integer, got 60.0"),
+    ("json_string_time", _json_goals('{"side": "H", "time_s": "60"}'),
+     "MALFORMED_ROW: match 2: goal time_s must be an integer, got '60'"),
+    ("json_both_lengths", _json_goals("", ', "length_min": 95, "length_s": 5700'),
+     "MALFORMED_ROW: match 2: give length_min or length_s, not both"),
+    ("csv_short_length", _csv_season("1,A,B,,89"),
+     "MALFORMED_ROW: declared length 5340 s is shorter than regulation (5400 s) (line 3)"),
+    ("json_short_length", _json_goals("", ', "length_s": 5399'),
+     "MALFORMED_ROW: match 2: declared length 5399 s is shorter than regulation (5400 s)"),
+    ("csv_long_length", _csv_season("1,A,B,,301"),
+     "MALFORMED_ROW: declared length is longer than the longest allowed match (18000 s)"
+     " (line 3)"),
+    ("json_long_length", _json_goals("", ', "length_s": 18001'),
+     "MALFORMED_ROW: match 2: declared length is longer than the longest allowed match"
+     " (18000 s)"),
+    ("csv_early_length", _csv_season('1,A,B,"H:10,A:95",94'),
+     "MALFORMED_ROW: declared length 5640 s precedes the last goal at 5700 s (line 3)"),
+    ("json_early_length", _json_goals('{"side": "A", "time_s": 5701}', ', "length_s": 5700'),
+     "MALFORMED_ROW: match 2: declared length 5700 s precedes the last goal at 5701 s"),
+    ("json_nul_name", _json_season('{"round": 1, "home": "A", "away": "B\\u0000"}'),
+     "MALFORMED_ROW: match 2: team names must not contain a NUL character"),
+    ("csv_empty_name", _csv_season("1,A, ,,"),
+     "MALFORMED_ROW: team names must be non-empty (line 3)"),
+    ("json_empty_name", _json_season('{"round": 1, "home": "", "away": "B"}'),
+     "MALFORMED_ROW: match 2: team names must be non-empty"),
+    ("csv_plays_itself", _csv_season("1,A, A,,"),
+     "MALFORMED_ROW: a team cannot play itself: 'A' (line 3)"),
+    ("json_plays_itself", _json_season('{"round": 1, "home": "A ", "away": "A"}'),
+     "MALFORMED_ROW: match 2: a team cannot play itself: 'A'"),
+    ("csv_duplicate_fixture", _csv_season("2,Gamma,Delta,H:1,"),
+     "DUPLICATE_FIXTURE: fixture Gamma vs Delta appears more than once"),
+    ("json_duplicate_fixture", _json_season('{"round": 2, "home": "Gamma", "away": "Delta"}'),
+     "DUPLICATE_FIXTURE: fixture Gamma vs Delta appears more than once"),
+    ("csv_round_gap", _csv_season("3,A,B,,"),
+     "NONCONTIGUOUS_ROUNDS: round numbers must form a contiguous range starting at 1"),
+    ("json_round_gap", _json_season('{"round": 3, "home": "A", "away": "B"}'),
+     "NONCONTIGUOUS_ROUNDS: round numbers must form a contiguous range starting at 1"),
+    # Two faults: a goal time out of range wins over the order of the goals,
+    # the round, the names, the length and a later bad goal object; a bad goal
+    # object wins over the order of earlier goals; the names win over the order
+    # of the goals, and the order wins over the declared length.
+    ("csv_zero_after_later_goal", _csv_season('0,A,A,"H:10,H:0",80'),
+     "MALFORMED_ROW: goal time must be at least 1 second, got 0 (line 3)"),
+    ("csv_past_300_after_disorder", _csv_season('1,A,B,"H:20,H:10,A:301",'),
+     "MALFORMED_ROW: goal time is past the longest allowed match (18000 s) (line 3)"),
+    ("json_zero_before_bad_side",
+     _json_goals('{"side": "H", "time_s": 10}, {"side": "H", "time_s": 0}, {"side": "X"}'),
+     "MALFORMED_ROW: match 2: goal time must be at least 1 second, got 0"),
+    ("json_zero_before_bad_round",
+     _json_season('{"round": "x", "home": "A", "away": "B", "goals": ["H:0"]}'),
+     "MALFORMED_ROW: match 2: goal time must be at least 1 second, got 0"),
+    ("json_disorder_before_bad_side",
+     _json_goals('{"side": "H", "time_s": 20}, {"side": "H", "time_s": 10}, {"side": "X"}'),
+     "MALFORMED_ROW: match 2: bad goal object {'side': 'X'}: 'X' is not a valid Side"),
+    ("csv_disorder_before_early_length", _csv_season('1,A,B,"H:95,A:94",92'),
+     "NONMONOTONIC_GOALS: goal times must strictly increase, got 5700 s followed by 5640 s"
+     " (line 3)"),
+    ("json_disorder_before_nul_name",
+     _json_season('{"round": 1, "home": "A", "away": "B\\u0000", "goals": ["H:2", "A:1"]}'),
+     "MALFORMED_ROW: match 2: team names must not contain a NUL character"),
+    ("csv_self_play_before_disorder", _csv_season('1,A,A,"H:20,H:10",'),
+     "MALFORMED_ROW: a team cannot play itself: 'A' (line 3)"),
+]
+
+
+@pytest.mark.parametrize(
+    "season,line", [case[1:] for case in _FAULTS], ids=[case[0] for case in _FAULTS]
+)
+def test_each_fault_exits_one_with_its_error_line(tmp_path, season, line):
+    path = tmp_path / "season"
+    path.write_text(season, encoding="utf-8")
+    result = run_cli(["table", "--input", str(path), "--out", str(tmp_path / "out")])
+    assert (result.exit_code, result.stderr) == (1, f"error: {line}\n")

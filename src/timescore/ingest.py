@@ -26,9 +26,12 @@ JSON (mirror)
     JSON strings.
 
 Both formats are UTF-8 (other bytes fail with code ENCODING); LF and CRLF
-line endings are accepted. Goal times are stored internally as integer
-seconds from kickoff, so minute-resolution input is scaled by 60 at parse time
-and no floating point is involved anywhere.
+line endings are accepted. A parsed goal is one signed int: its time in whole
+seconds from kickoff, positive for a home goal and negative for an away goal,
+so minute-resolution input is scaled by 60 at parse time and no floating point
+is involved anywhere. A goal's precision is kept only as the timing slack it
+adds to its match's ``slack_s``: 59 s for a truncated minute, 30 s for a
+rounded one and 0 for an exact second.
 """
 
 from __future__ import annotations
@@ -73,11 +76,6 @@ _GOAL_TOKEN_RE = re.compile(
 _INT_RE = re.compile(r"[+-]?([0-9]+)")
 
 
-class Side(enum.Enum):
-    HOME = "H"
-    AWAY = "A"
-
-
 class TimePrecision(enum.Enum):
     """How a recorded goal time relates to the true time of the goal."""
 
@@ -86,16 +84,13 @@ class TimePrecision(enum.Enum):
     EXACT = "exact"
 
 
-# Each member by its value, for the JSON goal fields (see _member).
-_SIDES = {side.value: side for side in Side}
-_PRECISIONS = {precision.value: precision for precision in TimePrecision}
-
-
-# Worst-case timing slack (seconds) a single recorded goal can hide.
-_PRECISION_SLACK_S = {
-    TimePrecision.MINUTE_TRUNCATED: 59,
-    TimePrecision.MINUTE_ROUNDED: 30,
-    TimePrecision.EXACT: 0,
+# The sign of a goal's time by its side, and the worst-case timing slack in
+# seconds that one recorded goal can hide, by its precision's value.
+_SIGNS = {"H": 1, "A": -1}
+_SLACK_S = {
+    TimePrecision.MINUTE_TRUNCATED.value: 59,
+    TimePrecision.MINUTE_ROUNDED.value: 30,
+    TimePrecision.EXACT.value: 0,
 }
 
 
@@ -132,54 +127,63 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class GoalEvent(FrozenRecord):
-    """One scored goal, timed in whole seconds from kickoff (1 to MAX_MATCH_LENGTH_S)."""
+def _check_goal_time(time_s: int) -> None:
+    """Fail as MALFORMED_ROW unless a goal at ``time_s`` seconds falls in 1..MAX_MATCH_LENGTH_S."""
+    if time_s < 1:
+        raise MalformedRowError(f"goal time must be at least 1 second, got {time_s}")
+    if time_s > MAX_MATCH_LENGTH_S:
+        raise MalformedRowError(
+            f"goal time is past the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
+        )
 
-    __slots__ = ("side", "time_s", "precision")
-    side: Side
-    time_s: int
-    precision: TimePrecision
 
-    def __init__(
-        self, side: Side, time_s: int, precision: TimePrecision = TimePrecision.EXACT
-    ) -> None:
-        if time_s < 1:
-            raise MalformedRowError(f"goal time must be at least 1 second, got {time_s}")
-        if time_s > MAX_MATCH_LENGTH_S:
-            raise MalformedRowError(
-                f"goal time is past the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
+def _goal_times_error(goals: tuple[int, ...]) -> None:
+    """Raise the error of goals that are not strictly ordered times in range.
+
+    A time out of range is reported before any break in the order.
+    """
+    times = [abs(goal) for goal in goals]
+    for time_s in times:
+        _check_goal_time(time_s)
+    for prev, cur in zip(times, times[1:]):
+        if cur <= prev:
+            raise NonMonotonicGoalsError(
+                f"goal times must strictly increase, got {prev} s followed by {cur} s"
             )
-        _set = object.__setattr__
-        _set(self, "side", side)
-        _set(self, "time_s", time_s)
-        _set(self, "precision", precision)
 
 
 class MatchRecord(FrozenRecord):
     """One fixture: round number, sides, ordered goals, optional length override.
 
+    Each goal is its time in whole seconds from kickoff, 1 to
+    MAX_MATCH_LENGTH_S, signed by its side: ``+time_s`` for a home goal and
+    ``-time_s`` for an away goal. Goal times must strictly increase (two
+    goals can never share the same second). ``slack_s`` sums the timing slack
+    of the goals' precisions (see :func:`minute_error_bound`).
+
     Team names are trimmed on construction and may not hold a NUL, which is
     part of no name and which readers of the report files, such as Python
-    3.10's csv reader, stop at. Goal times must strictly increase
-    (two goals can never share the same second). A declared length, when
-    present, must cover both the 90-minute regulation span and every goal,
-    and may not exceed MAX_MATCH_LENGTH_S.
+    3.10's csv reader, stop at. A declared length, when present, must cover
+    both the 90-minute regulation span and every goal, and may not exceed
+    MAX_MATCH_LENGTH_S.
     """
 
-    __slots__ = ("round", "home", "away", "goals", "declared_length_s")
+    __slots__ = ("round", "home", "away", "goals", "declared_length_s", "slack_s")
     round: int
     home: str
     away: str
-    goals: tuple[GoalEvent, ...]
+    goals: tuple[int, ...]
     declared_length_s: int | None
+    slack_s: int
 
     def __init__(
         self,
         round: int,
         home: str,
         away: str,
-        goals: tuple[GoalEvent, ...] = (),
+        goals: tuple[int, ...] = (),
         declared_length_s: int | None = None,
+        slack_s: int = 0,
     ) -> None:
         home = home.strip()
         away = away.strip()
@@ -192,12 +196,13 @@ class MatchRecord(FrozenRecord):
             raise MalformedRowError("team names must not contain a NUL character")
         if home == away:
             raise MalformedRowError(f"a team cannot play itself: {home!r}")
-        for prev, cur in zip(goals, goals[1:]):
-            if cur.time_s <= prev.time_s:
-                raise NonMonotonicGoalsError(
-                    f"goal times must strictly increase, got {prev.time_s} s "
-                    f"followed by {cur.time_s} s"
-                )
+        # One pass checks each goal's range and the goals' order.
+        last = 0
+        for goal in goals:
+            time_s = goal if goal > 0 else -goal
+            if not last < time_s <= MAX_MATCH_LENGTH_S:
+                _goal_times_error(goals)
+            last = time_s
         if declared_length_s is not None:
             if declared_length_s < REGULATION_LENGTH_S:
                 raise MalformedRowError(
@@ -209,10 +214,10 @@ class MatchRecord(FrozenRecord):
                     f"declared length is longer than the longest allowed match "
                     f"({MAX_MATCH_LENGTH_S} s)"
                 )
-            if goals and declared_length_s < goals[-1].time_s:
+            if declared_length_s < last:
                 raise MalformedRowError(
                     f"declared length {declared_length_s} s precedes the "
-                    f"last goal at {goals[-1].time_s} s"
+                    f"last goal at {last} s"
                 )
         _set = object.__setattr__
         _set(self, "round", round)
@@ -220,6 +225,7 @@ class MatchRecord(FrozenRecord):
         _set(self, "away", away)
         _set(self, "goals", goals)
         _set(self, "declared_length_s", declared_length_s)
+        _set(self, "slack_s", slack_s)
 
 
 class SeasonDataset(FrozenRecord):
@@ -263,19 +269,17 @@ class SeasonDataset(FrozenRecord):
         return max((m.round for m in self.matches), default=0)
 
 
-def parse_goal_token(token: str, precision: TimePrecision) -> GoalEvent:
-    """Parse one ``SIDE:MINUTE[+STOPPAGE]`` token into a GoalEvent."""
+def parse_goal_token(token: str) -> int:
+    """Parse one ``SIDE:MINUTE[+STOPPAGE]`` token into a signed goal time in seconds."""
     m = _GOAL_TOKEN_RE.match(token.strip())
     if m is None:
         raise MalformedRowError(f"bad goal token {token!r}")
     minute, stoppage = m.group("minute"), m.group("stoppage") or "0"
     _check_digits(minute, "goal minute")
     _check_digits(stoppage, "goal minute")
-    return GoalEvent(
-        side=Side(m.group("side")),
-        time_s=(int(minute) + int(stoppage)) * SECONDS_PER_MINUTE,
-        precision=precision,
-    )
+    time_s = (int(minute) + int(stoppage)) * SECONDS_PER_MINUTE
+    _check_goal_time(time_s)
+    return _SIGNS[m.group("side")] * time_s
 
 
 def _check_digits(digits: str, what: str) -> None:
@@ -286,18 +290,18 @@ def _check_digits(digits: str, what: str) -> None:
 
 
 class _TokenMemo(dict):
-    """Goal token -> GoalEvent, each distinct token parsed once per season file.
+    """Goal token -> signed goal time, each distinct token parsed once per season file.
 
-    Seasons repeat a few hundred distinct tokens across thousands of goals, and
-    GoalEvent is frozen, so the CSV goals field and JSON token strings share one
-    parsed event per token.
+    Seasons repeat a few hundred distinct tokens across thousands of goals, so
+    the CSV goals field and JSON token strings share one parse per token. Every
+    token carries the minute precision's ``slack_s``.
     """
 
     def __init__(self, precision: TimePrecision) -> None:
-        self.precision = precision
+        self.slack_s = _SLACK_S[precision.value]
 
-    def __missing__(self, token: str) -> GoalEvent:
-        goal = self[token] = parse_goal_token(token, self.precision)
+    def __missing__(self, token: str) -> int:
+        goal = self[token] = parse_goal_token(token)
         return goal
 
 
@@ -401,13 +405,7 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             if length_field.strip():
                 declared = _csv_int(length_field, "length_min value") * SECONDS_PER_MINUTE
             matches.append(
-                MatchRecord(
-                    round=round_no,
-                    home=home,
-                    away=away,
-                    goals=goals,
-                    declared_length_s=declared,
-                )
+                MatchRecord(round_no, home, away, goals, declared, len(goals) * tokens.slack_s)
             )
         except SeasonDataError as err:
             raise _located(err, line) from None
@@ -427,30 +425,36 @@ def _require_str(value: Any, what: str) -> str:
     return value
 
 
-def _member(members: dict, enum_cls: type[enum.Enum], value: Any) -> Any:
-    """``members[value]``, else ``enum_cls(value)``, which raises the enum's own error.
-
-    Unhashable values miss too. The dict lookup is much cheaper than
-    ``Enum.__call__``, which only a miss pays.
-    """
+def _lookup(table: dict, value: Any, what: str) -> int:
+    """``table[value]``; a miss, unhashable values included, is an enum-style ValueError."""
     try:
-        return members[value]
+        return table[value]
     except (KeyError, TypeError):
-        return enum_cls(value)
+        raise ValueError(f"{value!r} is not a valid {what}") from None
 
 
-def _parse_json_goal(entry: Any, tokens: _TokenMemo) -> GoalEvent:
-    if type(entry) is dict:
+def _json_goals(entries: list, tokens: _TokenMemo) -> tuple[list[int], int]:
+    """A match's JSON goal entries as signed goal times, and the sum of their slack."""
+    goals = []
+    slack_s = 0
+    for entry in entries:
+        if type(entry) is str:
+            goals.append(tokens[entry])
+            slack_s += tokens.slack_s
+            continue
+        if type(entry) is not dict:
+            raise MalformedRowError(
+                f"goal entry must be a token string or object, got {entry!r}"
+            )
         try:
-            side = _member(_SIDES, Side, entry["side"])
-            raw_time = entry["time_s"]
-            precision = _member(_PRECISIONS, TimePrecision, entry.get("precision", "exact"))
+            sign = _lookup(_SIGNS, entry["side"], "Side")
+            time_s = entry["time_s"]
+            slack_s += _lookup(_SLACK_S, entry.get("precision", "exact"), "TimePrecision")
         except (KeyError, ValueError) as exc:
             raise MalformedRowError(f"bad goal object {entry!r}: {exc}") from None
-        return GoalEvent(side, _require_int(raw_time, "goal time_s"), precision)
-    if type(entry) is str:
-        return tokens[entry]
-    raise MalformedRowError(f"goal entry must be a token string or object, got {entry!r}")
+        _check_goal_time(_require_int(time_s, "goal time_s"))
+        goals.append(sign * time_s)
+    return goals, slack_s
 
 
 def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
@@ -488,14 +492,15 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             entries = obj.get("goals", [])
             if type(entries) is not list:
                 raise MalformedRowError(f"goals must be a list, got {entries!r}")
-            goals = [_parse_json_goal(entry, tokens) for entry in entries]
+            goals, slack_s = _json_goals(entries, tokens)
             matches.append(
                 MatchRecord(
-                    round=_require_int(obj["round"], "round"),
-                    home=_require_str(obj["home"], "home"),
-                    away=_require_str(obj["away"], "away"),
-                    goals=goals,
-                    declared_length_s=declared,
+                    _require_int(obj["round"], "round"),
+                    _require_str(obj["home"], "home"),
+                    _require_str(obj["away"], "away"),
+                    goals,
+                    declared,
+                    slack_s,
                 )
             )
         except SeasonDataError as err:
@@ -530,8 +535,9 @@ def minute_error_bound(dataset: SeasonDataset) -> Fraction:
     Each goal recorded at minute resolution can be off by up to 59 s when the
     source truncates (30 s when it rounds to the nearest minute), and a timing
     shift of d seconds is taken to move at most 2·d/5400 points between the two
-    sides of a 90-minute match. Per-goal bounds are summed within each match and
-    the maximum over all matches is returned, as an exact rational.
+    sides of a 90-minute match. The bound is linear in each goal's shift, so a
+    match's bound is 2·slack_s/5400, with ``slack_s`` the sum of its goals'
+    slacks; the maximum over all matches is returned, as an exact rational.
 
     The bound holds for ``classic``, ``mixed`` and ``goaldiff``, and for ``time``
     when neither weight step (w−d or d−l) exceeds 2, as at the default 3,1,0. A
@@ -539,14 +545,5 @@ def minute_error_bound(dataset: SeasonDataset) -> Fraction:
     match moves its ``time`` award by up to 59/600 at weights 10,1,0, where this
     bound gives 59/2700.
     """
-    worst = Fraction(0)
-    for m in dataset.matches:
-        bound = sum(
-            (
-                Fraction(2 * _PRECISION_SLACK_S[g.precision], REGULATION_LENGTH_S)
-                for g in m.goals
-            ),
-            Fraction(0),
-        )
-        worst = max(worst, bound)
-    return worst
+    worst = max((m.slack_s for m in dataset.matches), default=0)
+    return Fraction(2 * worst, REGULATION_LENGTH_S)

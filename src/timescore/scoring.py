@@ -74,20 +74,6 @@ class WeightTriple(FrozenRecord):
 DEFAULT_WEIGHTS = WeightTriple(Fraction(3), Fraction(1), Fraction(0))
 
 
-def final_result(goals_for: int, goals_against: int) -> int:
-    """Match outcome on the 3/1/0 scale for the side scoring ``goals_for``."""
-    if goals_for > goals_against:
-        return 3
-    if goals_for == goals_against:
-        return 1
-    return 0
-
-
-def goal_diff_value(goals_for: int, goals_against: int) -> int:
-    """Goal-difference bonus: 0 for a non-positive difference, else capped at 3."""
-    return max(0, min(goals_for - goals_against, 3))
-
-
 class ScoringRule(NamedTuple):
     """One scoring system as integer coefficients. A side's award for one match is
 

@@ -13,8 +13,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .display import format_ratios
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
 from .ingest import MatchRecord, SeasonDataset
-from .scoring import ScoringRule, final_result, goal_diff_value
-from .timeline import effective_length, timeline
+from .scoring import ScoringRule
+from .timeline import timeline
 
 
 # The most bits the lcm of a season's match lengths may have. An lcm past it is
@@ -99,47 +99,39 @@ class SeasonLedger:
             raise EmptySeasonError("season has no matches")
         self.teams = dataset.teams
         index = {team: i for i, team in enumerate(self.teams)}
-        lengths = {effective_length(match) for match in dataset.matches}
-        self.length_lcm = math.lcm(*lengths)
-        self.max_length = max(lengths)
-        if self.length_lcm.bit_length() > MAX_LENGTH_LCM_BITS:
-            raise TooManyLengthsError(
-                f"the {len(lengths)} distinct match lengths have an lcm of more than "
-                "3000 digits, too large for exact points"
-            )
-        length_factor = {t: self.length_lcm // t for t in lengths}
         by_round: list[list[MatchRecord]] = [[] for _ in range(dataset.num_rounds)]
         for match in dataset.matches:
             by_round[match.round - 1].append(match)
 
         n = len(self.teams)
         goals_for, goal_diff = [0] * n, [0] * n
-        self.draws = [0] * n
+        draws = self.draws = [0] * n
         self._sides: list[list[int]] = []
         self._rows: list[list[tuple[int, ...]]] = []
         self._lengths: list[list[int]] = []
-        self._factors: list[list[int]] = []
         self._tiebreaks: list[list[int]] = []
         for matches in by_round:
-            sides, rows, round_lengths, factors = [], [], [], []
+            sides, rows, round_lengths = [], [], []
             for match in matches:
                 win, draw, lose, t, hg, ag = timeline(match)
-                factor = length_factor[t]
                 home, away = index[match.home], index[match.away]
                 sides += (home, away)
-                rows += (
-                    (win, draw, lose, final_result(hg, ag), goal_diff_value(hg, ag), t),
-                    (lose, draw, win, final_result(ag, hg), goal_diff_value(ag, hg), t),
-                )
+                # The 3/1/0 result and the goal-difference bonus, capped at 3,
+                # of each side from the one difference.
+                diff = hg - ag
+                if diff > 0:
+                    rows += ((win, draw, lose, 3, min(diff, 3), t), (lose, draw, win, 0, 0, t))
+                elif diff:
+                    rows += ((win, draw, lose, 0, 0, t), (lose, draw, win, 3, min(-diff, 3), t))
+                else:
+                    rows += ((win, draw, lose, 1, 0, t), (lose, draw, win, 1, 0, t))
+                    draws[home] += 1
+                    draws[away] += 1
                 round_lengths += (t, t)
-                factors += (factor, factor)
                 goals_for[home] += hg
                 goals_for[away] += ag
-                goal_diff[home] += hg - ag
-                goal_diff[away] += ag - hg
-                if hg == ag:
-                    self.draws[home] += 1
-                    self.draws[away] += 1
+                goal_diff[home] += diff
+                goal_diff[away] -= diff
             # Teams are indexed in name order and the sort is stable, so equal
             # keys stay in name order.
             keys = list(zip(goal_diff, goals_for))
@@ -147,7 +139,17 @@ class SeasonLedger:
             self._sides.append(sides)
             self._rows.append(rows)
             self._lengths.append(round_lengths)
-            self._factors.append(factors)
+
+        lengths = set().union(*self._lengths)
+        self.length_lcm = math.lcm(*lengths)
+        self.max_length = max(lengths)
+        if self.length_lcm.bit_length() > MAX_LENGTH_LCM_BITS:
+            raise TooManyLengthsError(
+                f"the {len(lengths)} distinct match lengths have an lcm of more than "
+                "3000 digits, too large for exact points"
+            )
+        factor = {t: self.length_lcm // t for t in lengths}.__getitem__
+        self._factors = [list(map(factor, round_lengths)) for round_lengths in self._lengths]
 
     def den(self, rule: ScoringRule) -> int:
         """The common denominator of every award and total under ``rule``."""

@@ -7,48 +7,45 @@ always sum exactly to the effective match length.
 
 from __future__ import annotations
 
-from .ingest import REGULATION_LENGTH_S, MatchRecord, Side
-
-# Bound once: an enum member lookup costs several times a global's, once per goal.
-_HOME = Side.HOME
-
-
-def effective_length(match: MatchRecord) -> int:
-    """Match length in seconds: declared if given, else 90' extended to the last goal."""
-    if match.declared_length_s is not None:
-        return match.declared_length_s
-    last_goal = match.goals[-1].time_s if match.goals else 0
-    return max(REGULATION_LENGTH_S, last_goal)
+from .ingest import REGULATION_LENGTH_S, MatchRecord
 
 
 def timeline(match: MatchRecord) -> tuple[int, int, int, int, int, int]:
     """One walk over the goals: (leading, level, trailing, T, home goals, away goals).
 
-    Leading, level and trailing are the home side's seconds and T is the
-    :func:`effective_length`; the goals are the final score.
+    Each goal is a signed time, ``+time_s`` for a home goal and ``-time_s``
+    for an away goal. Leading, level and trailing are the home side's seconds.
+    T is the effective match length: the declared length if given, else 90'
+    extended to the last goal. The goals are the final score.
     """
-    t_match = effective_length(match)
+    goals = match.goals
     win = draw = lose = 0
-    home = away = 0
+    diff = 0  # home goals minus away goals so far
     prev = 0
-    for goal in match.goals:
-        span = goal.time_s - prev
-        if home > away:
-            win += span
-        elif home == away:
-            draw += span
+    for goal in goals:
+        if goal > 0:
+            time_s = goal
+            step = 1
         else:
-            lose += span
-        if goal.side is _HOME:
-            home += 1
+            time_s = -goal
+            step = -1
+        if diff > 0:
+            win += time_s - prev
+        elif diff == 0:
+            draw += time_s - prev
         else:
-            away += 1
-        prev = goal.time_s
+            lose += time_s - prev
+        diff += step
+        prev = time_s
+    t_match = match.declared_length_s
+    if t_match is None:
+        t_match = prev if prev > REGULATION_LENGTH_S else REGULATION_LENGTH_S
     tail = t_match - prev
-    if home > away:
+    if diff > 0:
         win += tail
-    elif home == away:
+    elif diff == 0:
         draw += tail
     else:
         lose += tail
-    return win, draw, lose, t_match, home, away
+    home = (len(goals) + diff) >> 1
+    return win, draw, lose, t_match, home, home - diff

@@ -8,7 +8,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from gen_synthetic_season import double_round_robin
-from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
+from reference import SLACK_S
+from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import WeightTriple
 
 # Fuzz goal times run to 100 minutes so stoppage-time handling is exercised.
@@ -24,7 +25,7 @@ def random_match(
 ) -> MatchRecord:
     count = rng.randint(0, max_goals)
     times = sorted(rng.sample(range(1, MAX_FUZZ_TIME_S + 1), count))
-    goals = tuple(GoalEvent(rng.choice((Side.HOME, Side.AWAY)), t) for t in times)
+    goals = tuple(rng.choice((1, -1)) * t for t in times)
     declared = None
     if rng.random() < 0.2:
         floor = max(5400, times[-1] if times else 0)
@@ -59,27 +60,43 @@ def random_season(rng: random.Random, num_teams: int = 6) -> SeasonDataset:
 
 
 @st.composite
-def match_records(draw, max_goals: int = 8) -> MatchRecord:
+def goal_entries(draw, max_goals: int = 8) -> list[dict]:
+    """JSON goal objects at strictly increasing times, each with its own precision."""
     times = draw(
         st.lists(st.integers(1, MAX_FUZZ_TIME_S), max_size=max_goals, unique=True).map(
             sorted
         )
     )
-    sides = draw(
-        st.lists(
-            st.sampled_from((Side.HOME, Side.AWAY)),
-            min_size=len(times),
-            max_size=len(times),
-        )
-    )
-    goals = tuple(GoalEvent(side, t) for side, t in zip(sides, times))
+    return [
+        {
+            "side": draw(st.sampled_from("HA")),
+            "time_s": t,
+            "precision": draw(st.sampled_from(sorted(SLACK_S))),
+        }
+        for t in times
+    ]
+
+
+@st.composite
+def declared_lengths(draw, entries: list[dict]) -> int | None:
+    """None, or a length in whole minutes past 90' or the last goal, whichever is later."""
     extra = draw(st.one_of(st.none(), st.integers(0, 30)))
-    declared = None
-    if extra is not None:
-        declared = max(5400, times[-1] if times else 0) + 60 * extra
-    return MatchRecord(
-        round=1, home="Home", away="Away", goals=goals, declared_length_s=declared
-    )
+    if extra is None:
+        return None
+    return max([5400] + [g["time_s"] for g in entries]) + 60 * extra
+
+
+def record_from_entries(entries: list[dict], declared: int | None = None) -> MatchRecord:
+    """The match that JSON goal objects describe, built without the parser."""
+    goals = tuple(g["time_s"] if g["side"] == "H" else -g["time_s"] for g in entries)
+    slack = sum(SLACK_S[g["precision"]] for g in entries)
+    return MatchRecord(1, "Home", "Away", goals, declared, slack)
+
+
+@st.composite
+def match_records(draw, max_goals: int = 8) -> MatchRecord:
+    entries = draw(goal_entries(max_goals))
+    return record_from_entries(entries, draw(declared_lengths(entries)))
 
 
 @st.composite

@@ -9,7 +9,9 @@ from :meth:`SeasonLedger.awards` as ``Fraction``, and ``package_awards`` scores
 one match that way through a one-match :class:`SeasonLedger`. ``ecdf_columns``
 renders an ECDF from exact awards by counting, and ``rendered_by_hand`` rounds
 one value half up without the package's renderer. ``segment_oracle`` and
-``final_score`` recompute what :func:`timeline` returns without its walk.
+``final_score`` recompute what :func:`timeline` returns without its walk, and
+``SLACK_S`` gives each goal precision's timing slack, apart from the parser's
+table.
 """
 
 import itertools
@@ -17,12 +19,14 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from timescore.ingest import MatchRecord, SeasonDataset, Side
+from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, WeightTriple
 from timescore.standings import SeasonLedger
-from timescore.timeline import effective_length, timeline
+from timescore.timeline import timeline
 
 PAPER_WEIGHTS = WeightTriple(3, 1, 0)
+# The most seconds a goal recorded at each precision can be off its true time.
+SLACK_S = {"minute_truncated": 59, "minute_rounded": 30, "exact": 0}
 
 
 Breakdown = tuple[int, int, int, int]  # the home side's (leading, level, trailing, T) seconds
@@ -117,26 +121,32 @@ def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:
 
     Simulates the score at ``resolution_s``-second steps, classifying each
     step by the score sign at the step's start (a goal at time t counts from
-    the step starting at t). A trailing remainder shorter than the resolution
-    is handled as one final short step. At 1-second resolution this equals
-    ``timeline(match)[:4]`` exactly; it exists as an independently-coded check.
+    the step starting at t). A goal ``g`` falls at ``abs(g)`` seconds, for the
+    home side when ``g > 0``. The match lasts its declared length, else 90'
+    or until the last goal if later. A trailing remainder shorter than the
+    resolution is handled as one final short step. At 1-second resolution
+    this equals ``timeline(match)[:4]`` exactly; it exists as an
+    independently-coded check.
     """
     if resolution_s < 1:
         raise ValueError("resolution must be a positive number of seconds")
-    t_match = effective_length(match)
     goals = match.goals
+    t_match = match.declared_length_s
+    if t_match is None:
+        t_match = max([90 * 60] + [abs(goal) for goal in goals])
     win = draw = lose = 0
     home = away = 0
     i = 0
     t = 0
+    times = [abs(goal) for goal in goals] + [t_match + 1]  # a sentinel past the end
     while t < t_match:
-        while i < len(goals) and goals[i].time_s <= t:
-            if goals[i].side is Side.HOME:
+        while times[i] <= t:
+            if goals[i] > 0:
                 home += 1
             else:
                 away += 1
             i += 1
-        step = min(resolution_s, t_match - t)
+        step = resolution_s if t_match - t > resolution_s else t_match - t
         if home > away:
             win += step
         elif home == away:
@@ -149,5 +159,5 @@ def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:
 
 def final_score(match: MatchRecord) -> tuple[int, int]:
     """(home goals, away goals) at the final whistle, counted apart from :func:`timeline`."""
-    home = sum(1 for g in match.goals if g.side is Side.HOME)
+    home = sum(1 for goal in match.goals if goal > 0)
     return home, len(match.goals) - home

@@ -26,7 +26,7 @@ from timescore.indicators import (
     minutes_for_deficit,
     minutes_to_upper,
 )
-from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
+from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger, Standings, percent_of_leader
 
@@ -99,7 +99,7 @@ class TestAveragePoints:
     def test_denominator_is_team_appearances(self):
         # One decisive match: 3 points over 2 appearances.
         season = SeasonDataset(
-            matches=(MatchRecord(1, "A", "B", (GoalEvent(Side.HOME, 600),)),)
+            matches=(MatchRecord(1, "A", "B", (600,)),)
         )
         assert _final(SeasonLedger(season), CLASSIC).average() == Fraction(3, 2)
 
@@ -147,22 +147,23 @@ class TestMinutesToUpper:
     @given(st.data(), weight_triples())
     @settings(deadline=None)
     def test_go_ahead_goal_moved_earlier_gains_its_minutes(self, data, weights):
-        # A 90' match: goals on distinct seconds up to 90:00, random sides.
+        # A 90' match: goals on distinct seconds up to 90:00, random sides
+        # (+1 home, -1 away).
         spacing = st.lists(st.integers(1, 1080), min_size=1, max_size=5)
         times = list(itertools.accumulate(data.draw(spacing)))
         n = len(times)
-        sides = data.draw(st.lists(st.sampled_from(Side), min_size=n, max_size=n))
-        level = [i for i in range(n) if sides[:i].count(Side.HOME) * 2 == i]
+        sides = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        level = [i for i in range(n) if sum(sides[:i]) == 0]
         j = data.draw(st.sampled_from(level))  # 0 is level: no goal before it
-        sides[j] = Side.HOME
+        sides[j] = 1
         previous = times[j - 1] if j else 0
         # Move the go-ahead goal m whole minutes earlier, past no other goal.
         assume(times[j] - previous > 60)
         m = data.draw(st.integers(1, (times[j] - previous - 1) // 60))
         rule = scoring_rule(ScoringSystem.TIME, weights)
-        goals = [GoalEvent(side, t) for side, t in zip(sides, times)]
+        goals = [side * t for side, t in zip(sides, times)]
         before, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
-        goals[j] = GoalEvent(Side.HOME, times[j] - 60 * m)
+        goals[j] = times[j] - 60 * m
         after, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
         assert minutes_for_deficit(after - before, weights) == m
 

@@ -18,10 +18,8 @@ from timescore.errors import (
 from timescore.ingest import (
     CSV_HEADER,
     SECONDS_PER_MINUTE,
-    GoalEvent,
     MatchRecord,
     SeasonDataset,
-    Side,
     TimePrecision,
     minute_error_bound,
     parse_goal_token,
@@ -40,35 +38,33 @@ def test_parse_basic_row():
     assert match.round == 1
     assert match.home == "Leicester"
     assert match.away == "Sunderland"
-    assert [g.time_s for g in match.goals] == [3120, 4260]
-    assert all(g.side is Side.HOME for g in match.goals)
-    assert all(g.precision is TimePrecision.MINUTE_TRUNCATED for g in match.goals)
+    # Home goals are positive times; two truncated minutes hide up to 59 s each.
+    assert match.goals == (3120, 4260)
+    assert match.slack_s == 2 * 59
     assert match.declared_length_s is None
 
 
 def test_stoppage_token_is_absolute_minute():
-    goal = parse_goal_token("A:90+5", TimePrecision.MINUTE_TRUNCATED)
-    assert goal.side is Side.AWAY
-    assert goal.time_s == 95 * 60
+    # An away goal is its time negated.
+    assert parse_goal_token("A:90+5") == -95 * 60
 
 
 def test_stoppage_token_equals_plain_absolute_token():
-    a = parse_goal_token("H:45+2", TimePrecision.MINUTE_ROUNDED)
-    b = parse_goal_token("H:47", TimePrecision.MINUTE_ROUNDED)
-    assert a == b
+    assert parse_goal_token("H:45+2") == parse_goal_token("H:47") == 47 * 60
 
 
 def test_goalless_match_is_valid():
     season = parse_season(HEADER + "1,Alpha,Beta,,\n")
     assert season.matches[0].goals == ()
+    assert season.matches[0].slack_s == 0
 
 
 def test_minute_precision_flag_applies_to_all_tokens():
     season = parse_season(
-        HEADER + '1,Alpha,Beta,"H:10",\n',
+        HEADER + '1,Alpha,Beta,"H:10,A:20",\n',
         minute_precision=TimePrecision.MINUTE_ROUNDED,
     )
-    assert season.matches[0].goals[0].precision is TimePrecision.MINUTE_ROUNDED
+    assert season.matches[0].slack_s == 2 * 30
 
 
 def test_declared_length_minutes_scaled_to_seconds():
@@ -101,7 +97,7 @@ def test_malformed_rows_report_line_number(row):
 
 
 def test_bad_token_after_valid_rows_reports_its_line():
-    # The parser reuses the GoalEvent of a token it has seen; a new bad token
+    # The parser reuses the goal of a token it has seen; a new bad token
     # on a later row must still fail with that row's line.
     text = HEADER + (
         '1,Alpha,Beta,"H:10,A:20",\n'
@@ -146,7 +142,11 @@ def test_parsed_goals_equal_each_token_parsed_alone(fields, precision):
     rows = [f'1,Home{i},Away{i},"{",".join(tokens)}",' for i, tokens in enumerate(fields)]
     season = parse_season(HEADER + "\n".join(rows) + "\n", minute_precision=precision)
     assert [match.goals for match in season.matches] == [
-        tuple(parse_goal_token(token, precision) for token in tokens) for tokens in fields
+        tuple(parse_goal_token(token) for token in tokens) for tokens in fields
+    ]
+    slack = {TimePrecision.MINUTE_TRUNCATED: 59, TimePrecision.MINUTE_ROUNDED: 30}[precision]
+    assert [match.slack_s for match in season.matches] == [
+        slack * len(tokens) for tokens in fields
     ]
 
 
@@ -174,7 +174,7 @@ def test_nonmonotonic_goals_rejected():
 
 def test_same_second_goals_rejected():
     with pytest.raises(NonMonotonicGoalsError):
-        MatchRecord(1, "Alpha", "Beta", (GoalEvent(Side.HOME, 100), GoalEvent(Side.AWAY, 100)))
+        MatchRecord(1, "Alpha", "Beta", (100, -100))
 
 
 def test_noncontiguous_rounds_rejected():
@@ -232,7 +232,7 @@ def test_no_rows_silently_dropped():
 def test_crlf_and_bom_tolerated():
     text = "﻿" + HEADER.rstrip("\n") + "\r\n" + '1,Alpha,Beta,"H:10",\r\n'
     season = parse_season(text.encode("utf-8"))
-    assert season.matches[0].goals[0].time_s == 600
+    assert season.matches[0].goals == (600,)
 
 
 def test_csv_round_trip_identical():
@@ -251,10 +251,13 @@ def test_csv_round_trip_identical():
         {"round": 2, "home": "Delta", "away": "Gamma", "goals": ["H:3"]},
     ]
     doc = json.dumps({"matches": matches})
-    for precision in (TimePrecision.MINUTE_TRUNCATED, TimePrecision.MINUTE_ROUNDED):
+    for precision, slack in (
+        (TimePrecision.MINUTE_TRUNCATED, 59),
+        (TimePrecision.MINUTE_ROUNDED, 30),
+    ):
         season = parse_season(text, minute_precision=precision)
         assert parse_season(doc, minute_precision=precision) == season
-        assert {g.precision for m in season.matches for g in m.goals} == {precision}
+        assert [m.slack_s for m in season.matches] == [3 * slack, 0, slack, slack]
 
 
 def test_csv_round_trip_keeps_team_names_that_need_quoting():
@@ -264,9 +267,8 @@ def test_csv_round_trip_keeps_team_names_that_need_quoting():
         for round_no, (home, away) in enumerate(zip(names, names[1:] + names[:1]), start=1)
     ]
     rows = [CSV_HEADER, *((str(r), home, away, "H:10", "") for r, home, away in fixtures)]
-    goals = (GoalEvent(Side.HOME, 600, TimePrecision.MINUTE_TRUNCATED),)
     season = SeasonDataset(
-        matches=tuple(MatchRecord(r, home, away, goals) for r, home, away in fixtures)
+        matches=tuple(MatchRecord(r, home, away, (600,), None, 59) for r, home, away in fixtures)
     )
     assert parse_season(csv_text(list(zip(*rows)))) == season
 
@@ -275,16 +277,7 @@ def test_json_round_trip_identical_with_exact_times():
     season = SeasonDataset(
         league_name="Exact League",
         matches=(
-            MatchRecord(
-                1,
-                "Alpha",
-                "Beta",
-                (
-                    GoalEvent(Side.HOME, 725, TimePrecision.EXACT),
-                    GoalEvent(Side.AWAY, 5403, TimePrecision.EXACT),
-                ),
-                declared_length_s=5403,
-            ),
+            MatchRecord(1, "Alpha", "Beta", (725, -5403), declared_length_s=5403),
             MatchRecord(1, "Gamma", "Delta", ()),
         ),
     )
@@ -319,9 +312,8 @@ def test_json_accepts_token_strings_and_objects():
     }
     """
     season = parse_season(doc)
-    goals = season.matches[0].goals
-    assert goals[0] == GoalEvent(Side.HOME, 3120, TimePrecision.MINUTE_TRUNCATED)
-    assert goals[1] == GoalEvent(Side.AWAY, 5403, TimePrecision.EXACT)
+    assert season.matches[0].goals == (3120, -5403)
+    assert season.matches[0].slack_s == 59 + 0
 
 
 @pytest.mark.parametrize(
@@ -447,7 +439,7 @@ def test_team_names_trimmed():
 def test_minute_error_bound_truncated():
     season = SeasonDataset(
         matches=(
-            MatchRecord(1, "A", "B", (GoalEvent(Side.HOME, 60, TimePrecision.MINUTE_TRUNCATED),)),
+            MatchRecord(1, "A", "B", (60,), slack_s=59),
         )
     )
     bound = minute_error_bound(season)
@@ -458,7 +450,7 @@ def test_minute_error_bound_truncated():
 def test_minute_error_bound_rounded():
     season = SeasonDataset(
         matches=(
-            MatchRecord(1, "A", "B", (GoalEvent(Side.HOME, 60, TimePrecision.MINUTE_ROUNDED),)),
+            MatchRecord(1, "A", "B", (60,), slack_s=30),
         )
     )
     bound = minute_error_bound(season)
@@ -468,20 +460,14 @@ def test_minute_error_bound_rounded():
 
 def test_minute_error_bound_exact_is_zero():
     season = SeasonDataset(
-        matches=(MatchRecord(1, "A", "B", (GoalEvent(Side.HOME, 61, TimePrecision.EXACT),)),)
+        matches=(MatchRecord(1, "A", "B", (61,), slack_s=0),)
     )
     assert minute_error_bound(season) == 0
 
 
 def test_minute_error_bound_is_worst_match_sum():
-    one = MatchRecord(
-        1, "A", "B",
-        (
-            GoalEvent(Side.HOME, 60, TimePrecision.MINUTE_TRUNCATED),
-            GoalEvent(Side.AWAY, 120, TimePrecision.MINUTE_TRUNCATED),
-        ),
-    )
-    two = MatchRecord(1, "C", "D", (GoalEvent(Side.HOME, 60, TimePrecision.MINUTE_ROUNDED),))
+    one = MatchRecord(1, "A", "B", (60, -120), slack_s=2 * 59)
+    two = MatchRecord(1, "C", "D", (60,), slack_s=30)
     season = SeasonDataset(matches=(one, two))
     assert minute_error_bound(season) == 2 * Fraction(118, 5400)
 
@@ -496,7 +482,8 @@ _TRUE_OFFSET_S = {
 
 @st.composite
 def recorded_and_true_matches(draw):
-    """A match of one to three minute-precision goals, and the same goals at true times.
+    """A parsed match of one to three minute-precision goals, the same goals at true
+    times, and the most seconds each goal's true time is off its recorded one.
 
     Minutes run past 90' and no length is declared, so a late last goal moves
     the match length along with its true time.
@@ -504,21 +491,27 @@ def recorded_and_true_matches(draw):
     minutes = draw(st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True))
     # One source times every goal of a match, so true times keep their order.
     precision = draw(st.sampled_from(list(_TRUE_OFFSET_S)))
+    lo, hi = _TRUE_OFFSET_S[precision]
     recorded, true = [], []
     for minute in sorted(minutes):
-        side = draw(st.sampled_from(Side))
-        lo, hi = _TRUE_OFFSET_S[precision]
+        side = draw(st.sampled_from("HA"))
         # The ends of the slack are where a lone goal meets the bound exactly.
         offset = draw(st.sampled_from((lo, hi)) | st.integers(lo, hi))
-        recorded.append(GoalEvent(side, minute * SECONDS_PER_MINUTE, precision))
-        true.append(GoalEvent(side, minute * SECONDS_PER_MINUTE + offset))
-    return MatchRecord(1, "A", "B", tuple(recorded)), MatchRecord(1, "A", "B", tuple(true))
+        time_s = minute * SECONDS_PER_MINUTE
+        recorded.append({"side": side, "time_s": time_s, "precision": precision.value})
+        true.append((time_s + offset) * (1 if side == "H" else -1))
+    doc = {"matches": [{"round": 1, "home": "A", "away": "B", "goals": recorded}]}
+    (parsed,) = parse_season(json.dumps(doc)).matches
+    shifts = [max(-lo, hi)] * len(minutes)
+    return parsed, MatchRecord(1, "A", "B", tuple(true)), shifts
 
 
 @given(recorded_and_true_matches())
 @settings(max_examples=300)
 def test_minute_error_bound_covers_every_true_goal_time(matches):
-    recorded, true = matches
+    recorded, true, shifts = matches
+    # The bound is linear in each goal's shift, so its per-match input is the sum.
+    assert recorded.slack_s == sum(shifts)
     bound = minute_error_bound(SeasonDataset(matches=(recorded,)))
     for system in (ScoringSystem.TIME, ScoringSystem.MIXED_HALF, ScoringSystem.GOALDIFF_THIRD):
         shown, actual = paper_match_awards(recorded, system), paper_match_awards(true, system)
@@ -526,17 +519,17 @@ def test_minute_error_bound_covers_every_true_goal_time(matches):
         assert abs(shown[1] - actual[1]) <= bound
 
 
-_GOAL = GoalEvent(Side.HOME, 600, TimePrecision.EXACT)
-_MATCH = MatchRecord(1, "Alpha", "Beta", (_GOAL,), 5700)
+_MATCH = MatchRecord(1, "Alpha", "Beta", (600,), 5700)
+_MATCH_FIELDS = ("round", "home", "away", "goals", "declared_length_s", "slack_s")
 
 
 @pytest.mark.parametrize(
     "cls,fields,values,other",
     [
-        (GoalEvent, ("side", "time_s", "precision"), (Side.HOME, 600, TimePrecision.EXACT),
-         (Side.AWAY, 600, TimePrecision.EXACT)),
-        (MatchRecord, ("round", "home", "away", "goals", "declared_length_s"),
-         (1, "Alpha", "Beta", (_GOAL,), 5700), (1, "Alpha", "Beta", (_GOAL,), None)),
+        (MatchRecord, _MATCH_FIELDS,
+         (1, "Alpha", "Beta", (600, -700), 5700, 59), (1, "Alpha", "Beta", (600, -700), 5700, 30)),
+        (MatchRecord, _MATCH_FIELDS,
+         (1, "Alpha", "Beta", (600,), 5700, 0), (1, "Alpha", "Beta", (600,), None, 0)),
         (SeasonDataset, ("league_name", "matches"), ("L", (_MATCH,)), ("M", (_MATCH,))),
         (WeightTriple, ("alpha_w", "alpha_d", "alpha_l"),
          (Fraction(3), Fraction(1), Fraction(0)), (Fraction(2), Fraction(1), Fraction(0))),

@@ -1,5 +1,10 @@
-"""The season ledger against paper-formula awards summed and ranked from scratch."""
+"""The season ledger against paper-formula awards summed and ranked from scratch.
 
+Each season goes through the JSON parser, each goal with its own precision,
+and each match is segmented by the step-by-step oracle, not by ``timeline``.
+"""
+
+import json
 import random
 from fractions import Fraction
 
@@ -7,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from reference import final_score, paper_match_awards
-from timescore.ingest import MatchRecord, SeasonDataset
+from reference import SLACK_S, final_score, paper_awards, segment_oracle
+from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
 
@@ -19,15 +24,44 @@ def _with_second_lengths(season: SeasonDataset, rng: random.Random) -> SeasonDat
     matches = []
     for match in season.matches:
         if rng.random() < 0.5:
-            floor = max(5400, match.goals[-1].time_s if match.goals else 0)
+            floor = max(5400, abs(match.goals[-1]) if match.goals else 0)
             length = floor + rng.randint(1, 600)
             match = MatchRecord(match.round, match.home, match.away, match.goals, length)
         matches.append(match)
     return SeasonDataset(matches=tuple(matches))
 
 
-def _expected_rounds(season: SeasonDataset, system, weights):
-    """Per round: team -> exact points, and the teams in documented tie-break order."""
+def _through_json(season: SeasonDataset, rng: random.Random) -> SeasonDataset:
+    # Write every goal as a JSON goal object with a random precision and parse
+    # the season back: the same signed goals, each match's slack the sum.
+    docs, slacks = [], []
+    for match in season.matches:
+        precisions = [rng.choice(sorted(SLACK_S)) for _ in match.goals]
+        goals = [
+            {"side": "H" if goal > 0 else "A", "time_s": abs(goal), "precision": precision}
+            for goal, precision in zip(match.goals, precisions)
+        ]
+        doc = {"round": match.round, "home": match.home, "away": match.away, "goals": goals}
+        if match.declared_length_s is not None:
+            doc["length_s"] = match.declared_length_s
+        docs.append(doc)
+        slacks.append(sum(map(SLACK_S.__getitem__, precisions)))
+    parsed = parse_season(json.dumps({"matches": docs}))
+    assert [m.goals for m in parsed.matches] == [m.goals for m in season.matches]
+    assert [m.slack_s for m in parsed.matches] == slacks
+    return parsed
+
+
+def _seasons(seed: int, teams: int) -> SeasonDataset:
+    rng = random.Random(seed)
+    return _through_json(_with_second_lengths(random_season(rng, num_teams=teams), rng), rng)
+
+
+def _expected_rounds(season: SeasonDataset, system, weights, segments):
+    """Per round: team -> exact points, and the teams in documented tie-break order.
+
+    ``segments`` maps each match to its ``segment_oracle`` breakdown.
+    """
     points = {team: Fraction(0) for team in season.teams}
     goals_for = dict.fromkeys(season.teams, 0)
     goal_diff = dict.fromkeys(season.teams, 0)
@@ -35,8 +69,8 @@ def _expected_rounds(season: SeasonDataset, system, weights):
         for match in season.matches:
             if match.round != round_no:
                 continue
-            home_pts, away_pts = paper_match_awards(match, system, weights)
             hg, ag = final_score(match)
+            home_pts, away_pts = paper_awards(segments[match], (hg, ag), system, weights)
             points[match.home] += home_pts
             points[match.away] += away_pts
             goals_for[match.home] += hg
@@ -53,13 +87,13 @@ def _expected_rounds(season: SeasonDataset, system, weights):
 @given(st.integers(0, 2**32), weight_triples(), st.sampled_from([4, 6, 8]))
 @settings(max_examples=40, deadline=None)
 def test_ledger_rounds_equal_summed_match_points(seed, weights, teams):
-    rng = random.Random(seed)
-    season = _with_second_lengths(random_season(rng, num_teams=teams), rng)
+    season = _seasons(seed, teams)
+    segments = {match: segment_oracle(match) for match in season.matches}
     ledger = SeasonLedger(season)
     for system in ScoringSystem:
         rule = scoring_rule(system, weights)
         rounds = ledger.rounds(rule)
-        expected = _expected_rounds(season, system, weights)
+        expected = _expected_rounds(season, system, weights, segments)
         count = 0
         for standings, (points, order) in zip(rounds, expected, strict=True):
             assert [standings.teams[i] for i in standings.order] == order
@@ -75,8 +109,8 @@ def test_order_read_once_equals_order_read_every_round(seed, weights):
     # Standings rank lazily: a stream whose order is read only after the last
     # round must end where a stream read every round ends, and both where the
     # from-scratch recount ends.
-    rng = random.Random(seed)
-    season = _with_second_lengths(random_season(rng, num_teams=6), rng)
+    season = _seasons(seed, 6)
+    segments = {match: segment_oracle(match) for match in season.matches}
     ledger = SeasonLedger(season)
     draws = dict.fromkeys(season.teams, 0)
     for match in season.matches:
@@ -90,7 +124,7 @@ def test_order_read_once_equals_order_read_every_round(seed, weights):
         *_, read_once = ledger.rounds(rule)
         for read_every_round in ledger.rounds(rule):
             read_every_round.order  # ranks this round
-        *_, (points, order) = _expected_rounds(season, system, weights)
+        *_, (points, order) = _expected_rounds(season, system, weights, segments)
         for standings in (read_once, read_every_round):
             assert [standings.teams[i] for i in standings.order] == order
             assert [Fraction(p, standings.den) for p in standings.points] == [

@@ -5,20 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import match_records, weight_triples
-from reference import final_score, package_awards, paper_awards, paper_match_awards
-from timescore.ingest import GoalEvent, MatchRecord, Side
+from reference import package_awards, paper_awards, paper_match_awards
+from timescore.ingest import MatchRecord
 from timescore.scoring import (
     DEFAULT_WEIGHTS,
+    ScoringRule,
     ScoringSystem,
     WeightTriple,
-    final_result,
-    goal_diff_value,
     scoring_rule,
 )
 from timescore.timeline import timeline
 
 GOALLESS = MatchRecord(1, "Home", "Away")
-ONE_NIL_AT_THIRTY = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 1800),))
+ONE_NIL_AT_THIRTY = MatchRecord(1, "Home", "Away", (1800,))
 CLASSIC, TIME, MIXED, GOALDIFF = (
     scoring_rule(system)
     for system in (
@@ -26,6 +25,15 @@ CLASSIC, TIME, MIXED, GOALDIFF = (
         ScoringSystem.MIXED_HALF, ScoringSystem.GOALDIFF_THIRD,
     )
 )
+# Rules that award only the 3/1/0 result, or only the goal-difference bonus.
+RESULT_ONLY = ScoringRule(ScoringSystem.CLASSIC, DEFAULT_WEIGHTS, 0, 0, 0, 1, 0, 1)
+GOAL_DIFF_ONLY = ScoringRule(ScoringSystem.GOALDIFF_THIRD, DEFAULT_WEIGHTS, 0, 0, 0, 0, 1, 1)
+
+
+def _ended(home_goals: int, away_goals: int) -> MatchRecord:
+    """A match that ends home_goals to away_goals, the home goals first."""
+    times = [600 * (i + 1) for i in range(home_goals + away_goals)]
+    return MatchRecord(1, "Home", "Away", times[:home_goals] + [-t for t in times[home_goals:]])
 
 
 class TestWeightTriple:
@@ -85,9 +93,9 @@ class TestClassicPoints:
     @pytest.mark.parametrize(
         "goals,expected",
         [
-            ((GoalEvent(Side.HOME, 600), GoalEvent(Side.HOME, 700)), (3, 0)),
-            ((GoalEvent(Side.HOME, 600), GoalEvent(Side.AWAY, 700)), (1, 1)),
-            ((GoalEvent(Side.AWAY, 600),), (0, 3)),
+            ((600, 700), (3, 0)),
+            ((600, -700), (1, 1)),
+            ((-600,), (0, 3)),
             ((), (1, 1)),
         ],
     )
@@ -123,19 +131,22 @@ class TestGoalDiffPoints:
         assert away == Fraction(1, 3) * (Fraction(1, 3) + 0 + 0)
 
     def test_goal_difference_caps_at_three(self):
-        goals = tuple(GoalEvent(Side.HOME, 600 * (i + 1)) for i in range(4))
-        match = MatchRecord(1, "Home", "Away", goals)
-        assert goal_diff_value(*final_score(match)) == 3
+        assert package_awards(_ended(4, 0), GOAL_DIFF_ONLY) == (3, 0)
+        assert package_awards(_ended(0, 4), GOAL_DIFF_ONLY) == (0, 3)
 
+    # The ledger's bonus and result for the side that scored gf and conceded ga,
+    # as the home side and as the away side.
     @pytest.mark.parametrize(
         "gf,ga,expected", [(0, 0, 0), (0, 2, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3), (5, 1, 3)]
     )
     def test_goal_diff_mapping(self, gf, ga, expected):
-        assert goal_diff_value(gf, ga) == expected
+        assert package_awards(_ended(gf, ga), GOAL_DIFF_ONLY)[0] == expected
+        assert package_awards(_ended(ga, gf), GOAL_DIFF_ONLY)[1] == expected
 
     @pytest.mark.parametrize("gf,ga,expected", [(2, 1, 3), (1, 1, 1), (0, 4, 0)])
     def test_final_result_mapping(self, gf, ga, expected):
-        assert final_result(gf, ga) == expected
+        assert package_awards(_ended(gf, ga), RESULT_ONLY)[0] == expected
+        assert package_awards(_ended(ga, gf), RESULT_ONLY)[1] == expected
 
 
 @given(match_records(), weight_triples())
@@ -180,20 +191,14 @@ def test_lead_duration_decides_points_not_placement(start, duration):
     if end >= 5400:
         end = 5400
         duration = end - start
-    mid_lead = MatchRecord(
-        1, "Home", "Away",
-        (GoalEvent(Side.HOME, start),)
-        + ((GoalEvent(Side.AWAY, end),) if end < 5400 else ()),
-    )
-    late_lead = MatchRecord(
-        1, "Home", "Away", (GoalEvent(Side.HOME, 5400 - duration),)
-    )
+    mid_lead = MatchRecord(1, "Home", "Away", (start,) + ((-end,) if end < 5400 else ()))
+    late_lead = MatchRecord(1, "Home", "Away", (5400 - duration,))
     assert package_awards(mid_lead, TIME)[0] == package_awards(late_lead, TIME)[0]
 
 
 def test_one_minute_shift_moves_exactly_two_sixtieths_of_regulation():
-    early = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 5280),))
-    late = MatchRecord(1, "Home", "Away", (GoalEvent(Side.HOME, 5340),))
+    early = MatchRecord(1, "Home", "Away", (5280,))
+    late = MatchRecord(1, "Home", "Away", (5340,))
     delta = package_awards(early, TIME)[0] - package_awards(late, TIME)[0]
     assert delta == Fraction(2 * 60, 5400)
 

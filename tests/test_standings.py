@@ -7,7 +7,7 @@ from matchgen import random_season
 from reference import final_score, paper_match_awards
 from timescore.cli import evolution_report
 from timescore.errors import EmptySeasonError
-from timescore.ingest import GoalEvent, MatchRecord, SeasonDataset, Side
+from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import (
     SeasonLedger,
@@ -18,14 +18,20 @@ from timescore.standings import (
 from timescore.timeline import timeline
 
 
-def _goal(side, minute):
-    return GoalEvent(side, minute * 60)
+def _home(minute):
+    """A home goal at ``minute``: its time in seconds."""
+    return minute * 60
+
+
+def _away(minute):
+    """An away goal at ``minute``: its time in seconds, negated."""
+    return -minute * 60
 
 
 # A beats B 1-0 at home (goal on 30'), goalless away leg.
 TWO_TEAM_SEASON = SeasonDataset(
     matches=(
-        MatchRecord(1, "A", "B", (_goal(Side.HOME, 30),)),
+        MatchRecord(1, "A", "B", (_home(30),)),
         MatchRecord(2, "B", "A"),
     )
 )
@@ -33,16 +39,16 @@ TWO_TEAM_SEASON = SeasonDataset(
 # Three rounds over four teams, engineered so the lead changes hands twice.
 HAND_SEASON = SeasonDataset(
     matches=(
-        MatchRecord(1, "P", "Q", (_goal(Side.HOME, 10),)),
+        MatchRecord(1, "P", "Q", (_home(10),)),
         MatchRecord(1, "R", "S"),
-        MatchRecord(2, "Q", "R", (_goal(Side.HOME, 20), _goal(Side.HOME, 40))),
-        MatchRecord(2, "S", "P", (_goal(Side.HOME, 70),)),
+        MatchRecord(2, "Q", "R", (_home(20), _home(40))),
+        MatchRecord(2, "S", "P", (_home(70),)),
         MatchRecord(3, "P", "R"),
         MatchRecord(
             3,
             "Q",
             "S",
-            (_goal(Side.HOME, 5), _goal(Side.AWAY, 25), _goal(Side.HOME, 50), _goal(Side.HOME, 80)),
+            (_home(5), _away(25), _home(50), _home(80)),
         ),
     )
 )
@@ -107,8 +113,8 @@ class TestTieBreak:
     def test_goal_difference_breaks_equal_points(self):
         season = SeasonDataset(
             matches=(
-                MatchRecord(1, "E", "F", (_goal(Side.HOME, 10), _goal(Side.HOME, 20))),
-                MatchRecord(1, "G", "H", (_goal(Side.HOME, 10),)),
+                MatchRecord(1, "E", "F", (_home(10), _home(20))),
+                MatchRecord(1, "G", "H", (_home(10),)),
             )
         )
         ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
@@ -117,8 +123,8 @@ class TestTieBreak:
     def test_name_breaks_full_ties(self):
         season = SeasonDataset(
             matches=(
-                MatchRecord(1, "G", "H", (_goal(Side.HOME, 10),)),
-                MatchRecord(1, "E", "F", (_goal(Side.HOME, 10),)),
+                MatchRecord(1, "G", "H", (_home(10),)),
+                MatchRecord(1, "E", "F", (_home(10),)),
             )
         )
         ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
@@ -127,7 +133,7 @@ class TestTieBreak:
 
 class TestEvolution:
     def test_single_round_equals_final_table(self):
-        season = SeasonDataset(matches=(MatchRecord(1, "A", "B", (_goal(Side.HOME, 30),)),))
+        season = SeasonDataset(matches=(MatchRecord(1, "A", "B", (_home(30),)),))
         # A leads 60' of 90' and is level for 30'; the one round is the final.
         [only] = [_ranked(standings) for standings in SeasonLedger(season).rounds(TIME)]
         assert only == [("A", Fraction(7, 3)), ("B", Fraction(1, 3))]
@@ -168,16 +174,16 @@ class TestLeadershipStats:
         # B overtakes on goal difference in round 3 and A retakes in round 5.
         season = SeasonDataset(
             matches=(
-                MatchRecord(1, "A", "B", (_goal(Side.HOME, 10),)),
+                MatchRecord(1, "A", "B", (_home(10),)),
                 MatchRecord(2, "C", "D"),
                 MatchRecord(
                     3,
                     "B",
                     "C",
-                    tuple(_goal(Side.HOME, 10 * (i + 1)) for i in range(5)),
+                    tuple(_home(10 * (i + 1)) for i in range(5)),
                 ),
                 MatchRecord(4, "D", "C"),
-                MatchRecord(5, "A", "D", (_goal(Side.HOME, 10), _goal(Side.HOME, 20))),
+                MatchRecord(5, "A", "D", (_home(10), _home(20))),
             )
         )
         leaders = [s.teams[s.order[0]] for s in SeasonLedger(season).rounds(CLASSIC)]
@@ -197,8 +203,8 @@ class TestOverallChanges:
         # A stays ahead of C on goal difference; B stays last throughout.
         season = SeasonDataset(
             matches=(
-                MatchRecord(1, "A", "B", (_goal(Side.HOME, 10), _goal(Side.HOME, 20))),
-                MatchRecord(2, "C", "B", (_goal(Side.HOME, 15),)),
+                MatchRecord(1, "A", "B", (_home(10), _home(20))),
+                MatchRecord(2, "C", "B", (_home(15),)),
             )
         )
         assert rank_moves([s.order for s in SeasonLedger(season).rounds(CLASSIC)]) == 0
@@ -206,8 +212,8 @@ class TestOverallChanges:
     def test_single_swap_counts_both_teams(self):
         season = SeasonDataset(
             matches=(
-                MatchRecord(1, "A", "B", (_goal(Side.HOME, 10),)),
-                MatchRecord(2, "B", "A", (_goal(Side.HOME, 10), _goal(Side.HOME, 20))),
+                MatchRecord(1, "A", "B", (_home(10),)),
+                MatchRecord(2, "B", "A", (_home(10), _home(20))),
             )
         )
         assert rank_moves([s.order for s in SeasonLedger(season).rounds(CLASSIC)]) == 2

@@ -383,6 +383,8 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
         )
     matches = []
     tokens = _TokenMemo(minute_precision)
+    # Round number text -> its value; a season repeats each round's text once per fixture.
+    round_numbers: dict[str, int] = {}
     for line, row in rows:
         if not row:
             continue  # blank line
@@ -392,7 +394,9 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             )
         round_text, home, away, goals_field, length_field = row
         try:
-            round_no = _csv_int(round_text, "round number")
+            round_no = round_numbers.get(round_text)
+            if round_no is None:
+                round_no = round_numbers[round_text] = _csv_int(round_text, "round number")
             goals = []
             for tok in goals_field.split(","):
                 goal = tokens.get(tok)
@@ -433,27 +437,40 @@ def _lookup(table: dict, value: Any, what: str) -> int:
         raise ValueError(f"{value!r} is not a valid {what}") from None
 
 
+def _goal_object_error(entry: dict) -> MalformedRowError:
+    """The error of a goal object whose side, time_s or precision is missing or bad."""
+    try:
+        _lookup(_SIGNS, entry["side"], "Side")
+        entry["time_s"]
+        _lookup(_SLACK_S, entry.get("precision", "exact"), "TimePrecision")
+    except (KeyError, ValueError) as exc:
+        return MalformedRowError(f"bad goal object {entry!r}: {exc}")
+    raise AssertionError(f"goal object {entry!r} has no fault")
+
+
 def _json_goals(entries: list, tokens: _TokenMemo) -> tuple[list[int], int]:
     """A match's JSON goal entries as signed goal times, and the sum of their slack."""
     goals = []
     slack_s = 0
     for entry in entries:
-        if type(entry) is str:
+        if type(entry) is dict:
+            # Plain lookups first: a goal object that fails one is diagnosed apart.
+            try:
+                sign = _SIGNS[entry["side"]]
+                time_s = entry["time_s"]
+                slack_s += _SLACK_S[entry.get("precision", "exact")]
+            except (KeyError, TypeError):
+                raise _goal_object_error(entry) from None
+            if type(time_s) is not int or not 0 < time_s <= MAX_MATCH_LENGTH_S:
+                _check_goal_time(_require_int(time_s, "goal time_s"))
+            goals.append(sign * time_s)
+        elif type(entry) is str:
             goals.append(tokens[entry])
             slack_s += tokens.slack_s
-            continue
-        if type(entry) is not dict:
+        else:
             raise MalformedRowError(
                 f"goal entry must be a token string or object, got {entry!r}"
             )
-        try:
-            sign = _lookup(_SIGNS, entry["side"], "Side")
-            time_s = entry["time_s"]
-            slack_s += _lookup(_SLACK_S, entry.get("precision", "exact"), "TimePrecision")
-        except (KeyError, ValueError) as exc:
-            raise MalformedRowError(f"bad goal object {entry!r}: {exc}") from None
-        _check_goal_time(_require_int(time_s, "goal time_s"))
-        goals.append(sign * time_s)
     return goals, slack_s
 
 

@@ -43,7 +43,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Iterator, NoReturn
 
 from .errors import (
     DuplicateFixtureError,
@@ -137,8 +137,8 @@ def _check_goal_time(time_s: int) -> None:
         )
 
 
-def _goal_times_error(goals: tuple[int, ...]) -> None:
-    """Raise the error of goals that are not strictly ordered times in range.
+def _raise_goal_times_error(goals: tuple[int, ...]) -> NoReturn:
+    """Raise the error of goals that are not strictly increasing times in range.
 
     A time out of range is reported before any break in the order.
     """
@@ -150,6 +150,7 @@ def _goal_times_error(goals: tuple[int, ...]) -> None:
             raise NonMonotonicGoalsError(
                 f"goal times must strictly increase, got {prev} s followed by {cur} s"
             )
+    raise AssertionError(f"goals {goals!r} have no fault")
 
 
 class MatchRecord(FrozenRecord):
@@ -201,7 +202,7 @@ class MatchRecord(FrozenRecord):
         for goal in goals:
             time_s = goal if goal > 0 else -goal
             if not last < time_s <= MAX_MATCH_LENGTH_S:
-                _goal_times_error(goals)
+                _raise_goal_times_error(goals)
             last = time_s
         if declared_length_s is not None:
             if declared_length_s < REGULATION_LENGTH_S:

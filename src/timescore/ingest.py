@@ -43,7 +43,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterator, NoReturn
+from typing import Any, Iterator
 
 from .errors import (
     DuplicateFixtureError,
@@ -137,22 +137,6 @@ def _check_goal_time(time_s: int) -> None:
         )
 
 
-def _raise_goal_times_error(goals: tuple[int, ...]) -> NoReturn:
-    """Raise the error of goals that are not strictly increasing times in range.
-
-    A time out of range is reported before any break in the order.
-    """
-    times = [abs(goal) for goal in goals]
-    for time_s in times:
-        _check_goal_time(time_s)
-    for prev, cur in zip(times, times[1:]):
-        if cur <= prev:
-            raise NonMonotonicGoalsError(
-                f"goal times must strictly increase, got {prev} s followed by {cur} s"
-            )
-    raise AssertionError(f"goals {goals!r} have no fault")
-
-
 class MatchRecord(FrozenRecord):
     """One fixture: round number, sides, ordered goals, optional length override.
 
@@ -197,12 +181,16 @@ class MatchRecord(FrozenRecord):
             raise MalformedRowError("team names must not contain a NUL character")
         if home == away:
             raise MalformedRowError(f"a team cannot play itself: {home!r}")
-        # One pass checks each goal's range and the goals' order.
+        # One pass checks each goal's range and the goals' order; the parser has
+        # checked every goal's range already, so its order is what fails here.
         last = 0
         for goal in goals:
             time_s = goal if goal > 0 else -goal
             if not last < time_s <= MAX_MATCH_LENGTH_S:
-                _raise_goal_times_error(goals)
+                _check_goal_time(time_s)
+                raise NonMonotonicGoalsError(
+                    f"goal times must strictly increase, got {last} s followed by {time_s} s"
+                )
             last = time_s
         if declared_length_s is not None:
             if declared_length_s < REGULATION_LENGTH_S:

@@ -177,6 +177,25 @@ def test_same_second_goals_rejected():
         MatchRecord(1, "Alpha", "Beta", (100, -100))
 
 
+@pytest.mark.parametrize(
+    "goals,error",
+    [
+        ((0,), "MALFORMED_ROW: goal time must be at least 1 second, got 0"),
+        ((60, -18001), "MALFORMED_ROW: goal time is past the longest allowed match (18000 s)"),
+        ((600, -300, 0), "NONMONOTONIC_GOALS: goal times must strictly increase, got 600 s"
+         " followed by 300 s"),
+        ((600, 18001, -300), "MALFORMED_ROW: goal time is past the longest allowed match"
+         " (18000 s)"),
+    ],
+    ids=["zero", "past_300", "disorder_first", "range_first"],
+)
+def test_match_record_reports_its_first_bad_goal(goals, error):
+    # Signed goals: the sign is the side, so a time is out of range at 0 or past 300'.
+    with pytest.raises((MalformedRowError, NonMonotonicGoalsError)) as excinfo:
+        MatchRecord(1, "Alpha", "Beta", goals)
+    assert str(excinfo.value) == error
+
+
 def test_noncontiguous_rounds_rejected():
     with pytest.raises(NonContiguousRoundsError):
         parse_season(HEADER + "1,Alpha,Beta,,\n3,Beta,Alpha,,\n")

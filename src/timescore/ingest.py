@@ -181,8 +181,9 @@ class MatchRecord(FrozenRecord):
             raise MalformedRowError("team names must not contain a NUL character")
         if home == away:
             raise MalformedRowError(f"a team cannot play itself: {home!r}")
-        # One pass checks each goal's range and the goals' order; the parser has
-        # checked every goal's range already, so its order is what fails here.
+        # One pass checks each goal's range and the goals' order. The parser
+        # checks each goal's range as it reads it, so a parsed match can fail
+        # here only on the order.
         last = 0
         for goal in goals:
             time_s = goal if goal > 0 else -goal

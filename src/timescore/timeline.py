@@ -23,19 +23,15 @@ def timeline(match: MatchRecord) -> tuple[int, int, int, int, int, int]:
     diff = 0  # home goals minus away goals so far
     prev = 0
     for goal in goals:
-        if goal > 0:
-            time_s = goal
-            step = 1
-        else:
-            time_s = -goal
-            step = -1
+        time_s = goal if goal > 0 else -goal
+        span = time_s - prev
         if diff > 0:
-            win += time_s - prev
+            win += span
         elif diff == 0:
-            draw += time_s - prev
+            draw += span
         else:
-            lose += time_s - prev
-        diff += step
+            lose += span
+        diff += 1 if goal > 0 else -1
         prev = time_s
     t_match = match.declared_length_s
     if t_match is None:

@@ -406,6 +406,27 @@ def test_unknown_system_exits_one(tmp_path):
 def test_bad_weights_exit_one(tmp_path):
     result = _invoke("table", tmp_path, "--weights", "1,2,3")
     assert result.exit_code == 1
+    assert result.stderr == (
+        "error: weights must satisfy alpha_w > alpha_d > alpha_l, got (1, 2, 3)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "weights,message",
+    [
+        # Each weight prints reduced, as p/q or p, whatever its spelling.
+        ("1/2,0.5,0", "weights must satisfy alpha_w > alpha_d > alpha_l, got (1/2, 1/2, 0)"),
+        ("-1/3,-2/6,-.5",
+         "weights must satisfy alpha_w > alpha_d > alpha_l, got (-1/3, -1/3, -1/2)"),
+        ("3,1/0,0", "weights must not divide by zero, got '3,1/0,0'"),
+    ],
+    ids=["equal_half", "negative_thirds", "zero_denominator"],
+)
+def test_weight_errors_exit_one_before_reading(tmp_path, weights, message):
+    result = _invoke("table", tmp_path / "out", f"--weights={weights}",
+                     season=tmp_path / "missing.csv")
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_all_draws_fixture_gives_zero_gaps(tmp_path):

@@ -18,12 +18,11 @@ outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .display import csv_text, format_decimal, format_ratios
+from .display import csv_text, format_ratios, ratio_text
 from .indicators import (
     ECDF_DECIMALS,
     draws_to_wins,
@@ -128,8 +127,9 @@ def indicators_report(
     """indicators.csv and indicators.json: one column or object per system.
 
     The CSV rounds each ratio to its row's decimals; the JSON keeps it exact,
-    as a string.
+    as a ``p/q`` string.
     """
+    import json  # here, not at the top: no other report writes JSON
     bundles = [(rule.system.value, indicator_bundle(ledger, rule)) for rule in rules]
     doc: dict[str, dict[str, object]] = {system: {} for system, _ in bundles}
     columns = [["indicator", *(label for label, _, _ in _INDICATOR_ROWS)]]
@@ -140,8 +140,9 @@ def indicators_report(
             if places is None:
                 column.append(str(value))
             else:
-                column.append(format_decimal(value, places, comma=comma))
-                value = str(value)
+                num, den = value
+                column += format_ratios((num,), den, places, comma=comma)
+                value = ratio_text(num, den)
             doc[system][attr] = value
         columns.append(column)
     return {

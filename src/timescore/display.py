@@ -1,8 +1,8 @@
-"""Presentation only: exact values as decimal text, and columns as CSV text."""
+"""Presentation only: exact ratios as decimal or ``p/q`` text, and columns as CSV text."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Iterable, Sequence
 
 
@@ -28,10 +28,11 @@ def format_ratios(
     ]
 
 
-def format_decimal(value: Fraction | int, decimals: int = 2, *, comma: bool = False) -> str:
-    """Fixed-point rendering of an exact rational, half-up (see :func:`format_ratios`)."""
-    value = Fraction(value)
-    return format_ratios((value.numerator,), value.denominator, decimals, comma=comma)[0]
+def ratio_text(num: int, den: int) -> str:
+    """``num / den`` (``den != 0``) in lowest terms, ``p/q`` or ``p``, as ``str(Fraction)``."""
+    gcd = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // gcd, den // gcd
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _needs_quotes(text: str) -> bool:

@@ -1,13 +1,13 @@
 """Season-level competitiveness metrics and overtake what-ifs.
 
-Everything here is computed from exact integer or rational points, so repeated
-runs are bit-identical; rounding happens only where ``cli`` renders the report
-files.
+Everything here is computed from exact integer points, so repeated runs are
+bit-identical. A ratio is an int pair ``(numerator, denominator)`` with a
+positive denominator, not reduced; rounding happens only where ``cli`` renders
+the report files.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import TooFewTeamsError, WrongSystemError
@@ -16,19 +16,22 @@ from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple
 from .standings import SeasonLedger, Standings, leadership, percent_of_leader, rank_moves
 
 
-class IndicatorBundle(NamedTuple):
-    """The season-comparison numbers for one scoring system."""
+Ratio = tuple[int, int]
 
-    gap_1_3_pct: Fraction
-    gap_1_9_pct: Fraction
-    gap_1_last_pct: Fraction
+
+class IndicatorBundle(NamedTuple):
+    """The season-comparison numbers for one scoring system: ratios and counts."""
+
+    gap_1_3_pct: Ratio
+    gap_1_9_pct: Ratio
+    gap_1_last_pct: Ratio
     overall_changes: int
     leadership_changes: int
     distinct_leaders: int
-    avg_points_per_team_game: Fraction
+    avg_points_per_team_game: Ratio
 
 
-def gaps(standings: Standings) -> tuple[Fraction, Fraction, Fraction]:
+def gaps(standings: Standings) -> tuple[Ratio, Ratio, Ratio]:
     """Percentage points deficits of the 3rd, 9th and last teams to the leader.
 
     Each gap is 100*(P_1 - P_k)/P_1, so the leader must have positive points
@@ -39,23 +42,23 @@ def gaps(standings: Standings) -> tuple[Fraction, Fraction, Fraction]:
     if n < 3:
         raise TooFewTeamsError(f"need at least 3 teams, got {n}")
     percents, leader = percent_of_leader(standings)
-    third, ninth, last = (Fraction(percents[k], leader) for k in (2, min(9, n) - 1, n - 1))
-    return 100 - third, 100 - ninth, 100 - last
+    third, ninth, last = (100 * leader - percents[k] for k in (2, min(9, n) - 1, n - 1))
+    return (third, leader), (ninth, leader), (last, leader)
 
 
-def minutes_for_deficit(deficit: Fraction, weights: WeightTriple = DEFAULT_WEIGHTS) -> Fraction:
-    """``deficit`` points as minutes of leading instead of level time in a 90-minute match.
+def minutes_for_deficit(num: int, den: int, weights: WeightTriple = DEFAULT_WEIGHTS) -> Ratio:
+    """``num / den`` points as minutes of leading instead of level time in a 90-minute match.
 
     A minute of level time turned into leading time is worth
-    (alpha_w - alpha_d)/T_match points, with T_match the 90-minute regulation
-    length, so m = deficit * T_match / (alpha_w - alpha_d). This is a unit
-    conversion. It is how much earlier one go-ahead goal from level must fall
-    only in a 90-minute match (a longer one needs more minutes) and only up to
-    a deficit of alpha_w - alpha_d, which takes all 90 minutes; a larger
-    deficit reads past 90.
+    (alpha_w - alpha_d)/T_match points, with the weights ``alpha / scale`` and
+    T_match the 90-minute regulation length, so m = deficit * T_match /
+    (alpha_w - alpha_d), returned as a ratio. This is a unit conversion. It is
+    how much earlier one go-ahead goal from level must fall only in a 90-minute
+    match (a longer one needs more minutes) and only up to a deficit of
+    alpha_w - alpha_d, which takes all 90 minutes; a larger deficit reads past 90.
     """
-    t_match_min = Fraction(REGULATION_LENGTH_S, SECONDS_PER_MINUTE)
-    return deficit * t_match_min / (weights.alpha_w - weights.alpha_d)
+    t_match_min = REGULATION_LENGTH_S // SECONDS_PER_MINUTE
+    return num * t_match_min * weights.scale, den * (weights.alpha_w - weights.alpha_d)
 
 
 def minutes_to_upper(standings: Standings) -> tuple[list[int], int]:
@@ -70,10 +73,10 @@ def minutes_to_upper(standings: Standings) -> tuple[list[int], int]:
             f"minutes-to-upper applies to time tables, got {standings.rule.system.value!r}"
         )
     # The conversion is linear, so one point's worth scales every deficit.
-    per_point = minutes_for_deficit(Fraction(1), standings.rule.weights)
+    per_point, per_den = minutes_for_deficit(1, 1, standings.rule.weights)
     order, points = standings.order, standings.points
-    nums = [(points[a] - points[b]) * per_point.numerator for a, b in zip(order, order[1:])]
-    return nums, standings.den * per_point.denominator
+    nums = [(points[a] - points[b]) * per_point for a, b in zip(order, order[1:])]
+    return nums, standings.den * per_den
 
 
 def draws_to_wins(standings: Standings, draws: Sequence[int]) -> list[tuple[int, bool]]:

@@ -36,13 +36,10 @@ rounded one and 0 for an exact second.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
-import json
 import re
 import sys
-from fractions import Fraction
 from typing import Any, Iterator
 
 from .errors import (
@@ -340,6 +337,7 @@ def parse_season(
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line, row) for each CSV row; a line the csv module rejects fails as MALFORMED_ROW."""
+    import csv  # here, not at the top: a run on a JSON season never loads it
     reader = csv.reader(io.StringIO(text))
     try:
         for row in reader:
@@ -465,6 +463,7 @@ def _json_goals(entries: list, tokens: _TokenMemo) -> tuple[list[int], int]:
 
 
 def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
+    import json  # here, not at the top: a run on a CSV season never loads it
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -512,7 +511,9 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             )
         except SeasonDataError as err:
             raise type(err)(f"match {i}: {err.message}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise MalformedRowError(f"match {i}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise MalformedRowError(f"match {i}: {exc}") from None
     return SeasonDataset(league_name=league, matches=tuple(matches))
 
@@ -536,7 +537,7 @@ def _long_integer_line(text: str, limit: int) -> int | None:
     return None
 
 
-def minute_error_bound(dataset: SeasonDataset) -> Fraction:
+def minute_error_bound(dataset: SeasonDataset) -> tuple[int, int]:
     """A bound on the per-match points error implied by the goal-time precision flags.
 
     Each goal recorded at minute resolution can be off by up to 59 s when the
@@ -544,7 +545,7 @@ def minute_error_bound(dataset: SeasonDataset) -> Fraction:
     shift of d seconds is taken to move at most 2·d/5400 points between the two
     sides of a 90-minute match. The bound is linear in each goal's shift, so a
     match's bound is 2·slack_s/5400, with ``slack_s`` the sum of its goals'
-    slacks; the maximum over all matches is returned, as an exact rational.
+    slacks; the maximum over all matches is returned as an unreduced int ratio.
 
     The bound holds for ``classic``, ``mixed`` and ``goaldiff``, and for ``time``
     when neither weight step (w−d or d−l) exceeds 2, as at the default 3,1,0. A
@@ -553,4 +554,4 @@ def minute_error_bound(dataset: SeasonDataset) -> Fraction:
     bound gives 59/2700.
     """
     worst = max((m.slack_s for m in dataset.matches), default=0)
-    return Fraction(2 * worst, REGULATION_LENGTH_S)
+    return 2 * worst, REGULATION_LENGTH_S

@@ -12,13 +12,13 @@ from __future__ import annotations
 import enum
 import math
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
+from .display import ratio_text
 from .ingest import MAX_NUMBER_DIGITS, FrozenRecord
 
 # One weight: an optional sign, then an integer, a decimal or a fraction a/b in
-# ASCII digits. Fraction() alone also takes exponents, ``_`` and non-ASCII digits.
+# ASCII digits. int() alone also takes ``_`` and non-ASCII digits.
 _WEIGHT_RE = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
@@ -30,24 +30,28 @@ class ScoringSystem(enum.Enum):
 
 
 class WeightTriple(FrozenRecord):
-    """Weights applied to leading, level and trailing time (strictly ordered)."""
+    """Weights on leading, level and trailing time: ``alpha_w / scale`` and so on.
 
-    __slots__ = ("alpha_w", "alpha_d", "alpha_l")
-    alpha_w: Fraction
-    alpha_d: Fraction
-    alpha_l: Fraction
+    The numerators must strictly decrease. They are stored in lowest terms over
+    one positive ``scale``, the lcm of the weights' reduced denominators, so
+    ``0.5``, ``1/2`` and ``2/4`` give equal triples.
+    """
 
-    def __init__(self, alpha_w: Fraction, alpha_d: Fraction, alpha_l: Fraction) -> None:
-        alpha_w, alpha_d, alpha_l = Fraction(alpha_w), Fraction(alpha_d), Fraction(alpha_l)
+    __slots__ = ("alpha_w", "alpha_d", "alpha_l", "scale")
+    alpha_w: int
+    alpha_d: int
+    alpha_l: int
+    scale: int
+
+    def __init__(self, alpha_w: int, alpha_d: int, alpha_l: int, scale: int = 1) -> None:
+        if scale < 1:
+            raise ValueError(f"the weight scale must be positive, got {scale}")
         if not alpha_w > alpha_d > alpha_l:
-            raise ValueError(
-                f"weights must satisfy alpha_w > alpha_d > alpha_l, got "
-                f"({alpha_w}, {alpha_d}, {alpha_l})"
-            )
-        _set = object.__setattr__
-        _set(self, "alpha_w", alpha_w)
-        _set(self, "alpha_d", alpha_d)
-        _set(self, "alpha_l", alpha_l)
+            weights = ", ".join(ratio_text(a, scale) for a in (alpha_w, alpha_d, alpha_l))
+            raise ValueError(f"weights must satisfy alpha_w > alpha_d > alpha_l, got ({weights})")
+        gcd = math.gcd(alpha_w, alpha_d, alpha_l, scale)
+        for name, value in zip(self.__slots__, (alpha_w, alpha_d, alpha_l, scale)):
+            object.__setattr__(self, name, value // gcd)
 
     @classmethod
     def from_string(cls, text: str) -> "WeightTriple":
@@ -55,6 +59,7 @@ class WeightTriple(FrozenRecord):
         parts = [part.strip() for part in text.split(",")]
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated weights, got {text!r}")
+        ratios = []
         for part in parts:
             if not _WEIGHT_RE.fullmatch(part):
                 raise ValueError(
@@ -65,13 +70,18 @@ class WeightTriple(FrozenRecord):
                 raise ValueError(
                     f"bad weight: {digits} digits, at most {MAX_NUMBER_DIGITS} digits allowed"
                 )
-        try:
-            return cls(*map(Fraction, parts))
-        except ZeroDivisionError:
-            raise ValueError(f"weights must not divide by zero, got {text!r}") from None
+            num, slash, den = part.partition("/")
+            if not slash:  # a decimal: its digits over a power of ten
+                num, _, decimals = part.partition(".")
+                num, den = num + decimals, 10 ** len(decimals)
+            ratios.append((int(num), int(den)))
+        if not all(den for _, den in ratios):
+            raise ValueError(f"weights must not divide by zero, got {text!r}")
+        scale = math.lcm(*(den for _, den in ratios))
+        return cls(*(num * (scale // den) for num, den in ratios), scale)
 
 
-DEFAULT_WEIGHTS = WeightTriple(Fraction(3), Fraction(1), Fraction(0))
+DEFAULT_WEIGHTS = WeightTriple(3, 1, 0)
 
 
 class ScoringRule(NamedTuple):
@@ -96,17 +106,16 @@ class ScoringRule(NamedTuple):
 def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS) -> ScoringRule:
     """The coefficients of ``system``; only ``time`` reads the weights.
 
-    classic = r; time = the weighted time share, scaled by the lcm of the
-    weight denominators; mixed = ((3,1,0) time share + r) / 2;
+    classic = r; time = the weighted time share, over the weights' ``scale``;
+    mixed = ((3,1,0) time share + r) / 2;
     goaldiff = ((3,1,0) time share + r + g) / 3.
     """
     if system is ScoringSystem.CLASSIC:
         return ScoringRule(system, weights, 0, 0, 0, 1, 0, 1)
     if system is ScoringSystem.TIME:
-        alphas = (weights.alpha_w, weights.alpha_d, weights.alpha_l)
-        scale = math.lcm(*(a.denominator for a in alphas))
-        lead, level, trail = (a.numerator * (scale // a.denominator) for a in alphas)
-        return ScoringRule(system, weights, lead, level, trail, 0, 0, scale)
+        return ScoringRule(
+            system, weights, weights.alpha_w, weights.alpha_d, weights.alpha_l, 0, 0, weights.scale
+        )
     if system is ScoringSystem.MIXED_HALF:
         return ScoringRule(system, weights, 3, 1, 0, 1, 0, 2)
     if system is ScoringSystem.GOALDIFF_THIRD:

@@ -1,13 +1,13 @@
 """The season ledger, round-by-round standings and rank-movement statistics.
 
 Team points are integers over one denominator per scoring system, ranked on
-integer keys; they become ``Fraction`` only in the indicators that are ratios.
+integer keys. A ratio such as the average is an int pair (numerator,
+denominator), never a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .display import format_ratios
@@ -75,9 +75,9 @@ class Standings:
             self._order = sorted(self._tiebreak, key=self.points.__getitem__, reverse=True)
         return self._order
 
-    def average(self) -> Fraction:
-        """Mean points per team appearance so far."""
-        return Fraction(sum(self.points), self.den * self.appearances)
+    def average(self) -> tuple[int, int]:
+        """Mean points per team appearance so far, as (numerator, denominator), not reduced."""
+        return sum(self.points), self.den * self.appearances
 
 
 class SeasonLedger:

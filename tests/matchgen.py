@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,12 @@ def random_match_corpus(n: int, seed: int) -> list[MatchRecord]:
     return [random_match(rng) for _ in range(n)]
 
 
+def fraction_triple(values: list[Fraction]) -> WeightTriple:
+    """The WeightTriple of three strictly decreasing Fractions."""
+    scale = math.lcm(*(value.denominator for value in values))
+    return WeightTriple(*(int(value * scale) for value in values), scale)
+
+
 def random_weight_triple(rng: random.Random) -> WeightTriple:
     while True:
         vals = sorted(
@@ -47,7 +54,7 @@ def random_weight_triple(rng: random.Random) -> WeightTriple:
             reverse=True,
         )
         if vals[0] > vals[1] > vals[2]:
-            return WeightTriple(*vals)
+            return fraction_triple(vals)
 
 
 def random_season(rng: random.Random, num_teams: int = 6) -> SeasonDataset:
@@ -109,4 +116,4 @@ def weight_triples(draw) -> WeightTriple:
             unique=True,
         ).map(lambda v: sorted(v, reverse=True))
     )
-    return WeightTriple(*vals)
+    return fraction_triple(vals)

@@ -6,7 +6,10 @@ systems in ``Fraction`` arithmetic. It shares no code with the package's
 integer scoring rule, so a test that compares the season ledger with it
 compares two independent codings. ``season_awards`` reads a ledger's awards
 from :meth:`SeasonLedger.awards` as ``Fraction``, and ``package_awards`` scores
-one match that way through a one-match :class:`SeasonLedger`. ``ecdf_columns``
+one match that way through a one-match :class:`SeasonLedger`. ``final_points``
+totals a season's awards from ``paper_awards``, and ``gaps_recount``,
+``average_recount`` and ``minutes_to_upper_recount`` recount the indicators
+from those totals in ``Fraction`` arithmetic. ``ecdf_columns``
 renders an ECDF from exact awards by counting, and ``rendered_by_hand`` rounds
 one value half up without the package's renderer. ``segment_oracle`` and
 ``final_score`` recompute what :func:`timeline` returns without its walk, and
@@ -32,9 +35,15 @@ SLACK_S = {"minute_truncated": 59, "minute_rounded": 30, "exact": 0}
 Breakdown = tuple[int, int, int, int]  # the home side's (leading, level, trailing, T) seconds
 
 
+def weight_fractions(weights: WeightTriple) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha_w, alpha_d, alpha_l) as Fractions."""
+    w, d, l = (Fraction(a, weights.scale) for a in (weights.alpha_w, weights.alpha_d, weights.alpha_l))
+    return w, d, l
+
+
 def _time_share(seg: Breakdown, weights: WeightTriple) -> tuple[Fraction, Fraction]:
     """(alpha_w*T_lead + alpha_d*T_level + alpha_l*T_trail) / T for (home, away)."""
-    w, d, l = weights.alpha_w, weights.alpha_d, weights.alpha_l
+    w, d, l = weight_fractions(weights)
     lead, level, trail, t = seg
     return (w * lead + d * level + l * trail) / t, (w * trail + d * level + l * lead) / t
 
@@ -74,6 +83,41 @@ def paper_match_awards(
 ) -> tuple[Fraction, Fraction]:
     """:func:`paper_awards` for ``match``, segmented by the package's ``timeline``."""
     return paper_awards(timeline(match)[:4], final_score(match), system, weights)
+
+
+def final_points(
+    season: SeasonDataset, system: ScoringSystem, weights: WeightTriple = PAPER_WEIGHTS
+) -> list[Fraction]:
+    """Every team's season points from :func:`paper_match_awards`, highest first."""
+    points = dict.fromkeys(season.teams, Fraction(0))
+    for match in season.matches:
+        home, away = paper_match_awards(match, system, weights)
+        points[match.home] += home
+        points[match.away] += away
+    return sorted(points.values(), reverse=True)
+
+
+def gaps_recount(points: list[Fraction]) -> list[Fraction] | None:
+    """100*(P_1 - P_k)/P_1 for the 3rd, 9th (or last) and last of ``points``, highest first.
+
+    None when the leader has no positive points, so no share of it means anything.
+    """
+    leader = points[0]
+    if leader <= 0:
+        return None
+    return [100 * (leader - points[k]) / leader for k in (2, min(9, len(points)) - 1, -1)]
+
+
+def average_recount(season: SeasonDataset, system: ScoringSystem, weights: WeightTriple) -> Fraction:
+    """Mean points per team appearance: every award of the season over twice the matches."""
+    total = sum(sum(paper_match_awards(m, system, weights)) for m in season.matches)
+    return total / (2 * len(season.matches))
+
+
+def minutes_to_upper_recount(points: list[Fraction], weights: WeightTriple) -> list[Fraction]:
+    """Each deficit to the team above, highest first, as 90-minute-match minutes of lead."""
+    w, d, _ = weight_fractions(weights)
+    return [(above - below) * 90 / (w - d) for above, below in zip(points, points[1:])]
 
 
 def season_awards(ledger: SeasonLedger, rule) -> list[Fraction]:

@@ -12,8 +12,14 @@ from pathlib import Path
 
 from clirun import run_cli
 from matchgen import random_match_corpus, random_season, random_weight_triple
-from reference import package_awards, paper_awards, season_awards, segment_oracle
-from timescore.display import format_decimal
+from reference import (
+    package_awards,
+    paper_awards,
+    season_awards,
+    segment_oracle,
+    weight_fractions,
+)
+from timescore.display import format_ratios
 from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
@@ -39,9 +45,8 @@ def test_criterion_01_sum_identity_for_random_weights():
     draw_shares = [Fraction(walk[1], walk[3]) for walk in map(timeline, CORPUS)]
     for weights, (match, draw_share) in itertools.product(triples, zip(CORPUS, draw_shares)):
         home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
-        expected = (weights.alpha_w + weights.alpha_l) + (
-            2 * weights.alpha_d - weights.alpha_w - weights.alpha_l
-        ) * draw_share
+        w, d, l = weight_fractions(weights)
+        expected = (w + l) + (2 * d - w - l) * draw_share
         assert home + away == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 5, f"took {elapsed:.2f}s, budget is 5s"
@@ -72,9 +77,9 @@ def test_criterion_03_thirty_minute_lead_equals_goalless_draw():
 
 
 def test_criterion_04_overtake_arithmetic():
-    minutes = minutes_for_deficit(Fraction(73, 100))
-    assert minutes == Fraction(3285, 100)
-    assert format_decimal(minutes, 0) == "33"
+    num, den = minutes_for_deficit(73, 100)
+    assert Fraction(num, den) == Fraction(3285, 100)
+    assert format_ratios((num,), den, 0) == ["33"]
 
     standings = Standings(("Chase", "Lead", "Third"), scoring_rule(ScoringSystem.CLASSIC), 1)
     standings.add([0, 1, 2], [71, 81, 60], [1, 1, 1], [0, 1, 2])
@@ -95,9 +100,9 @@ def test_criterion_05_average_points_denominator():
         )
     season = SeasonDataset(matches=tuple(matches))
     *_, final = SeasonLedger(season).rounds(scoring_rule(ScoringSystem.CLASSIC))
-    average = final.average()
-    assert average == Fraction(1033, 760)
-    assert format_decimal(average, 2) == "1.36"
+    num, den = final.average()
+    assert Fraction(num, den) == Fraction(1033, 760)
+    assert format_ratios((num,), den, 2) == ["1.36"]
     _ok(5, "380-fixture season totaling 1033 classic points averages 1033/760 (1.36)")
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from clirun import run_cli
 from gen_synthetic_season import double_round_robin
-from reference import ecdf_columns, paper_match_awards
-from timescore.display import csv_text, format_decimal
+from reference import ecdf_columns, paper_match_awards, rendered_by_hand
+from timescore.display import csv_text
 from timescore.indicators import indicator_bundle
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
 from timescore.scoring import ScoringSystem, WeightTriple, scoring_rule
@@ -297,7 +297,7 @@ def test_golden_table_cells_match_recomputation():
     for final, (team, points) in ((classic, top[1:3]), (timed, top[4:6])):
         leader = final.order[0]
         assert team == final.teams[leader]
-        assert points == format_decimal(Fraction(final.points[leader], final.den), 2)
+        assert points == rendered_by_hand(Fraction(final.points[leader], final.den), 2)
 
 
 def test_draws_to_wins_capped_at_the_teams_draws_is_marked(tmp_path):
@@ -447,9 +447,9 @@ def test_bundled_fixture_time_gaps_at_most_classic():
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes()))
     time_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.TIME))
     classic_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.CLASSIC))
-    assert time_bundle.gap_1_3_pct <= classic_bundle.gap_1_3_pct
-    assert time_bundle.gap_1_9_pct <= classic_bundle.gap_1_9_pct
-    assert time_bundle.gap_1_last_pct <= classic_bundle.gap_1_last_pct
+    for field in ("gap_1_3_pct", "gap_1_9_pct", "gap_1_last_pct"):
+        time_gap, classic_gap = getattr(time_bundle, field), getattr(classic_bundle, field)
+        assert Fraction(*time_gap) <= Fraction(*classic_gap)
 
 
 def test_bundled_csv_and_json_parse_identically():
@@ -700,17 +700,42 @@ def test_weights_outside_the_grammar_exit_one_before_reading(tmp_path, weights, 
     )
 
 
-def test_cli_import_leaves_out_click_dataclasses_and_inspect():
-    code = (
-        "import sys, timescore.cli; "
-        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+def _loaded_after(code: str, *argv: str) -> list[str]:
+    """The modules of ``_WATCHED`` loaded once ``code`` has run in a fresh interpreter."""
+    code += f"; print(*sorted(set({_WATCHED!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": "src"}
     proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *argv], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()[-1].split()
+
+
+_WATCHED = ("click", "csv", "dataclasses", "decimal", "fractions", "inspect", "json")
+
+
+def test_cli_import_leaves_out_click_dataclasses_and_inspect():
+    # Nor fractions, decimal, json or csv: a run loads those only where it uses them.
+    assert _loaded_after("import sys, timescore.cli") == []
+
+
+@pytest.mark.parametrize(
+    "command,season,loaded",
+    [
+        ("table", SEASON_CSV, ["csv"]),
+        ("evolution", SEASON_CSV, ["csv"]),
+        ("ecdf", SEASON_CSV, ["csv"]),
+        ("table", SEASON_JSON, ["json"]),
+        ("indicators", SEASON_CSV, ["csv", "json"]),
+    ],
+    ids=["table_csv", "evolution_csv", "ecdf_csv", "table_json", "indicators_csv"],
+)
+def test_a_run_loads_csv_and_json_only_where_it_reads_or_writes_them(
+    tmp_path, command, season, loaded
+):
+    code = "import sys; from timescore.cli import main; main(sys.argv[1:])"
+    argv = (command, "--input", str(season), "--out", str(tmp_path))
+    assert _loaded_after(code, *argv) == loaded
 
 
 @pytest.mark.parametrize(

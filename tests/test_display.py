@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import rendered_by_hand
-from timescore.display import format_decimal, format_ratios
+from timescore.display import format_ratios, ratio_text
 
 
 @pytest.mark.parametrize(
@@ -25,7 +25,7 @@ from timescore.display import format_decimal, format_ratios
 def test_format_ratio_exact_halves_and_negatives(num, den, decimals, expected):
     for k in (1, 3, 10**40):
         assert format_ratios((num * k,), den * k, decimals) == [expected]
-    assert format_decimal(Fraction(num, den), decimals) == expected
+    assert rendered_by_hand(Fraction(num, den), decimals) == expected
 
 
 @given(
@@ -36,9 +36,19 @@ def test_format_ratio_exact_halves_and_negatives(num, den, decimals, expected):
     st.booleans(),
 )
 def test_unreduced_ratio_renders_like_reduced_fraction(num, den, k, decimals, comma):
-    assert format_ratios((num * k,), den * k, decimals, comma=comma) == [
-        format_decimal(Fraction(num, den), decimals, comma=comma)
-    ]
+    reduced = Fraction(num, den)
+    assert format_ratios((num * k,), den * k, decimals, comma=comma) == format_ratios(
+        (reduced.numerator,), reduced.denominator, decimals, comma=comma
+    )
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40).filter(bool))
+@example(0, -7)
+@example(6, -4)
+@example(-12, 4)
+def test_ratio_text_writes_what_str_fraction_writes(num, den):
+    # Unreduced, negative and whole ratios alike: the indicators.json text.
+    assert ratio_text(num, den) == str(Fraction(num, den))
 
 
 @st.composite

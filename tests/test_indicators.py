@@ -9,14 +9,23 @@ from hypothesis import strategies as st
 
 from matchgen import random_season, random_weight_triple, weight_triples
 from reference import (
+    average_recount,
+    final_points,
     final_score,
+    gaps_recount,
+    minutes_to_upper_recount,
     package_awards,
     paper_match_awards,
     rendered_by_hand,
     season_awards,
 )
-from timescore.display import format_decimal, format_ratios
-from timescore.errors import EmptySeasonError, TooFewTeamsError, WrongSystemError
+from timescore.display import format_ratios
+from timescore.errors import (
+    EmptySeasonError,
+    NonPositiveLeaderError,
+    TooFewTeamsError,
+    WrongSystemError,
+)
 from timescore.indicators import (
     draws_to_wins,
     ecdf_counts,
@@ -56,18 +65,18 @@ def _final(ledger, rule):
 
 class TestGaps:
     def test_real_season_gap_values(self):
-        gap_3, gap_9, gap_last = gaps(_standings(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC))
+        ratios = gaps(_standings(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC))
+        gap_3, gap_9, gap_last = (Fraction(*ratio) for ratio in ratios)
         assert gap_3 == Fraction(100 * (81 - 70), 81)
         assert gap_9 == Fraction(100 * (81 - 51), 81)
         assert gap_last == Fraction(100 * (81 - 17), 81)
-        assert format_decimal(gap_3, 1) == "13.6"
-        assert format_decimal(gap_9, 1) == "37.0"
-        assert format_decimal(gap_last, 1) == "79.0"
+        cells = [format_ratios((num,), den, 1)[0] for num, den in ratios]
+        assert cells == ["13.6", "37.0", "79.0"]
 
     def test_gap_is_complement_of_percent_of_leader(self):
         standings = _standings(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC, den=5400)
         percents, leader = percent_of_leader(standings)
-        gap_3, gap_9, gap_last = gaps(standings)
+        gap_3, gap_9, gap_last = (Fraction(*ratio) for ratio in gaps(standings))
         assert gap_3 == 100 - Fraction(percents[2], leader)
         assert gap_9 == 100 - Fraction(percents[8], leader)
         assert gap_last == 100 - Fraction(percents[-1], leader)
@@ -78,7 +87,8 @@ class TestGaps:
         assert format_ratios(percents[1:2], leader, 0) == ["88"]  # 71/81 = 87.65...
 
     def test_equal_points_give_zero_gaps(self):
-        assert gaps(_standings([10, 10, 10, 10], ScoringSystem.CLASSIC)) == (0, 0, 0)
+        standings = _standings([10, 10, 10, 10], ScoringSystem.CLASSIC)
+        assert [Fraction(*ratio) for ratio in gaps(standings)] == [0, 0, 0]
 
     def test_too_few_teams(self):
         with pytest.raises(TooFewTeamsError):
@@ -86,7 +96,7 @@ class TestGaps:
 
     def test_short_table_ninth_falls_back_to_last(self):
         gap_3, gap_9, gap_last = gaps(_standings([10, 8, 5], ScoringSystem.CLASSIC))
-        assert gap_3 == gap_9 == gap_last == 50
+        assert Fraction(*gap_3) == Fraction(*gap_9) == Fraction(*gap_last) == 50
 
 
 class TestAveragePoints:
@@ -94,14 +104,15 @@ class TestAveragePoints:
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B"), MatchRecord(1, "C", "D"))
         )
-        assert _final(SeasonLedger(season), TIME).average() == 1
+        assert Fraction(*_final(SeasonLedger(season), TIME).average()) == 1
 
     def test_denominator_is_team_appearances(self):
         # One decisive match: 3 points over 2 appearances.
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B", (600,)),)
         )
-        assert _final(SeasonLedger(season), CLASSIC).average() == Fraction(3, 2)
+        final = _final(SeasonLedger(season), CLASSIC)
+        assert final.average() == (3 * final.den, 2 * final.den)
 
     def test_matches_manual_summation(self):
         season = random_season(random.Random(11))
@@ -109,7 +120,7 @@ class TestAveragePoints:
         for match in season.matches:
             total += sum(paper_match_awards(match, ScoringSystem.TIME))
         expected = total / (2 * len(season.matches))
-        assert _final(SeasonLedger(season), TIME).average() == expected
+        assert Fraction(*_final(SeasonLedger(season), TIME).average()) == expected
 
     def test_empty_season(self):
         # No appearances to average over: the ledger refuses the season.
@@ -119,18 +130,18 @@ class TestAveragePoints:
     def test_time_average_strictly_below_three_halves(self):
         for seed in range(5):
             season = random_season(random.Random(seed))
-            avg = _final(SeasonLedger(season), TIME).average()
+            avg = Fraction(*_final(SeasonLedger(season), TIME).average())
             assert 1 <= avg < Fraction(3, 2)
 
 
 class TestMinutesToUpper:
     def test_deficit_example(self):
-        minutes = minutes_for_deficit(Fraction(73, 100))
-        assert minutes == Fraction(3285, 100)
-        assert format_decimal(minutes, 0) == "33"
+        num, den = minutes_for_deficit(73, 100)
+        assert Fraction(num, den) == Fraction(3285, 100)
+        assert format_ratios((num,), den, 0) == ["33"]
 
     def test_zero_deficit_is_zero_minutes(self):
-        assert minutes_for_deficit(Fraction(0)) == 0
+        assert Fraction(*minutes_for_deficit(0, 1)) == 0
 
     def test_sub_minute_deficit_is_exact(self):
         standings = _standings(
@@ -142,7 +153,10 @@ class TestMinutesToUpper:
 
     @given(st.fractions(min_value=0, max_value=5))
     def test_linear_in_deficit(self, deficit):
-        assert minutes_for_deficit(2 * deficit) == 2 * minutes_for_deficit(deficit)
+        num, den = deficit.numerator, deficit.denominator
+        assert Fraction(*minutes_for_deficit(2 * num, den)) == 2 * Fraction(
+            *minutes_for_deficit(num, den)
+        )
 
     @given(st.data(), weight_triples())
     @settings(deadline=None)
@@ -165,7 +179,8 @@ class TestMinutesToUpper:
         before, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
         goals[j] = times[j] - 60 * m
         after, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
-        assert minutes_for_deficit(after - before, weights) == m
+        deficit = after - before
+        assert Fraction(*minutes_for_deficit(deficit.numerator, deficit.denominator, weights)) == m
 
     def test_table_metrics_use_the_row_above(self):
         nums, den = minutes_to_upper(_standings([10, 8, 5], ScoringSystem.TIME))
@@ -309,5 +324,25 @@ class TestBundle:
             gap_last,
         )
         assert bundle.avg_points_per_team_game == final.average()
-        assert 0 <= bundle.gap_1_3_pct <= 100
+        assert 0 <= Fraction(*bundle.gap_1_3_pct) <= 100
         assert bundle.distinct_leaders >= 1
+
+
+@given(st.integers(0, 2**32), st.sampled_from([4, 6, 10]), weight_triples())
+@settings(max_examples=40, deadline=None)
+def test_gaps_average_and_minutes_equal_their_fraction_recounts(seed, teams, weights):
+    season = random_season(random.Random(seed), teams)
+    ledger = SeasonLedger(season)
+    for system in ScoringSystem:
+        final = _final(ledger, scoring_rule(system, weights))
+        points = final_points(season, system, weights)
+        assert Fraction(*final.average()) == average_recount(season, system, weights)
+        expected = gaps_recount(points)
+        if expected is None:
+            with pytest.raises(NonPositiveLeaderError):
+                gaps(final)
+        else:
+            assert [Fraction(*ratio) for ratio in gaps(final)] == expected
+        if system is ScoringSystem.TIME:
+            nums, den = minutes_to_upper(final)
+            assert [Fraction(num, den) for num in nums] == minutes_to_upper_recount(points, weights)

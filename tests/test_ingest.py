@@ -462,8 +462,8 @@ def test_minute_error_bound_truncated():
         )
     )
     bound = minute_error_bound(season)
-    assert bound == Fraction(118, 5400)
-    assert abs(float(bound) - 0.0219) < 5e-4
+    assert bound == (118, 5400)
+    assert abs(bound[0] / bound[1] - 0.0219) < 5e-4
 
 
 def test_minute_error_bound_rounded():
@@ -473,22 +473,22 @@ def test_minute_error_bound_rounded():
         )
     )
     bound = minute_error_bound(season)
-    assert bound == Fraction(60, 5400)
-    assert abs(float(bound) - 0.0111) < 5e-4
+    assert bound == (60, 5400)
+    assert abs(bound[0] / bound[1] - 0.0111) < 5e-4
 
 
 def test_minute_error_bound_exact_is_zero():
     season = SeasonDataset(
         matches=(MatchRecord(1, "A", "B", (61,), slack_s=0),)
     )
-    assert minute_error_bound(season) == 0
+    assert Fraction(*minute_error_bound(season)) == 0
 
 
 def test_minute_error_bound_is_worst_match_sum():
     one = MatchRecord(1, "A", "B", (60, -120), slack_s=2 * 59)
     two = MatchRecord(1, "C", "D", (60,), slack_s=30)
     season = SeasonDataset(matches=(one, two))
-    assert minute_error_bound(season) == 2 * Fraction(118, 5400)
+    assert Fraction(*minute_error_bound(season)) == 2 * Fraction(118, 5400)
 
 
 # Where a goal recorded at a whole minute may truly have fallen, in seconds
@@ -531,7 +531,7 @@ def test_minute_error_bound_covers_every_true_goal_time(matches):
     recorded, true, shifts = matches
     # The bound is linear in each goal's shift, so its per-match input is the sum.
     assert recorded.slack_s == sum(shifts)
-    bound = minute_error_bound(SeasonDataset(matches=(recorded,)))
+    bound = Fraction(*minute_error_bound(SeasonDataset(matches=(recorded,))))
     for system in (ScoringSystem.TIME, ScoringSystem.MIXED_HALF, ScoringSystem.GOALDIFF_THIRD):
         shown, actual = paper_match_awards(recorded, system), paper_match_awards(true, system)
         assert abs(shown[0] - actual[0]) <= bound
@@ -550,8 +550,7 @@ _MATCH_FIELDS = ("round", "home", "away", "goals", "declared_length_s", "slack_s
         (MatchRecord, _MATCH_FIELDS,
          (1, "Alpha", "Beta", (600,), 5700, 0), (1, "Alpha", "Beta", (600,), None, 0)),
         (SeasonDataset, ("league_name", "matches"), ("L", (_MATCH,)), ("M", (_MATCH,))),
-        (WeightTriple, ("alpha_w", "alpha_d", "alpha_l"),
-         (Fraction(3), Fraction(1), Fraction(0)), (Fraction(2), Fraction(1), Fraction(0))),
+        (WeightTriple, ("alpha_w", "alpha_d", "alpha_l", "scale"), (6, 2, 1, 4), (2, 1, 0, 1)),
     ],
     ids=lambda value: value.__name__ if isinstance(value, type) else None,
 )
@@ -657,6 +656,12 @@ _FAULTS = [
      "NONCONTIGUOUS_ROUNDS: round numbers must form a contiguous range starting at 1"),
     ("json_round_gap", _json_season('{"round": 3, "home": "A", "away": "B"}'),
      "NONCONTIGUOUS_ROUNDS: round numbers must form a contiguous range starting at 1"),
+    ("json_missing_round", _json_season('{"home": "A", "away": "B"}'),
+     "MALFORMED_ROW: match 2: missing field 'round'"),
+    ("json_missing_home", _json_season('{"round": 1, "away": "B"}'),
+     "MALFORMED_ROW: match 2: missing field 'home'"),
+    ("json_missing_away", _json_season('{"round": 1, "home": "A", "goals": ["H:1"]}'),
+     "MALFORMED_ROW: match 2: missing field 'away'"),
     # Two faults: a goal time out of range wins over the order of the goals,
     # the round, the names, the length and a later bad goal object; a bad goal
     # object wins over the order of earlier goals; the names win over the order

@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchgen import match_records, weight_triples
-from reference import package_awards, paper_awards, paper_match_awards
+from reference import package_awards, paper_awards, paper_match_awards, weight_fractions
 from timescore.ingest import MatchRecord
 from timescore.scoring import (
     DEFAULT_WEIGHTS,
@@ -38,7 +39,13 @@ def _ended(home_goals: int, away_goals: int) -> MatchRecord:
 
 class TestWeightTriple:
     def test_default_is_three_one_zero(self):
-        assert (DEFAULT_WEIGHTS.alpha_w, DEFAULT_WEIGHTS.alpha_d, DEFAULT_WEIGHTS.alpha_l) == (3, 1, 0)
+        default = DEFAULT_WEIGHTS
+        assert (default.alpha_w, default.alpha_d, default.alpha_l, default.scale) == (3, 1, 0, 1)
+
+    def test_stored_in_lowest_terms(self):
+        assert WeightTriple(6, 2, 0, 4) == WeightTriple(3, 1, 0, 2)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            WeightTriple(0, -1, -2, -1)
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -48,9 +55,15 @@ class TestWeightTriple:
 
     def test_from_string_accepts_rationals(self):
         w = WeightTriple.from_string("3, 1/2, 0.25")
-        assert (w.alpha_w, w.alpha_d, w.alpha_l) == (3, Fraction(1, 2), Fraction(1, 4))
+        assert (w.alpha_w, w.alpha_d, w.alpha_l, w.scale) == (12, 2, 1, 4)
         w = WeightTriple.from_string("+3.,.5,-1/2")
-        assert (w.alpha_w, w.alpha_d, w.alpha_l) == (3, Fraction(1, 2), Fraction(-1, 2))
+        assert weight_fractions(w) == (3, Fraction(1, 2), Fraction(-1, 2))
+
+    def test_spellings_of_one_weight_give_one_triple_and_rule(self):
+        triples = [WeightTriple.from_string(f"3,{half},0") for half in ("0.5", "1/2", "2/4")]
+        assert triples[0] == triples[1] == triples[2]
+        rules = {scoring_rule(ScoringSystem.TIME, w) for w in triples}
+        assert rules == {ScoringRule(ScoringSystem.TIME, triples[0], 6, 1, 0, 0, 0, 2)}
 
     def test_from_string_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -62,6 +75,37 @@ class TestWeightTriple:
     def test_from_string_rejects_parts_outside_the_grammar(self, part):
         with pytest.raises(ValueError, match="bad weight"):
             WeightTriple.from_string(f"{part},-1,-2")
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+# Every spelling the weight grammar accepts: a sign, then a, a., .b, a.b or a/b.
+_WEIGHT_TEXTS = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(
+        _DIGITS,
+        _DIGITS.map(lambda a: a + "."),
+        _DIGITS.map(lambda b: "." + b),
+        st.tuples(_DIGITS, _DIGITS).map(".".join),
+        st.tuples(_DIGITS, _DIGITS).map("/".join),
+    ),
+).map("".join)
+
+
+@given(_WEIGHT_TEXTS)
+@example("-0/0")
+@example("+007.500")
+def test_every_weight_the_grammar_accepts_parses_to_its_fraction(text):
+    # The text is the level weight, between two whole weights around its value.
+    _, slash, den = text.partition("/")
+    if slash and not int(den):
+        with pytest.raises(ValueError, match="divide by zero"):
+            WeightTriple.from_string(f"1,{text},-1")
+        return
+    value = Fraction(text)
+    above, below = math.floor(value) + 1, math.ceil(value) - 1
+    weights = WeightTriple.from_string(f"{above},{text},{below}")
+    assert weight_fractions(weights) == (above, value, below)
+    assert weights == WeightTriple.from_string(f"{above}, {value} ,{below}")
 
 
 class TestTimePoints:
@@ -154,9 +198,8 @@ class TestGoalDiffPoints:
 def test_sum_identity_for_general_weights(match, weights):
     _, draw, _, t_match, _, _ = timeline(match)
     home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
-    expected = (weights.alpha_w + weights.alpha_l) + (
-        2 * weights.alpha_d - weights.alpha_w - weights.alpha_l
-    ) * Fraction(draw, t_match)
+    w, d, l = weight_fractions(weights)
+    expected = (w + l) + (2 * d - w - l) * Fraction(draw, t_match)
     assert home + away == expected
 
 

@@ -113,7 +113,9 @@ def main() -> None:
         (time_bundle.gap_1_9_pct, classic_bundle.gap_1_9_pct),
         (time_bundle.gap_1_last_pct, classic_bundle.gap_1_last_pct),
     ):
-        assert Fraction(*time_gap) <= Fraction(*classic_gap), "fixture must compact gaps; pick another seed"
+        assert Fraction(*time_gap) <= Fraction(*classic_gap), (
+            "fixture must compact gaps; pick another seed"
+        )
 
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "synthetic_season.csv"

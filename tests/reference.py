@@ -37,7 +37,8 @@ Breakdown = tuple[int, int, int, int]  # the home side's (leading, level, traili
 
 def weight_fractions(weights: WeightTriple) -> tuple[Fraction, Fraction, Fraction]:
     """(alpha_w, alpha_d, alpha_l) as Fractions."""
-    w, d, l = (Fraction(a, weights.scale) for a in (weights.alpha_w, weights.alpha_d, weights.alpha_l))
+    alphas = (weights.alpha_w, weights.alpha_d, weights.alpha_l)
+    w, d, l = (Fraction(alpha, weights.scale) for alpha in alphas)
     return w, d, l
 
 
@@ -108,7 +109,9 @@ def gaps_recount(points: list[Fraction]) -> list[Fraction] | None:
     return [100 * (leader - points[k]) / leader for k in (2, min(9, len(points)) - 1, -1)]
 
 
-def average_recount(season: SeasonDataset, system: ScoringSystem, weights: WeightTriple) -> Fraction:
+def average_recount(
+    season: SeasonDataset, system: ScoringSystem, weights: WeightTriple
+) -> Fraction:
     """Mean points per team appearance: every award of the season over twice the matches."""
     total = sum(sum(paper_match_awards(m, system, weights)) for m in season.matches)
     return total / (2 * len(season.matches))

@@ -700,6 +700,10 @@ def test_weights_outside_the_grammar_exit_one_before_reading(tmp_path, weights, 
     )
 
 
+# fractions pulls in decimal and numbers; csv and json load only where a run uses them.
+_WATCHED = ("click", "csv", "dataclasses", "decimal", "fractions", "inspect", "json", "numbers")
+
+
 def _loaded_after(code: str, *argv: str) -> list[str]:
     """The modules of ``_WATCHED`` loaded once ``code`` has run in a fresh interpreter."""
     code += f"; print(*sorted(set({_WATCHED!r}) & set(sys.modules)))"
@@ -711,11 +715,7 @@ def _loaded_after(code: str, *argv: str) -> list[str]:
     return proc.stdout.splitlines()[-1].split()
 
 
-_WATCHED = ("click", "csv", "dataclasses", "decimal", "fractions", "inspect", "json")
-
-
 def test_cli_import_leaves_out_click_dataclasses_and_inspect():
-    # Nor fractions, decimal, json or csv: a run loads those only where it uses them.
     assert _loaded_after("import sys, timescore.cli") == []
 
 

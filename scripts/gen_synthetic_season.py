@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from timescore.display import csv_text
 from timescore.indicators import indicator_bundle
-from timescore.ingest import CSV_HEADER, SECONDS_PER_MINUTE, TimePrecision, parse_season
+from timescore.ingest import CSV_HEADER, SECONDS_PER_MINUTE, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
 
@@ -79,14 +79,13 @@ def season_matches(seed: int, teams: Sequence[str]) -> Iterator[Fixture]:
 
 def season_texts(fixtures: Iterable[Fixture]) -> tuple[str, str]:
     """The CSV and the JSON text of one season of minute-truncated goals."""
-    precision = TimePrecision.MINUTE_TRUNCATED.value
     rows = [CSV_HEADER]
     matches = []
     for round_no, home, away, goals, length in fixtures:
         tokens = ",".join(f"{side}:{minute}" for side, minute in goals)
         rows.append((str(round_no), home, away, tokens, "" if length is None else str(length)))
         goal_objects = [
-            {"side": side, "time_s": minute * SECONDS_PER_MINUTE, "precision": precision}
+            {"side": side, "time_s": minute * SECONDS_PER_MINUTE, "precision": "minute_truncated"}
             for side, minute in goals
         ]
         entry = {"round": round_no, "home": home, "away": away, "goals": goal_objects}

@@ -2,7 +2,7 @@
 
 from .errors import SeasonDataError
 from .indicators import draws_to_wins, indicator_bundle, minutes_to_upper
-from .ingest import TimePrecision, minute_error_bound, parse_season
+from .ingest import minute_error_bound, parse_season
 from .scoring import ScoringSystem, WeightTriple, scoring_rule
 from .standings import SeasonLedger
 

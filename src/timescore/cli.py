@@ -35,6 +35,10 @@ from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
 from .standings import SeasonLedger, Standings, percent_of_leader
 
 
+# The system names, as --systems takes them: its help and its error list them.
+_SYSTEM_NAMES = ",".join(system.value for system in ScoringSystem)
+
+
 def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
@@ -45,8 +49,7 @@ def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
             system = ScoringSystem(tok.lower())
         except ValueError:
             raise ValueError(
-                f"unknown scoring system {tok!r}; choose from "
-                "classic,time,mixed,goaldiff"
+                f"unknown scoring system {tok!r}; choose from {_SYSTEM_NAMES}"
             ) from None
         if system not in systems:
             systems.append(system)
@@ -247,8 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--systems", default="classic,time",
-        help="Comma-separated scoring systems: classic,time,mixed,goaldiff "
-        "(default: %(default)s).",
+        help=f"Comma-separated scoring systems: {_SYSTEM_NAMES} (default: %(default)s).",
     )
     parser.add_argument(
         "--weights", default="3,1,0",

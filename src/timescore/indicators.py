@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
-from .scoring import DEFAULT_WEIGHTS, ScoringRule, ScoringSystem, WeightTriple
+from .scoring import ScoringRule, ScoringSystem
 from .standings import SeasonLedger, Standings, leadership, percent_of_leader, rank_moves
 
 
@@ -46,19 +46,19 @@ def gaps(standings: Standings) -> tuple[Ratio, Ratio, Ratio]:
     return (third, leader), (ninth, leader), (last, leader)
 
 
-def minutes_for_deficit(num: int, den: int, weights: WeightTriple = DEFAULT_WEIGHTS) -> Ratio:
+def minutes_for_deficit(num: int, den: int, rule: ScoringRule) -> Ratio:
     """``num / den`` points as minutes of leading instead of level time in a 90-minute match.
 
-    A minute of level time turned into leading time is worth
-    (alpha_w - alpha_d)/T_match points, with the weights ``alpha / scale`` and
-    T_match the 90-minute regulation length, so m = deficit * T_match /
-    (alpha_w - alpha_d), returned as a ratio. This is a unit conversion. It is
-    how much earlier one go-ahead goal from level must fall only in a 90-minute
-    match (a longer one needs more minutes) and only up to a deficit of
-    alpha_w - alpha_d, which takes all 90 minutes; a larger deficit reads past 90.
+    Under ``rule``, a minute of level time turned into leading time is worth
+    (lead - level)/(scale * T_match) points, with T_match the 90-minute
+    regulation length, so m = deficit * scale * T_match / (lead - level),
+    returned as a ratio. This is a unit conversion. It is how much earlier one
+    go-ahead goal from level must fall only in a 90-minute match (a longer one
+    needs more minutes) and only up to a deficit of (lead - level)/scale, which
+    takes all 90 minutes; a larger deficit reads past 90.
     """
     t_match_min = REGULATION_LENGTH_S // SECONDS_PER_MINUTE
-    return num * t_match_min * weights.scale, den * (weights.alpha_w - weights.alpha_d)
+    return num * t_match_min * rule.scale, den * (rule.lead - rule.level)
 
 
 def minutes_to_upper(standings: Standings) -> tuple[list[int], int]:
@@ -73,7 +73,7 @@ def minutes_to_upper(standings: Standings) -> tuple[list[int], int]:
             f"minutes-to-upper applies to time tables, got {standings.rule.system.value!r}"
         )
     # The conversion is linear, so one point's worth scales every deficit.
-    per_point, per_den = minutes_for_deficit(1, 1, standings.rule.weights)
+    per_point, per_den = minutes_for_deficit(1, 1, standings.rule)
     order, points = standings.order, standings.points
     nums = [(points[a] - points[b]) * per_point for a, b in zip(order, order[1:])]
     return nums, standings.den * per_den

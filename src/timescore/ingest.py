@@ -20,23 +20,23 @@ JSON (mirror)
     An object ``{"league": str, "matches": [...]}``. Each match mirrors the
     CSV fields; its ``goals``, when present, is a list whose entries are
     either token strings as above or objects
-    ``{"side": "H"|"A", "time_s": int, "precision": str}`` for data with
-    better-than-minute resolution. Match length is ``length_min`` or,
-    when not a whole number of minutes, ``length_s``. Team names must be
-    JSON strings.
+    ``{"side": "H"|"A", "time_s": int, "precision": str}``, with precision
+    ``exact`` (the default), ``minute_truncated`` or ``minute_rounded``. Match
+    length is ``length_min`` or, when not a whole number of minutes,
+    ``length_s``. Team names must be JSON strings.
 
 Both formats are UTF-8 (other bytes fail with code ENCODING); LF and CRLF
 line endings are accepted. A parsed goal is one signed int: its time in whole
 seconds from kickoff, positive for a home goal and negative for an away goal,
 so minute-resolution input is scaled by 60 at parse time and no floating point
-is involved anywhere. A goal's precision is kept only as the timing slack it
-adds to its match's ``slack_s``: 59 s for a truncated minute, 30 s for a
-rounded one and 0 for an exact second.
+is involved anywhere. A minute token, in CSV or JSON, is a truncated minute; a
+source that rounds says so per JSON goal object. A goal's precision is kept
+only as the timing slack it adds to its match's ``slack_s``: 59 s for a
+truncated minute, 30 s for a rounded one and 0 for an exact second.
 """
 
 from __future__ import annotations
 
-import enum
 import io
 import re
 import sys
@@ -73,22 +73,12 @@ _GOAL_TOKEN_RE = re.compile(
 _INT_RE = re.compile(r"[+-]?([0-9]+)")
 
 
-class TimePrecision(enum.Enum):
-    """How a recorded goal time relates to the true time of the goal."""
-
-    MINUTE_TRUNCATED = "minute_truncated"
-    MINUTE_ROUNDED = "minute_rounded"
-    EXACT = "exact"
-
-
 # The sign of a goal's time by its side, and the worst-case timing slack in
-# seconds that one recorded goal can hide, by its precision's value.
+# seconds that one recorded goal can hide, by its precision. A minute token is
+# a truncated minute.
 _SIGNS = {"H": 1, "A": -1}
-_SLACK_S = {
-    TimePrecision.MINUTE_TRUNCATED.value: 59,
-    TimePrecision.MINUTE_ROUNDED.value: 30,
-    TimePrecision.EXACT.value: 0,
-}
+_SLACK_S = {"minute_truncated": 59, "minute_rounded": 30, "exact": 0}
+_TOKEN_SLACK_S = _SLACK_S["minute_truncated"]
 
 
 class FrozenRecord:
@@ -145,7 +135,8 @@ class MatchRecord(FrozenRecord):
 
     Team names are trimmed on construction and may not hold a NUL, which is
     part of no name and which readers of the report files, such as Python
-    3.10's csv reader, stop at. A declared length, when present, must cover
+    3.10's csv reader, stop at, nor a lone surrogate, which UTF-8 cannot
+    encode. A declared length, when present, must cover
     both the 90-minute regulation span and every goal, and may not exceed
     MAX_MATCH_LENGTH_S.
     """
@@ -176,6 +167,14 @@ class MatchRecord(FrozenRecord):
             raise MalformedRowError("team names must be non-empty")
         if "\0" in home or "\0" in away:
             raise MalformedRowError("team names must not contain a NUL character")
+        if not (home.isascii() and away.isascii()):
+            for name in (home, away):
+                try:
+                    name.encode()
+                except UnicodeEncodeError:
+                    raise MalformedRowError(
+                        f"team names must not contain a lone surrogate, got {name!r}"
+                    ) from None
         if home == away:
             raise MalformedRowError(f"a team cannot play itself: {home!r}")
         # One pass checks each goal's range and the goals' order. The parser
@@ -281,11 +280,8 @@ class _TokenMemo(dict):
 
     Seasons repeat a few hundred distinct tokens across thousands of goals, so
     the CSV goals field and JSON token strings share one parse per token. Every
-    token carries the minute precision's ``slack_s``.
+    token is a truncated minute, with ``_TOKEN_SLACK_S`` of slack.
     """
-
-    def __init__(self, precision: TimePrecision) -> None:
-        self.slack_s = _SLACK_S[precision.value]
 
     def __missing__(self, token: str) -> int:
         goal = self[token] = parse_goal_token(token)
@@ -296,20 +292,16 @@ def _located(err: SeasonDataError, line: int) -> SeasonDataError:
     return type(err)(err.message, line=line)
 
 
-def parse_season(
-    data: bytes | str,
-    *,
-    minute_precision: TimePrecision = TimePrecision.MINUTE_TRUNCATED,
-) -> SeasonDataset:
+def parse_season(data: bytes | str) -> SeasonDataset:
     """Parse season file content into a validated :class:`SeasonDataset`.
 
-    The content picks the parser: text whose first character after the BOM
+    The content picks the parser: text whose first character after one BOM
     and any leading whitespace is ``{`` or ``[`` is JSON, anything else CSV.
+    A minute token is a truncated minute; a rounded one is a JSON goal object
+    with ``"precision": "minute_rounded"``.
 
     Args:
         data: Raw file content (UTF-8 bytes or already-decoded text).
-        minute_precision: Precision flag given to goals supplied as minute
-            tokens (sources differ in whether they truncate or round).
 
     Raises:
         SeasonDataError: with code MALFORMED_ROW (row/line reported),
@@ -326,13 +318,13 @@ def parse_season(
                 line=data.count(b"\n", 0, exc.start) + 1,
             ) from None
     else:
-        text = data.lstrip("\ufeff")
+        text = data.removeprefix("\ufeff")  # one BOM, as utf-8-sig drops
     first = text.lstrip()[:1]
     if not first:
         raise EmptySeasonError("season file is empty")
     if first in "{[":
-        return _parse_json(text, minute_precision)
-    return _parse_csv(text, minute_precision)
+        return _parse_json(text)
+    return _parse_csv(text)
 
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -358,7 +350,7 @@ def _csv_int(field: str, what: str) -> int:
     return int(field)
 
 
-def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
+def _parse_csv(text: str) -> SeasonDataset:
     rows = _csv_rows(text)
     try:
         _, header = next(rows)
@@ -370,7 +362,7 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             line=1,
         )
     matches = []
-    tokens = _TokenMemo(minute_precision)
+    tokens = _TokenMemo()
     # Round number text -> its value; a season repeats each round's text once per fixture.
     round_numbers: dict[str, int] = {}
     for line, row in rows:
@@ -397,7 +389,7 @@ def _parse_csv(text: str, minute_precision: TimePrecision) -> SeasonDataset:
             if length_field.strip():
                 declared = _csv_int(length_field, "length_min value") * SECONDS_PER_MINUTE
             matches.append(
-                MatchRecord(round_no, home, away, goals, declared, len(goals) * tokens.slack_s)
+                MatchRecord(round_no, home, away, goals, declared, len(goals) * _TOKEN_SLACK_S)
             )
         except SeasonDataError as err:
             raise _located(err, line) from None
@@ -454,7 +446,7 @@ def _json_goals(entries: list, tokens: _TokenMemo) -> tuple[list[int], int]:
             goals.append(sign * time_s)
         elif type(entry) is str:
             goals.append(tokens[entry])
-            slack_s += tokens.slack_s
+            slack_s += _TOKEN_SLACK_S
         else:
             raise MalformedRowError(
                 f"goal entry must be a token string or object, got {entry!r}"
@@ -462,7 +454,7 @@ def _json_goals(entries: list, tokens: _TokenMemo) -> tuple[list[int], int]:
     return goals, slack_s
 
 
-def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
+def _parse_json(text: str) -> SeasonDataset:
     import json  # here, not at the top: a run on a CSV season never loads it
     try:
         doc = json.loads(text)
@@ -482,7 +474,7 @@ def _parse_json(text: str, minute_precision: TimePrecision) -> SeasonDataset:
     if not isinstance(league, str):
         raise MalformedRowError('"league" must be a string')
     matches = []
-    tokens = _TokenMemo(minute_precision)
+    tokens = _TokenMemo()
     for i, obj in enumerate(doc["matches"], start=1):
         try:
             if not isinstance(obj, dict):
@@ -538,7 +530,7 @@ def _long_integer_line(text: str, limit: int) -> int | None:
 
 
 def minute_error_bound(dataset: SeasonDataset) -> tuple[int, int]:
-    """A bound on the per-match points error implied by the goal-time precision flags.
+    """A bound on the per-match points error implied by the goals' time precisions.
 
     Each goal recorded at minute resolution can be off by up to 59 s when the
     source truncates (30 s when it rounds to the nearest minute), and a timing

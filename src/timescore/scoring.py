@@ -90,11 +90,12 @@ class ScoringRule(NamedTuple):
         (lead*T_lead + level*T_level + trail*T_trail + (result*r + goal_diff*g)*T_match)
         / (scale * T_match)
 
-    where r is its 3/1/0 result and g its capped goal-difference bonus.
+    where r is its 3/1/0 result and g its capped goal-difference bonus. The
+    weights on time are ``lead / scale``, ``level / scale`` and ``trail / scale``,
+    and the rule keeps no other copy of them.
     """
 
     system: ScoringSystem
-    weights: WeightTriple
     lead: int
     level: int
     trail: int
@@ -111,13 +112,13 @@ def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS)
     goaldiff = ((3,1,0) time share + r + g) / 3.
     """
     if system is ScoringSystem.CLASSIC:
-        return ScoringRule(system, weights, 0, 0, 0, 1, 0, 1)
+        return ScoringRule(system, 0, 0, 0, 1, 0, 1)
     if system is ScoringSystem.TIME:
         return ScoringRule(
-            system, weights, weights.alpha_w, weights.alpha_d, weights.alpha_l, 0, 0, weights.scale
+            system, weights.alpha_w, weights.alpha_d, weights.alpha_l, 0, 0, weights.scale
         )
     if system is ScoringSystem.MIXED_HALF:
-        return ScoringRule(system, weights, 3, 1, 0, 1, 0, 2)
+        return ScoringRule(system, 3, 1, 0, 1, 0, 2)
     if system is ScoringSystem.GOALDIFF_THIRD:
-        return ScoringRule(system, weights, 3, 1, 0, 1, 1, 3)
+        return ScoringRule(system, 3, 1, 0, 1, 1, 3)
     raise ValueError(f"unknown scoring system: {system!r}")

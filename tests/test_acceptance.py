@@ -77,7 +77,7 @@ def test_criterion_03_thirty_minute_lead_equals_goalless_draw():
 
 
 def test_criterion_04_overtake_arithmetic():
-    num, den = minutes_for_deficit(73, 100)
+    num, den = minutes_for_deficit(73, 100, TIME)
     assert Fraction(num, den) == Fraction(3285, 100)
     assert format_ratios((num,), den, 0) == ["33"]
 

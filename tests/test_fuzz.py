@@ -15,10 +15,10 @@ from clirun import run_cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SEASONS = (DATA / "synthetic_season.csv", DATA / "synthetic_season.json")
-# Fragments that break quoting, nesting, number sizes and JSON types.
+# Fragments that break quoting, nesting, number sizes, JSON types and string escapes.
 FRAGMENTS = (
     b'"', b"[", b"]", b"{", b"}", b",", b":", b"+", b"H:", b"\r\n", b"\n",
-    b"9" * 30, b"-" + b"9" * 30, b"null", b"true",
+    b"9" * 30, b"-" + b"9" * 30, b"null", b"true", b"\\ud800",
 )
 MUTATIONS = ("flip", "delete", "insert", "bom", "crlf")
 CODED_ERROR = re.compile(r"error: [A-Z_]+: ")

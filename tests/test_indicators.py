@@ -36,7 +36,7 @@ from timescore.indicators import (
     minutes_to_upper,
 )
 from timescore.ingest import MatchRecord, SeasonDataset
-from timescore.scoring import ScoringSystem, scoring_rule
+from timescore.scoring import ScoringRule, ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger, Standings, percent_of_leader
 
 CLASSIC = scoring_rule(ScoringSystem.CLASSIC)
@@ -136,12 +136,12 @@ class TestAveragePoints:
 
 class TestMinutesToUpper:
     def test_deficit_example(self):
-        num, den = minutes_for_deficit(73, 100)
+        num, den = minutes_for_deficit(73, 100, TIME)
         assert Fraction(num, den) == Fraction(3285, 100)
         assert format_ratios((num,), den, 0) == ["33"]
 
     def test_zero_deficit_is_zero_minutes(self):
-        assert Fraction(*minutes_for_deficit(0, 1)) == 0
+        assert Fraction(*minutes_for_deficit(0, 1, TIME)) == 0
 
     def test_sub_minute_deficit_is_exact(self):
         standings = _standings(
@@ -154,8 +154,8 @@ class TestMinutesToUpper:
     @given(st.fractions(min_value=0, max_value=5))
     def test_linear_in_deficit(self, deficit):
         num, den = deficit.numerator, deficit.denominator
-        assert Fraction(*minutes_for_deficit(2 * num, den)) == 2 * Fraction(
-            *minutes_for_deficit(num, den)
+        assert Fraction(*minutes_for_deficit(2 * num, den, TIME)) == 2 * Fraction(
+            *minutes_for_deficit(num, den, TIME)
         )
 
     @given(st.data(), weight_triples())
@@ -180,12 +180,20 @@ class TestMinutesToUpper:
         goals[j] = times[j] - 60 * m
         after, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
         deficit = after - before
-        assert Fraction(*minutes_for_deficit(deficit.numerator, deficit.denominator, weights)) == m
+        assert Fraction(*minutes_for_deficit(deficit.numerator, deficit.denominator, rule)) == m
 
     def test_table_metrics_use_the_row_above(self):
         nums, den = minutes_to_upper(_standings([10, 8, 5], ScoringSystem.TIME))
         # Deficits of 2 and 3 points, at 90/(3 - 1) = 45 minutes a point.
         assert [Fraction(num, den) for num in nums] == [2 * 45, 3 * 45]
+
+    def test_hand_built_rule_converts_at_its_own_lead_minus_level(self):
+        # Weights 5/2, 1 and 0: a point is 90 * 2/(5 - 2) = 60 minutes.
+        rule = ScoringRule(ScoringSystem.TIME, 5, 2, 0, 0, 0, 2)
+        standings = Standings(("T01", "T02", "T03"), rule, 1)
+        standings.add(range(3), [10, 8, 5], [1, 1, 1], range(3))
+        nums, den = minutes_to_upper(standings)
+        assert [Fraction(num, den) for num in nums] == [2 * 60, 3 * 60]
 
     def test_wrong_system_rejected(self):
         with pytest.raises(WrongSystemError):

@@ -20,7 +20,6 @@ from timescore.ingest import (
     SECONDS_PER_MINUTE,
     MatchRecord,
     SeasonDataset,
-    TimePrecision,
     minute_error_bound,
     parse_goal_token,
     parse_season,
@@ -59,12 +58,24 @@ def test_goalless_match_is_valid():
     assert season.matches[0].slack_s == 0
 
 
-def test_minute_precision_flag_applies_to_all_tokens():
-    season = parse_season(
-        HEADER + '1,Alpha,Beta,"H:10,A:20",\n',
-        minute_precision=TimePrecision.MINUTE_ROUNDED,
-    )
-    assert season.matches[0].slack_s == 2 * 30
+def _goal_objects(goals, precision: str) -> list[dict]:
+    """Signed goal times as JSON goal objects of one precision."""
+    return [
+        {"side": "H" if goal > 0 else "A", "time_s": abs(goal), "precision": precision}
+        for goal in goals
+    ]
+
+
+def test_minute_tokens_are_truncated_and_goal_objects_state_rounding():
+    # A minute token is always a truncated minute; a source that rounds says
+    # so on each goal object.
+    tokens = parse_season(HEADER + '1,Alpha,Beta,"H:10,A:20",\n').matches[0]
+    assert tokens.slack_s == 2 * 59
+    goals = _goal_objects(tokens.goals, "minute_rounded")
+    doc = {"matches": [{"round": 1, "home": "Alpha", "away": "Beta", "goals": goals}]}
+    rounded = parse_season(json.dumps(doc)).matches[0]
+    assert rounded.goals == tokens.goals == (600, -1200)
+    assert rounded.slack_s == 2 * 30
 
 
 def test_declared_length_minutes_scaled_to_seconds():
@@ -134,20 +145,25 @@ def _goal_fields(draw):
 
 @given(
     st.lists(_goal_fields(), min_size=1, max_size=12),
-    st.sampled_from([TimePrecision.MINUTE_TRUNCATED, TimePrecision.MINUTE_ROUNDED]),
+    st.sampled_from([("minute_truncated", 59), ("minute_rounded", 30)]),
 )
 @settings(max_examples=60, deadline=None)
 def test_parsed_goals_equal_each_token_parsed_alone(fields, precision):
     # Minutes repeat across rows (and so do whole tokens), so parsed goals are shared.
     rows = [f'1,Home{i},Away{i},"{",".join(tokens)}",' for i, tokens in enumerate(fields)]
-    season = parse_season(HEADER + "\n".join(rows) + "\n", minute_precision=precision)
-    assert [match.goals for match in season.matches] == [
-        tuple(parse_goal_token(token) for token in tokens) for tokens in fields
-    ]
-    slack = {TimePrecision.MINUTE_TRUNCATED: 59, TimePrecision.MINUTE_ROUNDED: 30}[precision]
-    assert [match.slack_s for match in season.matches] == [
-        slack * len(tokens) for tokens in fields
-    ]
+    season = parse_season(HEADER + "\n".join(rows) + "\n")
+    goals = [tuple(parse_goal_token(token) for token in tokens) for tokens in fields]
+    assert [match.goals for match in season.matches] == goals
+    assert [match.slack_s for match in season.matches] == [59 * len(tokens) for tokens in fields]
+    # The same goals as goal objects of either minute precision.
+    name, slack = precision
+    doc = {"matches": [
+        {"round": 1, "home": f"Home{i}", "away": f"Away{i}", "goals": _goal_objects(g, name)}
+        for i, g in enumerate(goals)
+    ]}
+    objects = parse_season(json.dumps(doc))
+    assert [match.goals for match in objects.matches] == goals
+    assert [match.slack_s for match in objects.matches] == [slack * len(g) for g in goals]
 
 
 def test_wrong_header_rejected():
@@ -194,6 +210,26 @@ def test_match_record_reports_its_first_bad_goal(goals, error):
     with pytest.raises((MalformedRowError, NonMonotonicGoalsError)) as excinfo:
         MatchRecord(1, "Alpha", "Beta", goals)
     assert str(excinfo.value) == error
+
+
+@pytest.mark.parametrize(
+    "names", [("\ud800x", "Beta"), ("Alpha", "B\udfff")], ids=["home", "away"]
+)
+def test_match_record_rejects_a_lone_surrogate_in_a_name(names):
+    # UTF-8 cannot encode a lone surrogate, so no report file could hold the name.
+    with pytest.raises(MalformedRowError) as excinfo:
+        MatchRecord(1, *names)
+    bad = next(name for name in names if not name.isascii())
+    assert str(excinfo.value) == (
+        f"MALFORMED_ROW: team names must not contain a lone surrogate, got {bad!r}"
+    )
+
+
+def test_match_record_keeps_names_outside_ascii():
+    # A surrogate pair in JSON is one character, so only a lone surrogate fails.
+    assert MatchRecord(1, "Z\u00fcrich", "\U0001F600").away == "\U0001F600"
+    doc = '{"matches": [{"round": 1, "home": "Z\\u00fcrich", "away": "\\ud83d\\ude00"}]}'
+    assert parse_season(doc).matches[0].away == "\U0001F600"
 
 
 def test_noncontiguous_rounds_rejected():
@@ -254,6 +290,22 @@ def test_crlf_and_bom_tolerated():
     assert season.matches[0].goals == (600,)
 
 
+def test_text_and_bytes_drop_one_bom_alike():
+    text = HEADER + "1,Alpha,Beta,H:10,\n"
+    for data in ("\ufeff" + text, ("\ufeff" + text).encode("utf-8")):
+        assert parse_season(data).matches[0].goals == (600,)
+    # A second BOM is part of the header, whichever type the content has.
+    errors = []
+    for data in ("\ufeff\ufeff" + text, ("\ufeff\ufeff" + text).encode("utf-8")):
+        with pytest.raises(MalformedRowError) as excinfo:
+            parse_season(data)
+        errors.append(str(excinfo.value))
+    assert errors == 2 * [
+        "MALFORMED_ROW: expected header 'round,home,away,goals,length_min', got"
+        " '\\ufeffround,home,away,goals,length_min' (line 1)"
+    ]
+
+
 def test_csv_round_trip_identical():
     text = (
         HEADER
@@ -269,14 +321,15 @@ def test_csv_round_trip_identical():
         {"round": 2, "home": "Beta", "away": "Alpha", "goals": ["A:77"], "length_min": 95},
         {"round": 2, "home": "Delta", "away": "Gamma", "goals": ["H:3"]},
     ]
-    doc = json.dumps({"matches": matches})
-    for precision, slack in (
-        (TimePrecision.MINUTE_TRUNCATED, 59),
-        (TimePrecision.MINUTE_ROUNDED, 30),
-    ):
-        season = parse_season(text, minute_precision=precision)
-        assert parse_season(doc, minute_precision=precision) == season
-        assert [m.slack_s for m in season.matches] == [3 * slack, 0, slack, slack]
+    season = parse_season(text)
+    assert parse_season(json.dumps({"matches": matches})) == season
+    assert [m.slack_s for m in season.matches] == [3 * 59, 0, 59, 59]
+    # Rounded minutes are goal objects; they differ from the tokens only in slack.
+    for match, parsed in zip(matches, season.matches):
+        match["goals"] = _goal_objects(parsed.goals, "minute_rounded")
+    rounded = parse_season(json.dumps({"matches": matches}))
+    assert [m.goals for m in rounded.matches] == [m.goals for m in season.matches]
+    assert [m.slack_s for m in rounded.matches] == [3 * 30, 0, 30, 30]
 
 
 def test_csv_round_trip_keeps_team_names_that_need_quoting():
@@ -494,8 +547,8 @@ def test_minute_error_bound_is_worst_match_sum():
 # Where a goal recorded at a whole minute may truly have fallen, in seconds
 # from the recorded time.
 _TRUE_OFFSET_S = {
-    TimePrecision.MINUTE_TRUNCATED: (0, 59),
-    TimePrecision.MINUTE_ROUNDED: (-30, 29),
+    "minute_truncated": (0, 59),
+    "minute_rounded": (-30, 29),
 }
 
 
@@ -517,7 +570,7 @@ def recorded_and_true_matches(draw):
         # The ends of the slack are where a lone goal meets the bound exactly.
         offset = draw(st.sampled_from((lo, hi)) | st.integers(lo, hi))
         time_s = minute * SECONDS_PER_MINUTE
-        recorded.append({"side": side, "time_s": time_s, "precision": precision.value})
+        recorded.append({"side": side, "time_s": time_s, "precision": precision})
         true.append((time_s + offset) * (1 if side == "H" else -1))
     doc = {"matches": [{"round": 1, "home": "A", "away": "B", "goals": recorded}]}
     (parsed,) = parse_season(json.dumps(doc)).matches
@@ -640,6 +693,8 @@ _FAULTS = [
      "MALFORMED_ROW: match 2: declared length 5700 s precedes the last goal at 5701 s"),
     ("json_nul_name", _json_season('{"round": 1, "home": "A", "away": "B\\u0000"}'),
      "MALFORMED_ROW: match 2: team names must not contain a NUL character"),
+    ("json_lone_surrogate_name", _json_season('{"round": 1, "home": "\\ud800x", "away": "B"}'),
+     "MALFORMED_ROW: match 2: team names must not contain a lone surrogate, got '\\ud800x'"),
     ("csv_empty_name", _csv_season("1,A, ,,"),
      "MALFORMED_ROW: team names must be non-empty (line 3)"),
     ("json_empty_name", _json_season('{"round": 1, "home": "", "away": "B"}'),
@@ -698,3 +753,4 @@ def test_each_fault_exits_one_with_its_error_line(tmp_path, season, line):
     path.write_text(season, encoding="utf-8")
     result = run_cli(["table", "--input", str(path), "--out", str(tmp_path / "out")])
     assert (result.exit_code, result.stderr) == (1, f"error: {line}\n")
+    assert not (tmp_path / "out").exists()

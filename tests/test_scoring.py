@@ -27,8 +27,8 @@ CLASSIC, TIME, MIXED, GOALDIFF = (
     )
 )
 # Rules that award only the 3/1/0 result, or only the goal-difference bonus.
-RESULT_ONLY = ScoringRule(ScoringSystem.CLASSIC, DEFAULT_WEIGHTS, 0, 0, 0, 1, 0, 1)
-GOAL_DIFF_ONLY = ScoringRule(ScoringSystem.GOALDIFF_THIRD, DEFAULT_WEIGHTS, 0, 0, 0, 0, 1, 1)
+RESULT_ONLY = ScoringRule(ScoringSystem.CLASSIC, 0, 0, 0, 1, 0, 1)
+GOAL_DIFF_ONLY = ScoringRule(ScoringSystem.GOALDIFF_THIRD, 0, 0, 0, 0, 1, 1)
 
 
 def _ended(home_goals: int, away_goals: int) -> MatchRecord:
@@ -63,7 +63,7 @@ class TestWeightTriple:
         triples = [WeightTriple.from_string(f"3,{half},0") for half in ("0.5", "1/2", "2/4")]
         assert triples[0] == triples[1] == triples[2]
         rules = {scoring_rule(ScoringSystem.TIME, w) for w in triples}
-        assert rules == {ScoringRule(ScoringSystem.TIME, triples[0], 6, 1, 0, 0, 0, 2)}
+        assert rules == {ScoringRule(ScoringSystem.TIME, 6, 1, 0, 0, 0, 2)}
 
     def test_from_string_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -264,6 +264,14 @@ def test_hybrids_ignore_configured_weights():
     assert package_awards(ONE_NIL_AT_THIRTY, MIXED)[0] == package_awards(
         ONE_NIL_AT_THIRTY, heavy
     )[0]
+
+
+@given(weight_triples())
+def test_rules_that_read_no_weights_are_equal_whatever_the_weights(weights):
+    # A rule's coefficients are its only weights, so the weights given to a
+    # system that reads none leave no trace in its rule.
+    for system in (ScoringSystem.CLASSIC, ScoringSystem.MIXED_HALF, ScoringSystem.GOALDIFF_THIRD):
+        assert scoring_rule(system, weights) == scoring_rule(system, WeightTriple(10, 1, 0))
 
 
 @given(match_records(), weight_triples())

@@ -738,25 +738,74 @@ def test_a_run_loads_csv_and_json_only_where_it_reads_or_writes_them(
     assert _loaded_after(code, *argv) == loaded
 
 
+# argparse wraps its usage and help to the terminal width; these are its
+# texts at 80 columns.
+_USAGE = (
+    "usage: timescore [--help] --input FILE [--systems SYSTEMS] [--weights WEIGHTS]\n"
+    "                 --out DIR [--decimals {0,1,2,3}] [--decimal-comma]\n"
+    "                 COMMAND\n"
+)
+_HELP = _USAGE + """
+Recompute league standings and competitiveness reports from goal timelines.
+
+positional arguments:
+  COMMAND               one of the commands below
+
+options:
+  --help                Show this message and exit.
+  --input FILE          Season file, CSV or JSON (told apart by its content).
+  --systems SYSTEMS     Comma-separated scoring systems:
+                        classic,time,mixed,goaldiff (default: classic,time).
+  --weights WEIGHTS     Weights W,D,L for the time system (integers, decimals
+                        or fractions; default: 3,1,0).
+  --out DIR             Output directory (created if missing).
+  --decimals {0,1,2,3}  Decimal places for points columns (default: 2).
+  --decimal-comma       Render decimal values with a comma separator.
+
+commands:
+  table       the final tables side by side: table.csv
+  evolution   each round's ranks and points: evolution_<system>.csv
+  indicators  season competitiveness indicators: indicators.csv, indicators.json
+  ecdf        distribution of per-team match awards: ecdf_<system>.csv
+  report      every file above from one parse, written only once all succeed
+"""
+_BAD_COMMAND = (
+    "argument COMMAND: invalid choice: 'tabel'"
+    " (choose from 'table', 'evolution', 'indicators', 'ecdf', 'report')"
+)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["table", "--out", "{out}"],
-        ["table", "--input", str(SEASON_CSV)],
-        ["table", "--input", str(SEASON_CSV), "--out", "{out}", "--decimals", "4"],
-        ["table", "--input", str(SEASON_CSV), "--out", "{out}", "--format", "json"],
-        ["tabel", "--input", str(SEASON_CSV), "--out", "{out}"],
-        ["--input", str(SEASON_CSV), "--out", "{out}"],
+        (["table", "--out", "{out}"], "the following arguments are required: --input"),
+        (["table", "--input", str(SEASON_CSV)], "the following arguments are required: --out"),
+        (["table", "--input", str(SEASON_CSV), "--out", "{out}", "--decimals", "4"],
+         "argument --decimals: invalid choice: 4 (choose from 0, 1, 2, 3)"),
+        (["table", "--input", str(SEASON_CSV), "--out", "{out}", "--format", "json"],
+         "unrecognized arguments: --format json"),
+        (["tabel", "--input", str(SEASON_CSV), "--out", "{out}"], _BAD_COMMAND),
+        (["--input", str(SEASON_CSV), "--out", "{out}"],
+         "the following arguments are required: COMMAND"),
+        ([], "the following arguments are required: COMMAND, --input, --out"),
+        (["table", "--input"], "argument --input: expected one argument"),
+        (["table", "--input", str(SEASON_CSV), "--out", "{out}", "--decimals", "x"],
+         "argument --decimals: invalid int value: 'x'"),
+        (["table", "--input", str(SEASON_CSV), "--out", "{out}", "--decimal-comma=1"],
+         "argument --decimal-comma: ignored explicit argument '1'"),
+        # Tokens are read left to right: the bad command fails before --help.
+        (["tabel", "--help"], _BAD_COMMAND),
     ],
     ids=["missing_input", "missing_out", "decimals_4", "no_format_option", "unknown_command",
-         "no_command"],
+         "no_command", "no_arguments", "input_without_value", "decimals_not_int",
+         "flag_with_value", "unknown_command_before_help"],
 )
-def test_usage_errors_exit_two_and_write_nothing(tmp_path, argv):
+def test_usage_errors_exit_two_and_write_nothing(tmp_path, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
     out = tmp_path / "out"
     result = run_cli([arg.format(out=out) for arg in argv])
     assert result.exit_code == 2
-    assert result.stderr.startswith("usage: ")
-    assert "Traceback" not in result.stderr
+    assert result.stderr == f"{_USAGE}timescore: error: {message}\n"
     assert result.output == ""
     assert not out.exists()
 
@@ -767,6 +816,20 @@ def test_help_exits_zero_and_names_every_command():
     assert result.output.startswith("usage: ")
     for command in COMMANDS:
         assert f"\n  {command} " in result.output
+
+
+# --help wins over a bad command after it, as it is read first.
+@pytest.mark.parametrize("argv", [["--help"], ["--help", "tabel"]], ids=["alone", "before_command"])
+def test_help_text_is_pinned(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv) == (0, _HELP, "")
+
+
+def test_double_dash_ends_the_options(tmp_path):
+    out = tmp_path / "out"
+    result = run_cli(["--input", str(SEASON_CSV), "--out", str(out), "--", "table"])
+    assert result == (0, f"{out / 'table.csv'}\n", "")
+    assert (out / "table.csv").read_bytes() == (GOLDEN / "table.csv").read_bytes()
 
 
 def test_value_options_take_values_that_start_with_a_dash(tmp_path):

@@ -1,35 +1,27 @@
 """Batch command-line front end: season file in, deterministic report files out.
 
-``timescore COMMAND --input FILE --out DIR [options]``. Every command takes the
-same six options, so one argparse parser, built at import, reads them all; the
-season file's content, not its name, picks the CSV or JSON parser. The command
-picks its reports from one table, which also writes the help's command list.
-Each report function turns the ledger into its files, so every byte of CSV and
-JSON is laid out here; the other modules compute, and ``display`` renders
-values and cells. A report builds each CSV file as columns of text, each headed
-by its header cell, and ``display.csv_text`` writes the file's text. The front
-end imports nothing outside the standard library.
+``timescore COMMAND --input FILE --out DIR [options]``. Every command takes the same six
+options, read by one small reader that keeps argparse's rules, and the usage and help are
+fixed 80-column texts. The season file's content, not its name, picks the CSV or JSON
+parser. The command picks its reports from one table, which also writes the help's command
+list. Each report function turns the ledger into its files, so every byte of CSV and JSON
+is laid out here; the other modules compute, and ``display`` renders values and cells. A
+report builds each CSV file as columns of text, each headed by its header cell, and
+``display.csv_text`` writes the file's text. The front end imports nothing outside the
+standard library.
 
-Exit codes: 0 on success, 1 for data/validation problems, 2 for I/O failures
-and for usage errors. Identical inputs and flags always produce byte-identical
-outputs.
+Exit codes: 0 on success, 1 for data/validation problems, 2 for I/O failures and for usage
+errors. Identical inputs and flags always produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .display import csv_text, format_ratios, ratio_text
-from .indicators import (
-    ECDF_DECIMALS,
-    draws_to_wins,
-    ecdf_steps,
-    indicator_bundle,
-    minutes_to_upper,
-)
+from .indicators import ECDF_DECIMALS, draws_to_wins, ecdf_steps, indicator_bundle, minutes_to_upper
 from .ingest import parse_season
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
 from .standings import SeasonLedger, Standings, percent_of_leader
@@ -43,24 +35,16 @@ def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ValueError("at least one scoring system is required")
-    systems: list[ScoringSystem] = []
     for tok in tokens:
-        try:
-            system = ScoringSystem(tok.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown scoring system {tok!r}; choose from {_SYSTEM_NAMES}"
-            ) from None
-        if system not in systems:
-            systems.append(system)
-    return tuple(systems)
+        if tok.lower() not in _SYSTEM_NAMES.split(","):
+            raise ValueError(f"unknown scoring system {tok!r}; choose from {_SYSTEM_NAMES}")
+    return tuple(dict.fromkeys(ScoringSystem(tok.lower()) for tok in tokens))
 
 
 def _points_cells(standings: Standings, decimals: int, comma: bool) -> list[str]:
     """Each team's points, in rank order, as one rendered column."""
-    return format_ratios(
-        map(standings.points.__getitem__, standings.order), standings.den, decimals, comma=comma
-    )
+    points = map(standings.points.__getitem__, standings.order)
+    return format_ratios(points, standings.den, decimals, comma=comma)
 
 
 def table_report(
@@ -111,8 +95,7 @@ def evolution_report(
     return files
 
 
-# Each indicator row: its label, its IndicatorBundle field, and the decimals of
-# its CSV cells (None for a count).
+# Each indicator row: its label, IndicatorBundle field and CSV decimals (None for a count).
 _INDICATOR_ROWS = (
     ("Gap 1st-3rd place (%)", "gap_1_3_pct", 1),
     ("Gap 1st-9th place (%)", "gap_1_9_pct", 1),
@@ -129,8 +112,7 @@ def indicators_report(
 ) -> dict[str, str]:
     """indicators.csv and indicators.json: one column or object per system.
 
-    The CSV rounds each ratio to its row's decimals; the JSON keeps it exact,
-    as a ``p/q`` string.
+    The CSV rounds each ratio to its row's decimals; the JSON keeps it exact, as a ``p/q`` string.
     """
     import json  # here, not at the top: no other report writes JSON
     bundles = [(rule.system.value, indicator_bundle(ledger, rule)) for rule in rules]
@@ -148,10 +130,8 @@ def indicators_report(
                 value = ratio_text(num, den)
             doc[system][attr] = value
         columns.append(column)
-    return {
-        "indicators.csv": csv_text(columns),
-        "indicators.json": json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
-    }
+    json_text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return {"indicators.csv": csv_text(columns), "indicators.json": json_text}
 
 
 def ecdf_report(
@@ -174,21 +154,15 @@ def ecdf_report(
 
 
 def _execute(
-    reports: Sequence[Callable[..., dict[str, str]]],
-    input_path: Path,
-    systems: str,
-    weights: str,
-    output_dir: Path,
-    decimals: int,
-    decimal_comma: bool,
+    reports: Sequence[Callable[..., dict[str, str]]], input_path: Path, systems: str,
+    weights: str, output_dir: Path, decimals: int, decimal_comma: bool,
 ) -> None:
     """Run ``reports`` on one ledger and write their files only once all succeed.
 
     Exits 1 on a data or flag error and 2 on an I/O error, after an ``error:`` line.
     """
     try:
-        parsed_systems = _parse_systems(systems)
-        triple = WeightTriple.from_string(weights)
+        parsed_systems, triple = _parse_systems(systems), WeightTriple.from_string(weights)
         rules = [scoring_rule(system, triple) for system in parsed_systems]
         # The parsed season is dropped once its ledger is built, so the reports
         # reuse its memory.
@@ -199,13 +173,10 @@ def _execute(
         output_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             (output_dir / name).write_bytes(content.encode("utf-8"))
-    except ValueError as err:
-        # Bad flags, and every SeasonDataError (a ValueError carrying its code).
+    except (ValueError, OSError) as err:
+        # A ValueError is a bad flag or a SeasonDataError (a ValueError carrying its code).
         print(f"error: {err}", file=sys.stderr)
-        sys.exit(1)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        sys.exit(2)
+        sys.exit(2 if isinstance(err, OSError) else 1)
     for name in files:
         print(output_dir / name)
 
@@ -214,87 +185,115 @@ def _execute(
 _COMMANDS: dict[str, tuple[str, tuple[Callable[..., dict[str, str]], ...]]] = {
     "table": ("the final tables side by side: table.csv", (table_report,)),
     "evolution": ("each round's ranks and points: evolution_<system>.csv", (evolution_report,)),
-    "indicators": (
-        "season competitiveness indicators: indicators.csv, indicators.json",
-        (indicators_report,),
-    ),
+    "indicators": ("season competitiveness indicators: indicators.csv, indicators.json",
+                   (indicators_report,)),
     "ecdf": ("distribution of per-team match awards: ecdf_<system>.csv", (ecdf_report,)),
-    "report": (
-        "every file above from one parse, written only once all succeed",
-        (table_report, evolution_report, indicators_report, ecdf_report),
-    ),
+    "report": ("every file above from one parse, written only once all succeed",
+               (table_report, evolution_report, indicators_report, ecdf_report)),
 }
-# The options that take a value; see _glue_values.
-_VALUE_OPTIONS = frozenset({"--input", "--systems", "--weights", "--out", "--decimals"})
+_USAGE = """\
+usage: timescore [--help] --input FILE [--systems SYSTEMS] [--weights WEIGHTS]
+                 --out DIR [--decimals {0,1,2,3}] [--decimal-comma]
+                 COMMAND
+"""
+_HELP = f"""{_USAGE}
+Recompute league standings and competitiveness reports from goal timelines.
+
+positional arguments:
+  COMMAND               one of the commands below
+
+options:
+  --help                Show this message and exit.
+  --input FILE          Season file, CSV or JSON (told apart by its content).
+  --systems SYSTEMS     Comma-separated scoring systems:
+                        {_SYSTEM_NAMES} (default: classic,time).
+  --weights WEIGHTS     Weights W,D,L for the time system (integers, decimals
+                        or fractions; default: 3,1,0).
+  --out DIR             Output directory (created if missing).
+  --decimals {{0,1,2,3}}  Decimal places for points columns (default: 2).
+  --decimal-comma       Render decimal values with a comma separator.
+
+commands:
+""" + "".join(f"  {name:<12}{summary}\n" for name, (summary, _) in _COMMANDS.items())
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    epilog = "commands:\n" + "".join(
-        f"  {name:<12}{summary}\n" for name, (summary, _) in _COMMANDS.items()
-    )
-    parser = argparse.ArgumentParser(
-        prog="timescore",
-        description="Recompute league standings and competitiveness reports from goal timelines.",
-        epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        add_help=False,
-        allow_abbrev=False,
-    )
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    parser.add_argument(
-        "command", choices=_COMMANDS, metavar="COMMAND", help="one of the commands below"
-    )
-    parser.add_argument(
-        "--input", dest="input_path", required=True, type=Path, metavar="FILE",
-        help="Season file, CSV or JSON (told apart by its content).",
-    )
-    parser.add_argument(
-        "--systems", default="classic,time",
-        help=f"Comma-separated scoring systems: {_SYSTEM_NAMES} (default: %(default)s).",
-    )
-    parser.add_argument(
-        "--weights", default="3,1,0",
-        help="Weights W,D,L for the time system (integers, decimals or fractions; "
-        "default: %(default)s).",
-    )
-    parser.add_argument(
-        "--out", dest="output_dir", required=True, type=Path, metavar="DIR",
-        help="Output directory (created if missing).",
-    )
-    parser.add_argument(
-        "--decimals", type=int, choices=range(4), default=2,
-        help="Decimal places for points columns (default: %(default)s).",
-    )
-    parser.add_argument(
-        "--decimal-comma", dest="decimal_comma", action="store_true",
-        help="Render decimal values with a comma separator.",
-    )
-    return parser
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}timescore: error: {message}\n")
+    sys.exit(2)
 
 
-# Built once: building costs about ten times as much as parsing.
-_PARSER = _build_parser()
+def _decimals(text: str) -> int:
+    try:
+        decimals = int(text)
+    except ValueError:
+        _usage_error(f"argument --decimals: invalid int value: {text!r}")
+    if decimals not in range(4):
+        _usage_error(f"argument --decimals: invalid choice: {decimals!r} (choose from 0, 1, 2, 3)")
+    return decimals
 
 
-def _glue_values(argv: Sequence[str]) -> list[str]:
-    """Join each value option to the token after it, as ``--weights=-1,-2,-3``.
+# Each option that takes a value: the _execute keyword it sets, and how its text is read.
+_VALUE_READERS = {
+    "--input": ("input_path", Path), "--systems": ("systems", str), "--weights": ("weights", str),
+    "--out": ("output_dir", Path), "--decimals": ("decimals", _decimals),
+}
+_OPTIONS = {*_VALUE_READERS, "--help", "--decimal-comma"}
+_DEFAULTS = {"systems": "classic,time", "weights": "3,1,0", "decimals": 2, "decimal_comma": False}
 
-    A value may start with "-" (a negative first weight); argparse would read
-    such a token as an option unless it is glued to its option with "=".
-    """
-    glued = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token in _VALUE_OPTIONS:
-            value = next(tokens, None)
-            if value is not None:
-                token = f"{token}={value}"
-        glued.append(token)
-    return glued
+
+def _is_unknown_option(token: str) -> bool:
+    """Whether argparse reads ``token``, which names no option, as an option: it starts
+    with "-" but is not "-", holds no space and is no number such as -1, -.5 or "-1\\n"."""
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    number = (not whole or whole.isdecimal()) and (frac if dot else whole).isdecimal()
+    return token.startswith("-") and token != "-" and " " not in token and not number
+
+
+def _read_args(argv: Sequence[str]) -> dict[str, object]:
+    """The command and _execute's keywords, read from argv by argparse's rules: left to right,
+    the first bad token failing, then missing and then unrecognized arguments. A value option
+    takes the next token, whatever it is, or its text after "="; ``--`` ends the options."""
+    args: dict[str, object] = {**_DEFAULTS}
+    extras = []
+    options = True  # until "--"
+    tokens = enumerate(argv)
+    for at, token in tokens:
+        option, eq, text = token.partition("=")
+        if options and token == "--":
+            options = False
+            # argparse reports a "--" that is not next to COMMAND as unrecognized.
+            if "command" in args and at - 1 != command_at:
+                extras.append(token)
+        elif options and option in _OPTIONS:
+            if option in _VALUE_READERS:
+                if not eq and (text := next(tokens, (at, None))[1]) is None:
+                    _usage_error(f"argument {option}: expected one argument")
+                key, read = _VALUE_READERS[option]
+                args[key] = read(text)
+            elif eq:
+                _usage_error(f"argument {option}: ignored explicit argument {text!r}")
+            elif option == "--help":
+                sys.stdout.write(_HELP)
+                sys.exit(0)
+            else:
+                args["decimal_comma"] = True
+        elif "command" in args or options and _is_unknown_option(token):
+            extras.append(token)
+        elif token in _COMMANDS:
+            args["command"], command_at = token, at
+        else:
+            choices = ", ".join(map(repr, _COMMANDS))
+            _usage_error(f"argument COMMAND: invalid choice: {token!r} (choose from {choices})")
+    required = {"COMMAND": "command", "--input": "input_path", "--out": "output_dir"}
+    if missing := [name for name, key in required.items() if key not in args]:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None, *, standalone_mode: bool = True) -> None:
     """Run one command: ``timescore COMMAND --input FILE --out DIR [options]``."""
     # standalone_mode is ignored; bench/run.py still passes it (ROADMAP item 1 drops it).
-    args = vars(_PARSER.parse_args(_glue_values(sys.argv[1:] if argv is None else argv)))
+    args = _read_args(sys.argv[1:] if argv is None else argv)
     _execute(_COMMANDS[args.pop("command")][1], **args)

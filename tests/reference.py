@@ -14,14 +14,18 @@ renders an ECDF from exact awards by counting, and ``rendered_by_hand`` rounds
 one value half up without the package's renderer. ``segment_oracle`` and
 ``final_score`` recompute what :func:`timeline` returns without its walk, and
 ``SLACK_S`` gives each goal precision's timing slack, apart from the parser's
-table.
+table. ``build_parser`` and ``glue_values`` are the argparse reading of the
+command line that the CLI's own reader replaced.
 """
 
+import argparse
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+from timescore.cli import _COMMANDS, _SYSTEM_NAMES
 from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, WeightTriple
 from timescore.standings import SeasonLedger
@@ -208,3 +212,69 @@ def final_score(match: MatchRecord) -> tuple[int, int]:
     """(home goals, away goals) at the final whistle, counted apart from :func:`timeline`."""
     home = sum(1 for goal in match.goals if goal > 0)
     return home, len(match.goals) - home
+
+
+# The options that take a value; see glue_values.
+_VALUE_OPTIONS = frozenset({"--input", "--systems", "--weights", "--out", "--decimals"})
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's grammar as an argparse parser; it parses ``glue_values(argv)``."""
+    epilog = "commands:\n" + "".join(
+        f"  {name:<12}{summary}\n" for name, (summary, _) in _COMMANDS.items()
+    )
+    parser = argparse.ArgumentParser(
+        prog="timescore",
+        description="Recompute league standings and competitiveness reports from goal timelines.",
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        add_help=False,
+        allow_abbrev=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="COMMAND", help="one of the commands below"
+    )
+    parser.add_argument(
+        "--input", dest="input_path", required=True, type=Path, metavar="FILE",
+        help="Season file, CSV or JSON (told apart by its content).",
+    )
+    parser.add_argument(
+        "--systems", default="classic,time",
+        help=f"Comma-separated scoring systems: {_SYSTEM_NAMES} (default: %(default)s).",
+    )
+    parser.add_argument(
+        "--weights", default="3,1,0",
+        help="Weights W,D,L for the time system (integers, decimals or fractions; "
+        "default: %(default)s).",
+    )
+    parser.add_argument(
+        "--out", dest="output_dir", required=True, type=Path, metavar="DIR",
+        help="Output directory (created if missing).",
+    )
+    parser.add_argument(
+        "--decimals", type=int, choices=range(4), default=2,
+        help="Decimal places for points columns (default: %(default)s).",
+    )
+    parser.add_argument(
+        "--decimal-comma", dest="decimal_comma", action="store_true",
+        help="Render decimal values with a comma separator.",
+    )
+    return parser
+
+
+def glue_values(argv: list[str]) -> list[str]:
+    """Join each value option to the token after it, as ``--weights=-1,-2,-3``.
+
+    A value may start with "-" (a negative first weight); argparse would read
+    such a token as an option unless it is glued to its option with "=".
+    """
+    glued = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _VALUE_OPTIONS:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        glued.append(token)
+    return glued

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,12 +11,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clirun import run_cli
 from gen_synthetic_season import double_round_robin
-from reference import ecdf_columns, paper_match_awards, rendered_by_hand
+from reference import build_parser, ecdf_columns, glue_values, paper_match_awards, rendered_by_hand
+from timescore.cli import _read_args
 from timescore.display import csv_text
 from timescore.indicators import indicator_bundle
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
@@ -700,8 +702,12 @@ def test_weights_outside_the_grammar_exit_one_before_reading(tmp_path, weights, 
     )
 
 
-# fractions pulls in decimal and numbers; csv and json load only where a run uses them.
-_WATCHED = ("click", "csv", "dataclasses", "decimal", "fractions", "inspect", "json", "numbers")
+# fractions pulls in decimal and numbers, and argparse gettext and locale; csv and
+# json load only where a run uses them.
+_WATCHED = (
+    "argparse", "click", "csv", "dataclasses", "decimal", "fractions", "gettext", "inspect",
+    "json", "locale", "numbers",
+)
 
 
 def _loaded_after(code: str, *argv: str) -> list[str]:
@@ -830,6 +836,42 @@ def test_double_dash_ends_the_options(tmp_path):
     result = run_cli(["--input", str(SEASON_CSV), "--out", str(out), "--", "table"])
     assert result == (0, f"{out / 'table.csv'}\n", "")
     assert (out / "table.csv").read_bytes() == (GOLDEN / "table.csv").read_bytes()
+
+
+# Commands and near-misses, each option with and without "=", and tokens that
+# argparse reads as arguments ("-1", "-", "") or as unknown options.
+_ARGV_TOKENS = (
+    "table", "report", "tabel", "Table", "x", "3", "", "-", "-1", "-.5", "-x", "--inp",
+    "--inp=x", "--", "--help", "--help=", "--input", "--input=a", "--input=", "--out",
+    "--out=b", "--systems", "--systems=time", "--weights", "--weights=-1,-2,-3", "-1,-2,-3",
+    "--decimals", "--decimals=1", "--decimals=4", "--decimals=x", "--decimal-comma",
+    "--decimal-comma=1",
+)
+_ORACLE = build_parser()
+
+
+def _outcome(parse, argv):
+    """("run", values) or ("exit", code) for one parse, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "run", parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+@given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+@example(["--help", "tabel"])
+@example(["tabel", "--help"])
+@example(["-1", "--help"])
+@example(["--input", "a", "--out", "b", "--", "table"])
+@example(["table", "--input", "a", "--out", "b", "--"])
+@settings(max_examples=500, deadline=None)
+def test_reader_agrees_with_argparse(argv):
+    # Before 3.13, argparse drops "--" as an option's value, leaving [] for the value.
+    if sys.version_info < (3, 13):
+        assume(not any(token.endswith("=--") for token in glue_values(argv)))
+    oracle = _outcome(lambda tokens: vars(_ORACLE.parse_args(glue_values(tokens))), argv)
+    assert _outcome(_read_args, argv) == oracle
 
 
 def test_value_options_take_values_that_start_with_a_dash(tmp_path):

@@ -132,9 +132,11 @@ class SeasonLedger:
                 goals_for[away] += ag
                 goal_diff[home] += diff
                 goal_diff[away] -= diff
-            # Teams are indexed in name order and the sort is stable, so equal
-            # keys stay in name order.
-            keys = list(zip(goal_diff, goals_for))
+            # One int per team orders by goal difference, then goals scored,
+            # which stay below m. Teams are indexed in name order and the sort
+            # is stable, so equal keys stay in name order.
+            m = max(goals_for) + 1
+            keys = [gd * m + gf for gd, gf in zip(goal_diff, goals_for)]
             self._tiebreaks.append(sorted(range(n), key=keys.__getitem__, reverse=True))
             self._sides.append(sides)
             self._rows.append(rows)

@@ -120,6 +120,18 @@ class TestTieBreak:
         ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
         assert [team for team, _ in ranked] == ["E", "G", "H", "F"]
 
+    def test_goals_scored_breaks_equal_negative_goal_difference(self):
+        # Points tie in pairs and goal difference ties at +1 and -1; the later
+        # name scored more, so goals scored, not the name, orders each pair.
+        season = SeasonDataset(
+            matches=(
+                MatchRecord(1, "E", "F", (_home(10),)),
+                MatchRecord(1, "G", "H", (_home(10), _away(20), _home(30))),
+            )
+        )
+        ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
+        assert [team for team, _ in ranked] == ["G", "E", "H", "F"]
+
     def test_name_breaks_full_ties(self):
         season = SeasonDataset(
             matches=(

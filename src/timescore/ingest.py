@@ -473,6 +473,13 @@ def _parse_json(text: str) -> SeasonDataset:
     league = doc.get("league", "")
     if not isinstance(league, str):
         raise MalformedRowError('"league" must be a string')
+    if not league.isascii():
+        try:
+            league.encode()
+        except UnicodeEncodeError:
+            raise MalformedRowError(
+                f'"league" must not contain a lone surrogate, got {league!r}'
+            ) from None
     matches = []
     tokens = _TokenMemo()
     for i, obj in enumerate(doc["matches"], start=1):

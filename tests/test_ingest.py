@@ -695,6 +695,9 @@ _FAULTS = [
      "MALFORMED_ROW: match 2: team names must not contain a NUL character"),
     ("json_lone_surrogate_name", _json_season('{"round": 1, "home": "\\ud800x", "away": "B"}'),
      "MALFORMED_ROW: match 2: team names must not contain a lone surrogate, got '\\ud800x'"),
+    ("json_lone_surrogate_league",
+     '{"league": "\\ud800L", "matches": [{"round": 1, "home": "A", "away": "B"}]}',
+     "MALFORMED_ROW: \"league\" must not contain a lone surrogate, got '\\ud800L'"),
     ("csv_empty_name", _csv_season("1,A, ,,"),
      "MALFORMED_ROW: team names must be non-empty (line 3)"),
     ("json_empty_name", _json_season('{"round": 1, "home": "", "away": "B"}'),

@@ -124,6 +124,17 @@ def _check_goal_time(time_s: int) -> None:
         )
 
 
+def _check_no_lone_surrogate(text: str, what: str) -> None:
+    """Fail as MALFORMED_ROW if ``text`` holds a lone surrogate, which UTF-8 cannot encode."""
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            raise MalformedRowError(
+                f"{what} must not contain a lone surrogate, got {text!r}"
+            ) from None
+
+
 class MatchRecord(FrozenRecord):
     """One fixture: round number, sides, ordered goals, optional length override.
 
@@ -167,14 +178,9 @@ class MatchRecord(FrozenRecord):
             raise MalformedRowError("team names must be non-empty")
         if "\0" in home or "\0" in away:
             raise MalformedRowError("team names must not contain a NUL character")
-        if not (home.isascii() and away.isascii()):
+        if not (home.isascii() and away.isascii()):  # skips two calls per ASCII match
             for name in (home, away):
-                try:
-                    name.encode()
-                except UnicodeEncodeError:
-                    raise MalformedRowError(
-                        f"team names must not contain a lone surrogate, got {name!r}"
-                    ) from None
+                _check_no_lone_surrogate(name, "team names")
         if home == away:
             raise MalformedRowError(f"a team cannot play itself: {home!r}")
         # One pass checks each goal's range and the goals' order. The parser
@@ -473,13 +479,7 @@ def _parse_json(text: str) -> SeasonDataset:
     league = doc.get("league", "")
     if not isinstance(league, str):
         raise MalformedRowError('"league" must be a string')
-    if not league.isascii():
-        try:
-            league.encode()
-        except UnicodeEncodeError:
-            raise MalformedRowError(
-                f'"league" must not contain a lone surrogate, got {league!r}'
-            ) from None
+    _check_no_lone_surrogate(league, '"league"')
     matches = []
     tokens = _TokenMemo()
     for i, obj in enumerate(doc["matches"], start=1):

@@ -702,8 +702,8 @@ def test_weights_outside_the_grammar_exit_one_before_reading(tmp_path, weights, 
     )
 
 
-# fractions pulls in decimal and numbers, and argparse gettext and locale; csv and
-# json load only where a run uses them.
+# fractions pulls in decimal and numbers, argparse pulls in gettext and locale; csv
+# and json load only where a run uses them.
 _WATCHED = (
     "argparse", "click", "csv", "dataclasses", "decimal", "fractions", "gettext", "inspect",
     "json", "locale", "numbers",
@@ -881,6 +881,15 @@ def test_value_options_take_values_that_start_with_a_dash(tmp_path):
     assert spaced == glued
     assert spaced.exit_code == 1
     assert spaced.stderr.startswith("error: NON_POSITIVE_LEADER: ")
+
+
+def test_a_double_dash_after_a_value_option_is_its_value(tmp_path):
+    # Before Python 3.13, argparse turned this value into [] and the run crashed.
+    result = _invoke("table", tmp_path / "out", "--systems", "--")
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: unknown scoring system '--'; choose from classic,time,mixed,goaldiff\n"
+    )
 
 
 def test_weight_past_the_digit_cap_exits_one_before_reading(tmp_path):

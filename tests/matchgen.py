@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -64,6 +67,54 @@ def random_season(rng: random.Random, num_teams: int = 6) -> SeasonDataset:
         for home, away in pairs:
             matches.append(random_match(rng, round_no, home, away, max_goals=6))
     return SeasonDataset(matches=tuple(matches))
+
+
+def _minutes_up(time_s: int) -> int:
+    return -(-time_s // 60)
+
+
+def minute_season(season: SeasonDataset) -> SeasonDataset:
+    """``season`` with each goal and declared length moved up to a whole minute.
+
+    A goal that lands in the minute of the goal before it is dropped, so the
+    times still strictly increase and the season can be written as CSV.
+    """
+    matches = []
+    for match in season.matches:
+        goals = []
+        for goal in match.goals:
+            minute = _minutes_up(abs(goal))
+            if not goals or minute > abs(goals[-1]) // 60:
+                goals.append(60 * minute if goal > 0 else -60 * minute)
+        declared = match.declared_length_s
+        if declared is not None:
+            declared = 60 * _minutes_up(declared)
+        matches.append(MatchRecord(match.round, match.home, match.away, tuple(goals), declared))
+    return SeasonDataset(matches=tuple(matches))
+
+
+def season_text(season: SeasonDataset, as_csv: bool) -> str:
+    """``season`` as a CSV file of minute tokens, or as JSON of exact-second goal objects.
+
+    The CSV needs every goal and declared length on a whole minute (:func:`minute_season`).
+    """
+    if as_csv:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("round", "home", "away", "goals", "length_min"))
+        for m in season.matches:
+            tokens = ",".join(f"{'H' if g > 0 else 'A'}:{abs(g) // 60}" for g in m.goals)
+            length = "" if m.declared_length_s is None else m.declared_length_s // 60
+            writer.writerow((m.round, m.home, m.away, tokens, length))
+        return out.getvalue()
+    docs = []
+    for m in season.matches:
+        goals = [{"side": "H" if g > 0 else "A", "time_s": abs(g)} for g in m.goals]
+        doc = {"round": m.round, "home": m.home, "away": m.away, "goals": goals}
+        if m.declared_length_s is not None:
+            doc["length_s"] = m.declared_length_s
+        docs.append(doc)
+    return json.dumps({"league": "", "matches": docs})
 
 
 @st.composite

@@ -9,7 +9,10 @@ from :meth:`SeasonLedger.awards` as ``Fraction``, and ``package_awards`` scores
 one match that way through a one-match :class:`SeasonLedger`. ``final_points``
 totals a season's awards from ``paper_awards``, and ``gaps_recount``,
 ``average_recount`` and ``minutes_to_upper_recount`` recount the indicators
-from those totals in ``Fraction`` arithmetic. ``ecdf_columns``
+from those totals in ``Fraction`` arithmetic. ``expected_rounds`` ranks each
+round from scratch by the documented tie-break, and ``indicator_files`` lays out
+``indicators.csv`` and ``indicators.json`` from those rounds and recounts
+without the package's standings, indicators or renderer. ``ecdf_columns``
 renders an ECDF from exact awards by counting, and ``rendered_by_hand`` rounds
 one value half up without the package's renderer. ``segment_oracle`` and
 ``final_score`` recompute what :func:`timeline` returns without its walk, and
@@ -19,7 +22,10 @@ command line that the CLI's own reader replaced.
 """
 
 import argparse
+import csv
+import io
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -119,6 +125,104 @@ def average_recount(
     """Mean points per team appearance: every award of the season over twice the matches."""
     total = sum(sum(paper_match_awards(m, system, weights)) for m in season.matches)
     return total / (2 * len(season.matches))
+
+
+def expected_rounds(season: SeasonDataset, system: ScoringSystem, weights: WeightTriple, segments):
+    """Per round: team -> exact points, and the teams in documented tie-break order.
+
+    ``segments`` maps each match to its home side's (leading, level, trailing, T) seconds.
+    """
+    points = {team: Fraction(0) for team in season.teams}
+    goals_for = dict.fromkeys(season.teams, 0)
+    goal_diff = dict.fromkeys(season.teams, 0)
+    for round_no in range(1, season.num_rounds + 1):
+        for match in season.matches:
+            if match.round != round_no:
+                continue
+            hg, ag = final_score(match)
+            home_pts, away_pts = paper_awards(segments[match], (hg, ag), system, weights)
+            points[match.home] += home_pts
+            points[match.away] += away_pts
+            goals_for[match.home] += hg
+            goals_for[match.away] += ag
+            goal_diff[match.home] += hg - ag
+            goal_diff[match.away] += ag - hg
+        # Points desc, goal difference desc, goals scored desc, name asc.
+        order = sorted(
+            season.teams, key=lambda t: (-points[t], -goal_diff[t], -goals_for[t], t)
+        )
+        yield dict(points), order
+
+
+def rank_moves_recount(orders: list[list[str]]) -> int:
+    """Teams whose rank differs from their rank the round before, summed over rounds 2..n."""
+    moves = 0
+    for before, after in zip(orders, orders[1:]):
+        rank_before = {team: rank for rank, team in enumerate(before)}
+        moves += sum(1 for rank, team in enumerate(after) if rank_before[team] != rank)
+    return moves
+
+
+def leaders_recount(orders: list[list[str]]) -> tuple[int, int]:
+    """(rounds 2..n whose leader differs from the round before, distinct leaders)."""
+    leaders = [order[0] for order in orders]
+    changes = sum(1 for r in range(1, len(leaders)) if leaders[r] != leaders[r - 1])
+    return changes, len(set(leaders))
+
+
+# Each indicators row: its CSV label, its JSON key and its CSV decimals (None for a count).
+INDICATOR_ROWS = (
+    ("Gap 1st-3rd place (%)", "gap_1_3_pct", 1),
+    ("Gap 1st-9th place (%)", "gap_1_9_pct", 1),
+    ("Gap 1st-last (%)", "gap_1_last_pct", 1),
+    ("# Overall Changes", "overall_changes", None),
+    ("# Changes on Leadership", "leadership_changes", None),
+    ("# Different Leaders", "distinct_leaders", None),
+    ("Aver. points per game", "avg_points_per_team_game", 2),
+)
+
+
+def indicator_files(
+    season: SeasonDataset, systems: list[ScoringSystem], weights: WeightTriple, comma: bool
+) -> dict[str, str] | str:
+    """``indicators.csv`` and ``indicators.json`` for ``systems``, from ``Fraction`` recounts.
+
+    When a system's leader has no positive points, the CLI's error line for the
+    first such system instead.
+    """
+    segments = {match: timeline(match)[:4] for match in season.matches}
+    columns = [["indicator", *(label for label, _, _ in INDICATOR_ROWS)]]
+    doc: dict[str, dict[str, object]] = {}
+    for system in systems:
+        rounds = list(expected_rounds(season, system, weights, segments))
+        orders = [order for _, order in rounds]
+        points, order = rounds[-1]
+        ranked = [points[team] for team in order]
+        season_gaps = gaps_recount(ranked)
+        if season_gaps is None:
+            return (
+                f"error: NON_POSITIVE_LEADER: {system.value} leader {order[0]} has "
+                f"{ranked[0]} points; percentages of the leader need a positive leader\n"
+            )
+        values = (
+            *season_gaps,
+            rank_moves_recount(orders),
+            *leaders_recount(orders),
+            average_recount(season, system, weights),
+        )
+        column, doc[system.value] = [system.value], {}
+        for (_, key, places), value in zip(INDICATOR_ROWS, values, strict=True):
+            if places is None:
+                column.append(str(value))
+                doc[system.value][key] = value
+            else:
+                column.append(rendered_by_hand(value, places, comma))
+                doc[system.value][key] = str(value)
+        columns.append(column)
+    csv_out = io.StringIO()
+    csv.writer(csv_out, lineterminator="\n").writerows(zip(*columns))
+    json_text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return {"indicators.csv": csv_out.getvalue(), "indicators.json": json_text}
 
 
 def minutes_to_upper_recount(points: list[Fraction], weights: WeightTriple) -> list[Fraction]:

@@ -1,23 +1,34 @@
 import itertools
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from matchgen import random_season, random_weight_triple, weight_triples
+from clirun import run_cli
+from matchgen import (
+    minute_season,
+    random_season,
+    random_weight_triple,
+    season_text,
+    weight_triples,
+)
 from reference import (
     average_recount,
     final_points,
     final_score,
     gaps_recount,
+    indicator_files,
     minutes_to_upper_recount,
     package_awards,
     paper_match_awards,
     rendered_by_hand,
     season_awards,
+    weight_fractions,
 )
 from timescore.display import format_ratios
 from timescore.errors import (
@@ -36,7 +47,7 @@ from timescore.indicators import (
     minutes_to_upper,
 )
 from timescore.ingest import MatchRecord, SeasonDataset
-from timescore.scoring import ScoringRule, ScoringSystem, scoring_rule
+from timescore.scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
 from timescore.standings import SeasonLedger, Standings, percent_of_leader
 
 CLASSIC = scoring_rule(ScoringSystem.CLASSIC)
@@ -354,3 +365,44 @@ def test_gaps_average_and_minutes_equal_their_fraction_recounts(seed, teams, wei
         if system is ScoringSystem.TIME:
             nums, den = minutes_to_upper(final)
             assert [Fraction(num, den) for num in nums] == minutes_to_upper_recount(points, weights)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([4, 6, 8, 10]),
+    st.booleans(),
+    st.lists(st.sampled_from(list(ScoringSystem)), min_size=1, max_size=5),
+    weight_triples(),
+    st.integers(0, 3),
+    st.booleans(),
+)
+# Seed 14's four-team classic table has a gap of exactly 68.75 %, a half at one decimal.
+@example(14, 4, True, [ScoringSystem.CLASSIC, ScoringSystem.TIME, ScoringSystem.CLASSIC],
+         WeightTriple(3, 1, 0), 2, True)
+@settings(max_examples=100, deadline=None)
+def test_indicators_files_equal_the_fraction_reference(
+    seed, teams, as_csv, systems, weights, decimals, comma
+):
+    # The whole indicators command, parse to bytes, against a writer that
+    # ranks and recounts every round in Fraction arithmetic; --decimals must
+    # not move the indicator cells.
+    season = random_season(random.Random(seed), teams)
+    if as_csv:
+        season = minute_season(season)
+    expected = indicator_files(season, list(dict.fromkeys(systems)), weights, comma)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "season", Path(tmp) / "out"
+        path.write_text(season_text(season, as_csv), encoding="utf-8")
+        result = run_cli([
+            "indicators", "--input", str(path), "--out", str(out),
+            "--systems", ",".join(system.value for system in systems),
+            "--weights", ",".join(map(str, weight_fractions(weights))),
+            "--decimals", str(decimals), *(["--decimal-comma"] if comma else []),
+        ])
+        if isinstance(expected, str):
+            assert result.exit_code == 1
+            assert result.stderr.startswith("error: NON_POSITIVE_LEADER: ")
+            assert not out.exists()
+        else:
+            assert result.exit_code == 0, result.stderr
+            assert {name: (out / name).read_bytes().decode() for name in expected} == expected

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from reference import SLACK_S, final_score, paper_awards, segment_oracle
+from reference import SLACK_S, expected_rounds, final_score, segment_oracle
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
@@ -57,33 +57,6 @@ def _seasons(seed: int, teams: int) -> SeasonDataset:
     return _through_json(_with_second_lengths(random_season(rng, num_teams=teams), rng), rng)
 
 
-def _expected_rounds(season: SeasonDataset, system, weights, segments):
-    """Per round: team -> exact points, and the teams in documented tie-break order.
-
-    ``segments`` maps each match to its ``segment_oracle`` breakdown.
-    """
-    points = {team: Fraction(0) for team in season.teams}
-    goals_for = dict.fromkeys(season.teams, 0)
-    goal_diff = dict.fromkeys(season.teams, 0)
-    for round_no in range(1, season.num_rounds + 1):
-        for match in season.matches:
-            if match.round != round_no:
-                continue
-            hg, ag = final_score(match)
-            home_pts, away_pts = paper_awards(segments[match], (hg, ag), system, weights)
-            points[match.home] += home_pts
-            points[match.away] += away_pts
-            goals_for[match.home] += hg
-            goals_for[match.away] += ag
-            goal_diff[match.home] += hg - ag
-            goal_diff[match.away] += ag - hg
-        # Points desc, goal difference desc, goals scored desc, name asc.
-        order = sorted(
-            season.teams, key=lambda t: (-points[t], -goal_diff[t], -goals_for[t], t)
-        )
-        yield dict(points), order
-
-
 @given(st.integers(0, 2**32), weight_triples(), st.sampled_from([4, 6, 8]))
 @settings(max_examples=40, deadline=None)
 def test_ledger_rounds_equal_summed_match_points(seed, weights, teams):
@@ -93,7 +66,7 @@ def test_ledger_rounds_equal_summed_match_points(seed, weights, teams):
     for system in ScoringSystem:
         rule = scoring_rule(system, weights)
         rounds = ledger.rounds(rule)
-        expected = _expected_rounds(season, system, weights, segments)
+        expected = expected_rounds(season, system, weights, segments)
         count = 0
         for standings, (points, order) in zip(rounds, expected, strict=True):
             assert [standings.teams[i] for i in standings.order] == order
@@ -124,7 +97,7 @@ def test_order_read_once_equals_order_read_every_round(seed, weights):
         *_, read_once = ledger.rounds(rule)
         for read_every_round in ledger.rounds(rule):
             read_every_round.order  # ranks this round
-        *_, (points, order) = _expected_rounds(season, system, weights, segments)
+        *_, (points, order) = expected_rounds(season, system, weights, segments)
         for standings in (read_once, read_every_round):
             assert [standings.teams[i] for i in standings.order] == order
             assert [Fraction(p, standings.den) for p in standings.points] == [

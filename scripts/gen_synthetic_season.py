@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from timescore.display import csv_text
-from timescore.indicators import indicator_bundle
+from timescore.indicators import gaps
 from timescore.ingest import CSV_HEADER, SECONDS_PER_MINUTE, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
@@ -105,13 +105,9 @@ def main() -> None:
     season = parse_season(csv_doc)
     assert parse_season(json_doc) == season, "the CSV and JSON files must hold one season"
     ledger = SeasonLedger(season)
-    time_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.TIME))
-    classic_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.CLASSIC))
-    for time_gap, classic_gap in (
-        (time_bundle.gap_1_3_pct, classic_bundle.gap_1_3_pct),
-        (time_bundle.gap_1_9_pct, classic_bundle.gap_1_9_pct),
-        (time_bundle.gap_1_last_pct, classic_bundle.gap_1_last_pct),
-    ):
+    *_, time_final = ledger.rounds(scoring_rule(ScoringSystem.TIME))
+    *_, classic_final = ledger.rounds(scoring_rule(ScoringSystem.CLASSIC))
+    for time_gap, classic_gap in zip(gaps(time_final), gaps(classic_final)):
         assert Fraction(*time_gap) <= Fraction(*classic_gap), (
             "fixture must compact gaps; pick another seed"
         )

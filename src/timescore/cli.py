@@ -21,7 +21,9 @@ from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
 from .display import csv_text, format_ratios, ratio_text
-from .indicators import ECDF_DECIMALS, draws_to_wins, ecdf_steps, indicator_bundle, minutes_to_upper
+from .indicators import (
+    ECDF_DECIMALS, draws_to_wins, ecdf_steps, gaps, minutes_to_upper, rank_changes
+)
 from .ingest import parse_season
 from .scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
 from .standings import SeasonLedger, Standings, percent_of_leader
@@ -95,7 +97,7 @@ def evolution_report(
     return files
 
 
-# Each indicator row: its label, IndicatorBundle field and CSV decimals (None for a count).
+# Each indicator row: its label, JSON key and CSV decimals (None for a count).
 _INDICATOR_ROWS = (
     ("Gap 1st-3rd place (%)", "gap_1_3_pct", 1),
     ("Gap 1st-9th place (%)", "gap_1_9_pct", 1),
@@ -115,20 +117,23 @@ def indicators_report(
     The CSV rounds each ratio to its row's decimals; the JSON keeps it exact, as a ``p/q`` string.
     """
     import json  # here, not at the top: no other report writes JSON
-    bundles = [(rule.system.value, indicator_bundle(ledger, rule)) for rule in rules]
-    doc: dict[str, dict[str, object]] = {system: {} for system, _ in bundles}
+    doc: dict[str, dict[str, object]] = {}
     columns = [["indicator", *(label for label, _, _ in _INDICATOR_ROWS)]]
-    for system, bundle in bundles:
-        column = [system]
-        for _, attr, places in _INDICATOR_ROWS:
-            value = getattr(bundle, attr)
+    for rule in rules:
+        orders = []
+        for final in ledger.rounds(rule):
+            orders.append(final.order)
+        values = (*gaps(final), *rank_changes(orders), final.average())
+        column = [rule.system.value]
+        fields = doc[rule.system.value] = {}
+        for (_, key, places), value in zip(_INDICATOR_ROWS, values):
             if places is None:
                 column.append(str(value))
             else:
                 num, den = value
                 column += format_ratios((num,), den, places, comma=comma)
                 value = ratio_text(num, den)
-            doc[system][attr] = value
+            fields[key] = value
         columns.append(column)
     json_text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     return {"indicators.csv": csv_text(columns), "indicators.json": json_text}

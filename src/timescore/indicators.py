@@ -8,27 +8,15 @@ the report files.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
 from .scoring import ScoringRule, ScoringSystem
-from .standings import SeasonLedger, Standings, leadership, percent_of_leader, rank_moves
+from .standings import Standings, percent_of_leader
 
 
 Ratio = tuple[int, int]
-
-
-class IndicatorBundle(NamedTuple):
-    """The season-comparison numbers for one scoring system: ratios and counts."""
-
-    gap_1_3_pct: Ratio
-    gap_1_9_pct: Ratio
-    gap_1_last_pct: Ratio
-    overall_changes: int
-    leadership_changes: int
-    distinct_leaders: int
-    avg_points_per_team_game: Ratio
 
 
 def gaps(standings: Standings) -> tuple[Ratio, Ratio, Ratio]:
@@ -44,6 +32,22 @@ def gaps(standings: Standings) -> tuple[Ratio, Ratio, Ratio]:
     percents, leader = percent_of_leader(standings)
     third, ninth, last = (100 * leader - percents[k] for k in (2, min(9, n) - 1, n - 1))
     return (third, leader), (ninth, leader), (last, leader)
+
+
+def rank_changes(orders: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """(overall changes, leadership changes, distinct leaders) of each round's team order.
+
+    An overall change is a (team, consecutive-round pair) whose rank moved,
+    which is exactly when a different team held its new position in the
+    previous round. A leadership change is a round whose leader is not the
+    previous round's.
+    """
+    overall = sum(
+        1 for prev, cur in zip(orders, orders[1:]) for a, b in zip(prev, cur) if a != b
+    )
+    leaders = [order[0] for order in orders]
+    changes = sum(1 for prev, cur in zip(leaders, leaders[1:]) if prev != cur)
+    return overall, changes, len(set(leaders))
 
 
 def minutes_for_deficit(num: int, den: int, rule: ScoringRule) -> Ratio:
@@ -145,21 +149,3 @@ def ecdf_counts(awards: list[int]) -> list[tuple[int, int]]:
         for i, value in enumerate(awards, start=1)
         if i == total or awards[i] != value
     ]
-
-
-def indicator_bundle(ledger: SeasonLedger, rule: ScoringRule) -> IndicatorBundle:
-    """All Table-style indicators for one rule, from one pass over the ledger's rounds."""
-    orders = []
-    for standings in ledger.rounds(rule):
-        orders.append(standings.order)
-    gap_3, gap_9, gap_last = gaps(standings)
-    leads = leadership([ledger.teams[order[0]] for order in orders])
-    return IndicatorBundle(
-        gap_1_3_pct=gap_3,
-        gap_1_9_pct=gap_9,
-        gap_1_last_pct=gap_last,
-        overall_changes=rank_moves(orders),
-        leadership_changes=leads.num_changes,
-        distinct_leaders=leads.distinct_leaders,
-        avg_points_per_team_game=standings.average(),
-    )

@@ -1,4 +1,4 @@
-"""The season ledger, round-by-round standings and rank-movement statistics.
+"""The season ledger, round-by-round standings and each team's percentage of the leader.
 
 Team points are integers over one denominator per scoring system, ranked on
 integer keys. A ratio such as the average is an int pair (numerator,
@@ -8,7 +8,7 @@ denominator), never a ``Fraction``.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .display import format_ratios
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
@@ -23,11 +23,6 @@ from .timeline import timeline
 # so each rendered rational stays under CPython's 4,300-digit int-to-str limit. A
 # season of every whole-second length from 90:00 to 120:00 has a 2,231-digit lcm.
 MAX_LENGTH_LCM_BITS = 9966
-
-
-class LeadershipStats(NamedTuple):
-    num_changes: int
-    distinct_leaders: int
 
 
 class Standings:
@@ -184,23 +179,6 @@ class SeasonLedger:
         ):
             standings.add(sides, nums, factors, tiebreak)
             yield standings
-
-
-def leadership(leaders: Sequence[str]) -> LeadershipStats:
-    """How often the top of the table changed hands, given each round's leader."""
-    changes = sum(1 for prev, cur in zip(leaders, leaders[1:]) if prev != cur)
-    return LeadershipStats(num_changes=changes, distinct_leaders=len(set(leaders)))
-
-
-def rank_moves(orders: Sequence[Sequence]) -> int:
-    """Count of (team, consecutive-round pair) entries whose rank moved.
-
-    Each order lists the same teams by rank. A team's rank moved exactly when
-    a different team held its new position in the previous round.
-    """
-    return sum(
-        1 for prev, cur in zip(orders, orders[1:]) for a, b in zip(prev, cur) if a != b
-    )
 
 
 def percent_of_leader(standings: Standings) -> tuple[list[int], int]:

@@ -19,7 +19,7 @@ from gen_synthetic_season import double_round_robin
 from reference import build_parser, ecdf_columns, glue_values, paper_match_awards, rendered_by_hand
 from timescore.cli import _read_args
 from timescore.display import csv_text
-from timescore.indicators import indicator_bundle
+from timescore.indicators import gaps
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
 from timescore.scoring import ScoringSystem, WeightTriple, scoring_rule
 from timescore.standings import SeasonLedger
@@ -447,10 +447,9 @@ def test_all_draws_fixture_gives_zero_gaps(tmp_path):
 
 def test_bundled_fixture_time_gaps_at_most_classic():
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes()))
-    time_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.TIME))
-    classic_bundle = indicator_bundle(ledger, scoring_rule(ScoringSystem.CLASSIC))
-    for field in ("gap_1_3_pct", "gap_1_9_pct", "gap_1_last_pct"):
-        time_gap, classic_gap = getattr(time_bundle, field), getattr(classic_bundle, field)
+    *_, time_final = ledger.rounds(scoring_rule(ScoringSystem.TIME))
+    *_, classic_final = ledger.rounds(scoring_rule(ScoringSystem.CLASSIC))
+    for time_gap, classic_gap in zip(gaps(time_final), gaps(classic_final), strict=True):
         assert Fraction(*time_gap) <= Fraction(*classic_gap)
 
 

@@ -42,7 +42,6 @@ from timescore.indicators import (
     ecdf_counts,
     ecdf_steps,
     gaps,
-    indicator_bundle,
     minutes_for_deficit,
     minutes_to_upper,
 )
@@ -329,22 +328,6 @@ def test_ecdf_steps_order_tie_and_render_like_the_awards(case):
     assert uppers == [math.floor(value * 2**bits) + 1 for value in values]
     assert list(counts) == [sum(a <= value for a in awards) for value in values]
     assert format_ratios(uppers, 1 << bits, 6) == [rendered_by_hand(value, 6) for value in values]
-
-
-class TestBundle:
-    def test_bundle_fields_consistent_with_parts(self):
-        ledger = SeasonLedger(random_season(random.Random(16)))
-        bundle = indicator_bundle(ledger, TIME)
-        final = _final(ledger, TIME)
-        gap_3, gap_9, gap_last = gaps(final)
-        assert (bundle.gap_1_3_pct, bundle.gap_1_9_pct, bundle.gap_1_last_pct) == (
-            gap_3,
-            gap_9,
-            gap_last,
-        )
-        assert bundle.avg_points_per_team_game == final.average()
-        assert 0 <= Fraction(*bundle.gap_1_3_pct) <= 100
-        assert bundle.distinct_leaders >= 1
 
 
 @given(st.integers(0, 2**32), st.sampled_from([4, 6, 10]), weight_triples())

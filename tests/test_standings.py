@@ -9,12 +9,8 @@ from timescore.cli import evolution_report
 from timescore.errors import EmptySeasonError
 from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, scoring_rule
-from timescore.standings import (
-    SeasonLedger,
-    leadership,
-    percent_of_leader,
-    rank_moves,
-)
+from timescore.indicators import rank_changes
+from timescore.standings import SeasonLedger, percent_of_leader
 from timescore.timeline import timeline
 
 
@@ -175,11 +171,11 @@ class TestEvolution:
 
 class TestLeadershipStats:
     def test_hand_season_sequence(self):
-        leaders = [s.teams[s.order[0]] for s in HAND_LEDGER.rounds(CLASSIC)]
-        assert leaders == ["P", "S", "Q"]
-        stats = leadership(leaders)
-        assert stats.num_changes == 2
-        assert stats.distinct_leaders == 3
+        orders = [s.order for s in HAND_LEDGER.rounds(CLASSIC)]
+        assert [HAND_LEDGER.teams[order[0]] for order in orders] == ["P", "S", "Q"]
+        _, changes, leaders = rank_changes(orders)
+        assert changes == 2
+        assert leaders == 3
 
     def test_alternating_leaders(self):
         # Engineered leader sequence A, A, B, B, A: two changes, two leaders.
@@ -198,16 +194,17 @@ class TestLeadershipStats:
                 MatchRecord(5, "A", "D", (_home(10), _home(20))),
             )
         )
-        leaders = [s.teams[s.order[0]] for s in SeasonLedger(season).rounds(CLASSIC)]
-        assert leaders == ["A", "A", "B", "B", "A"]
-        stats = leadership(leaders)
-        assert stats.num_changes == 2
-        assert stats.distinct_leaders == 2
+        ledger = SeasonLedger(season)
+        orders = [s.order for s in ledger.rounds(CLASSIC)]
+        assert [ledger.teams[order[0]] for order in orders] == ["A", "A", "B", "B", "A"]
+        _, changes, leaders = rank_changes(orders)
+        assert changes == 2
+        assert leaders == 2
 
     def test_constant_leader(self):
-        stats = leadership([s.teams[s.order[0]] for s in TWO_TEAM_LEDGER.rounds(CLASSIC)])
-        assert stats.num_changes == 0
-        assert stats.distinct_leaders == 1
+        _, changes, leaders = rank_changes([s.order for s in TWO_TEAM_LEDGER.rounds(CLASSIC)])
+        assert changes == 0
+        assert leaders == 1
 
 
 class TestOverallChanges:
@@ -219,7 +216,7 @@ class TestOverallChanges:
                 MatchRecord(2, "C", "B", (_home(15),)),
             )
         )
-        assert rank_moves([s.order for s in SeasonLedger(season).rounds(CLASSIC)]) == 0
+        assert rank_changes([s.order for s in SeasonLedger(season).rounds(CLASSIC)])[0] == 0
 
     def test_single_swap_counts_both_teams(self):
         season = SeasonDataset(
@@ -228,10 +225,10 @@ class TestOverallChanges:
                 MatchRecord(2, "B", "A", (_home(10), _home(20))),
             )
         )
-        assert rank_moves([s.order for s in SeasonLedger(season).rounds(CLASSIC)]) == 2
+        assert rank_changes([s.order for s in SeasonLedger(season).rounds(CLASSIC)])[0] == 2
 
     def test_hand_season_total(self):
-        assert rank_moves([s.order for s in HAND_LEDGER.rounds(CLASSIC)]) == 7
+        assert rank_changes([s.order for s in HAND_LEDGER.rounds(CLASSIC)])[0] == 7
 
     def test_matches_recount_from_scratch(self):
         # Independent recount: rebuild each round's table directly from a
@@ -252,7 +249,7 @@ class TestOverallChanges:
                         1 for team, rank in ranks.items() if previous[team] != rank
                     )
                 previous = ranks
-            assert rank_moves([s.order for s in ledger.rounds(rule)]) == recount
+            assert rank_changes([s.order for s in ledger.rounds(rule)])[0] == recount
 
 
 class TestTotals:

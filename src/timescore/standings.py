@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .display import format_ratios
+from .display import ratio_text
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
 from .ingest import MatchRecord, SeasonDataset
 from .scoring import ScoringRule
@@ -193,7 +193,7 @@ def percent_of_leader(standings: Standings) -> tuple[list[int], int]:
     if leader <= 0:
         raise NonPositiveLeaderError(
             f"{standings.rule.system.value} leader {standings.teams[order[0]]} has "
-            f"{format_ratios((leader,), standings.den)[0]} points; "
+            f"{ratio_text(leader, standings.den)} points; "
             "percentages of the leader need a positive leader"
         )
     return [100 * points[i] for i in order], leader

@@ -488,6 +488,24 @@ def test_negative_leader_exits_one_with_code(tmp_path, command):
     assert "NON_POSITIVE_LEADER" in result.stderr
 
 
+def test_negative_leader_points_print_exactly(tmp_path):
+    # Every match 0-0: each side's time award is the draw weight, -1/1000, so
+    # leader A holds -1/500, which two decimals would print as 0.00.
+    all_goalless = tmp_path / "goalless.csv"
+    all_goalless.write_text(
+        "round,home,away,goals,length_min\n"
+        "1,A,B,,\n1,C,D,,\n"
+        "2,B,A,,\n2,D,C,,\n"
+    )
+    flags = ("--systems", "time", "--weights", "1/1000,-1/1000,-2/1000")
+    result = _invoke("table", tmp_path / "out", *flags, season=all_goalless)
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: NON_POSITIVE_LEADER: time leader A has -1/500 points; "
+        "percentages of the leader need a positive leader\n"
+    )
+
+
 def test_zero_denominator_weight_exits_one(tmp_path):
     result = _invoke("table", tmp_path, "--weights", "3,1/0,0")
     assert result.exit_code == 1

@@ -383,8 +383,7 @@ def test_indicators_files_equal_the_fraction_reference(
             "--decimals", str(decimals), *(["--decimal-comma"] if comma else []),
         ])
         if isinstance(expected, str):
-            assert result.exit_code == 1
-            assert result.stderr.startswith("error: NON_POSITIVE_LEADER: ")
+            assert (result.exit_code, result.stderr) == (1, expected)
             assert not out.exists()
         else:
             assert result.exit_code == 0, result.stderr

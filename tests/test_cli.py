@@ -833,14 +833,6 @@ def test_usage_errors_exit_two_and_write_nothing(tmp_path, monkeypatch, argv, me
     assert not out.exists()
 
 
-def test_help_exits_zero_and_names_every_command():
-    result = run_cli(["--help"])
-    assert result.exit_code == 0
-    assert result.output.startswith("usage: ")
-    for command in COMMANDS:
-        assert f"\n  {command} " in result.output
-
-
 # --help wins over a bad command after it, as it is read first.
 @pytest.mark.parametrize("argv", [["--help"], ["--help", "tabel"]], ids=["alone", "before_command"])
 def test_help_text_is_pinned(monkeypatch, argv):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import random
@@ -11,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gen_synthetic_season import double_round_robin
+from gen_synthetic_season import double_round_robin, season_texts
 from reference import SLACK_S
 from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import WeightTriple
@@ -99,14 +97,12 @@ def season_text(season: SeasonDataset, as_csv: bool) -> str:
     The CSV needs every goal and declared length on a whole minute (:func:`minute_season`).
     """
     if as_csv:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("round", "home", "away", "goals", "length_min"))
-        for m in season.matches:
-            tokens = ",".join(f"{'H' if g > 0 else 'A'}:{abs(g) // 60}" for g in m.goals)
-            length = "" if m.declared_length_s is None else m.declared_length_s // 60
-            writer.writerow((m.round, m.home, m.away, tokens, length))
-        return out.getvalue()
+        csv_text, _ = season_texts(
+            (m.round, m.home, m.away, [("H" if g > 0 else "A", abs(g) // 60) for g in m.goals],
+             None if m.declared_length_s is None else m.declared_length_s // 60)
+            for m in season.matches
+        )
+        return csv_text
     docs = []
     for m in season.matches:
         goals = [{"side": "H" if g > 0 else "A", "time_s": abs(g)} for g in m.goals]

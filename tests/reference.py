@@ -127,7 +127,9 @@ def average_recount(
     return total / (2 * len(season.matches))
 
 
-def expected_rounds(season: SeasonDataset, system: ScoringSystem, weights: WeightTriple, segments):
+def expected_rounds(
+    season: SeasonDataset, system: ScoringSystem, weights: WeightTriple, segments
+):
     """Per round: team -> exact points, and the teams in documented tie-break order.
 
     ``segments`` maps each match to its home side's (leading, level, trailing, T) seconds.
@@ -210,14 +212,14 @@ def indicator_files(
             *leaders_recount(orders),
             average_recount(season, system, weights),
         )
-        column, doc[system.value] = [system.value], {}
+        column, fields = [system.value], doc.setdefault(system.value, {})
         for (_, key, places), value in zip(INDICATOR_ROWS, values, strict=True):
             if places is None:
                 column.append(str(value))
-                doc[system.value][key] = value
+                fields[key] = value
             else:
                 column.append(rendered_by_hand(value, places, comma))
-                doc[system.value][key] = str(value)
+                fields[key] = str(value)
         columns.append(column)
     csv_out = io.StringIO()
     csv.writer(csv_out, lineterminator="\n").writerows(zip(*columns))

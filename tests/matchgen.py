@@ -58,8 +58,11 @@ def random_weight_triple(rng: random.Random) -> WeightTriple:
             return fraction_triple(vals)
 
 
-def random_season(rng: random.Random, num_teams: int = 6) -> SeasonDataset:
-    teams = [f"Team{i:02d}" for i in range(1, num_teams + 1)]
+def random_season(
+    rng: random.Random, num_teams: int = 6, teams: list[str] | None = None
+) -> SeasonDataset:
+    """A double round robin of ``teams``, by default Team01, Team02, ... up to ``num_teams``."""
+    teams = teams or [f"Team{i:02d}" for i in range(1, num_teams + 1)]
     matches = []
     for round_no, pairs in enumerate(double_round_robin(teams), start=1):
         for home, away in pairs:
@@ -91,10 +94,14 @@ def minute_season(season: SeasonDataset) -> SeasonDataset:
     return SeasonDataset(matches=tuple(matches))
 
 
-def season_text(season: SeasonDataset, as_csv: bool) -> str:
+def season_text(
+    season: SeasonDataset, as_csv: bool, rng: random.Random | None = None
+) -> str:
     """``season`` as a CSV file of minute tokens, or as JSON of exact-second goal objects.
 
     The CSV needs every goal and declared length on a whole minute (:func:`minute_season`).
+    With ``rng``, each JSON goal says a precision drawn from it, or none (exact), and
+    a goal on a whole minute may be written as a token string instead.
     """
     if as_csv:
         csv_text, _ = season_texts(
@@ -105,12 +112,37 @@ def season_text(season: SeasonDataset, as_csv: bool) -> str:
         return csv_text
     docs = []
     for m in season.matches:
-        goals = [{"side": "H" if g > 0 else "A", "time_s": abs(g)} for g in m.goals]
+        goals = [_goal_entry(g, rng) for g in m.goals]
         doc = {"round": m.round, "home": m.home, "away": m.away, "goals": goals}
         if m.declared_length_s is not None:
             doc["length_s"] = m.declared_length_s
         docs.append(doc)
     return json.dumps({"league": "", "matches": docs})
+
+
+def _goal_entry(goal: int, rng: random.Random | None) -> dict | str:
+    side, time_s = "H" if goal > 0 else "A", abs(goal)
+    if rng is None:
+        return {"side": side, "time_s": time_s}
+    if time_s % 60 == 0 and rng.random() < 0.5:
+        return f"{side}:{time_s // 60}"
+    precision = rng.choice([None, *sorted(SLACK_S)])
+    if precision is None:
+        return {"side": side, "time_s": time_s}
+    return {"side": side, "time_s": time_s, "precision": precision}
+
+
+@st.composite
+def team_names(draw, count: int) -> list[str]:
+    """``count`` distinct team names, many holding a comma, a double quote, a CR or an LF.
+
+    Each name is a letter, up to three drawn characters and its own index digit,
+    so no two are equal and none has spaces to trim at either end.
+    """
+    return [
+        draw(st.sampled_from("ABC")) + draw(st.text(',"\r\n xé', max_size=3)) + str(index)
+        for index in range(count)
+    ]
 
 
 @st.composite
@@ -155,12 +187,14 @@ def match_records(draw, max_goals: int = 8) -> MatchRecord:
 
 @st.composite
 def weight_triples(draw) -> WeightTriple:
-    vals = draw(
-        st.lists(
-            st.fractions(min_value=-10, max_value=10, max_denominator=6),
-            min_size=3,
-            max_size=3,
-            unique=True,
-        ).map(lambda v: sorted(v, reverse=True))
-    )
-    return fraction_triple(vals)
+    """Three distinct weights from -10 to 10 over a drawn denominator of 1 to 6.
+
+    The numerators are distinct by construction, the lowest drawn first and each
+    next one above it, so no draw is thrown away.
+    """
+    den = draw(st.integers(1, 6))
+    top = 10 * den
+    low = draw(st.integers(-top, top - 2))
+    mid = draw(st.integers(low + 1, top - 1))
+    high = draw(st.integers(mid + 1, top))
+    return fraction_triple([Fraction(high, den), Fraction(mid, den), Fraction(low, den)])

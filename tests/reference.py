@@ -10,11 +10,14 @@ one match that way through a one-match :class:`SeasonLedger`. ``final_points``
 totals a season's awards from ``paper_awards``, and ``gaps_recount``,
 ``average_recount`` and ``minutes_to_upper_recount`` recount the indicators
 from those totals in ``Fraction`` arithmetic. ``expected_rounds`` ranks each
-round from scratch by the documented tie-break, and ``indicator_files`` lays out
-``indicators.csv`` and ``indicators.json`` from those rounds and recounts
-without the package's standings, indicators or renderer. ``ecdf_columns``
-renders an ECDF from exact awards by counting, and ``rendered_by_hand`` rounds
-one value half up without the package's renderer. ``segment_oracle`` and
+round from scratch by the documented tie-break. ``indicator_files`` lays out
+``indicators.csv`` and ``indicators.json``, and ``report_files`` every file of
+the ``report`` command, from those rounds and recounts without the package's
+standings, indicators or renderer: ``draws_recount`` and ``draws_to_wins_cells``
+recount the classic draws-to-wins column with its ``N*`` cap, and
+``csv_by_hand`` quotes cells by the README's rule. ``ecdf_columns`` renders an
+ECDF from exact awards by counting, and ``rendered_by_hand`` rounds one value
+half up without the package's renderer. ``segment_oracle`` and
 ``final_score`` recompute what :func:`timeline` returns without its walk, and
 ``SLACK_S`` gives each goal precision's timing slack, apart from the parser's
 table. ``build_parser`` and ``glue_values`` are the argparse reading of the
@@ -258,7 +261,7 @@ def rendered_by_hand(value: Fraction, decimals: int, comma: bool = False) -> str
     return "-" + text if digits < 0 else text
 
 
-def ecdf_columns(awards: list[Fraction]) -> tuple[list[str], list[str]]:
+def ecdf_columns(awards: list[Fraction], comma: bool = False) -> tuple[list[str], list[str]]:
     """An ECDF's points and cumulative-fraction cells at six decimals, by counting.
 
     One row per distinct award, in increasing order; the fraction is the share
@@ -268,9 +271,97 @@ def ecdf_columns(awards: list[Fraction]) -> tuple[list[str], list[str]]:
     values = sorted(tally)
     counts = itertools.accumulate(tally[value] for value in values)
     return (
-        [rendered_by_hand(value, 6) for value in values],
-        [rendered_by_hand(Fraction(count, len(awards)), 6) for count in counts],
+        [rendered_by_hand(value, 6, comma) for value in values],
+        [rendered_by_hand(Fraction(count, len(awards)), 6, comma) for count in counts],
     )
+
+
+def csv_by_hand(rows) -> str:
+    """A CSV file's text from its rows, each ending in a newline.
+
+    A cell holding a comma, a double quote, a carriage return or a line feed is
+    put in double quotes with each double quote doubled; every other cell is
+    written as it is.
+    """
+    def cell(text: str) -> str:
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+def draws_recount(season: SeasonDataset) -> dict[str, int]:
+    """Team -> the season's matches it drew, counted from each final score."""
+    draws = dict.fromkeys(season.teams, 0)
+    for match in season.matches:
+        home_goals, away_goals = final_score(match)
+        if home_goals == away_goals:
+            draws[match.home] += 1
+            draws[match.away] += 1
+    return draws
+
+
+def draws_to_wins_cells(order: list[str], points, draws: dict[str, int]) -> list[str]:
+    """Per team below the top: draws it must turn into wins to catch the team above.
+
+    Each turned draw gains two classic points, so the count is ceil(deficit/2).
+    When that is more than the team's draws, the cell is its draws and a ``*``.
+    """
+    cells = []
+    for above, team in zip(order, order[1:]):
+        needed = math.ceil((points[above] - points[team]) / 2)
+        cells.append(f"{draws[team]}*" if needed > draws[team] else str(needed))
+    return cells
+
+
+def report_files(
+    season: SeasonDataset, systems: list[ScoringSystem], weights: WeightTriple,
+    decimals: int, comma: bool,
+) -> dict[str, str] | str:
+    """Every file the ``report`` command writes for ``systems``, from ``Fraction`` recounts.
+
+    ``table.csv``, ``evolution_<system>.csv``, ``ecdf_<system>.csv`` and the
+    two files of :func:`indicator_files`. When a system's leader has no
+    positive points, the CLI's error line for the first such system instead.
+    """
+    files = indicator_files(season, systems, weights, comma)
+    if isinstance(files, str):
+        return files
+    segments = {match: timeline(match)[:4] for match in season.matches}
+    ranks = [str(rank) for rank in range(1, len(season.teams) + 1)]
+    table = [["rank", *ranks]]
+    finals = {}
+    for system in systems:
+        rounds = list(expected_rounds(season, system, weights, segments))
+        evolution = [("round", "team", "rank", "points")]
+        for round_no, (points, order) in enumerate(rounds, start=1):
+            evolution += (
+                (str(round_no), team, rank, rendered_by_hand(points[team], decimals, comma))
+                for rank, team in zip(ranks, order)
+            )
+        files[f"evolution_{system.value}.csv"] = csv_by_hand(evolution)
+        awards = [a for match in season.matches for a in paper_match_awards(match, system, weights)]
+        ecdf = [("points", "cumulative_fraction"), *zip(*ecdf_columns(awards, comma))]
+        files[f"ecdf_{system.value}.csv"] = csv_by_hand(ecdf)
+        finals[system] = points, order
+        ranked = [points[team] for team in order]
+        table += (
+            [f"{system.value}_team", *order],
+            [f"{system.value}_points", *(rendered_by_hand(p, decimals, comma) for p in ranked)],
+            [f"{system.value}_pct_of_1st",
+             *(rendered_by_hand(100 * p / ranked[0], 0, comma) for p in ranked)],
+        )
+    if ScoringSystem.TIME in finals:
+        points, order = finals[ScoringSystem.TIME]
+        minutes = minutes_to_upper_recount([points[team] for team in order], weights)
+        table.append(["time_min_to_upper", "", *(rendered_by_hand(m, 0, comma) for m in minutes)])
+    if ScoringSystem.CLASSIC in finals:
+        points, order = finals[ScoringSystem.CLASSIC]
+        cells = draws_to_wins_cells(order, points, draws_recount(season))
+        table.append(["classic_draws_to_wins", "", *cells])
+    files["table.csv"] = csv_by_hand(zip(*table))
+    return files
 
 
 def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:

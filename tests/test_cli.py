@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
+import tempfile
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +18,16 @@ from hypothesis import strategies as st
 
 from clirun import run_cli
 from gen_synthetic_season import double_round_robin
-from reference import build_parser, ecdf_columns, glue_values, paper_match_awards, rendered_by_hand
+from matchgen import minute_season, random_season, season_text, team_names, weight_triples
+from reference import (
+    build_parser,
+    ecdf_columns,
+    glue_values,
+    paper_match_awards,
+    rendered_by_hand,
+    report_files,
+    weight_fractions,
+)
 from timescore.cli import _read_args
 from timescore.display import csv_text
 from timescore.indicators import gaps
@@ -405,6 +416,14 @@ def test_unknown_system_exits_one(tmp_path):
     assert "unknown scoring system" in result.stderr
 
 
+def test_no_system_exits_one(tmp_path):
+    result = _invoke("table", tmp_path / "out", "--systems", ",")
+    assert (result.exit_code, result.stderr) == (
+        1, "error: at least one scoring system is required\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_weights_exit_one(tmp_path):
     result = _invoke("table", tmp_path, "--weights", "1,2,3")
     assert result.exit_code == 1
@@ -669,12 +688,56 @@ def test_season_with_too_many_match_lengths_exits_one_and_writes_nothing(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-def test_run_report_drops_repeated_systems_like_the_cli(tmp_path):
+def test_report_drops_repeated_systems_like_table(tmp_path):
     result = _invoke("report", tmp_path / "report", "--systems", "classic,classic")
     assert result.exit_code == 0, result.output
     assert _invoke("table", tmp_path / "cli", "--systems", "classic").exit_code == 0
     table = (tmp_path / "report" / "table.csv").read_bytes()
     assert table == (tmp_path / "cli" / "table.csv").read_bytes()
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([4, 6, 8, 10]).flatmap(team_names),
+    st.booleans(),
+    st.lists(st.sampled_from(list(ScoringSystem)), min_size=1, max_size=5),
+    weight_triples(),
+    st.integers(0, 3),
+    st.booleans(),
+)
+# Seed 31916's JSON season has a time award, in its longest match, that sits
+# 1/(2T) below a rounding half at six decimals: an ECDF key one bit short renders it
+# up.
+@example(31916, ["A,0", 'B"1', "C\r\n2", "A 3"], False, [ScoringSystem.TIME],
+         WeightTriple(3, 1, 0), 2, False)
+@settings(max_examples=60, deadline=None)
+def test_report_files_equal_the_fraction_reference(
+    seed, teams, as_csv, systems, weights, decimals, comma
+):
+    # The whole report command, parse to bytes, against writers that rank and
+    # recount every round in Fraction arithmetic and quote cells by hand. A JSON
+    # season mixes token strings and goal objects of every precision.
+    rng = random.Random(seed)
+    season = random_season(rng, teams=teams)
+    if as_csv:
+        season = minute_season(season)
+    expected = report_files(season, list(dict.fromkeys(systems)), weights, decimals, comma)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "season", Path(tmp) / "out"
+        path.write_text(season_text(season, as_csv, rng), encoding="utf-8")
+        result = run_cli([
+            "report", "--input", str(path), "--out", str(out),
+            "--systems", ",".join(system.value for system in systems),
+            "--weights", ",".join(map(str, weight_fractions(weights))),
+            "--decimals", str(decimals), *(["--decimal-comma"] if comma else []),
+        ])
+        if isinstance(expected, str):
+            assert (result.exit_code, result.stderr) == (1, expected)
+            assert not out.exists()
+        else:
+            assert result.exit_code == 0, result.stderr
+            assert sorted(path.name for path in out.iterdir()) == sorted(expected)
+            assert {name: (out / name).read_bytes().decode() for name in expected} == expected
 
 
 @pytest.mark.parametrize(
@@ -685,7 +748,7 @@ def test_run_report_drops_repeated_systems_like_the_cli(tmp_path):
     ],
     ids=["unknown_system", "missing_season"],
 )
-def test_run_report_errors_exit_like_the_cli(tmp_path, args, missing, code, message):
+def test_report_errors_exit_one_or_two(tmp_path, args, missing, code, message):
     season = tmp_path / "missing.csv" if missing else SEASON_CSV
     result = _invoke("report", tmp_path / "out", *args, season=season)
     assert result.exit_code == code

@@ -642,6 +642,15 @@ _FAULTS = [
      "MALFORMED_ROW: bad goal token 'H:xx' (line 3)"),
     ("json_bad_token", _json_goals('"H:1x"'),
      "MALFORMED_ROW: match 2: bad goal token 'H:1x'"),
+    ("json_number_goal", _json_goals("5"),
+     "MALFORMED_ROW: match 2: goal entry must be a token string or object, got 5"),
+    ("csv_round_zero", _csv_season("0,A,B,,"),
+     "MALFORMED_ROW: round must be a positive integer, got 0 (line 3)"),
+    ("json_match_not_object", _json_season("5"),
+     "MALFORMED_ROW: match 2: match entry must be an object"),
+    ("json_league_not_string",
+     '{"league": 5, "matches": [{"round": 1, "home": "A", "away": "B"}]}',
+     'MALFORMED_ROW: "league" must be a string'),
     ("csv_goal_at_zero", _csv_season("1,A,B,A:0,"),
      "MALFORMED_ROW: goal time must be at least 1 second, got 0 (line 3)"),
     ("json_goal_at_zero", _json_goals('{"side": "A", "time_s": 0}'),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from reference import SLACK_S, expected_rounds, final_score, segment_oracle
+from reference import SLACK_S, draws_recount, expected_rounds, segment_oracle
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
@@ -85,13 +85,7 @@ def test_order_read_once_equals_order_read_every_round(seed, weights):
     season = _seasons(seed, 6)
     segments = {match: segment_oracle(match) for match in season.matches}
     ledger = SeasonLedger(season)
-    draws = dict.fromkeys(season.teams, 0)
-    for match in season.matches:
-        home_goals, away_goals = final_score(match)
-        if home_goals == away_goals:
-            draws[match.home] += 1
-            draws[match.away] += 1
-    assert dict(zip(ledger.teams, ledger.draws)) == draws
+    assert dict(zip(ledger.teams, ledger.draws)) == draws_recount(season)
     for system in ScoringSystem:
         rule = scoring_rule(system, weights)
         *_, read_once = ledger.rounds(rule)

@@ -136,13 +136,19 @@ def _check_no_lone_surrogate(text: str, what: str) -> None:
 
 
 class MatchRecord(FrozenRecord):
-    """One fixture: round number, sides, ordered goals, optional length override.
+    """One fixture: round number, sides, ordered goals, optional length override, clock split.
 
     Each goal is its time in whole seconds from kickoff, 1 to
     MAX_MATCH_LENGTH_S, signed by its side: ``+time_s`` for a home goal and
     ``-time_s`` for an away goal. Goal times must strictly increase (two
     goals can never share the same second). ``slack_s`` sums the timing slack
     of the goals' precisions (see :func:`minute_error_bound`).
+
+    ``timeline`` is derived in the walk that checks the goals: the home side's
+    leading, level and trailing seconds, the effective length T (the declared
+    length, else 90' or the last goal if later) and the home and away goals.
+    The intervals between goals are left-closed and right-open, each booked by
+    the score sign at its start, so the three durations sum exactly to T.
 
     Team names are trimmed on construction and may not hold a NUL, which is
     part of no name and which readers of the report files, such as Python
@@ -152,13 +158,14 @@ class MatchRecord(FrozenRecord):
     MAX_MATCH_LENGTH_S.
     """
 
-    __slots__ = ("round", "home", "away", "goals", "declared_length_s", "slack_s")
+    __slots__ = ("round", "home", "away", "goals", "declared_length_s", "slack_s", "timeline")
     round: int
     home: str
     away: str
     goals: tuple[int, ...]
     declared_length_s: int | None
     slack_s: int
+    timeline: tuple[int, int, int, int, int, int]
 
     def __init__(
         self,
@@ -183,9 +190,11 @@ class MatchRecord(FrozenRecord):
                 _check_no_lone_surrogate(name, "team names")
         if home == away:
             raise MalformedRowError(f"a team cannot play itself: {home!r}")
-        # One pass checks each goal's range and the goals' order. The parser
-        # checks each goal's range as it reads it, so a parsed match can fail
-        # here only on the order.
+        # One pass checks each goal's range and order and books the span before
+        # it by the score at its start. The parser checks each goal's range as
+        # it reads it, so a parsed match can fail here only on the order.
+        win = draw = lose = 0
+        diff = 0  # home goals minus away goals so far
         last = 0
         for goal in goals:
             time_s = goal if goal > 0 else -goal
@@ -194,6 +203,13 @@ class MatchRecord(FrozenRecord):
                 raise NonMonotonicGoalsError(
                     f"goal times must strictly increase, got {last} s followed by {time_s} s"
                 )
+            if diff > 0:
+                win += time_s - last
+            elif diff == 0:
+                draw += time_s - last
+            else:
+                lose += time_s - last
+            diff += 1 if goal > 0 else -1
             last = time_s
         if declared_length_s is not None:
             if declared_length_s < REGULATION_LENGTH_S:
@@ -211,6 +227,16 @@ class MatchRecord(FrozenRecord):
                     f"declared length {declared_length_s} s precedes the "
                     f"last goal at {last} s"
                 )
+        t_match = declared_length_s
+        if t_match is None:
+            t_match = last if last > REGULATION_LENGTH_S else REGULATION_LENGTH_S
+        if diff > 0:
+            win += t_match - last
+        elif diff == 0:
+            draw += t_match - last
+        else:
+            lose += t_match - last
+        home_goals = (len(goals) + diff) >> 1
         _set = object.__setattr__
         _set(self, "round", round)
         _set(self, "home", home)
@@ -218,6 +244,7 @@ class MatchRecord(FrozenRecord):
         _set(self, "goals", goals)
         _set(self, "declared_length_s", declared_length_s)
         _set(self, "slack_s", slack_s)
+        _set(self, "timeline", (win, draw, lose, t_match, home_goals, home_goals - diff))
 
 
 class SeasonDataset(FrozenRecord):

@@ -14,7 +14,6 @@ from .display import ratio_text
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
 from .ingest import MatchRecord, SeasonDataset
 from .scoring import ScoringRule
-from .timeline import timeline
 
 
 # The most bits the lcm of a season's match lengths may have. An lcm past it is
@@ -108,7 +107,7 @@ class SeasonLedger:
         for matches in by_round:
             sides, rows, round_lengths = [], [], []
             for match in matches:
-                win, draw, lose, t, hg, ag = timeline(match)
+                win, draw, lose, t, hg, ag = match.timeline
                 home, away = index[match.home], index[match.away]
                 sides += (home, away)
                 # The 3/1/0 result and the goal-difference bonus, capped at 3,

@@ -18,7 +18,7 @@ recount the classic draws-to-wins column with its ``N*`` cap, and
 ``csv_by_hand`` quotes cells by the README's rule. ``ecdf_columns`` renders an
 ECDF from exact awards by counting, and ``rendered_by_hand`` rounds one value
 half up without the package's renderer. ``segment_oracle`` and
-``final_score`` recompute what :func:`timeline` returns without its walk, and
+``final_score`` recompute ``MatchRecord.timeline`` without the record's walk, and
 ``SLACK_S`` gives each goal precision's timing slack, apart from the parser's
 table. ``build_parser`` and ``glue_values`` are the argparse reading of the
 command line that the CLI's own reader replaced.
@@ -38,7 +38,6 @@ from timescore.cli import _COMMANDS, _SYSTEM_NAMES
 from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, WeightTriple
 from timescore.standings import SeasonLedger
-from timescore.timeline import timeline
 
 PAPER_WEIGHTS = WeightTriple(3, 1, 0)
 # The most seconds a goal recorded at each precision can be off its true time.
@@ -95,8 +94,8 @@ def paper_awards(
 def paper_match_awards(
     match: MatchRecord, system: ScoringSystem, weights: WeightTriple = PAPER_WEIGHTS
 ) -> tuple[Fraction, Fraction]:
-    """:func:`paper_awards` for ``match``, segmented by the package's ``timeline``."""
-    return paper_awards(timeline(match)[:4], final_score(match), system, weights)
+    """:func:`paper_awards` for ``match``, segmented by the record's own ``timeline``."""
+    return paper_awards(match.timeline[:4], final_score(match), system, weights)
 
 
 def final_points(
@@ -195,7 +194,7 @@ def indicator_files(
     When a system's leader has no positive points, the CLI's error line for the
     first such system instead.
     """
-    segments = {match: timeline(match)[:4] for match in season.matches}
+    segments = {match: match.timeline[:4] for match in season.matches}
     columns = [["indicator", *(label for label, _, _ in INDICATOR_ROWS)]]
     doc: dict[str, dict[str, object]] = {}
     for system in systems:
@@ -328,7 +327,7 @@ def report_files(
     files = indicator_files(season, systems, weights, comma)
     if isinstance(files, str):
         return files
-    segments = {match: timeline(match)[:4] for match in season.matches}
+    segments = {match: match.timeline[:4] for match in season.matches}
     ranks = [str(rank) for rank in range(1, len(season.teams) + 1)]
     table = [["rank", *ranks]]
     finals = {}
@@ -373,7 +372,7 @@ def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:
     home side when ``g > 0``. The match lasts its declared length, else 90'
     or until the last goal if later. A trailing remainder shorter than the
     resolution is handled as one final short step. At 1-second resolution
-    this equals ``timeline(match)[:4]`` exactly; it exists as an
+    this equals ``match.timeline[:4]`` exactly; it exists as an
     independently-coded check.
     """
     if resolution_s < 1:
@@ -406,7 +405,7 @@ def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:
 
 
 def final_score(match: MatchRecord) -> tuple[int, int]:
-    """(home goals, away goals) at the final whistle, counted apart from :func:`timeline`."""
+    """(home goals, away goals) at the final whistle, counted apart from ``match.timeline``."""
     home = sum(1 for goal in match.goals if goal > 0)
     return home, len(match.goals) - home
 

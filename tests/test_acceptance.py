@@ -24,7 +24,6 @@ from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger, Standings
-from timescore.timeline import timeline
 
 ROOT = Path(__file__).resolve().parent.parent
 SEASON_CSV = ROOT / "data" / "synthetic_season.csv"
@@ -42,7 +41,7 @@ def test_criterion_01_sum_identity_for_random_weights():
     rng = random.Random(24680)
     triples = [random_weight_triple(rng) for _ in range(20)]
     start = time.perf_counter()
-    draw_shares = [Fraction(walk[1], walk[3]) for walk in map(timeline, CORPUS)]
+    draw_shares = [Fraction(m.timeline[1], m.timeline[3]) for m in CORPUS]
     for weights, (match, draw_share) in itertools.product(triples, zip(CORPUS, draw_shares)):
         home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
         w, d, l = weight_fractions(weights)
@@ -110,7 +109,7 @@ def test_criterion_06_segment_matches_oracle_at_one_second():
     assert any(abs(g) > 5400 for m in CORPUS for g in m.goals), "corpus lacks stoppage goals"
     start = time.perf_counter()
     for match in CORPUS:
-        assert timeline(match)[:4] == segment_oracle(match, 1)
+        assert match.timeline[:4] == segment_oracle(match, 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"took {elapsed:.2f}s, budget is 30s"
     _ok(6, f"timeline equals 1-second oracle on 1000 matches incl. stoppage time ({elapsed:.2f}s)")

@@ -1,7 +1,7 @@
 """The season ledger against paper-formula awards summed and ranked from scratch.
 
 Each season goes through the JSON parser, each goal with its own precision,
-and each match is segmented by the step-by-step oracle, not by ``timeline``.
+and each match is segmented by the step-by-step oracle, not by ``MatchRecord.timeline``.
 """
 
 import json

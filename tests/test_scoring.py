@@ -15,7 +15,6 @@ from timescore.scoring import (
     WeightTriple,
     scoring_rule,
 )
-from timescore.timeline import timeline
 
 GOALLESS = MatchRecord(1, "Home", "Away")
 ONE_NIL_AT_THIRTY = MatchRecord(1, "Home", "Away", (1800,))
@@ -124,7 +123,7 @@ class TestTimePoints:
         home, away = package_awards(ONE_NIL_AT_THIRTY, TIME)
         assert home == Fraction(7, 3)
         assert away == Fraction(1, 3)
-        _, draw, _, t_match, _, _ = timeline(ONE_NIL_AT_THIRTY)
+        _, draw, _, t_match, _, _ = ONE_NIL_AT_THIRTY.timeline
         assert home + away == 3 - Fraction(draw, t_match)
 
     def test_custom_weights(self):
@@ -196,7 +195,7 @@ class TestGoalDiffPoints:
 @given(match_records(), weight_triples())
 @settings(max_examples=120)
 def test_sum_identity_for_general_weights(match, weights):
-    _, draw, _, t_match, _, _ = timeline(match)
+    _, draw, _, t_match, _, _ = match.timeline
     home, away = package_awards(match, scoring_rule(ScoringSystem.TIME, weights))
     w, d, l = weight_fractions(weights)
     expected = (w + l) + (2 * d - w - l) * Fraction(draw, t_match)

@@ -11,7 +11,6 @@ from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.indicators import rank_changes
 from timescore.standings import SeasonLedger, percent_of_leader
-from timescore.timeline import timeline
 
 
 def _home(minute):
@@ -258,7 +257,7 @@ class TestTotals:
         total = sum(points for _, points in _ranked(_final(SeasonLedger(season), TIME)))
         expected = Fraction(0)
         for match in season.matches:
-            _, draw, _, t_match, _, _ = timeline(match)
+            _, draw, _, t_match, _, _ = match.timeline
             expected += 3 - Fraction(draw, t_match)
         assert total == expected
 

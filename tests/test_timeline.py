@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from matchgen import declared_lengths, goal_entries, match_records, record_from_entries
 from reference import SLACK_S, final_score, segment_oracle
 from timescore.ingest import MatchRecord, parse_season
-from timescore.timeline import timeline
 
 
 def _match(*goals, declared=None):
@@ -15,7 +14,7 @@ def _match(*goals, declared=None):
 
 
 def _length(match):
-    return timeline(match)[3]
+    return match.timeline[3]
 
 
 class TestEffectiveLength:
@@ -34,22 +33,22 @@ class TestEffectiveLength:
 
 class TestSegment:
     def test_goalless_is_level_throughout(self):
-        assert timeline(_match()) == (0, 5400, 0, 5400, 0, 0)
+        assert _match().timeline == (0, 5400, 0, 5400, 0, 0)
 
     def test_single_goal_at_thirty_minutes(self):
         # Level 0-30', home leads 30'-90'. Frozen from the step oracle.
-        assert timeline(_match(1800)) == (3600, 1800, 0, 5400, 1, 0)
+        assert _match(1800).timeline == (3600, 1800, 0, 5400, 1, 0)
 
     def test_lead_then_losing(self):
         # Home leads 60 s - 1860 s, level elsewhere until 1920 s, then trails.
-        assert timeline(_match(60, -1860, -1920)) == (1800, 120, 3480, 5400, 1, 2)
+        assert _match(60, -1860, -1920).timeline == (1800, 120, 3480, 5400, 1, 2)
 
     def test_goal_at_final_second_never_counts_as_lead_time(self):
-        assert timeline(_match(5400)) == (0, 5400, 0, 5400, 1, 0)
+        assert _match(5400).timeline == (0, 5400, 0, 5400, 1, 0)
 
     def test_mirror_swaps_win_and_lose(self):
-        win, draw, lose, _, home, away = timeline(_match(600, -2400))
-        m_win, m_draw, m_lose, _, m_home, m_away = timeline(_match(-600, 2400))
+        win, draw, lose, _, home, away = _match(600, -2400).timeline
+        m_win, m_draw, m_lose, _, m_home, m_away = _match(-600, 2400).timeline
         assert m_win == lose
         assert m_lose == win
         assert m_draw == draw
@@ -77,7 +76,7 @@ class TestSegmentOracle:
 @given(match_records())
 @settings(max_examples=150)
 def test_segment_equals_oracle_at_one_second(match):
-    assert timeline(match)[:4] == segment_oracle(match, 1)
+    assert match.timeline[:4] == segment_oracle(match, 1)
 
 
 @given(goal_entries(), st.data())
@@ -92,12 +91,12 @@ def test_timeline_counts_the_final_score_and_equals_the_oracle(entries, data):
     (match,) = parse_season(json.dumps({"matches": [doc]})).matches
     assert match == record_from_entries(entries, declared)
     assert match.slack_s == sum(SLACK_S[g["precision"]] for g in entries)
-    assert timeline(match) == segment_oracle(match, 1) + final_score(match)
+    assert match.timeline == segment_oracle(match, 1) + final_score(match)
 
 
 @given(match_records())
 def test_sum_identity_exact(match):
-    win, draw, lose, t_match, _, _ = timeline(match)
+    win, draw, lose, t_match, _, _ = match.timeline
     assert win + draw + lose == t_match
     if match.declared_length_s is None:
         assert t_match == max([5400] + [abs(goal) for goal in match.goals])
@@ -111,5 +110,5 @@ def test_mirror_property(match):
         match.round, match.home, match.away, [-goal for goal in match.goals],
         match.declared_length_s, match.slack_s,
     )
-    win, draw, lose, t_match, home, away = timeline(match)
-    assert timeline(mirrored) == (lose, draw, win, t_match, away, home)
+    win, draw, lose, t_match, home, away = match.timeline
+    assert mirrored.timeline == (lose, draw, win, t_match, away, home)

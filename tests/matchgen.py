@@ -122,14 +122,14 @@ def season_text(
 
 def _goal_entry(goal: int, rng: random.Random | None) -> dict | str:
     side, time_s = "H" if goal > 0 else "A", abs(goal)
-    if rng is None:
-        return {"side": side, "time_s": time_s}
-    if time_s % 60 == 0 and rng.random() < 0.5:
-        return f"{side}:{time_s // 60}"
-    precision = rng.choice([None, *sorted(SLACK_S)])
-    if precision is None:
-        return {"side": side, "time_s": time_s}
-    return {"side": side, "time_s": time_s, "precision": precision}
+    entry = {"side": side, "time_s": time_s}
+    if rng is not None:
+        if time_s % 60 == 0 and rng.random() < 0.5:
+            return f"{side}:{time_s // 60}"
+        precision = rng.choice([None, *sorted(SLACK_S)])
+        if precision is not None:
+            entry["precision"] = precision
+    return entry
 
 
 @st.composite

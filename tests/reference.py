@@ -25,8 +25,6 @@ command line that the CLI's own reader replaced.
 """
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -223,10 +221,8 @@ def indicator_files(
                 column.append(rendered_by_hand(value, places, comma))
                 fields[key] = str(value)
         columns.append(column)
-    csv_out = io.StringIO()
-    csv.writer(csv_out, lineterminator="\n").writerows(zip(*columns))
     json_text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    return {"indicators.csv": csv_out.getvalue(), "indicators.json": json_text}
+    return {"indicators.csv": csv_by_hand(zip(*columns)), "indicators.json": json_text}
 
 
 def minutes_to_upper_recount(points: list[Fraction], weights: WeightTriple) -> list[Fraction]:
@@ -301,7 +297,9 @@ def draws_recount(season: SeasonDataset) -> dict[str, int]:
     return draws
 
 
-def draws_to_wins_cells(order: list[str], points, draws: dict[str, int]) -> list[str]:
+def draws_to_wins_cells(
+    order: list[str], points: dict[str, Fraction], draws: dict[str, int]
+) -> list[str]:
     """Per team below the top: draws it must turn into wins to catch the team above.
 
     Each turned draw gains two classic points, so the count is ceil(deficit/2).
@@ -343,7 +341,7 @@ def report_files(
         awards = [a for match in season.matches for a in paper_match_awards(match, system, weights)]
         ecdf = [("points", "cumulative_fraction"), *zip(*ecdf_columns(awards, comma))]
         files[f"ecdf_{system.value}.csv"] = csv_by_hand(ecdf)
-        finals[system] = points, order
+        points, order = finals[system] = rounds[-1]
         ranked = [points[team] for team in order]
         table += (
             [f"{system.value}_team", *order],

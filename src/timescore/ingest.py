@@ -85,7 +85,8 @@ class FrozenRecord:
     """Base of the validated records: immutable, compared and hashed by value.
 
     A subclass names its fields in ``__slots__``, validates in ``__init__`` and
-    stores each field with ``object.__setattr__``; any later assignment raises
+    stores each field with ``object.__setattr__`` or, where many records are
+    built, the slot's own ``__set__``; any later assignment raises
     AttributeError. Records of different classes, tuples included, never
     compare equal.
     """
@@ -237,14 +238,22 @@ class MatchRecord(FrozenRecord):
         else:
             lose += t_match - last
         home_goals = (len(goals) + diff) >> 1
-        _set = object.__setattr__
-        _set(self, "round", round)
-        _set(self, "home", home)
-        _set(self, "away", away)
-        _set(self, "goals", goals)
-        _set(self, "declared_length_s", declared_length_s)
-        _set(self, "slack_s", slack_s)
-        _set(self, "timeline", (win, draw, lose, t_match, home_goals, home_goals - diff))
+        set_round, set_home, set_away, set_goals, set_length, set_slack, set_timeline = (
+            _MATCH_SETTERS
+        )
+        set_round(self, round)
+        set_home(self, home)
+        set_away(self, away)
+        set_goals(self, goals)
+        set_length(self, declared_length_s)
+        set_slack(self, slack_s)
+        set_timeline(self, (win, draw, lose, t_match, home_goals, home_goals - diff))
+
+
+# Each MatchRecord slot's own setter, in __slots__ order. A season builds
+# thousands of records, and a slot's __set__ stores a field faster than
+# object.__setattr__, which looks the name up on every call.
+_MATCH_SETTERS = tuple(MatchRecord.__dict__[name].__set__ for name in MatchRecord.__slots__)
 
 
 class SeasonDataset(FrozenRecord):

@@ -103,6 +103,11 @@ class ScoringRule(NamedTuple):
     goal_diff: int
     scale: int
 
+    @property
+    def reads_time(self) -> bool:
+        """Whether any weight on time is nonzero; if not, no award depends on T."""
+        return bool(self.lead or self.level or self.trail)
+
 
 def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS) -> ScoringRule:
     """The coefficients of ``system``; only ``time`` reads the weights.

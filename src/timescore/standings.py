@@ -82,10 +82,14 @@ class SeasonLedger:
     bonus and the match length T; and, per side, T and the length factor
     ``length_lcm // T``, where ``length_lcm`` is the lcm of the distinct match
     lengths. What no rule changes is computed once per season: each round's
-    tie-break order and each team's season ``draws``. Under a rule, an award
+    tie-break order and each team's season ``draws``.
+
+    Under a rule that reads time (:attr:`ScoringRule.reads_time`), an award
     is a small integer over ``rule.scale * T`` (:meth:`awards`), and totals
     are integers over ``rule.scale * length_lcm``: each award is multiplied by
-    its length factor once, as it is added.
+    its length factor once, as it is added. A rule that reads no time, such
+    as ``classic``, sees every match length, length factor and ``length_lcm``
+    as 1, so its awards and totals are integers over ``rule.scale``.
     """
 
     def __init__(self, dataset: SeasonDataset) -> None:
@@ -146,20 +150,33 @@ class SeasonLedger:
             )
         factor = {t: self.length_lcm // t for t in lengths}.__getitem__
         self._factors = [list(map(factor, round_lengths)) for round_lengths in self._lengths]
+        # Each round's lengths and length factors as a rule that reads no time sees them.
+        self._units = [[1] * len(sides) for sides in self._sides]
 
     def den(self, rule: ScoringRule) -> int:
-        """The common denominator of every award and total under ``rule``."""
-        return rule.scale * self.length_lcm
+        """The common denominator of every total under ``rule``.
+
+        It is ``rule.scale * length_lcm`` for a rule that reads time and
+        ``rule.scale`` for one that reads none.
+        """
+        return rule.scale * self.length_lcm if rule.reads_time else rule.scale
 
     def awards(self, rule: ScoringRule) -> Iterator[tuple[list[int], list[int]]]:
         """Each round's awards as ``(nums, lengths)``, one entry per side, home then away.
 
         A side's award is ``nums[k] / (rule.scale * lengths[k])``, the numerator
         of :class:`ScoringRule` over its own match length; this is the one place
-        the package computes an award.
+        the package computes an award. A rule that reads no time gets every
+        length as 1, so its award is ``result*r + goal_diff*g`` over ``rule.scale``.
         """
-        lead, level, trail = rule.lead, rule.level, rule.trail
         result, goal_diff = rule.result, rule.goal_diff
+        if not rule.reads_time:
+            # A second expression: one shared expression needs the rows
+            # without T, zipped with the lengths, and made every rule slower.
+            for rows, units in zip(self._rows, self._units):
+                yield [result * r + goal_diff * g for _, _, _, r, g, _ in rows], units
+            return
+        lead, level, trail = rule.lead, rule.level, rule.trail
         for rows, lengths in zip(self._rows, self._lengths):
             yield [
                 lead * w + level * d + trail * l + (result * r + goal_diff * g) * t
@@ -169,12 +186,15 @@ class SeasonLedger:
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
         """Cumulative standings after each round; one :class:`Standings` updated in place.
 
-        The last item is the final standings. A round whose ``order`` is never
+        Each award is added times its length factor, so the totals are ints
+        over :meth:`den`; a rule that reads no time adds it with factor 1. The
+        last item is the final standings. A round whose ``order`` is never
         read is never ranked.
         """
         standings = Standings(self.teams, rule, self.den(rule))
+        round_factors = self._factors if rule.reads_time else self._units
         for (nums, _), sides, factors, tiebreak in zip(
-            self.awards(rule), self._sides, self._factors, self._tiebreaks
+            self.awards(rule), self._sides, round_factors, self._tiebreaks
         ):
             standings.add(sides, nums, factors, tiebreak)
             yield standings

@@ -2,19 +2,21 @@
 
 Each season goes through the JSON parser, each goal with its own precision,
 and each match is segmented by the step-by-step oracle, not by ``MatchRecord.timeline``.
+Rules that read no time are recounted from each match's goals alone, over their own scale.
 """
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from reference import SLACK_S, draws_recount, expected_rounds, segment_oracle
+from reference import SLACK_S, draws_recount, expected_rounds, final_score, segment_oracle
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
-from timescore.scoring import ScoringSystem, scoring_rule
+from timescore.scoring import ScoringRule, ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
 
 
@@ -99,3 +101,76 @@ def test_order_read_once_equals_order_read_every_round(seed, weights):
             ]
             # Each fixture is one appearance for each side.
             assert standings.appearances == 2 * len(season.matches)
+
+
+def _assert_classic_is_wins_and_draws_over_one(season: SeasonDataset) -> None:
+    # Classic reads no time, so the season's length lcm never reaches its
+    # totals: each is 3*wins + draws over 1, every award has length 1.
+    ledger = SeasonLedger(season)
+    classic = scoring_rule(ScoringSystem.CLASSIC)
+    assert ledger.den(classic) == 1
+    assert {t for _, lengths in ledger.awards(classic) for t in lengths} == {1}
+    *_, final = ledger.rounds(classic)
+    assert final.den == 1
+    points = Counter()
+    for match in season.matches:
+        home_goals, away_goals = final_score(match)
+        if home_goals == away_goals:
+            points[match.home] += 1
+            points[match.away] += 1
+        else:
+            points[match.home if home_goals > away_goals else match.away] += 3
+    assert final.points == [points[team] for team in final.teams]
+    # A rule that reads time keeps the lcm.
+    assert ledger.den(scoring_rule(ScoringSystem.TIME)) == ledger.length_lcm
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_classic_points_are_wins_and_draws_over_one(seed):
+    _assert_classic_is_wins_and_draws_over_one(_seasons(seed, 6))
+
+
+def test_classic_den_is_one_past_a_two_thousand_bit_length_lcm():
+    # Each of a 20-team season's 380 matches has its own length.
+    season = random_season(random.Random(23), num_teams=20)
+    season = SeasonDataset(
+        matches=tuple(
+            MatchRecord(m.round, m.home, m.away, m.goals, 6001 + i)
+            for i, m in enumerate(season.matches)
+        )
+    )
+    assert SeasonLedger(season).length_lcm.bit_length() > 2000
+    _assert_classic_is_wins_and_draws_over_one(season)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_time_free_rule_totals_are_fraction_sums_over_its_scale(seed):
+    # (2r + g)/3: a rule other than classic that reads no time.
+    season = _seasons(seed, 6)
+    rule = ScoringRule(ScoringSystem.CLASSIC, 0, 0, 0, 2, 1, 3)
+    ledger = SeasonLedger(season)
+    assert ledger.den(rule) == 3
+    points = dict.fromkeys(season.teams, Fraction(0))
+    goals_for = dict.fromkeys(season.teams, 0)
+    goal_diff = dict.fromkeys(season.teams, 0)
+    standings = ledger.rounds(rule)
+    for round_no in range(1, season.num_rounds + 1):
+        for match in season.matches:
+            if match.round != round_no:
+                continue
+            hg, ag = final_score(match)
+            for team, gf, ga in ((match.home, hg, ag), (match.away, ag, hg)):
+                result = 3 if gf > ga else 1 if gf == ga else 0
+                points[team] += Fraction(2 * result + min(max(gf - ga, 0), 3), 3)
+                goals_for[team] += gf
+                goal_diff[team] += gf - ga
+        order = sorted(
+            season.teams, key=lambda t: (-points[t], -goal_diff[t], -goals_for[t], t)
+        )
+        current = next(standings)
+        assert current.den == 3
+        assert [Fraction(p, 3) for p in current.points] == [points[t] for t in current.teams]
+        assert [current.teams[i] for i in current.order] == order
+    assert next(standings, None) is None

@@ -40,6 +40,7 @@ from __future__ import annotations
 import io
 import re
 import sys
+from operator import itemgetter
 from typing import Any, Iterator
 
 from .errors import (
@@ -81,38 +82,39 @@ _SLACK_S = {"minute_truncated": 59, "minute_rounded": 30, "exact": 0}
 _TOKEN_SLACK_S = _SLACK_S["minute_truncated"]
 
 
-class FrozenRecord:
-    """Base of the validated records: immutable, compared and hashed by value.
+class FrozenRecord(tuple):
+    """Base of the validated records: tuples of their fields, compared and hashed by value.
 
-    A subclass names its fields in ``__slots__``, validates in ``__init__`` and
-    stores each field with ``object.__setattr__`` or, where many records are
-    built, the slot's own ``__set__``; any later assignment raises
-    AttributeError. Records of different classes, tuples included, never
-    compare equal.
+    A subclass lists its fields in ``_fields``, validates in ``__new__`` and
+    returns ``tuple.__new__(cls, values)``; each field reads through a
+    read-only property, so assigning or deleting one raises AttributeError.
+    Records of different classes, tuples included, never compare equal, and
+    records have no order.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls) -> None:
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other: object) -> bool:
+        raise TypeError(f"{type(self).__name__} records have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_goal_time(time_s: int) -> None:
@@ -159,7 +161,8 @@ class MatchRecord(FrozenRecord):
     MAX_MATCH_LENGTH_S.
     """
 
-    __slots__ = ("round", "home", "away", "goals", "declared_length_s", "slack_s", "timeline")
+    __slots__ = ()
+    _fields = ("round", "home", "away", "goals", "declared_length_s", "slack_s", "timeline")
     round: int
     home: str
     away: str
@@ -168,15 +171,15 @@ class MatchRecord(FrozenRecord):
     slack_s: int
     timeline: tuple[int, int, int, int, int, int]
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         round: int,
         home: str,
         away: str,
         goals: tuple[int, ...] = (),
         declared_length_s: int | None = None,
         slack_s: int = 0,
-    ) -> None:
+    ) -> MatchRecord:
         home = home.strip()
         away = away.strip()
         goals = tuple(goals)
@@ -238,22 +241,8 @@ class MatchRecord(FrozenRecord):
         else:
             lose += t_match - last
         home_goals = (len(goals) + diff) >> 1
-        set_round, set_home, set_away, set_goals, set_length, set_slack, set_timeline = (
-            _MATCH_SETTERS
-        )
-        set_round(self, round)
-        set_home(self, home)
-        set_away(self, away)
-        set_goals(self, goals)
-        set_length(self, declared_length_s)
-        set_slack(self, slack_s)
-        set_timeline(self, (win, draw, lose, t_match, home_goals, home_goals - diff))
-
-
-# Each MatchRecord slot's own setter, in __slots__ order. A season builds
-# thousands of records, and a slot's __set__ stores a field faster than
-# object.__setattr__, which looks the name up on every call.
-_MATCH_SETTERS = tuple(MatchRecord.__dict__[name].__set__ for name in MatchRecord.__slots__)
+        timeline = (win, draw, lose, t_match, home_goals, home_goals - diff)
+        return tuple.__new__(cls, (round, home, away, goals, declared_length_s, slack_s, timeline))
 
 
 class SeasonDataset(FrozenRecord):
@@ -263,11 +252,14 @@ class SeasonDataset(FrozenRecord):
     numbers must form a contiguous range starting at 1.
     """
 
-    __slots__ = ("league_name", "matches")
+    __slots__ = ()
+    _fields = ("league_name", "matches")
     league_name: str
     matches: tuple[MatchRecord, ...]
 
-    def __init__(self, league_name: str = "", matches: tuple[MatchRecord, ...] = ()) -> None:
+    def __new__(
+        cls, league_name: str = "", matches: tuple[MatchRecord, ...] = ()
+    ) -> SeasonDataset:
         matches = tuple(matches)
         seen: set[tuple[str, str]] = set()
         for m in matches:
@@ -283,9 +275,7 @@ class SeasonDataset(FrozenRecord):
             raise NonContiguousRoundsError(
                 "round numbers must form a contiguous range starting at 1"
             )
-        _set = object.__setattr__
-        _set(self, "league_name", league_name)
-        _set(self, "matches", matches)
+        return tuple.__new__(cls, (league_name, matches))
 
     @property
     def teams(self) -> tuple[str, ...]:

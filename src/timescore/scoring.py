@@ -37,21 +37,21 @@ class WeightTriple(FrozenRecord):
     ``0.5``, ``1/2`` and ``2/4`` give equal triples.
     """
 
-    __slots__ = ("alpha_w", "alpha_d", "alpha_l", "scale")
+    __slots__ = ()
+    _fields = ("alpha_w", "alpha_d", "alpha_l", "scale")
     alpha_w: int
     alpha_d: int
     alpha_l: int
     scale: int
 
-    def __init__(self, alpha_w: int, alpha_d: int, alpha_l: int, scale: int = 1) -> None:
+    def __new__(cls, alpha_w: int, alpha_d: int, alpha_l: int, scale: int = 1) -> WeightTriple:
         if scale < 1:
             raise ValueError(f"the weight scale must be positive, got {scale}")
         if not alpha_w > alpha_d > alpha_l:
             weights = ", ".join(ratio_text(a, scale) for a in (alpha_w, alpha_d, alpha_l))
             raise ValueError(f"weights must satisfy alpha_w > alpha_d > alpha_l, got ({weights})")
         gcd = math.gcd(alpha_w, alpha_d, alpha_l, scale)
-        for name, value in zip(self.__slots__, (alpha_w, alpha_d, alpha_l, scale)):
-            object.__setattr__(self, name, value // gcd)
+        return tuple.__new__(cls, (alpha_w // gcd, alpha_d // gcd, alpha_l // gcd, scale // gcd))
 
     @classmethod
     def from_string(cls, text: str) -> "WeightTriple":

@@ -25,43 +25,37 @@ MAX_LENGTH_LCM_BITS = 9966
 
 
 class Standings:
-    """Cumulative standings under one rule after some round, indexed like ``teams``.
+    """Cumulative standings under one rule after one round, indexed like ``teams``.
 
     ``points[i] / den`` is team i's exact points total and ``appearances``
-    counts the team appearances so far. ``order`` lists the team indices by
-    rank. A :meth:`SeasonLedger.rounds` stream updates one object in place, so
-    read it before asking for the next round.
+    counts the team appearances so far. ``tiebreak`` lists the team indices by
+    goal difference desc, goals scored desc, name asc, after that round, and
+    ``order`` lists them by rank. Each round of a :meth:`SeasonLedger.rounds`
+    stream is its own object, so rounds may be kept and read in any order.
     """
 
     __slots__ = ("teams", "rule", "den", "points", "appearances", "_tiebreak", "_order")
 
-    def __init__(self, teams: tuple[str, ...], rule: ScoringRule, den: int) -> None:
+    def __init__(
+        self,
+        teams: tuple[str, ...],
+        rule: ScoringRule,
+        den: int,
+        points: list[int],
+        appearances: int,
+        tiebreak: Sequence[int],
+    ) -> None:
         self.teams = teams
         self.rule = rule
         self.den = den
-        self.points = [0] * len(teams)
-        self.appearances = 0
-        self._tiebreak: Sequence[int] = range(len(teams))
-        self._order: list[int] | None = None
-
-    def add(
-        self, sides: list[int], nums: list[int], factors: list[int], tiebreak: Sequence[int]
-    ) -> None:
-        """Add one round's awards ``nums[k] * factors[k] / den`` to team ``sides[k]``.
-
-        ``tiebreak`` lists the team indices by goal difference desc, goals
-        scored desc, name asc, after this round.
-        """
-        points = self.points
-        for team, num, factor in zip(sides, nums, factors):
-            points[team] += num * factor
-        self.appearances += len(sides)
+        self.points = points
+        self.appearances = appearances
         self._tiebreak = tiebreak
-        self._order = None
+        self._order: list[int] | None = None
 
     @property
     def order(self) -> list[int]:
-        """The team indices by rank, sorted the first time it is read after :meth:`add`."""
+        """The team indices by rank, sorted the first time it is read."""
         if self._order is None:
             # Tie-break: points desc, goal difference desc, goals scored desc,
             # name asc. The sort is stable, also with reverse=True, so sorting
@@ -184,20 +178,23 @@ class SeasonLedger:
             ], lengths
 
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
-        """Cumulative standings after each round; one :class:`Standings` updated in place.
+        """Cumulative standings after each round, a new :class:`Standings` per round.
 
-        Each award is added times its length factor, so the totals are ints
+        Each holds a copy of the running totals, with that round's appearances
+        and tie-break order, so a kept round keeps its values. Each award is added times its length factor, so the totals are ints
         over :meth:`den`; a rule that reads no time adds it with factor 1. The
         last item is the final standings. A round whose ``order`` is never
         read is never ranked.
         """
-        standings = Standings(self.teams, rule, self.den(rule))
+        den, points, appearances = self.den(rule), [0] * len(self.teams), 0
         round_factors = self._factors if rule.reads_time else self._units
         for (nums, _), sides, factors, tiebreak in zip(
             self.awards(rule), self._sides, round_factors, self._tiebreaks
         ):
-            standings.add(sides, nums, factors, tiebreak)
-            yield standings
+            for team, num, factor in zip(sides, nums, factors):
+                points[team] += num * factor
+            appearances += len(sides)
+            yield Standings(self.teams, rule, den, points.copy(), appearances, tiebreak)
 
 
 def percent_of_leader(standings: Standings) -> tuple[list[int], int]:

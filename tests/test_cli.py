@@ -380,12 +380,18 @@ def test_default_weights_flag_equivalence(tmp_path):
 def test_decimal_comma_rendering(tmp_path):
     result = _invoke("indicators", tmp_path, "--decimal-comma")
     assert result.exit_code == 0
-    text = (tmp_path / "indicators.csv").read_text()
-    first_gap_row = text.splitlines()[1]
-    assert '"' in first_gap_row or "," in first_gap_row
-    # Values like 31.6 render as "31,6" (quoted because the field now holds a comma).
-    assert '"31,6"' in text or "31,6" in text.replace('"', "")
-    assert "31.6" not in text
+    # Each rounded ratio renders as 31,6 and is quoted, because its cell now
+    # holds a comma; the counts stay bare.
+    assert (tmp_path / "indicators.csv").read_text(encoding="utf-8") == (
+        "indicator,classic,time\n"
+        'Gap 1st-3rd place (%),"31,6","6,3"\n'
+        'Gap 1st-9th place (%),"47,4","33,6"\n'
+        'Gap 1st-last (%),"47,4","33,6"\n'
+        "# Overall Changes,24,34\n"
+        "# Changes on Leadership,4,7\n"
+        "# Different Leaders,2,4\n"
+        'Aver. points per game,"1,33","1,19"\n'
+    )
 
 
 def test_empty_season_file_exits_one(tmp_path):

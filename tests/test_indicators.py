@@ -61,11 +61,9 @@ REAL_CLASSIC_POINTS = [
 def _standings(points, system, den=1):
     """Standings of teams T01, T02, ... holding ``points`` (non-increasing) over ``den``."""
     teams = tuple(f"T{rank:02d}" for rank in range(1, len(points) + 1))
-    standings = Standings(teams, scoring_rule(system), den)
     # One round; the tie-break order is name order, so equal points keep it.
-    ones = [1] * len(teams)
-    standings.add(range(len(teams)), [int(p * den) for p in points], ones, range(len(teams)))
-    return standings
+    nums = [int(p * den) for p in points]
+    return Standings(teams, scoring_rule(system), den, nums, len(teams), range(len(teams)))
 
 
 def _final(ledger, rule):
@@ -200,8 +198,7 @@ class TestMinutesToUpper:
     def test_hand_built_rule_converts_at_its_own_lead_minus_level(self):
         # Weights 5/2, 1 and 0: a point is 90 * 2/(5 - 2) = 60 minutes.
         rule = ScoringRule(ScoringSystem.TIME, 5, 2, 0, 0, 0, 2)
-        standings = Standings(("T01", "T02", "T03"), rule, 1)
-        standings.add(range(3), [10, 8, 5], [1, 1, 1], range(3))
+        standings = Standings(("T01", "T02", "T03"), rule, 1, [10, 8, 5], 3, range(3))
         nums, den = minutes_to_upper(standings)
         assert [Fraction(num, den) for num in nums] == [2 * 60, 3 * 60]
 

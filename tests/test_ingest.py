@@ -613,10 +613,14 @@ def test_records_are_immutable_values(cls, fields, values, other):
         assert getattr(record, name) == value
         with pytest.raises(AttributeError):
             setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     twin = cls(*values)
     assert record == twin and hash(record) == hash(twin)
     assert record != cls(*other)
     assert record != values and values != record
+    with pytest.raises(TypeError):
+        record < twin
 
 
 def _csv_season(row: str) -> str:

@@ -151,7 +151,7 @@ def ecdf_report(
     """
     files = {}
     for rule in rules:
-        uppers, counts, bits = ecdf_steps(ledger.awards(rule), rule.scale, ledger.max_length)
+        uppers, counts, bits = ecdf_steps(ledger.tally(rule), rule.scale, ledger.max_length)
         files[f"ecdf_{rule.system.value}.csv"] = csv_text((
             ["points", *format_ratios(uppers, 1 << bits, ECDF_DECIMALS, comma=comma)],
             ["cumulative_fraction", *format_ratios(counts, counts[-1], ECDF_DECIMALS, comma=comma)],

@@ -8,7 +8,8 @@ the report files.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import accumulate, compress
+from typing import Sequence
 
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
@@ -109,15 +110,15 @@ ECDF_DECIMALS = 6
 
 
 def ecdf_steps(
-    awards: Iterable[tuple[list[int], list[int]]], scale: int, max_length: int
-) -> tuple[list[int], tuple[int, ...], int]:
-    """The awards' ECDF on exact keys: ``(uppers, counts, bits)``, one step per distinct award.
+    tally: tuple[Sequence[int], Sequence[int], Sequence[int]], scale: int, max_length: int
+) -> tuple[list[int], list[int], int]:
+    """The ECDF of a :meth:`SeasonLedger.tally` on exact keys: ``(uppers, at_or_below, bits)``.
 
-    ``awards`` yields ``(nums, lengths)`` as :meth:`SeasonLedger.awards` does,
-    each award ``n / m`` with ``m = scale * T`` and ``T <= max_length``. In
-    increasing order of award, ``counts[i]`` awards are at or below the i-th,
-    and ``uppers[i] / 2**bits``, just above it, renders to ``ECDF_DECIMALS``
-    places, halves up, as the award itself does.
+    ``tally`` is ``(nums, lengths, counts)``: ``counts[k]`` awards of ``n / m``, with
+    ``n = nums[k]``, ``m = scale * lengths[k]`` and each length at most ``max_length``.
+    There is one step per distinct award, in increasing order: ``at_or_below[i]``
+    awards are at or below the i-th, and ``uppers[i] / 2**bits``, just above it,
+    renders to ``ECDF_DECIMALS`` places, halves up, as the award itself does.
     """
     # Each award's key is floor(n/m * 2**bits), an int of about 40 bits, where
     # with M = scale * max_length, 2**bits >= M**2 and 2**bits > 2*M*10**6 (for
@@ -129,23 +130,12 @@ def ecdf_steps(
     # Moving a up to (key+1)/2**bits moves it by at most 10**6/2**bits, which is
     # below 1/(2m), so the floor stays the same, exact halves included.
     max_den = scale * max_length
-    bits = max(
-        (max_den * max_den - 1).bit_length(),
-        (2 * max_den * 10**ECDF_DECIMALS).bit_length(),
-    )
-    keys = [
-        (n << bits) // (scale * t) for nums, lengths in awards for n, t in zip(nums, lengths)
-    ]
-    values, counts = zip(*ecdf_counts(keys))
-    return [key + 1 for key in values], counts, bits
-
-
-def ecdf_counts(awards: list[int]) -> list[tuple[int, int]]:
-    """(value, number of awards <= value) at each distinct value; sorts ``awards`` in place."""
-    awards.sort()
-    total = len(awards)
-    return [
-        (value, i)
-        for i, value in enumerate(awards, start=1)
-        if i == total or awards[i] != value
-    ]
+    bits = max((max_den**2 - 1).bit_length(), (2 * max_den * 10**ECDF_DECIMALS).bit_length())
+    nums, lengths, counts = tally
+    keys = [(n << bits) // (scale * t) for n, t in zip(nums, lengths)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[k] for k in order]
+    at_or_below = accumulate([counts[k] for k in order])
+    # Distinct rows can share an award, so a step ends each run of equal keys.
+    last = [key != after for key, after in zip(keys, keys[1:])] + [True]
+    return [key + 1 for key in compress(keys, last)], list(compress(at_or_below, last)), bits

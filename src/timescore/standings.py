@@ -8,6 +8,8 @@ denominator), never a ``Fraction``.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .display import ratio_text
@@ -146,6 +148,7 @@ class SeasonLedger:
         self._factors = [list(map(factor, round_lengths)) for round_lengths in self._lengths]
         # Each round's lengths and length factors as a rule that reads no time sees them.
         self._units = [[1] * len(sides) for sides in self._sides]
+        self._row_counts: tuple[list[tuple[int, ...]], list[int]] | None = None
 
     def den(self, rule: ScoringRule) -> int:
         """The common denominator of every total under ``rule``.
@@ -156,34 +159,31 @@ class SeasonLedger:
         return rule.scale * self.length_lcm if rule.reads_time else rule.scale
 
     def awards(self, rule: ScoringRule) -> Iterator[tuple[list[int], list[int]]]:
-        """Each round's awards as ``(nums, lengths)``, one entry per side, home then away.
+        """Each round's ``(nums, lengths)``, home then away; each num is over ``scale * length``."""
+        round_lengths = self._lengths if rule.reads_time else self._units
+        for rows, lengths in zip(self._rows, round_lengths):
+            yield _award_nums(rule, rows), lengths
 
-        A side's award is ``nums[k] / (rule.scale * lengths[k])``, the numerator
-        of :class:`ScoringRule` over its own match length; this is the one place
-        the package computes an award. A rule that reads no time gets every
-        length as 1, so its award is ``result*r + goal_diff*g`` over ``rule.scale``.
+    def tally(self, rule: ScoringRule) -> tuple[list[int], list[int], list[int]]:
+        """The season's awards as ``(nums, lengths, counts)``, one entry per distinct side row.
+
+        ``counts[k]`` sides have award ``nums[k]`` over ``scale * lengths[k]``, as in
+        :meth:`awards`. The rows are counted once per ledger, on the first call.
         """
-        result, goal_diff = rule.result, rule.goal_diff
-        if not rule.reads_time:
-            # A second expression: one shared expression needs the rows
-            # without T, zipped with the lengths, and made every rule slower.
-            for rows, units in zip(self._rows, self._units):
-                yield [result * r + goal_diff * g for _, _, _, r, g, _ in rows], units
-            return
-        lead, level, trail = rule.lead, rule.level, rule.trail
-        for rows, lengths in zip(self._rows, self._lengths):
-            yield [
-                lead * w + level * d + trail * l + (result * r + goal_diff * g) * t
-                for w, d, l, r, g, t in rows
-            ], lengths
+        if self._row_counts is None:
+            counted = Counter(chain.from_iterable(self._rows))
+            self._row_counts = list(counted), list(counted.values())
+        rows, counts = self._row_counts
+        lengths = [row[5] for row in rows] if rule.reads_time else [1] * len(rows)
+        return _award_nums(rule, rows), lengths, counts
 
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
         """Cumulative standings after each round, a new :class:`Standings` per round.
 
         Each holds a copy of the running totals, with that round's appearances
-        and tie-break order, so a kept round keeps its values. Each award is added times its length factor, so the totals are ints
-        over :meth:`den`; a rule that reads no time adds it with factor 1. The
-        last item is the final standings. A round whose ``order`` is never
+        and tie-break order, so a kept round keeps its values. Each award is
+        added times its length factor, so the totals are ints over :meth:`den`.
+        The last item is the final standings. A round whose ``order`` is never
         read is never ranked.
         """
         den, points, appearances = self.den(rule), [0] * len(self.teams), 0
@@ -195,6 +195,16 @@ class SeasonLedger:
                 points[team] += num * factor
             appearances += len(sides)
             yield Standings(self.teams, rule, den, points.copy(), appearances, tiebreak)
+
+
+def _award_nums(rule: ScoringRule, rows: Sequence[tuple[int, ...]]) -> list[int]:
+    """Each ``(w, d, l, r, g, T)`` row's award numerator: the one place an award is computed."""
+    result, goal_diff = rule.result, rule.goal_diff
+    if not rule.reads_time:  # one expression for both kinds of rule made every rule slower
+        return [result * r + goal_diff * g for _, _, _, r, g, _ in rows]
+    lead, level, trail = rule.lead, rule.level, rule.trail
+    return [lead * w + level * d + trail * l + (result * r + goal_diff * g) * t
+            for w, d, l, r, g, t in rows]
 
 
 def percent_of_leader(standings: Standings) -> tuple[list[int], int]:

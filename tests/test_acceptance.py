@@ -20,7 +20,7 @@ from reference import (
     weight_fractions,
 )
 from timescore.display import format_ratios
-from timescore.indicators import draws_to_wins, ecdf_counts, minutes_for_deficit
+from timescore.indicators import draws_to_wins, ecdf_steps, minutes_for_deficit
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger, Standings
@@ -169,8 +169,8 @@ def test_criterion_10_classic_ecdf_structure():
     rule = scoring_rule(ScoringSystem.CLASSIC)
     for season in seasons:
         ledger = SeasonLedger(season)
-        awards = season_awards(ledger, rule)
-        steps = ecdf_counts(awards)
-        assert {value for value, _ in steps} <= {0, 1, 3}
-        assert steps[-1][1] == len(awards)
+        uppers, counts, bits = ecdf_steps(ledger.tally(rule), rule.scale, ledger.max_length)
+        # Classic awards are whole points, so each step's key is its award.
+        assert {(upper - 1) >> bits for upper in uppers} <= {0, 1, 3}
+        assert counts[-1] == len(season_awards(ledger, rule)) == 2 * len(season.matches)
     _ok(10, "classic ECDF support within {0,1,3} and cumulative mass exactly 1")

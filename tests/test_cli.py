@@ -91,28 +91,50 @@ def test_sixty_team_reports_match_the_benchmark_digests(tmp_path, monkeypatch, n
     assert digests == expected["outputs"]
 
 
-def test_sixty_team_exact_ecdf_matches_a_fraction_recount(tmp_path, monkeypatch):
-    # Another seed of the benchmark's exact-second season: 60 teams, thousands of
-    # distinct awards and a season-wide lcm of thousands of bits. Each file's
-    # columns are recounted from the paper's formulas in Fraction arithmetic.
+def _assert_ecdf_equals_a_fraction_recount(tmp_path, monkeypatch, name, seed):
+    # The benchmark's 60-team season at another seed. Each file's columns are
+    # recounted from the paper's formulas in Fraction arithmetic.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from workloads import FULL_TEAMS, WORKLOADS, season_bytes
 
-    workload = WORKLOADS["league60_exact"]
-    data = season_bytes(workload.kind, 7, FULL_TEAMS)
-    season = tmp_path / "season.json"
-    season.write_bytes(data)
+    workload = WORKLOADS[name]
+    data = season_bytes(workload.kind, seed, FULL_TEAMS)
+    path = tmp_path / ("season.csv" if workload.kind == "minute" else "season.json")
+    path.write_bytes(data)
     out_dir = tmp_path / "out"
-    result = _invoke("ecdf", out_dir, *workload.flags, season=season)
+    result = _invoke("ecdf", out_dir, *workload.flags, season=path)
     assert result.exit_code == 0, result.stderr
     flags = dict(zip(workload.flags[::2], workload.flags[1::2]))
-    weights = WeightTriple.from_string(flags["--weights"])
-    matches = parse_season(data).matches
+    weights = WeightTriple.from_string(flags.get("--weights", "3,1,0"))
+    season = parse_season(data)
     for system in ScoringSystem:
-        awards = [a for match in matches for a in paper_match_awards(match, system, weights)]
+        awards = [
+            a for match in season.matches for a in paper_match_awards(match, system, weights)
+        ]
         header, *rows = (out_dir / f"ecdf_{system.value}.csv").read_text().splitlines()
         assert header == "points,cumulative_fraction"
         assert [row.split(",") for row in rows] == list(map(list, zip(*ecdf_columns(awards))))
+    return season, weights
+
+
+def test_sixty_team_exact_ecdf_matches_a_fraction_recount(tmp_path, monkeypatch):
+    # Thousands of distinct awards and a season-wide lcm of thousands of bits.
+    _assert_ecdf_equals_a_fraction_recount(tmp_path, monkeypatch, "league60_exact", 7)
+
+
+def test_sixty_team_minute_ecdf_matches_a_fraction_recount(tmp_path, monkeypatch):
+    # Minute data: most sides share their row with other sides, and rows of
+    # different match lengths share an award, so the ledger's tally of distinct
+    # rows is much shorter than the awards and one ECDF step spans several rows.
+    season, weights = _assert_ecdf_equals_a_fraction_recount(
+        tmp_path, monkeypatch, "league60_minute", 7
+    )
+    nums, lengths, counts = SeasonLedger(season).tally(scoring_rule(ScoringSystem.TIME, weights))
+    assert sum(counts) == 2 * len(season.matches) > 3 * len(nums)
+    lengths_by_award = {}
+    for n, t in zip(nums, lengths):
+        lengths_by_award.setdefault(Fraction(n, t), set()).add(t)
+    assert any(len(award_lengths) > 1 for award_lengths in lengths_by_award.values())
 
 
 # The bundled season's report bytes under flags the goldens do not cover: every

@@ -39,7 +39,6 @@ from timescore.errors import (
 )
 from timescore.indicators import (
     draws_to_wins,
-    ecdf_counts,
     ecdf_steps,
     gaps,
     minutes_for_deficit,
@@ -227,14 +226,23 @@ class TestDrawsToWins:
             draws_to_wins(_standings([10, 8, 5], ScoringSystem.TIME), [0, 0, 0])
 
 
+def _ecdf(ledger, rule):
+    """ecdf_steps on the ledger's tally under ``rule``."""
+    return ecdf_steps(ledger.tally(rule), rule.scale, ledger.max_length)
+
+
 class TestPointsEcdf:
     def test_all_goalless_is_single_step(self):
         ledger = SeasonLedger(SeasonDataset(matches=(MatchRecord(1, "A", "B"),)))
-        assert ecdf_counts(season_awards(ledger, TIME)) == [(1, 2)]
+        uppers, counts, bits = _ecdf(ledger, TIME)
+        # Both sides score 1: one step, on the key of 1, reached by both awards.
+        assert (uppers, counts) == ([(1 << bits) + 1], [2])
 
     def test_classic_steps_match_result_counts(self):
         season = random_season(random.Random(13))
-        lookup = dict(ecdf_counts(season_awards(SeasonLedger(season), CLASSIC)))
+        uppers, counts, bits = _ecdf(SeasonLedger(season), CLASSIC)
+        # Classic awards are whole points, so each step's key is its award.
+        lookup = {(upper - 1) >> bits: count for upper, count in zip(uppers, counts)}
         assert set(lookup) <= {0, 1, 3}
         losses = sum(hg != ag for hg, ag in map(final_score, season.matches))
         draws = 2 * (len(season.matches) - losses)
@@ -257,10 +265,7 @@ class TestPointsEcdf:
                     (value, Fraction(sum(1 for a in awards if a <= value), n))
                     for value in sorted(set(awards))
                 ]
-                rule = scoring_rule(system, weights)
-                uppers, counts, bits = ecdf_steps(
-                    ledger.awards(rule), rule.scale, ledger.max_length
-                )
+                uppers, counts, bits = _ecdf(ledger, scoring_rule(system, weights))
                 assert [Fraction(i, n) for i in counts] == [share for _, share in expected]
                 assert format_ratios(uppers, 1 << bits, 6) == [
                     rendered_by_hand(value, 6) for value, _ in expected
@@ -269,26 +274,28 @@ class TestPointsEcdf:
     def test_monotone_and_ends_at_one(self):
         ledger = SeasonLedger(random_season(random.Random(15)))
         awards = season_awards(ledger, TIME)
-        steps = ecdf_counts(awards)
-        counts = [count for _, count in steps]
+        assert all(0 < award < 3 for award in awards)
+        uppers, counts, bits = _ecdf(ledger, TIME)
         assert counts == sorted(set(counts))
         assert counts[-1] == len(awards)
-        assert all(0 < value < 3 for value, _ in steps)
+        assert uppers == sorted(set(uppers))
+        assert 0 < uppers[0] and uppers[-1] <= 3 << bits
 
     def test_empty_season(self):
         # No awards, no steps; the ledger refuses an empty season before that.
-        assert ecdf_counts([]) == []
+        uppers, counts, _ = ecdf_steps(([], [], []), 1, 5400)
+        assert uppers == counts == []
         with pytest.raises(EmptySeasonError):
             SeasonLedger(SeasonDataset())
 
 
 @st.composite
 def _award_sets(draw):
-    """(scale, max_length, [(n, t)]): awards n/(scale*t) with t <= max_length.
+    """(scale, max_length, [(n, t, count)]): count awards n/(scale*t), with t <= max_length.
 
     Beside free draws, the list holds an equal award over another length, the
     nearest awards over another length, and exact six-decimal halves, odd
-    multiples of 1/(128 * 5**k).
+    multiples of 1/(128 * 5**k). Each award is drawn with its own count.
     """
     scale = draw(st.integers(1, 60))
     max_length = draw(st.integers(1, 7200))
@@ -309,21 +316,21 @@ def _award_sets(draw):
             t = step * draw(st.integers(1, max_length // step))
             odd = 2 * draw(st.integers(-3 * q, 3 * q)) + 1
             pairs.append((odd * scale * t // q, t))
-    return scale, max_length, pairs
+    return scale, max_length, [(n, t, draw(st.integers(1, 5))) for n, t in pairs]
 
 
 @given(_award_sets())
-@example((1, 5760, [(9, 5760), (-9, 5760), (1, 2880), (5, 3200), (-1, 128)]))
+@example((1, 5760, [(9, 5760, 2), (-9, 5760, 1), (1, 2880, 3), (5, 3200, 1), (-1, 128, 4)]))
 @settings(max_examples=300, deadline=None)
 def test_ecdf_steps_order_tie_and_render_like_the_awards(case):
-    scale, max_length, pairs = case
-    nums, lengths = (list(column) for column in zip(*pairs))
-    uppers, counts, bits = ecdf_steps([(nums, lengths)], scale, max_length)
-    awards = [Fraction(n, scale * t) for n, t in pairs]
-    values = sorted(set(awards))
-    # One step per distinct award, in order, each on its own key.
+    scale, max_length, rows = case
+    uppers, counts, bits = ecdf_steps(tuple(map(list, zip(*rows))), scale, max_length)
+    awards = [(Fraction(n, scale * t), count) for n, t, count in rows]
+    values = sorted({award for award, _ in awards})
+    # One step per distinct award, in order, each on its own key, reached by
+    # the sum of the counts of the awards at or below it.
     assert uppers == [math.floor(value * 2**bits) + 1 for value in values]
-    assert list(counts) == [sum(a <= value for a in awards) for value in values]
+    assert counts == [sum(count for a, count in awards if a <= value) for value in values]
     assert format_ratios(uppers, 1 << bits, 6) == [rendered_by_hand(value, 6) for value in values]
 
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
 from reference import SLACK_S, draws_recount, expected_rounds, final_score, segment_oracle
+import timescore.standings as standings_module
+from timescore.cli import ecdf_report, evolution_report, indicators_report, table_report
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringRule, ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger
@@ -131,6 +133,49 @@ def test_kept_rounds_each_hold_their_own_round(seed, weights):
             assert [Fraction(p, standings.den) for p in standings.points] == [
                 points[team] for team in standings.teams
             ]
+
+
+@given(st.integers(0, 2**32), weight_triples(), st.sampled_from([4, 6, 8]))
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+def test_tally_expanded_by_its_counts_is_the_award_stream(seed, weights, teams):
+    # Each distinct row's award, repeated as many times as sides had the row,
+    # gives every award of awards() as a multiset: classic with unit lengths,
+    # and negative weights too.
+    season = _seasons(seed, teams)
+    ledger = SeasonLedger(season)
+    for system in ScoringSystem:
+        rule = scoring_rule(system, weights)
+        nums, lengths, counts = ledger.tally(rule)
+        assert min(counts) >= 1
+        expanded = Counter()
+        for num, t, count in zip(nums, lengths, counts, strict=True):
+            expanded[num, t] += count
+        streamed = Counter(
+            pair for round_nums, round_lengths in ledger.awards(rule)
+            for pair in zip(round_nums, round_lengths, strict=True)
+        )
+        assert expanded == streamed
+        assert sum(counts) == 2 * len(season.matches)
+
+
+def test_rows_are_counted_once_per_ledger_and_only_for_the_ecdf(monkeypatch):
+    # table, evolution and indicators never count the rows; the first ECDF
+    # counts them for every rule, and a second ECDF reuses that count.
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return Counter(rows)
+
+    monkeypatch.setattr(standings_module, "Counter", counting)
+    ledger = SeasonLedger(random_season(random.Random(3)))
+    rules = [scoring_rule(system) for system in ScoringSystem]
+    for report in (table_report, evolution_report, indicators_report):
+        report(ledger, rules, 2, False)
+    assert calls == []
+    ecdf_report(ledger, rules, 2, False)
+    ecdf_report(ledger, rules, 2, False)
+    assert calls == [1]
 
 
 def _assert_classic_is_wins_and_draws_over_one(season: SeasonDataset) -> None:

@@ -16,6 +16,7 @@ errors. Identical inputs and flags always produce byte-identical outputs.
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
@@ -150,11 +151,16 @@ def ecdf_report(
     share a points cell, as on exact-second data.
     """
     files = {}
+    # Cumulative count -> its fraction cell, rendered once per run: every rule
+    # counts the same awards, so every rule's fractions share one denominator.
+    fractions: dict[int, str] = {}
     for rule in rules:
         uppers, counts, bits = ecdf_steps(ledger.tally(rule), rule.scale, ledger.max_length)
+        new = [count for count in counts if count not in fractions]
+        fractions.update(zip(new, format_ratios(new, counts[-1], ECDF_DECIMALS, comma=comma)))
         files[f"ecdf_{rule.system.value}.csv"] = csv_text((
             ["points", *format_ratios(uppers, 1 << bits, ECDF_DECIMALS, comma=comma)],
-            ["cumulative_fraction", *format_ratios(counts, counts[-1], ECDF_DECIMALS, comma=comma)],
+            ["cumulative_fraction", *map(fractions.__getitem__, counts)],
         ))
     return files
 
@@ -299,7 +305,22 @@ def _read_args(argv: Sequence[str]) -> dict[str, object]:
 
 
 def main(argv: Sequence[str] | None = None, *, standalone_mode: bool = True) -> None:
-    """Run one command: ``timescore COMMAND --input FILE --out DIR [options]``."""
+    """Run one command: ``timescore COMMAND --input FILE --out DIR [options]``.
+
+    The cyclic garbage collector is paused while the command runs and is then
+    set back as the caller had it, whatever the exit. A run makes no reference
+    cycles but the few that json.dumps leaves, however long the season, so the
+    collector's passes over the season's records and rows would free nothing;
+    the resumed collector frees those few.
+    """
     # standalone_mode is ignored; bench/run.py still passes it (ROADMAP item 1 drops it).
     args = _read_args(sys.argv[1:] if argv is None else argv)
-    _execute(_COMMANDS[args.pop("command")][1], **args)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        _execute(_COMMANDS[args.pop("command")][1], **args)
+    finally:
+        # Resumed only once _execute has returned and dropped its ledger, so the
+        # first pass after the pause does not walk the season's rows.
+        if collecting:
+            gc.enable()

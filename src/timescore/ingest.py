@@ -41,7 +41,7 @@ import io
 import re
 import sys
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any
 
 from .errors import (
     DuplicateFixtureError,
@@ -245,6 +245,11 @@ class MatchRecord(FrozenRecord):
         return tuple.__new__(cls, (round, home, away, goals, declared_length_s, slack_s, timeline))
 
 
+# Field readers of a MatchRecord, by position: one call per record, no property read.
+_ROUND, _HOME, _AWAY = map(itemgetter, range(3))
+_PAIR = itemgetter(1, 2)
+
+
 class SeasonDataset(FrozenRecord):
     """A validated collection of fixtures for one league season.
 
@@ -261,16 +266,17 @@ class SeasonDataset(FrozenRecord):
         cls, league_name: str = "", matches: tuple[MatchRecord, ...] = ()
     ) -> SeasonDataset:
         matches = tuple(matches)
-        seen: set[tuple[str, str]] = set()
-        for m in matches:
-            pair = (m.home, m.away)
-            if pair in seen:
-                raise DuplicateFixtureError(
-                    f"fixture {m.home} vs {m.away} appears more than once"
-                )
-            seen.add(pair)
+        pairs = list(map(_PAIR, matches))
+        if len(set(pairs)) != len(pairs):  # a pass in file order names the first duplicate
+            seen: set[tuple[str, str]] = set()
+            for pair in pairs:
+                if pair in seen:
+                    raise DuplicateFixtureError(
+                        "fixture {} vs {} appears more than once".format(*pair)
+                    )
+                seen.add(pair)
         # Rounds are at least 1, so they run 1..max exactly when there are max of them.
-        rounds = {m.round for m in matches}
+        rounds = set(map(_ROUND, matches))
         if rounds and len(rounds) != max(rounds):
             raise NonContiguousRoundsError(
                 "round numbers must form a contiguous range starting at 1"
@@ -279,12 +285,12 @@ class SeasonDataset(FrozenRecord):
 
     @property
     def teams(self) -> tuple[str, ...]:
-        names = {m.home for m in self.matches} | {m.away for m in self.matches}
+        names = set(map(_HOME, self.matches)).union(map(_AWAY, self.matches))
         return tuple(sorted(names))
 
     @property
     def num_rounds(self) -> int:
-        return max((m.round for m in self.matches), default=0)
+        return max(map(_ROUND, self.matches), default=0)
 
 
 def parse_goal_token(token: str) -> int:
@@ -359,17 +365,6 @@ def parse_season(data: bytes | str) -> SeasonDataset:
     return _parse_csv(text)
 
 
-def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line, row) for each CSV row; a line the csv module rejects fails as MALFORMED_ROW."""
-    import csv  # here, not at the top: a run on a JSON season never loads it
-    reader = csv.reader(io.StringIO(text))
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:  # e.g. a bare carriage return, or an oversized field
-        raise MalformedRowError(f"bad CSV line: {exc}", line=reader.line_num) from None
-
-
 def _csv_int(field: str, what: str) -> int:
     """An integer CSV field: an optional sign and ASCII digits, spaces around allowed.
 
@@ -383,11 +378,14 @@ def _csv_int(field: str, what: str) -> int:
 
 
 def _parse_csv(text: str) -> SeasonDataset:
-    rows = _csv_rows(text)
+    import csv  # here, not at the top: a run on a JSON season never loads it
+    reader = csv.reader(io.StringIO(text))
     try:
-        _, header = next(rows)
+        header = next(reader)
     except StopIteration:
         raise EmptySeasonError("season file is empty") from None
+    except csv.Error as exc:
+        raise _bad_csv_line(exc, reader.line_num) from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedRowError(
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
@@ -397,15 +395,13 @@ def _parse_csv(text: str) -> SeasonDataset:
     tokens = _TokenMemo()
     # Round number text -> its value; a season repeats each round's text once per fixture.
     round_numbers: dict[str, int] = {}
-    for line, row in rows:
-        if not row:
-            continue  # blank line
-        if len(row) != len(CSV_HEADER):
-            raise MalformedRowError(
-                f"expected {len(CSV_HEADER)} fields, got {len(row)}", line=line
-            )
-        round_text, home, away, goals_field, length_field = row
-        try:
+    try:
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) != len(CSV_HEADER):
+                raise MalformedRowError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+            round_text, home, away, goals_field, length_field = row
             round_no = round_numbers.get(round_text)
             if round_no is None:
                 round_no = round_numbers[round_text] = _csv_int(round_text, "round number")
@@ -423,9 +419,16 @@ def _parse_csv(text: str) -> SeasonDataset:
             matches.append(
                 MatchRecord(round_no, home, away, goals, declared, len(goals) * _TOKEN_SLACK_S)
             )
-        except SeasonDataError as err:
-            raise _located(err, line) from None
+    except csv.Error as exc:
+        raise _bad_csv_line(exc, reader.line_num) from None
+    except SeasonDataError as err:
+        raise _located(err, reader.line_num) from None
     return SeasonDataset(matches=tuple(matches))
+
+
+def _bad_csv_line(exc: Exception, line: int) -> MalformedRowError:
+    """The error of a line the csv module rejects, e.g. a bare carriage return or a huge field."""
+    return MalformedRowError(f"bad CSV line: {exc}", line=line)
 
 
 def _require_int(value: Any, what: str) -> int:
@@ -524,16 +527,17 @@ def _parse_json(text: str) -> SeasonDataset:
             if type(entries) is not list:
                 raise MalformedRowError(f"goals must be a list, got {entries!r}")
             goals, slack_s = _json_goals(entries, tokens)
-            matches.append(
-                MatchRecord(
-                    _require_int(obj["round"], "round"),
-                    _require_str(obj["home"], "home"),
-                    _require_str(obj["away"], "away"),
-                    goals,
-                    declared,
-                    slack_s,
-                )
-            )
+            # Read and check round, home, away in turn: the first fault is the one reported.
+            round_no = obj["round"]
+            if type(round_no) is not int:
+                _require_int(round_no, "round")
+            home = obj["home"]
+            if type(home) is not str:
+                _require_str(home, "home")
+            away = obj["away"]
+            if type(away) is not str:
+                _require_str(away, "away")
+            matches.append(MatchRecord(round_no, home, away, goals, declared, slack_s))
         except SeasonDataError as err:
             raise type(err)(f"match {i}: {err.message}") from None
         except KeyError as exc:

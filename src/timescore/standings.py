@@ -95,7 +95,7 @@ class SeasonLedger:
         index = {team: i for i, team in enumerate(self.teams)}
         by_round: list[list[MatchRecord]] = [[] for _ in range(dataset.num_rounds)]
         for match in dataset.matches:
-            by_round[match.round - 1].append(match)
+            by_round[match[0] - 1].append(match)  # match.round, read as the tuple item
 
         n = len(self.teams)
         goals_for, goal_diff = [0] * n, [0] * n
@@ -106,9 +106,9 @@ class SeasonLedger:
         self._tiebreaks: list[list[int]] = []
         for matches in by_round:
             sides, rows, round_lengths = [], [], []
-            for match in matches:
-                win, draw, lose, t, hg, ag = match.timeline
-                home, away = index[match.home], index[match.away]
+            # Each record unpacks as the tuple it is, with no property reads.
+            for _, home_name, away_name, _, _, _, (win, draw, lose, t, hg, ag) in matches:
+                home, away = index[home_name], index[away_name]
                 sides += (home, away)
                 # The 3/1/0 result and the goal-difference bonus, capped at 3,
                 # of each side from the one difference.

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -785,6 +786,61 @@ def test_report_data_error_writes_no_file(tmp_path):
     assert result.exit_code == 1
     assert "TOO_FEW_TEAMS" in result.stderr
     assert not out.exists()
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """The cyclic garbage collector switched on or off, then set back."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller_on", "caller_off"])
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        ([], 0),
+        (["--systems", "foo"], 1),
+        (["--input", "missing.csv"], 2),
+        (["--decimals", "9"], 2),
+    ],
+    ids=["success", "data_error", "io_error", "usage_error"],
+)
+def test_a_run_pauses_the_collector_and_restores_the_callers_setting(
+    tmp_path, monkeypatch, enabled, args, code
+):
+    seen = []
+
+    def parse(data):
+        seen.append(gc.isenabled())
+        return parse_season(data)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("timescore.cli.parse_season", parse)
+    with _collector(enabled):
+        result = _invoke("table", tmp_path / "out", *args)
+        assert result.exit_code == code
+        assert gc.isenabled() is enabled
+    # Only a run that gets as far as reading the season parses it.
+    assert seen == ([False] if code == 0 else [])
+
+
+def test_a_paused_run_leaves_the_same_few_cycles_whatever_the_season(tmp_path):
+    # json.dumps's encoder closures are the only cycles a run makes, so the
+    # garbage a paused collector leaves does not grow with the season.
+    season = tmp_path / "twenty.json"
+    season.write_text(season_text(random_season(random.Random(5), num_teams=20), as_csv=False))
+    found = []
+    with _collector(False):
+        for path in (SEASON_CSV, season):
+            gc.collect()
+            assert _invoke("report", tmp_path / "out", season=path).exit_code == 0
+            found.append(gc.collect())
+    assert found[0] == found[1] < 50
 
 
 @pytest.mark.parametrize(

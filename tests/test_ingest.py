@@ -733,6 +733,16 @@ _FAULTS = [
      "MALFORMED_ROW: match 2: missing field 'home'"),
     ("json_missing_away", _json_season('{"round": 1, "home": "A", "goals": ["H:1"]}'),
      "MALFORMED_ROW: match 2: missing field 'away'"),
+    ("json_string_round", _json_season('{"round": "x", "home": "A", "away": "B"}'),
+     "MALFORMED_ROW: match 2: round must be an integer, got 'x'"),
+    ("json_bool_round", _json_season('{"round": true, "home": "A", "away": "B"}'),
+     "MALFORMED_ROW: match 2: round must be an integer, got True"),
+    ("json_float_round", _json_season('{"round": 1.0, "home": "A", "away": "B"}'),
+     "MALFORMED_ROW: match 2: round must be an integer, got 1.0"),
+    ("json_number_home", _json_season('{"round": 1, "home": 5, "away": "B"}'),
+     "MALFORMED_ROW: match 2: home must be a string, got 5"),
+    ("json_null_away", _json_season('{"round": 1, "home": "A", "away": null}'),
+     "MALFORMED_ROW: match 2: away must be a string, got None"),
     # Two faults: a goal time out of range wins over the order of the goals,
     # the round, the names, the length and a later bad goal object; a bad goal
     # object wins over the order of earlier goals; the names win over the order
@@ -758,6 +768,20 @@ _FAULTS = [
      "MALFORMED_ROW: match 2: team names must not contain a NUL character"),
     ("csv_self_play_before_disorder", _csv_season('1,A,A,"H:20,H:10",'),
      "MALFORMED_ROW: a team cannot play itself: 'A' (line 3)"),
+    # The fields of a JSON match are read and checked in the order round, home,
+    # away: a bad round wins over a missing home, and a bad home over a missing away.
+    ("json_bad_round_before_missing_home", _json_season('{"round": "x", "away": "B"}'),
+     "MALFORMED_ROW: match 2: round must be an integer, got 'x'"),
+    ("json_bad_home_before_missing_away", _json_season('{"round": 1, "home": 5}'),
+     "MALFORMED_ROW: match 2: home must be a string, got 5"),
+    # Two duplicated pairs: the one repeated first in file order is named, not
+    # the one seen first (Gamma vs Delta, on line 2).
+    ("csv_two_duplicates", _csv_season("1,Zeta,Eta,,\n2,Zeta,Eta,,\n2,Gamma,Delta,,"),
+     "DUPLICATE_FIXTURE: fixture Zeta vs Eta appears more than once"),
+    ("json_two_duplicates", _json_season(
+        '{"round": 1, "home": "Zeta", "away": "Eta"},\n{"round": 2, "home": "Zeta", "away":'
+        ' "Eta"},\n{"round": 2, "home": "Gamma", "away": "Delta"}'),
+     "DUPLICATE_FIXTURE: fixture Zeta vs Eta appears more than once"),
 ]
 
 

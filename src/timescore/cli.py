@@ -155,7 +155,7 @@ def ecdf_report(
     # counts the same awards, so every rule's fractions share one denominator.
     fractions: dict[int, str] = {}
     for rule in rules:
-        uppers, counts, bits = ecdf_steps(ledger.tally(rule), rule.scale, ledger.max_length)
+        uppers, counts, bits = ecdf_steps(ledger.tally(rule))
         new = [count for count in counts if count not in fractions]
         fractions.update(zip(new, format_ratios(new, counts[-1], ECDF_DECIMALS, comma=comma)))
         files[f"ecdf_{rule.system.value}.csv"] = csv_text((

@@ -110,29 +110,28 @@ ECDF_DECIMALS = 6
 
 
 def ecdf_steps(
-    tally: tuple[Sequence[int], Sequence[int], Sequence[int]], scale: int, max_length: int
+    tally: tuple[Sequence[int], Sequence[int], Sequence[int]],
 ) -> tuple[list[int], list[int], int]:
     """The ECDF of a :meth:`SeasonLedger.tally` on exact keys: ``(uppers, at_or_below, bits)``.
 
-    ``tally`` is ``(nums, lengths, counts)``: ``counts[k]`` awards of ``n / m``, with
-    ``n = nums[k]``, ``m = scale * lengths[k]`` and each length at most ``max_length``.
-    There is one step per distinct award, in increasing order: ``at_or_below[i]``
-    awards are at or below the i-th, and ``uppers[i] / 2**bits``, just above it,
-    renders to ``ECDF_DECIMALS`` places, halves up, as the award itself does.
+    ``tally`` is ``(nums, dens, counts)``: ``counts[k]`` awards of ``nums[k] / dens[k]``,
+    each den positive. There is one step per distinct award, in increasing order:
+    ``at_or_below[i]`` awards are at or below the i-th, and ``uppers[i] / 2**bits``,
+    just above it, renders to ``ECDF_DECIMALS`` places, halves up, as the award itself does.
     """
     # Each award's key is floor(n/m * 2**bits), an int of about 40 bits, where
-    # with M = scale * max_length, 2**bits >= M**2 and 2**bits > 2*M*10**6 (for
-    # six decimals). Order and ties: two distinct awards differ by at least
+    # with M the largest den, 2**bits >= M**2 and 2**bits > 2*M*10**6 (for six
+    # decimals). Order and ties: two distinct awards differ by at least
     # 1/(m*m') >= 1/M**2 >= 2**-bits, so distinct awards get distinct keys in
     # their order. Rendering: an award a lies in [key/2**bits, (key+1)/2**bits).
     # Half-up rounding takes floor(a*10**6 + 1/2), and that quantity is a
     # multiple of 1/(2m): an integer, or at least 1/(2m) below the next one.
     # Moving a up to (key+1)/2**bits moves it by at most 10**6/2**bits, which is
     # below 1/(2m), so the floor stays the same, exact halves included.
-    max_den = scale * max_length
+    nums, dens, counts = tally
+    max_den = max(dens, default=1)
     bits = max((max_den**2 - 1).bit_length(), (2 * max_den * 10**ECDF_DECIMALS).bit_length())
-    nums, lengths, counts = tally
-    keys = [(n << bits) // (scale * t) for n, t in zip(nums, lengths)]
+    keys = [(n << bits) // m for n, m in zip(nums, dens)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     keys = [keys[k] for k in order]
     at_or_below = accumulate([counts[k] for k in order])

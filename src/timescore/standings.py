@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from .display import ratio_text
@@ -75,13 +75,13 @@ class SeasonLedger:
 
     Each round keeps one row of ints per side of each fixture: its leading,
     level and trailing seconds, its 3/1/0 result, its capped goal-difference
-    bonus and the match length T; and, per side, T and the length factor
+    bonus and the match length T; and, per side, the length factor
     ``length_lcm // T``, where ``length_lcm`` is the lcm of the distinct match
     lengths. What no rule changes is computed once per season: each round's
     tie-break order and each team's season ``draws``.
 
     Under a rule that reads time (:attr:`ScoringRule.reads_time`), an award
-    is a small integer over ``rule.scale * T`` (:meth:`awards`), and totals
+    is a small integer over ``rule.scale * T`` (:meth:`tally`), and totals
     are integers over ``rule.scale * length_lcm``: each award is multiplied by
     its length factor once, as it is added. A rule that reads no time, such
     as ``classic``, sees every match length, length factor and ``length_lcm``
@@ -102,10 +102,9 @@ class SeasonLedger:
         draws = self.draws = [0] * n
         self._sides: list[list[int]] = []
         self._rows: list[list[tuple[int, ...]]] = []
-        self._lengths: list[list[int]] = []
         self._tiebreaks: list[list[int]] = []
         for matches in by_round:
-            sides, rows, round_lengths = [], [], []
+            sides, rows = [], []
             # Each record unpacks as the tuple it is, with no property reads.
             for _, home_name, away_name, _, _, _, (win, draw, lose, t, hg, ag) in matches:
                 home, away = index[home_name], index[away_name]
@@ -121,7 +120,6 @@ class SeasonLedger:
                     rows += ((win, draw, lose, 1, 0, t), (lose, draw, win, 1, 0, t))
                     draws[home] += 1
                     draws[away] += 1
-                round_lengths += (t, t)
                 goals_for[home] += hg
                 goals_for[away] += ag
                 goal_diff[home] += diff
@@ -134,20 +132,16 @@ class SeasonLedger:
             self._tiebreaks.append(sorted(range(n), key=keys.__getitem__, reverse=True))
             self._sides.append(sides)
             self._rows.append(rows)
-            self._lengths.append(round_lengths)
 
-        lengths = set().union(*self._lengths)
+        lengths = {row[5] for row in chain.from_iterable(self._rows)}
         self.length_lcm = math.lcm(*lengths)
-        self.max_length = max(lengths)
         if self.length_lcm.bit_length() > MAX_LENGTH_LCM_BITS:
             raise TooManyLengthsError(
                 f"the {len(lengths)} distinct match lengths have an lcm of more than "
                 "3000 digits, too large for exact points"
             )
         factor = {t: self.length_lcm // t for t in lengths}.__getitem__
-        self._factors = [list(map(factor, round_lengths)) for round_lengths in self._lengths]
-        # Each round's lengths and length factors as a rule that reads no time sees them.
-        self._units = [[1] * len(sides) for sides in self._sides]
+        self._factors = [[factor(row[5]) for row in rows] for rows in self._rows]
         self._row_counts: tuple[list[tuple[int, ...]], list[int]] | None = None
 
     def den(self, rule: ScoringRule) -> int:
@@ -158,24 +152,20 @@ class SeasonLedger:
         """
         return rule.scale * self.length_lcm if rule.reads_time else rule.scale
 
-    def awards(self, rule: ScoringRule) -> Iterator[tuple[list[int], list[int]]]:
-        """Each round's ``(nums, lengths)``, home then away; each num is over ``scale * length``."""
-        round_lengths = self._lengths if rule.reads_time else self._units
-        for rows, lengths in zip(self._rows, round_lengths):
-            yield _award_nums(rule, rows), lengths
-
     def tally(self, rule: ScoringRule) -> tuple[list[int], list[int], list[int]]:
-        """The season's awards as ``(nums, lengths, counts)``, one entry per distinct side row.
+        """The season's awards as ``(nums, dens, counts)``, one entry per distinct side row.
 
-        ``counts[k]`` sides have award ``nums[k]`` over ``scale * lengths[k]``, as in
-        :meth:`awards`. The rows are counted once per ledger, on the first call.
+        ``counts[k]`` sides have award ``nums[k] / dens[k]``. Each den is
+        ``rule.scale * T`` under a rule that reads time, else ``rule.scale``.
+        The rows are counted once per ledger, on the first call.
         """
         if self._row_counts is None:
             counted = Counter(chain.from_iterable(self._rows))
             self._row_counts = list(counted), list(counted.values())
         rows, counts = self._row_counts
-        lengths = [row[5] for row in rows] if rule.reads_time else [1] * len(rows)
-        return _award_nums(rule, rows), lengths, counts
+        scale = rule.scale
+        dens = [scale * row[5] for row in rows] if rule.reads_time else [scale] * len(rows)
+        return _award_nums(rule, rows), dens, counts
 
     def rounds(self, rule: ScoringRule) -> Iterator[Standings]:
         """Cumulative standings after each round, a new :class:`Standings` per round.
@@ -187,11 +177,12 @@ class SeasonLedger:
         read is never ranked.
         """
         den, points, appearances = self.den(rule), [0] * len(self.teams), 0
-        round_factors = self._factors if rule.reads_time else self._units
-        for (nums, _), sides, factors, tiebreak in zip(
-            self.awards(rule), self._sides, round_factors, self._tiebreaks
+        # A rule that reads no time adds each award as it is, over its scale.
+        round_factors = self._factors if rule.reads_time else repeat(repeat(1))
+        for rows, sides, factors, tiebreak in zip(
+            self._rows, self._sides, round_factors, self._tiebreaks
         ):
-            for team, num, factor in zip(sides, nums, factors):
+            for team, num, factor in zip(sides, _award_nums(rule, rows), factors):
                 points[team] += num * factor
             appearances += len(sides)
             yield Standings(self.teams, rule, den, points.copy(), appearances, tiebreak)

@@ -4,10 +4,11 @@ and a goal count.
 ``paper_awards`` scores a match straight from the definitions of the four
 systems in ``Fraction`` arithmetic. It shares no code with the package's
 integer scoring rule, so a test that compares the season ledger with it
-compares two independent codings. ``season_awards`` reads a ledger's awards
-from :meth:`SeasonLedger.awards` as ``Fraction``, and ``package_awards`` scores
-one match that way through a one-match :class:`SeasonLedger`. ``final_points``
-totals a season's awards from ``paper_awards``, and ``gaps_recount``,
+compares two independent codings. ``season_awards`` expands a ledger's
+:meth:`SeasonLedger.tally` into every award as a ``Fraction``, and
+``package_awards`` reads one match's awards from the final standings of a
+one-match :class:`SeasonLedger`. ``final_points`` totals a season's awards
+from ``paper_awards``, and ``gaps_recount``,
 ``average_recount`` and ``minutes_to_upper_recount`` recount the indicators
 from those totals in ``Fraction`` arithmetic. ``expected_rounds`` ranks each
 round from scratch by the documented tie-break. ``indicator_files`` lays out
@@ -232,19 +233,19 @@ def minutes_to_upper_recount(points: list[Fraction], weights: WeightTriple) -> l
 
 
 def season_awards(ledger: SeasonLedger, rule) -> list[Fraction]:
-    """Every award of the season, round by round, home then away."""
+    """Every award of the season, as :meth:`SeasonLedger.tally` counts them, in no set order."""
+    nums, dens, counts = ledger.tally(rule)
     return [
-        Fraction(num, rule.scale * t)
-        for nums, lengths in ledger.awards(rule)
-        for num, t in zip(nums, lengths)
+        Fraction(num, den) for num, den, count in zip(nums, dens, counts) for _ in range(count)
     ]
 
 
 def package_awards(match: MatchRecord, rule) -> tuple[Fraction, Fraction]:
-    """(home, away) awards of ``match`` under ``rule``, from a one-match season ledger."""
+    """(home, away) awards of ``match`` under ``rule``: a one-match ledger's final standings."""
     one = MatchRecord(1, match.home, match.away, match.goals, match.declared_length_s)
-    home, away = season_awards(SeasonLedger(SeasonDataset(matches=(one,))), rule)
-    return home, away
+    *_, final = SeasonLedger(SeasonDataset(matches=(one,))).rounds(rule)
+    points = dict(zip(final.teams, final.points))
+    return Fraction(points[match.home], final.den), Fraction(points[match.away], final.den)
 
 
 def rendered_by_hand(value: Fraction, decimals: int, comma: bool = False) -> str:

@@ -169,7 +169,7 @@ def test_criterion_10_classic_ecdf_structure():
     rule = scoring_rule(ScoringSystem.CLASSIC)
     for season in seasons:
         ledger = SeasonLedger(season)
-        uppers, counts, bits = ecdf_steps(ledger.tally(rule), rule.scale, ledger.max_length)
+        uppers, counts, bits = ecdf_steps(ledger.tally(rule))
         # Classic awards are whole points, so each step's key is its award.
         assert {(upper - 1) >> bits for upper in uppers} <= {0, 1, 3}
         assert counts[-1] == len(season_awards(ledger, rule)) == 2 * len(season.matches)

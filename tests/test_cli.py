@@ -130,12 +130,12 @@ def test_sixty_team_minute_ecdf_matches_a_fraction_recount(tmp_path, monkeypatch
     season, weights = _assert_ecdf_equals_a_fraction_recount(
         tmp_path, monkeypatch, "league60_minute", 7
     )
-    nums, lengths, counts = SeasonLedger(season).tally(scoring_rule(ScoringSystem.TIME, weights))
+    nums, dens, counts = SeasonLedger(season).tally(scoring_rule(ScoringSystem.TIME, weights))
     assert sum(counts) == 2 * len(season.matches) > 3 * len(nums)
-    lengths_by_award = {}
-    for n, t in zip(nums, lengths):
-        lengths_by_award.setdefault(Fraction(n, t), set()).add(t)
-    assert any(len(award_lengths) > 1 for award_lengths in lengths_by_award.values())
+    dens_by_award = {}
+    for n, m in zip(nums, dens):
+        dens_by_award.setdefault(Fraction(n, m), set()).add(m)
+    assert any(len(award_dens) > 1 for award_dens in dens_by_award.values())
 
 
 # The bundled season's report bytes under flags the goldens do not cover: every
@@ -707,6 +707,38 @@ def test_season_with_too_many_match_lengths_exits_one_and_writes_nothing(tmp_pat
     assert result.stderr.startswith("error: TOO_MANY_LENGTHS: ")
     assert result.output == ""
     assert not (tmp_path / "out").exists()
+
+
+# Exact-second goals that put points cells on a rounding half. Beta's goal at
+# 27 s of a 90' match leaves Alpha 27/5400 = 0.005 time points after round 1
+# and 1.005 after its goalless draw in round 3: an evolution cell and a table
+# cell that half-up rounding renders 0.01 and 1.01. Beta has 16146/5400 = 2.99.
+HALF_SEASON = {"league": "halves", "matches": [
+    {"round": 1, "home": "Alpha", "away": "Beta", "goals": [{"side": "A", "time_s": 27}]},
+    {"round": 2, "home": "Beta", "away": "Gamma"},
+    {"round": 3, "home": "Gamma", "away": "Alpha"},
+]}
+
+
+@pytest.mark.parametrize(
+    "systems", [[ScoringSystem.CLASSIC, ScoringSystem.TIME], list(ScoringSystem)],
+    ids=["default", "all"],
+)
+def test_exact_second_halves_round_up_like_the_fraction_reference(tmp_path, systems):
+    season, out = tmp_path / "halves.json", tmp_path / "out"
+    season.write_text(json.dumps(HALF_SEASON))
+    result = _invoke("report", out, "--systems", ",".join(s.value for s in systems),
+                     season=season)
+    assert result.exit_code == 0, result.stderr
+    expected = report_files(
+        parse_season(season.read_bytes()), systems, WeightTriple(3, 1, 0), 2, False
+    )
+    assert sorted(os.listdir(out)) == sorted(expected)
+    assert {name: (out / name).read_bytes().decode() for name in expected} == expected
+    assert "1,Alpha,2,0.01\n" in expected["evolution_time.csv"]
+    assert "3,Alpha,3,1.01\n" in expected["evolution_time.csv"]
+    header, *rows = csv.reader(io.StringIO(expected["table.csv"]))
+    assert [row[header.index("time_points")] for row in rows] == ["3.99", "2.00", "1.01"]
 
 
 def test_report_drops_repeated_systems_like_table(tmp_path):

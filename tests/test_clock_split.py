@@ -1,3 +1,5 @@
+"""Each match's clock split, ``MatchRecord.timeline``, against a step-by-step oracle."""
+
 import json
 
 import pytest

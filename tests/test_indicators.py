@@ -228,7 +228,7 @@ class TestDrawsToWins:
 
 def _ecdf(ledger, rule):
     """ecdf_steps on the ledger's tally under ``rule``."""
-    return ecdf_steps(ledger.tally(rule), rule.scale, ledger.max_length)
+    return ecdf_steps(ledger.tally(rule))
 
 
 class TestPointsEcdf:
@@ -283,7 +283,7 @@ class TestPointsEcdf:
 
     def test_empty_season(self):
         # No awards, no steps; the ledger refuses an empty season before that.
-        uppers, counts, _ = ecdf_steps(([], [], []), 1, 5400)
+        uppers, counts, _ = ecdf_steps(([], [], []))
         assert uppers == counts == []
         with pytest.raises(EmptySeasonError):
             SeasonLedger(SeasonDataset())
@@ -291,7 +291,7 @@ class TestPointsEcdf:
 
 @st.composite
 def _award_sets(draw):
-    """(scale, max_length, [(n, t, count)]): count awards n/(scale*t), with t <= max_length.
+    """[(n, m, count)]: count awards n/m, each den m a scale times a length t.
 
     Beside free draws, the list holds an equal award over another length, the
     nearest awards over another length, and exact six-decimal halves, odd
@@ -316,16 +316,15 @@ def _award_sets(draw):
             t = step * draw(st.integers(1, max_length // step))
             odd = 2 * draw(st.integers(-3 * q, 3 * q)) + 1
             pairs.append((odd * scale * t // q, t))
-    return scale, max_length, [(n, t, draw(st.integers(1, 5))) for n, t in pairs]
+    return [(n, scale * t, draw(st.integers(1, 5))) for n, t in pairs]
 
 
 @given(_award_sets())
-@example((1, 5760, [(9, 5760, 2), (-9, 5760, 1), (1, 2880, 3), (5, 3200, 1), (-1, 128, 4)]))
+@example([(9, 5760, 2), (-9, 5760, 1), (1, 2880, 3), (5, 3200, 1), (-1, 128, 4)])
 @settings(max_examples=300, deadline=None)
-def test_ecdf_steps_order_tie_and_render_like_the_awards(case):
-    scale, max_length, rows = case
-    uppers, counts, bits = ecdf_steps(tuple(map(list, zip(*rows))), scale, max_length)
-    awards = [(Fraction(n, scale * t), count) for n, t, count in rows]
+def test_ecdf_steps_order_tie_and_render_like_the_awards(rows):
+    uppers, counts, bits = ecdf_steps(tuple(map(list, zip(*rows))))
+    awards = [(Fraction(n, m), count) for n, m, count in rows]
     values = sorted({award for award, _ in awards})
     # One step per distinct award, in order, each on its own key, reached by
     # the sum of the counts of the awards at or below it.

@@ -14,7 +14,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from matchgen import random_season, weight_triples
-from reference import SLACK_S, draws_recount, expected_rounds, final_score, segment_oracle
+from reference import (
+    SLACK_S, draws_recount, expected_rounds, final_score, paper_awards, segment_oracle
+)
 import timescore.standings as standings_module
 from timescore.cli import ecdf_report, evolution_report, indicators_report, table_report
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
@@ -139,22 +141,24 @@ def test_kept_rounds_each_hold_their_own_round(seed, weights):
 @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
 def test_tally_expanded_by_its_counts_is_the_award_stream(seed, weights, teams):
     # Each distinct row's award, repeated as many times as sides had the row,
-    # gives every award of awards() as a multiset: classic with unit lengths,
-    # and negative weights too.
+    # gives every side's paper-formula award as a multiset: classic over its
+    # scale alone, and negative weights too.
     season = _seasons(seed, teams)
     ledger = SeasonLedger(season)
     for system in ScoringSystem:
         rule = scoring_rule(system, weights)
-        nums, lengths, counts = ledger.tally(rule)
+        nums, dens, counts = ledger.tally(rule)
         assert min(counts) >= 1
+        if not rule.reads_time:
+            assert set(dens) == {rule.scale}
         expanded = Counter()
-        for num, t, count in zip(nums, lengths, counts, strict=True):
-            expanded[num, t] += count
-        streamed = Counter(
-            pair for round_nums, round_lengths in ledger.awards(rule)
-            for pair in zip(round_nums, round_lengths, strict=True)
+        for num, den, count in zip(nums, dens, counts, strict=True):
+            expanded[Fraction(num, den)] += count
+        paper = Counter(
+            award for match in season.matches
+            for award in paper_awards(segment_oracle(match), final_score(match), system, weights)
         )
-        assert expanded == streamed
+        assert expanded == paper
         assert sum(counts) == 2 * len(season.matches)
 
 
@@ -180,11 +184,11 @@ def test_rows_are_counted_once_per_ledger_and_only_for_the_ecdf(monkeypatch):
 
 def _assert_classic_is_wins_and_draws_over_one(season: SeasonDataset) -> None:
     # Classic reads no time, so the season's length lcm never reaches its
-    # totals: each is 3*wins + draws over 1, every award has length 1.
+    # totals: each is 3*wins + draws over 1, every award is over 1.
     ledger = SeasonLedger(season)
     classic = scoring_rule(ScoringSystem.CLASSIC)
     assert ledger.den(classic) == 1
-    assert {t for _, lengths in ledger.awards(classic) for t in lengths} == {1}
+    assert set(ledger.tally(classic)[1]) == {1}
     *_, final = ledger.rounds(classic)
     assert final.den == 1
     points = Counter()

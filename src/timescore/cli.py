@@ -44,12 +44,6 @@ def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
     return tuple(dict.fromkeys(ScoringSystem(tok.lower()) for tok in tokens))
 
 
-def _points_cells(standings: Standings, decimals: int, comma: bool) -> list[str]:
-    """Each team's points, in rank order, as one rendered column."""
-    points = map(standings.points.__getitem__, standings.order)
-    return format_ratios(points, standings.den, decimals, comma=comma)
-
-
 def table_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
@@ -67,9 +61,10 @@ def table_report(
         finals[rule.system] = standings
         name = rule.system.value
         percents, leader = percent_of_leader(standings)
+        points = map(standings.points.__getitem__, standings.order)
         columns += (
             [f"{name}_team", *map(standings.teams.__getitem__, standings.order)],
-            [f"{name}_points", *_points_cells(standings, decimals, comma)],
+            [f"{name}_points", *format_ratios(points, standings.den, decimals, comma=comma)],
             [f"{name}_pct_of_1st", *format_ratios(percents, leader, 0, comma=comma)],
         )
     if ScoringSystem.TIME in finals:
@@ -89,13 +84,15 @@ def evolution_report(
     ranks = list(map(str, range(1, len(ledger.teams) + 1)))
     files = {}
     for rule in rules:
-        columns = rounds, teams, rank_cells, points = ["round"], ["team"], ["rank"], ["points"]
+        rounds, teams, points = ["round"], ["team"], []
         for round_no, standings in enumerate(ledger.rounds(rule), start=1):
             rounds += [str(round_no)] * len(ranks)
             teams += map(standings.teams.__getitem__, standings.order)
-            rank_cells += ranks
-            points += _points_cells(standings, decimals, comma)
-        files[f"evolution_{rule.system.value}.csv"] = csv_text(columns)
+            points += map(standings.points.__getitem__, standings.order)
+        files[f"evolution_{rule.system.value}.csv"] = csv_text((
+            rounds, teams, ["rank", *ranks * round_no],
+            ["points", *format_ratios(points, ledger.den(rule), decimals, comma=comma)],
+        ))
     return files
 
 

@@ -6,6 +6,12 @@ import math
 from typing import Iterable, Sequence
 
 
+# A column whose denominator has more bits than this rounds from its top 64
+# bits. On 7,080 cells the exact division took 1.2-1.35 ms at 128-384 bits,
+# 2.3 ms at 1,024 and 5.2 ms at 2,809, against 2.1-2.3 ms for the top-bit loop.
+WIDE_BITS = 1024
+
+
 def format_ratios(
     nums: Iterable[int], den: int, decimals: int = 2, *, comma: bool = False
 ) -> list[str]:
@@ -15,10 +21,32 @@ def format_ratios(
     same for every representation of one rational. ``comma=True`` swaps the
     decimal point for a comma (the convention used in several European league
     tables). A whole column is rounded in one pass and rendered in another.
+
+    A ``den`` of up to ``WIDE_BITS`` bits is divided exactly. A wider one is
+    shifted to its top 64 bits, with each ``num``; a cell that lands within
+    the margin proved below of a rounding half is divided exactly instead.
     """
     scale = 10**decimals
     twice_scale, twice_den = 2 * scale, 2 * den
-    digits = [(num * twice_scale + den) // twice_den for num in nums]
+    if den.bit_length() <= WIDE_BITS:
+        digits = [(num * twice_scale + den) // twice_den for num in nums]
+    else:
+        # With top = den >> shift >= 2**63 and n = num >> shift (floored, also
+        # when num < 0), y = scale*n/top is within (scale + |y|)/top of
+        # scale*num/den, and |y| < 2*(scale*big//den + 1) + scale/top for the
+        # column's largest |num|, big. So 2*top*|error| < 2*(scale + |y|) <
+        # margin: a remainder r with margin <= r < 2*top - margin gives the
+        # exact digit, and any other cell, such as an exact half or a neighbour
+        # of one, takes the exact division.
+        nums, shift = list(nums), den.bit_length() - 64
+        top = den >> shift
+        twice_top = 2 * top
+        margin = 4 * (scale + scale * max(map(abs, nums), default=0) // den + 2)
+        digits = [
+            q if margin <= r < twice_top - margin else (num * twice_scale + den) // twice_den
+            for num in nums
+            for q, r in (divmod((num >> shift) * twice_scale + top, twice_top),)
+        ]
     if not decimals:
         return list(map(str, digits))
     template = f"%d{',' if comma else '.'}%0{decimals}d"

@@ -30,7 +30,7 @@ from reference import (
     weight_fractions,
 )
 from timescore.cli import _read_args
-from timescore.display import csv_text
+from timescore.display import WIDE_BITS, csv_text
 from timescore.indicators import gaps
 from timescore.ingest import MAX_MATCH_LENGTH_S, parse_season
 from timescore.scoring import ScoringSystem, WeightTriple, scoring_rule
@@ -739,6 +739,35 @@ def test_exact_second_halves_round_up_like_the_fraction_reference(tmp_path, syst
     assert "3,Alpha,3,1.01\n" in expected["evolution_time.csv"]
     header, *rows = csv.reader(io.StringIO(expected["table.csv"]))
     assert [row[header.index("time_points")] for row in rows] == ["3.99", "2.00", "1.01"]
+
+
+def test_a_report_on_wide_denominators_equals_the_fraction_reference(tmp_path):
+    # A 10-team double round robin whose 90 matches each last a distinct prime
+    # number of seconds past 90:00: the time rules' denominators are wider than
+    # WIDE_BITS, so their points, percent and indicator cells round from their
+    # denominators' top 64 bits.
+    rng = random.Random(1)
+    lengths = iter(_largest_primes_up_to(MAX_MATCH_LENGTH_S, 90))
+    fixtures = []
+    rounds = double_round_robin([f"Club{i:02d}" for i in range(1, 11)])
+    for round_no, pairs in enumerate(rounds, start=1):
+        for home, away in pairs:
+            length_s = next(lengths)
+            times = sorted(rng.sample(range(1, length_s), rng.randint(0, 5)))
+            goals = [(rng.choice("HA"), time_s) for time_s in times]
+            fixtures.append((round_no, home, away, goals, length_s))
+    season = _json_season(tmp_path / "wide.json", fixtures)
+    weights, systems = WeightTriple.from_string("3,1/2,0"), list(ScoringSystem)
+    parsed = parse_season(season.read_bytes())
+    time_rule = scoring_rule(ScoringSystem.TIME, weights)
+    assert SeasonLedger(parsed).den(time_rule).bit_length() > WIDE_BITS
+    out = tmp_path / "out"
+    result = _invoke("report", out, "--systems", ",".join(s.value for s in systems),
+                     "--weights", "3,1/2,0", season=season)
+    assert result.exit_code == 0, result.stderr
+    expected = report_files(parsed, systems, weights, 2, False)
+    assert sorted(os.listdir(out)) == sorted(expected)
+    assert {name: (out / name).read_bytes().decode() for name in expected} == expected
 
 
 def test_report_drops_repeated_systems_like_table(tmp_path):

@@ -55,7 +55,10 @@ def test_ratio_text_writes_what_str_fraction_writes(num, den):
 def _columns(draw):
     """(nums, den, decimals) with denominators of up to 3,000 bits.
 
-    Half of the columns are made of exact halves and their neighbours.
+    Half of the columns are made of exact halves and their neighbours. Their
+    multipliers reach ±2**64, or only ±10**5: on a denominator wider than
+    ``WIDE_BITS``, a column of small values has a small margin, so its halves
+    fall back to the exact division by their remainder alone.
     """
     decimals = draw(st.sampled_from([0, 1, 2, 3, 6]))
     twice_scale = 2 * 10**decimals
@@ -63,7 +66,8 @@ def _columns(draw):
         # num / den * 10**decimals is an odd number of halves when num is an odd multiple of unit.
         unit = draw(st.integers(1, 2**3000 // twice_scale))
         den = unit * twice_scale
-        odd = st.integers(-(2**64), 2**64).map(lambda q: (2 * q + 1) * unit)
+        multipliers = st.integers(-(2**64), 2**64) | st.integers(-(10**5), 10**5)
+        odd = multipliers.map(lambda q: (2 * q + 1) * unit)
         nums = st.one_of(odd, odd.map(lambda n: n + 1), odd.map(lambda n: n - 1))
     else:
         den = draw(st.integers(1, 2**3000))

@@ -3,8 +3,11 @@
 A drawn season and its image under a symmetry are each written as CSV or JSON
 and run through ``cli.main``. Mirroring every fixture, or shuffling the match
 list, must leave every report byte, the error line and the exit code unchanged.
+Permuting the round numbers must leave every file, and each indicator, that
+reads only the final standings or the season's awards unchanged.
 """
 
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -73,3 +76,32 @@ def test_shuffling_the_match_list_leaves_every_report_byte(case, rng):
     rng.shuffle(matches)
     shuffled = SeasonDataset(matches=tuple(matches))
     assert _report(shuffled, as_csv, args, seed) == _report(season, as_csv, args, seed)
+
+
+# The indicators that read only the final standings.
+_FINAL_KEYS = ("gap_1_3_pct", "gap_1_9_pct", "gap_1_last_pct", "avg_points_per_team_game")
+
+
+def _final_only(code, stderr, files):
+    """A report's exit, stderr, table.csv, each ecdf_*.csv and each system's final indicators."""
+    kept = {name: data for name, data in files.items() if name.startswith(("table", "ecdf_"))}
+    doc = json.loads(files.get("indicators.json", b"{}"))
+    finals = {system: [fields[key] for key in _FINAL_KEYS] for system, fields in doc.items()}
+    return code, stderr, kept, finals
+
+
+@given(_reports(), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+def test_permuting_the_rounds_leaves_the_final_table_ecdf_and_indicators(case, rng):
+    # The final table, the awards and the final gaps and average do not depend
+    # on when each match was played; evolution and rank changes do.
+    season, as_csv, args, seed = case
+    rounds = sorted({m.round for m in season.matches})
+    renumber = dict(zip(rounds, rng.sample(rounds, len(rounds))))
+    permuted = SeasonDataset(matches=tuple(
+        MatchRecord(renumber[m.round], m.home, m.away, m.goals, m.declared_length_s)
+        for m in season.matches
+    ))
+    assert _final_only(*_report(permuted, as_csv, args, seed)) == _final_only(
+        *_report(season, as_csv, args, seed)
+    )

@@ -61,9 +61,10 @@ def table_report(
         finals[rule.system] = standings
         name = rule.system.value
         percents, leader = percent_of_leader(standings)
-        points = map(standings.points.__getitem__, standings.order)
+        order = standings.order
+        points = map(standings.points.__getitem__, order)
         columns += (
-            [f"{name}_team", *map(standings.teams.__getitem__, standings.order)],
+            [f"{name}_team", *map(standings.teams.__getitem__, order)],
             [f"{name}_points", *format_ratios(points, standings.den, decimals, comma=comma)],
             [f"{name}_pct_of_1st", *format_ratios(percents, leader, 0, comma=comma)],
         )
@@ -87,8 +88,9 @@ def evolution_report(
         rounds, teams, points = ["round"], ["team"], []
         for round_no, standings in enumerate(ledger.rounds(rule), start=1):
             rounds += [str(round_no)] * len(ranks)
-            teams += map(standings.teams.__getitem__, standings.order)
-            points += map(standings.points.__getitem__, standings.order)
+            order = standings.order
+            teams += map(standings.teams.__getitem__, order)
+            points += map(standings.points.__getitem__, order)
         files[f"evolution_{rule.system.value}.csv"] = csv_text((
             rounds, teams, ["rank", *ranks * round_no],
             ["points", *format_ratios(points, ledger.den(rule), decimals, comma=comma)],

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import TooFewTeamsError, WrongSystemError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
-from .scoring import ScoringRule, ScoringSystem
+from .scoring import ScoringSystem
 from .standings import Standings, percent_of_leader
 
 
@@ -51,37 +51,29 @@ def rank_changes(orders: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     return overall, changes, len(set(leaders))
 
 
-def minutes_for_deficit(num: int, den: int, rule: ScoringRule) -> Ratio:
-    """``num / den`` points as minutes of leading instead of level time in a 90-minute match.
-
-    Under ``rule``, a minute of level time turned into leading time is worth
-    (lead - level)/(scale * T_match) points, with T_match the 90-minute
-    regulation length, so m = deficit * scale * T_match / (lead - level),
-    returned as a ratio. This is a unit conversion. It is how much earlier one
-    go-ahead goal from level must fall only in a 90-minute match (a longer one
-    needs more minutes) and only up to a deficit of (lead - level)/scale, which
-    takes all 90 minutes; a larger deficit reads past 90.
-    """
-    t_match_min = REGULATION_LENGTH_S // SECONDS_PER_MINUTE
-    return num * t_match_min * rule.scale, den * (rule.lead - rule.level)
-
-
 def minutes_to_upper(standings: Standings) -> tuple[list[int], int]:
-    """Per team below the top: its deficit to the team above, in :func:`minutes_for_deficit`.
+    """Per team below the top: its deficit to the team above, as minutes of a 90-minute match.
 
-    Only meaningful for time standings (WRONG_SYSTEM otherwise). The leader
-    has no metric, so the numerators cover ranks 2..n in order; they share
-    one denominator, returned with them.
+    Only meaningful for time standings (WRONG_SYSTEM otherwise). Under the
+    rule, a minute of level time turned into leading time is worth
+    (lead - level)/(scale * T_match) points, with T_match the 90-minute
+    regulation length, so m = deficit * scale * T_match / (lead - level). This
+    is a unit conversion. It is how much earlier one go-ahead goal from level
+    must fall only in a 90-minute match (a longer one needs more minutes) and
+    only up to a deficit of (lead - level)/scale, which takes all 90 minutes; a
+    larger deficit reads past 90. The leader has no metric, so the numerators
+    cover ranks 2..n in order; they share one denominator, returned with them.
     """
-    if standings.rule.system is not ScoringSystem.TIME:
+    rule = standings.rule
+    if rule.system is not ScoringSystem.TIME:
         raise WrongSystemError(
-            f"minutes-to-upper applies to time tables, got {standings.rule.system.value!r}"
+            f"minutes-to-upper applies to time tables, got {rule.system.value!r}"
         )
     # The conversion is linear, so one point's worth scales every deficit.
-    per_point, per_den = minutes_for_deficit(1, 1, standings.rule)
+    per_point = REGULATION_LENGTH_S // SECONDS_PER_MINUTE * rule.scale
     order, points = standings.order, standings.points
     nums = [(points[a] - points[b]) * per_point for a, b in zip(order, order[1:])]
-    return nums, standings.den * per_den
+    return nums, standings.den * (rule.lead - rule.level)
 
 
 def draws_to_wins(standings: Standings, draws: Sequence[int]) -> list[tuple[int, bool]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, repeat
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .display import ratio_text
 from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
@@ -26,44 +26,30 @@ from .scoring import ScoringRule
 MAX_LENGTH_LCM_BITS = 9966
 
 
-class Standings:
-    """Cumulative standings under one rule after one round, indexed like ``teams``.
+class Standings(NamedTuple):
+    """Cumulative standings under one rule after one round, a plain value indexed like ``teams``.
 
     ``points[i] / den`` is team i's exact points total and ``appearances``
     counts the team appearances so far. ``tiebreak`` lists the team indices by
     goal difference desc, goals scored desc, name asc, after that round, and
     ``order`` lists them by rank. Each round of a :meth:`SeasonLedger.rounds`
-    stream is its own object, so rounds may be kept and read in any order.
+    stream is its own value, so rounds may be kept and read in any order.
     """
 
-    __slots__ = ("teams", "rule", "den", "points", "appearances", "_tiebreak", "_order")
-
-    def __init__(
-        self,
-        teams: tuple[str, ...],
-        rule: ScoringRule,
-        den: int,
-        points: list[int],
-        appearances: int,
-        tiebreak: Sequence[int],
-    ) -> None:
-        self.teams = teams
-        self.rule = rule
-        self.den = den
-        self.points = points
-        self.appearances = appearances
-        self._tiebreak = tiebreak
-        self._order: list[int] | None = None
+    teams: tuple[str, ...]
+    rule: ScoringRule
+    den: int
+    points: list[int]
+    appearances: int
+    tiebreak: Sequence[int]
 
     @property
     def order(self) -> list[int]:
-        """The team indices by rank, sorted the first time it is read."""
-        if self._order is None:
-            # Tie-break: points desc, goal difference desc, goals scored desc,
-            # name asc. The sort is stable, also with reverse=True, so sorting
-            # the round's tie-break order by points applies all four.
-            self._order = sorted(self._tiebreak, key=self.points.__getitem__, reverse=True)
-        return self._order
+        """The team indices by rank, sorted on each read: bind it once to read it twice."""
+        # Tie-break: points desc, goal difference desc, goals scored desc,
+        # name asc. The sort is stable, also with reverse=True, so sorting
+        # the round's tie-break order by points applies all four.
+        return sorted(self.tiebreak, key=self.points.__getitem__, reverse=True)
 
     def average(self) -> tuple[int, int]:
         """Mean points per team appearance so far, as (numerator, denominator), not reduced."""

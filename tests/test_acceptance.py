@@ -20,7 +20,7 @@ from reference import (
     weight_fractions,
 )
 from timescore.display import format_ratios
-from timescore.indicators import draws_to_wins, ecdf_steps, minutes_for_deficit
+from timescore.indicators import draws_to_wins, ecdf_steps, minutes_to_upper
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.standings import SeasonLedger, Standings
@@ -76,7 +76,8 @@ def test_criterion_03_thirty_minute_lead_equals_goalless_draw():
 
 
 def test_criterion_04_overtake_arithmetic():
-    num, den = minutes_for_deficit(73, 100, TIME)
+    standings = Standings(("Lead", "Chase"), TIME, 100, [7573, 7500], 2, [0, 1])
+    (num,), den = minutes_to_upper(standings)
     assert Fraction(num, den) == Fraction(3285, 100)
     assert format_ratios((num,), den, 0) == ["33"]
 

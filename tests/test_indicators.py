@@ -41,7 +41,6 @@ from timescore.indicators import (
     draws_to_wins,
     ecdf_steps,
     gaps,
-    minutes_for_deficit,
     minutes_to_upper,
 )
 from timescore.ingest import MatchRecord, SeasonDataset
@@ -63,6 +62,14 @@ def _standings(points, system, den=1):
     # One round; the tie-break order is name order, so equal points keep it.
     nums = [int(p * den) for p in points]
     return Standings(teams, scoring_rule(system), den, nums, len(teams), range(len(teams)))
+
+
+def _minutes(num, den, rule):
+    """A deficit of ``num / den`` points as (minutes numerator, denominator): the
+    ``minutes_to_upper`` of a two-team table whose leader is that far ahead."""
+    standings = Standings(("T01", "T02"), rule, den, [num, 0], 2, range(2))
+    (minutes,), minutes_den = minutes_to_upper(standings)
+    return minutes, minutes_den
 
 
 def _final(ledger, rule):
@@ -143,12 +150,12 @@ class TestAveragePoints:
 
 class TestMinutesToUpper:
     def test_deficit_example(self):
-        num, den = minutes_for_deficit(73, 100, TIME)
+        num, den = _minutes(73, 100, TIME)
         assert Fraction(num, den) == Fraction(3285, 100)
         assert format_ratios((num,), den, 0) == ["33"]
 
     def test_zero_deficit_is_zero_minutes(self):
-        assert Fraction(*minutes_for_deficit(0, 1, TIME)) == 0
+        assert Fraction(*_minutes(0, 1, TIME)) == 0
 
     def test_sub_minute_deficit_is_exact(self):
         standings = _standings(
@@ -161,8 +168,8 @@ class TestMinutesToUpper:
     @given(st.fractions(min_value=0, max_value=5))
     def test_linear_in_deficit(self, deficit):
         num, den = deficit.numerator, deficit.denominator
-        assert Fraction(*minutes_for_deficit(2 * num, den, TIME)) == 2 * Fraction(
-            *minutes_for_deficit(num, den, TIME)
+        assert Fraction(*_minutes(2 * num, den, TIME)) == 2 * Fraction(
+            *_minutes(num, den, TIME)
         )
 
     @given(st.data(), weight_triples())
@@ -187,7 +194,7 @@ class TestMinutesToUpper:
         goals[j] = times[j] - 60 * m
         after, _ = package_awards(MatchRecord(1, "H", "A", tuple(goals)), rule)
         deficit = after - before
-        assert Fraction(*minutes_for_deficit(deficit.numerator, deficit.denominator, rule)) == m
+        assert Fraction(*_minutes(deficit.numerator, deficit.denominator, rule)) == m
 
     def test_table_metrics_use_the_row_above(self):
         nums, den = minutes_to_upper(_standings([10, 8, 5], ScoringSystem.TIME))

@@ -638,10 +638,13 @@ def _json_goals(goals: str, extra: str = "") -> str:
 
 
 # One season file per fault, and the exact line the CLI prints for it. A CSV
-# fault sits on line 3; a JSON fault is match 2, and the text carries no line.
-# The last cases hold two faults each: which one is reported pins the order
-# of the checks.
+# row fault sits on line 3 and a CSV header fault on line 1; a JSON fault is
+# match 2, and the text carries no line. The last cases hold two faults each:
+# which one is reported pins the order of the checks.
 _FAULTS = [
+    # A header the csv module rejects: one field past its 131,072-character limit.
+    ("csv_huge_header_field", "round,home,away,goals," + "x" * 131073 + "\n1,A,B,,\n",
+     "MALFORMED_ROW: bad CSV line: field larger than field limit (131072) (line 1)"),
     ("csv_bad_token", _csv_season("1,A,B,H:xx,"),
      "MALFORMED_ROW: bad goal token 'H:xx' (line 3)"),
     ("json_bad_token", _json_goals('"H:1x"'),

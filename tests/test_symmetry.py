@@ -4,12 +4,19 @@ A drawn season and its image under a symmetry are each written as CSV or JSON
 and run through ``cli.main``. Mirroring every fixture, or shuffling the match
 list, must leave every report byte, the error line and the exit code unchanged.
 Permuting the round numbers must leave every file, and each indicator, that
-reads only the final standings or the season's awards unchanged.
+reads only the final standings or the season's awards unchanged. Renaming the
+teams in name order must rename every row and change nothing else. An affine
+map of the time weights must keep the time ranking of a season in which every
+team plays equally often.
 """
 
+import csv
+import io
 import json
 import random
+import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import Phase, given, settings
@@ -36,14 +43,21 @@ def _report(season: SeasonDataset, as_csv: bool, args: list[str], seed: int):
 
 
 @st.composite
-def _reports(draw):
-    """(season, as_csv, report args, seed): a drawn season and the flags to report it."""
+def _seasons(draw):
+    """(season, as_csv, seed): a drawn double round robin, and whether to write it as CSV."""
     seed = draw(st.integers(0, 2**32))
     teams = draw(st.sampled_from([4, 6]).flatmap(team_names))
     season = random_season(random.Random(seed), teams=teams)
     as_csv = draw(st.booleans())
     if as_csv:
         season = minute_season(season)
+    return season, as_csv, seed
+
+
+@st.composite
+def _reports(draw):
+    """(season, as_csv, report args, seed): a drawn season and the flags to report it."""
+    season, as_csv, seed = draw(_seasons())
     systems = draw(st.lists(st.sampled_from(list(ScoringSystem)), min_size=1, max_size=4))
     args = [
         "--systems", ",".join(system.value for system in systems),
@@ -105,3 +119,61 @@ def test_permuting_the_rounds_leaves_the_final_table_ecdf_and_indicators(case, r
     assert _final_only(*_report(permuted, as_csv, args, seed)) == _final_only(
         *_report(season, as_csv, args, seed)
     )
+
+
+def _rows(name: str, data: bytes):
+    """A report file read back: a CSV file's rows, or the JSON document."""
+    text = data.decode("utf-8")
+    return json.loads(text) if name.endswith(".json") else list(csv.reader(io.StringIO(text)))
+
+
+# New team names: stripped, and some holding a comma, a double quote or an é.
+_NEW_NAMES = st.text(',"é xyAB', min_size=1, max_size=4).map(str.strip).filter(bool)
+
+
+@given(_reports(), st.data())
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+def test_renaming_teams_in_name_order_renames_every_row(case, data):
+    # Names rank only through their order, so a map that keeps it changes every
+    # report only where a name is written.
+    season, as_csv, args, seed = case
+    old = season.teams  # sorted
+    new = sorted(data.draw(st.lists(_NEW_NAMES, min_size=len(old), max_size=len(old),
+                                    unique=True)))
+    rename = dict(zip(old, new))
+    renamed = SeasonDataset(matches=tuple(
+        MatchRecord(m.round, rename[m.home], rename[m.away], m.goals, m.declared_length_s)
+        for m in season.matches
+    ))
+    code, stderr, files = _report(season, as_csv, args, seed)
+    new_code, new_stderr, new_files = _report(renamed, as_csv, args, seed)
+    assert (new_code, new_files.keys()) == (code, files.keys())
+    for name, content in files.items():
+        rows = _rows(name, content)
+        if not name.endswith(".json"):
+            rows = [[rename.get(cell, cell) for cell in row] for row in rows]
+        assert _rows(name, new_files[name]) == rows, name
+    # An old name is a letter, drawn characters with no digit and its own index
+    # digit, so it is part of no other name and of no error text.
+    pattern = re.compile("|".join(map(re.escape, old)))
+    assert new_stderr == pattern.sub(lambda m: rename[m.group()], stderr)
+
+
+@given(_seasons(), weight_triples(),
+       st.fractions(Fraction(1, 4), 4, max_denominator=12),
+       st.fractions(0, 3, max_denominator=12))
+@settings(max_examples=50, deadline=None, phases=_NO_SHRINK)
+def test_affine_time_weights_keep_the_time_order(case, weights, k, c):
+    # Under (k*w + c, k*d + c, k*l + c) a team's total is k*P + c*m, with P its
+    # total under (w, d, l) and m its matches, which every team shares here.
+    season, as_csv, seed = case
+    drawn, orders = weight_fractions(weights), []
+    for alphas in (drawn, [k * alpha + c for alpha in drawn]):
+        args = ["--systems", "time", "--weights", ",".join(map(str, alphas))]
+        code, _, files = _report(season, as_csv, args, seed)
+        if code:
+            assert orders == [], "the mapped weights failed where the drawn ones did not"
+            return
+        header, *rows = _rows("table.csv", files["table.csv"])
+        orders.append([row[header.index("time_team")] for row in rows])
+    assert orders[0] == orders[1]

@@ -73,7 +73,7 @@ def season_matches(seed: int, teams: Sequence[str]) -> Iterator[Fixture]:
             goals = [(rng.choice("HA"), minute) for minute in minutes]
             length = None
             if rng.random() < 0.08:
-                length = max(90, *minutes) + rng.randint(1, 4)
+                length = max(90, minutes[-1] if minutes else 0) + rng.randint(1, 4)
             yield round_no, home, away, goals, length
 
 

@@ -82,17 +82,19 @@ def evolution_report(
     ledger: SeasonLedger, rules: Sequence[ScoringRule], decimals: int, comma: bool
 ) -> dict[str, str]:
     """evolution_<system>.csv: each round's (round, team, rank, points), long form for plotting."""
-    ranks = list(map(str, range(1, len(ledger.teams) + 1)))
+    # Each rule yields one Standings of all teams per round: one round and rank column for all.
+    places = list(map(str, range(1, len(ledger.teams) + 1)))
+    rounds = ["round", *(r for r in map(str, range(1, ledger.num_rounds + 1)) for _ in places)]
+    ranks = ["rank", *places * ledger.num_rounds]
     files = {}
     for rule in rules:
-        rounds, teams, points = ["round"], ["team"], []
-        for round_no, standings in enumerate(ledger.rounds(rule), start=1):
-            rounds += [str(round_no)] * len(ranks)
+        teams, points = ["team"], []
+        for standings in ledger.rounds(rule):
             order = standings.order
             teams += map(standings.teams.__getitem__, order)
             points += map(standings.points.__getitem__, order)
         files[f"evolution_{rule.system.value}.csv"] = csv_text((
-            rounds, teams, ["rank", *ranks * round_no],
+            rounds, teams, ranks,
             ["points", *format_ratios(points, ledger.den(rule), decimals, comma=comma)],
         ))
     return files

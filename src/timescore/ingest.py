@@ -180,69 +180,81 @@ class MatchRecord(FrozenRecord):
         declared_length_s: int | None = None,
         slack_s: int = 0,
     ) -> MatchRecord:
-        home = home.strip()
-        away = away.strip()
-        goals = tuple(goals)
-        if round < 1:
-            raise MalformedRowError(f"round must be a positive integer, got {round}")
-        if not home or not away:
+        return _match_record(round, home, away, goals, declared_length_s, slack_s, {})
+
+
+def _match_record(
+    round: int, home: str, away: str, goals: Any, declared: int | None, slack_s: int, names: dict
+) -> MatchRecord:
+    """Every checked :class:`MatchRecord`, parsed or built directly, is built here.
+
+    ``names`` maps each raw team name seen in one file to its trimmed, checked
+    name (one shared str per team); two known, different names skip those checks.
+    """
+    if round < 1:
+        raise MalformedRowError(f"round must be a positive integer, got {round}")
+    home_name, away_name = names.get(home), names.get(away)
+    if home_name is None or away_name is None or home_name is away_name:
+        home_name, away_name = home.strip(), away.strip()
+        if not home_name or not away_name:
             raise MalformedRowError("team names must be non-empty")
-        if "\0" in home or "\0" in away:
+        if "\0" in home_name or "\0" in away_name:
             raise MalformedRowError("team names must not contain a NUL character")
-        if not (home.isascii() and away.isascii()):  # skips two calls per ASCII match
-            for name in (home, away):
-                _check_no_lone_surrogate(name, "team names")
-        if home == away:
-            raise MalformedRowError(f"a team cannot play itself: {home!r}")
-        # One pass checks each goal's range and order and books the span before
-        # it by the score at its start. The parser checks each goal's range as
-        # it reads it, so a parsed match can fail here only on the order.
-        win = draw = lose = 0
-        diff = 0  # home goals minus away goals so far
-        last = 0
-        for goal in goals:
-            time_s = goal if goal > 0 else -goal
-            if not last < time_s <= MAX_MATCH_LENGTH_S:
-                _check_goal_time(time_s)
-                raise NonMonotonicGoalsError(
-                    f"goal times must strictly increase, got {last} s followed by {time_s} s"
-                )
-            if diff > 0:
-                win += time_s - last
-            elif diff == 0:
-                draw += time_s - last
-            else:
-                lose += time_s - last
-            diff += 1 if goal > 0 else -1
-            last = time_s
-        if declared_length_s is not None:
-            if declared_length_s < REGULATION_LENGTH_S:
-                raise MalformedRowError(
-                    f"declared length {declared_length_s} s is shorter than "
-                    f"regulation ({REGULATION_LENGTH_S} s)"
-                )
-            if declared_length_s > MAX_MATCH_LENGTH_S:
-                raise MalformedRowError(
-                    f"declared length is longer than the longest allowed match "
-                    f"({MAX_MATCH_LENGTH_S} s)"
-                )
-            if declared_length_s < last:
-                raise MalformedRowError(
-                    f"declared length {declared_length_s} s precedes the "
-                    f"last goal at {last} s"
-                )
-        t_match = declared_length_s
-        if t_match is None:
-            t_match = last if last > REGULATION_LENGTH_S else REGULATION_LENGTH_S
+        for name in (home_name, away_name):
+            _check_no_lone_surrogate(name, "team names")
+        if home_name == away_name:
+            raise MalformedRowError(f"a team cannot play itself: {home_name!r}")
+        names[home] = home_name = names.setdefault(home_name, home_name)
+        names[away] = away_name = names.setdefault(away_name, away_name)
+    goals = tuple(goals)
+    # One pass checks each goal's range and order and books the span before
+    # it by the score at its start. The parser checks each goal's range as
+    # it reads it, so a parsed match can fail here only on the order.
+    win = draw = lose = 0
+    diff = 0  # home goals minus away goals so far
+    last = 0
+    for goal in goals:
+        time_s = goal if goal > 0 else -goal
+        if not last < time_s <= MAX_MATCH_LENGTH_S:
+            _check_goal_time(time_s)
+            raise NonMonotonicGoalsError(
+                f"goal times must strictly increase, got {last} s followed by {time_s} s"
+            )
         if diff > 0:
-            win += t_match - last
+            win += time_s - last
         elif diff == 0:
-            draw += t_match - last
+            draw += time_s - last
         else:
-            lose += t_match - last
-        home_goals = (len(goals) + diff) >> 1
-        timeline = (win, draw, lose, t_match, home_goals, home_goals - diff)
-        return tuple.__new__(cls, (round, home, away, goals, declared_length_s, slack_s, timeline))
+            lose += time_s - last
+        diff += 1 if goal > 0 else -1
+        last = time_s
+    if declared is not None:
+        if declared < REGULATION_LENGTH_S:
+            raise MalformedRowError(
+                f"declared length {declared} s is shorter than regulation ({REGULATION_LENGTH_S} s)"
+            )
+        if declared > MAX_MATCH_LENGTH_S:
+            raise MalformedRowError(
+                f"declared length is longer than the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
+            )
+        if declared < last:
+            raise MalformedRowError(
+                f"declared length {declared} s precedes the last goal at {last} s"
+            )
+    t_match = declared
+    if t_match is None:
+        t_match = last if last > REGULATION_LENGTH_S else REGULATION_LENGTH_S
+    if diff > 0:
+        win += t_match - last
+    elif diff == 0:
+        draw += t_match - last
+    else:
+        lose += t_match - last
+    home_goals = (len(goals) + diff) >> 1
+    timeline = (win, draw, lose, t_match, home_goals, home_goals - diff)
+    return tuple.__new__(
+        MatchRecord, (round, home_name, away_name, goals, declared, slack_s, timeline)
+    )
 
 
 # Field readers of a MatchRecord, by position: one call per record, no property read.
@@ -393,8 +405,10 @@ def _parse_csv(text: str) -> SeasonDataset:
         )
     matches = []
     tokens = _TokenMemo()
-    # Round number text -> its value; a season repeats each round's text once per fixture.
+    names: dict[str, str] = {}
+    # Round number and length texts -> their values; a season repeats each of them.
     round_numbers: dict[str, int] = {}
+    lengths: dict[str, int] = {}
     try:
         for row in reader:
             if not row:
@@ -413,12 +427,13 @@ def _parse_csv(text: str) -> SeasonDataset:
                         continue  # empty field or stray comma
                     goal = tokens[tok]
                 goals.append(goal)
-            declared = None
-            if length_field.strip():
+            declared = lengths.get(length_field)
+            if declared is None and length_field.strip():
                 declared = _csv_int(length_field, "length_min value") * SECONDS_PER_MINUTE
-            matches.append(
-                MatchRecord(round_no, home, away, goals, declared, len(goals) * _TOKEN_SLACK_S)
-            )
+                lengths[length_field] = declared
+            matches.append(_match_record(
+                round_no, home, away, goals, declared, len(goals) * _TOKEN_SLACK_S, names
+            ))
     except csv.Error as exc:
         raise _bad_csv_line(exc, reader.line_num) from None
     except SeasonDataError as err:
@@ -511,18 +526,20 @@ def _parse_json(text: str) -> SeasonDataset:
     _check_no_lone_surrogate(league, '"league"')
     matches = []
     tokens = _TokenMemo()
+    names: dict[str, str] = {}
     for i, obj in enumerate(doc["matches"], start=1):
         try:
             if not isinstance(obj, dict):
                 raise MalformedRowError("match entry must be an object")
-            length_min, length_s = obj.get("length_min"), obj.get("length_s")
-            if length_min is not None and length_s is not None:
-                raise MalformedRowError("give length_min or length_s, not both")
-            declared = None
+            declared, length_min = obj.get("length_s"), obj.get("length_min")
             if length_min is not None:
-                declared = _require_int(length_min, "length_min") * SECONDS_PER_MINUTE
-            elif length_s is not None:
-                declared = _require_int(length_s, "length_s")
+                if declared is not None:
+                    raise MalformedRowError("give length_min or length_s, not both")
+                if type(length_min) is not int:
+                    _require_int(length_min, "length_min")
+                declared = length_min * SECONDS_PER_MINUTE
+            elif declared is not None and type(declared) is not int:
+                _require_int(declared, "length_s")
             entries = obj.get("goals", [])
             if type(entries) is not list:
                 raise MalformedRowError(f"goals must be a list, got {entries!r}")
@@ -537,7 +554,7 @@ def _parse_json(text: str) -> SeasonDataset:
             away = obj["away"]
             if type(away) is not str:
                 _require_str(away, "away")
-            matches.append(MatchRecord(round_no, home, away, goals, declared, slack_s))
+            matches.append(_match_record(round_no, home, away, goals, declared, slack_s, names))
         except SeasonDataError as err:
             raise type(err)(f"match {i}: {err.message}") from None
         except KeyError as exc:

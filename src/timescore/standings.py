@@ -79,7 +79,8 @@ class SeasonLedger:
             raise EmptySeasonError("season has no matches")
         self.teams = dataset.teams
         index = {team: i for i, team in enumerate(self.teams)}
-        by_round: list[list[MatchRecord]] = [[] for _ in range(dataset.num_rounds)]
+        self.num_rounds = dataset.num_rounds
+        by_round: list[list[MatchRecord]] = [[] for _ in range(self.num_rounds)]
         for match in dataset.matches:
             by_round[match[0] - 1].append(match)  # match.round, read as the tuple item
 

@@ -3,7 +3,7 @@
 import sys
 from pathlib import Path
 
-from gen_synthetic_season import main
+from gen_synthetic_season import TEAMS, main, season_matches
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -13,3 +13,13 @@ def test_script_regenerates_the_bundled_season_byte_for_byte(tmp_path, monkeypat
     main()
     for name in ("synthetic_season.csv", "synthetic_season.json"):
         assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes()
+
+
+def test_a_goalless_match_may_declare_its_length():
+    # Seed 1 draws goalless matches that declare a length.
+    fixtures = list(season_matches(1, TEAMS))
+    assert any(not goals and length is not None for _, _, _, goals, length in fixtures)
+    for _, _, _, goals, length in fixtures:
+        if length is not None:
+            assert length >= 91
+            assert all(length > minute for _, minute in goals)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clirun import run_cli
+from matchgen import declared_lengths, goal_entries, record_from_entries, team_names
 from reference import paper_match_awards
 from timescore.display import csv_text
 from timescore.errors import (
@@ -164,6 +167,60 @@ def test_parsed_goals_equal_each_token_parsed_alone(fields, precision):
     objects = parse_season(json.dumps(doc))
     assert [match.goals for match in objects.matches] == goals
     assert [match.slack_s for match in objects.matches] == [slack * len(g) for g in goals]
+
+
+@st.composite
+def _padded_fixtures(draw):
+    """A double round robin of 3 to 6 teams, one fixture per round, with goals and a length.
+
+    Each team has one to three raw texts, its name padded by drawn spaces and
+    tabs at either end, and each fixture writes one of them: raw texts repeat,
+    and several map to one team.
+    """
+    teams = draw(st.integers(3, 6).flatmap(team_names))
+    pad = st.sampled_from(["", " ", "\t", " \t"])
+    texts = st.lists(st.tuples(pad, pad), min_size=1, max_size=3)
+    raw = {team: [left + team + right for left, right in draw(texts)] for team in teams}
+    pairs = [(home, away) for home in teams for away in teams if home != away]
+    fixtures = []
+    for round_no, pair in enumerate(draw(st.permutations(pairs)), start=1):
+        home, away = (draw(st.sampled_from(raw[team])) for team in pair)
+        entries = draw(goal_entries(max_goals=4))
+        fixtures.append((round_no, home, away, entries, draw(declared_lengths(entries))))
+    return fixtures
+
+
+@given(_padded_fixtures())
+@settings(max_examples=60, deadline=None)
+def test_parsed_records_equal_records_built_from_each_row(fixtures):
+    # The CSV holds the goals rounded up to whole minutes, one goal per minute,
+    # and the length rounded up to a whole minute.
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(CSV_HEADER)
+    built = []
+    for round_no, home, away, entries, declared in fixtures:
+        minutes = {}
+        for g in entries:
+            minutes.setdefault(-(-g["time_s"] // 60), g["side"])
+        tokens = [f"{side}:{minute}" for minute, side in minutes.items()]
+        length = "" if declared is None else str(-(-declared // 60))
+        writer.writerow([round_no, home, away, ",".join(tokens), length])
+        built.append(MatchRecord(
+            round_no, home, away, tuple(map(parse_goal_token, tokens)),
+            int(length) * 60 if length else None, 59 * len(tokens),
+        ))
+    assert parse_season(out.getvalue()).matches == tuple(built)
+    doc = {"matches": []}
+    built = []
+    for round_no, home, away, entries, declared in fixtures:
+        match = {"round": round_no, "home": home, "away": away, "goals": entries}
+        if declared is not None:
+            match["length_s"] = declared
+        doc["matches"].append(match)
+        record = record_from_entries(entries)
+        built.append(MatchRecord(round_no, home, away, record.goals, declared, record.slack_s))
+    assert parse_season(json.dumps(doc)).matches == tuple(built)
 
 
 def test_wrong_header_rejected():
@@ -722,6 +779,19 @@ _FAULTS = [
      "MALFORMED_ROW: a team cannot play itself: 'A' (line 3)"),
     ("json_plays_itself", _json_season('{"round": 1, "home": "A ", "away": "A"}'),
      "MALFORMED_ROW: match 2: a team cannot play itself: 'A'"),
+    # Names whose raw text an earlier valid row already holds: the parser knows
+    # them, and still reports each of these faults.
+    ("csv_self_play_between_seen_names", _csv_season("1,Gamma ,Eta,,\n2,Gamma,Gamma ,,"),
+     "MALFORMED_ROW: a team cannot play itself: 'Gamma' (line 4)"),
+    ("csv_empty_name_beside_seen_name", _csv_season("2,Delta, ,,"),
+     "MALFORMED_ROW: team names must be non-empty (line 3)"),
+    ("json_self_play_between_seen_names", _json_season(
+        '{"round": 1, "home": "Gamma ", "away": "Eta"},\n'
+        '{"round": 2, "home": "Gamma", "away": "Gamma "}'),
+     "MALFORMED_ROW: match 3: a team cannot play itself: 'Gamma'"),
+    ("json_nul_name_beside_seen_name",
+     _json_season('{"round": 2, "home": "Delta", "away": "Eta\\u0000"}'),
+     "MALFORMED_ROW: match 2: team names must not contain a NUL character"),
     ("csv_duplicate_fixture", _csv_season("2,Gamma,Delta,H:1,"),
      "DUPLICATE_FIXTURE: fixture Gamma vs Delta appears more than once"),
     ("json_duplicate_fixture", _json_season('{"round": 2, "home": "Gamma", "away": "Delta"}'),

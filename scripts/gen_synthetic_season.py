@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Generate the bundled synthetic season and write data/synthetic_season.{csv,json}.
 
-The seed is fixed so the output is bit-identical across runs. It was chosen
-so the fixture exercises stoppage-time goals and declared lengths, and so the
-time-share system compacts every gap indicator relative to classic scoring
-(the direction several tests assert). Both files are parsed back by
-``timescore.ingest.parse_season`` and must give one season before either is
-written.
+The seed is fixed so the output is bit-identical across runs. ``SEED = 40``
+was chosen so the fixture exercises stoppage-time goals and declared lengths,
+and so the time-share system compacts every gap indicator relative to classic
+scoring on this one season (the direction several tests assert). One chosen
+season is not evidence for the paper's claim that time scoring compacts the
+gaps. ``test_bundled_fixture_time_gaps_at_most_classic`` checks the property
+on the bundled files, and other tests check that the two files parse to one
+season and that this script rewrites them byte for byte.
 """
 
 from __future__ import annotations
@@ -14,15 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from timescore.display import csv_text
-from timescore.indicators import gaps
-from timescore.ingest import CSV_HEADER, SECONDS_PER_MINUTE, parse_season
-from timescore.scoring import ScoringSystem, scoring_rule
-from timescore.standings import SeasonLedger
+from timescore.ingest import CSV_HEADER, SECONDS_PER_MINUTE
 
 SEED = 40
 TEAMS = ["Albion", "Borough", "Claymore", "Dockside", "Eastfield", "Foundry"]
@@ -42,7 +40,8 @@ def double_round_robin(teams: Sequence[str]) -> list[list[tuple[str, str]]]:
     the second half repeats it with venues swapped.
     """
     n = len(teams)
-    assert n >= 2 and n % 2 == 0, "the schedule needs an even number of teams"
+    if n < 2 or n % 2:
+        raise ValueError("the schedule needs an even number of teams")
     first_half = []
     rotation = list(teams[1:])
     for round_no in range(n - 1):
@@ -101,23 +100,14 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=DATA_DIR)
     args = parser.parse_args()
 
-    csv_doc, json_doc = season_texts(season_matches(SEED, TEAMS))
-    season = parse_season(csv_doc)
-    assert parse_season(json_doc) == season, "the CSV and JSON files must hold one season"
-    ledger = SeasonLedger(season)
-    *_, time_final = ledger.rounds(scoring_rule(ScoringSystem.TIME))
-    *_, classic_final = ledger.rounds(scoring_rule(ScoringSystem.CLASSIC))
-    for time_gap, classic_gap in zip(gaps(time_final), gaps(classic_final)):
-        assert Fraction(*time_gap) <= Fraction(*classic_gap), (
-            "fixture must compact gaps; pick another seed"
-        )
-
+    fixtures = list(season_matches(SEED, TEAMS))
+    csv_doc, json_doc = season_texts(fixtures)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "synthetic_season.csv"
     csv_path.write_bytes(csv_doc.encode("utf-8"))
     json_path = args.out / "synthetic_season.json"
     json_path.write_bytes(json_doc.encode("utf-8"))
-    print(f"wrote {csv_path} ({len(season.matches)} fixtures, {len(TEAMS)} teams)")
+    print(f"wrote {csv_path} ({len(fixtures)} fixtures, {len(TEAMS)} teams)")
     print(f"wrote {json_path}")
 
 

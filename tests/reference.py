@@ -18,10 +18,11 @@ standings, indicators or renderer: ``draws_recount`` and ``draws_to_wins_cells``
 recount the classic draws-to-wins column with its ``N*`` cap, and
 ``csv_by_hand`` quotes cells by the README's rule. ``ecdf_columns`` renders an
 ECDF from exact awards by counting, and ``rendered_by_hand`` rounds one value
-half up without the package's renderer. ``segment_oracle`` and
-``final_score`` recompute ``MatchRecord.timeline`` without the record's walk, and
-``SLACK_S`` gives each goal precision's timing slack, apart from the parser's
-table. ``build_parser`` and ``glue_values`` are the argparse reading of the
+half up without the package's renderer. ``segment_oracle``, ``goal_split`` and
+``final_score`` recompute ``MatchRecord.timeline`` without the record's walk:
+the oracle steps the clock second by second, and ``goal_split``, which every
+recount above uses, steps from goal to goal. ``SLACK_S`` gives each goal
+precision's timing slack, apart from the parser's table. ``build_parser`` and ``glue_values`` are the argparse reading of the
 command line that the CLI's own reader replaced.
 """
 
@@ -93,8 +94,8 @@ def paper_awards(
 def paper_match_awards(
     match: MatchRecord, system: ScoringSystem, weights: WeightTriple = PAPER_WEIGHTS
 ) -> tuple[Fraction, Fraction]:
-    """:func:`paper_awards` for ``match``, segmented by the record's own ``timeline``."""
-    return paper_awards(match.timeline[:4], final_score(match), system, weights)
+    """:func:`paper_awards` for ``match``, segmented goal by goal by :func:`goal_split`."""
+    return paper_awards(goal_split(match), final_score(match), system, weights)
 
 
 def final_points(
@@ -193,7 +194,7 @@ def indicator_files(
     When a system's leader has no positive points, the CLI's error line for the
     first such system instead.
     """
-    segments = {match: match.timeline[:4] for match in season.matches}
+    segments = {match: goal_split(match) for match in season.matches}
     columns = [["indicator", *(label for label, _, _ in INDICATOR_ROWS)]]
     doc: dict[str, dict[str, object]] = {}
     for system in systems:
@@ -326,7 +327,7 @@ def report_files(
     files = indicator_files(season, systems, weights, comma)
     if isinstance(files, str):
         return files
-    segments = {match: match.timeline[:4] for match in season.matches}
+    segments = {match: goal_split(match) for match in season.matches}
     ranks = [str(rank) for rank in range(1, len(season.teams) + 1)]
     table = [["rank", *ranks]]
     finals = {}
@@ -401,6 +402,28 @@ def segment_oracle(match: MatchRecord, resolution_s: int = 1) -> Breakdown:
             lose += step
         t += step
     return win, draw, lose, t_match
+
+
+def goal_split(match: MatchRecord) -> Breakdown:
+    """The home side's (leading, level, trailing, T) seconds, one span per goal.
+
+    Each span between two goals, and the span from the last goal to the
+    final whistle, is booked by the score during it. It reads only the
+    record's goals and declared length, in O(goals) steps, so a report built
+    from it checks ``MatchRecord.timeline`` at season scale.
+    """
+    spans = [0, 0, 0]  # indexed by the home lead's sign: level, leading, trailing
+    lead = start = 0
+    for goal in match.goals:
+        spans[(lead > 0) - (lead < 0)] += abs(goal) - start
+        lead += 1 if goal > 0 else -1
+        start = abs(goal)
+    end = match.declared_length_s
+    if end is None:
+        end = max(90 * 60, start)
+    spans[(lead > 0) - (lead < 0)] += end - start
+    level, leading, trailing = spans
+    return leading, level, trailing, end
 
 
 def final_score(match: MatchRecord) -> tuple[int, int]:

@@ -90,6 +90,19 @@ def test_sixty_team_reports_match_the_benchmark_digests(tmp_path, monkeypatch, n
     assert result.exit_code == 0, result.stderr
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == expected["outputs"]
+    # The same report from `python -m timescore` under two hash seeds: no
+    # byte may depend on the order of a set or a dict of strings.
+    for seed in ("0", "1"):
+        seed_dir = tmp_path / f"hashseed{seed}"
+        env = {**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "timescore", "report", "--input", str(season),
+             "--out", str(seed_dir), *workload.flags],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in seed_dir.iterdir()}
+        assert digests == expected["outputs"]
 
 
 def _assert_ecdf_equals_a_fraction_recount(tmp_path, monkeypatch, name, seed):
@@ -140,20 +153,26 @@ def test_sixty_team_minute_ecdf_matches_a_fraction_recount(tmp_path, monkeypatch
 
 # The bundled season's report bytes under flags the goldens do not cover: every
 # system, fractional weights, three decimals with a comma (quoted cells), and
-# zero decimals.
+# zero decimals. 3,1/2,0 and 3,0.5,0 and 6/2,2/4,0 spell one weight triple, so
+# they give one set of bytes.
+_ALL_SYSTEMS_FLAGS = "--systems classic,time,mixed,goaldiff --weights {} --decimals 3 --decimal-comma"
+_ALL_SYSTEMS_DIGESTS = {
+    "ecdf_classic.csv": "0496f5cf17633a1eb0008763fcbd75539828b239d656bd39362cf15b0a8b27d9",
+    "ecdf_goaldiff.csv": "d0a81e3e0adc2135775f62f7dd74a680f120ee22245a95f56572db2d185cbaa0",
+    "ecdf_mixed.csv": "2d0ecc1b73b36f77db7cae031c3f356cdf226cb94211e271813cff8237f89008",
+    "ecdf_time.csv": "059f65dc33ed4cd73cf33178cdca9c38b7cfd9b114081223d3b22066273fa65f",
+    "evolution_classic.csv": "33959c5ca2f403384522f167836605ba457b0c245447fe9f9f18b68531a58455",
+    "evolution_goaldiff.csv": "001b2616b14c1e52108f692e21947af4da536342bd4183658814465cb9367c68",
+    "evolution_mixed.csv": "59ff2ce105701d7ff0179c46dbb6308b84f74c7f479af08adfef265e6e00b84f",
+    "evolution_time.csv": "cfac6589673712adaf30ef66c120331484d807ec8538760540e22568fe8e52f9",
+    "indicators.csv": "43d286ec5c8096169034e2f5d61e79577bfdce29a7e946ad80630c7474303a2e",
+    "indicators.json": "6404e622d59b1d49773db622a9c0b7b97a5c7daf28d495e69bef015daf9d15d0",
+    "table.csv": "6645f10729846e6fa1027a799d0a35f9e4c18500e3a0f24fca40663b858d7908",
+}
 PINNED_FLAG_DIGESTS = {
-    "--systems classic,time,mixed,goaldiff --weights 3,1/2,0 --decimals 3 --decimal-comma": {
-        "ecdf_classic.csv": "0496f5cf17633a1eb0008763fcbd75539828b239d656bd39362cf15b0a8b27d9",
-        "ecdf_goaldiff.csv": "d0a81e3e0adc2135775f62f7dd74a680f120ee22245a95f56572db2d185cbaa0",
-        "ecdf_mixed.csv": "2d0ecc1b73b36f77db7cae031c3f356cdf226cb94211e271813cff8237f89008",
-        "ecdf_time.csv": "059f65dc33ed4cd73cf33178cdca9c38b7cfd9b114081223d3b22066273fa65f",
-        "evolution_classic.csv": "33959c5ca2f403384522f167836605ba457b0c245447fe9f9f18b68531a58455",
-        "evolution_goaldiff.csv": "001b2616b14c1e52108f692e21947af4da536342bd4183658814465cb9367c68",
-        "evolution_mixed.csv": "59ff2ce105701d7ff0179c46dbb6308b84f74c7f479af08adfef265e6e00b84f",
-        "evolution_time.csv": "cfac6589673712adaf30ef66c120331484d807ec8538760540e22568fe8e52f9",
-        "indicators.csv": "43d286ec5c8096169034e2f5d61e79577bfdce29a7e946ad80630c7474303a2e",
-        "indicators.json": "6404e622d59b1d49773db622a9c0b7b97a5c7daf28d495e69bef015daf9d15d0",
-        "table.csv": "6645f10729846e6fa1027a799d0a35f9e4c18500e3a0f24fca40663b858d7908",
+    **{
+        _ALL_SYSTEMS_FLAGS.format(weights): _ALL_SYSTEMS_DIGESTS
+        for weights in ("3,1/2,0", "3,0.5,0", "6/2,2/4,0")
     },
     "--decimals 0": {
         "ecdf_classic.csv": "d3a6f03e34583075adf3f0106f8ddc9d98a0c44efa36db5511ec2200a63713f3",

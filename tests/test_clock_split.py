@@ -1,4 +1,5 @@
-"""Each match's clock split, ``MatchRecord.timeline``, against a step-by-step oracle."""
+"""Each match's clock split, ``MatchRecord.timeline``, and the tests' goal-by-goal split
+against a step-by-step oracle."""
 
 import json
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import declared_lengths, goal_entries, match_records, record_from_entries
-from reference import SLACK_S, final_score, segment_oracle
+from reference import SLACK_S, final_score, goal_split, segment_oracle
 from timescore.ingest import MatchRecord, parse_season
 
 
@@ -79,6 +80,13 @@ class TestSegmentOracle:
 @settings(max_examples=150)
 def test_segment_equals_oracle_at_one_second(match):
     assert match.timeline[:4] == segment_oracle(match, 1)
+
+
+@given(match_records())
+@settings(max_examples=150)
+def test_goal_split_equals_oracle_at_one_second(match):
+    # The reports' Fraction recounts segment every match with goal_split.
+    assert goal_split(match) == segment_oracle(match, 1)
 
 
 @given(goal_entries(), st.data())

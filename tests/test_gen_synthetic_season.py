@@ -3,7 +3,9 @@
 import sys
 from pathlib import Path
 
-from gen_synthetic_season import TEAMS, main, season_matches
+import pytest
+
+from gen_synthetic_season import TEAMS, double_round_robin, main, season_matches
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +25,11 @@ def test_a_goalless_match_may_declare_its_length():
         if length is not None:
             assert length >= 91
             assert all(length > minute for _, minute in goals)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_the_schedule_refuses_an_odd_or_too_small_league(count):
+    # A check that python -O keeps: an odd league would get a schedule in
+    # which some pairs never meet.
+    with pytest.raises(ValueError, match="the schedule needs an even number of teams"):
+        double_round_robin(["A", "B", "C"][:count])

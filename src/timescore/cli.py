@@ -56,9 +56,7 @@ def table_report(
     columns = [["rank", *map(str, range(1, len(ledger.teams) + 1))]]
     finals: dict[ScoringSystem, Standings] = {}
     for rule in rules:
-        for standings in ledger.rounds(rule):
-            pass  # only the last round, the final table, is read
-        finals[rule.system] = standings
+        standings = finals[rule.system] = ledger.final(rule)
         name = rule.system.value
         percents, leader = percent_of_leader(standings)
         order = standings.order

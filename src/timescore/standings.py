@@ -63,8 +63,9 @@ class SeasonLedger:
     level and trailing seconds, its 3/1/0 result, its capped goal-difference
     bonus and the match length T; and, per side, the length factor
     ``length_lcm // T``, where ``length_lcm`` is the lcm of the distinct match
-    lengths. What no rule changes is computed once per season: each round's
-    tie-break order and each team's season ``draws``.
+    lengths. What no rule changes is kept once per season: each team's season
+    ``draws``, and each round's goal-difference and goals-for totals, from
+    which the first :meth:`rounds` call sorts every round's tie-break order.
 
     Under a rule that reads time (:attr:`ScoringRule.reads_time`), an award
     is a small integer over ``rule.scale * T`` (:meth:`tally`), and totals
@@ -89,7 +90,7 @@ class SeasonLedger:
         draws = self.draws = [0] * n
         self._sides: list[list[int]] = []
         self._rows: list[list[tuple[int, ...]]] = []
-        self._tiebreaks: list[list[int]] = []
+        self._totals: list[tuple[list[int], list[int]]] = []
         for matches in by_round:
             sides, rows = [], []
             # Each record unpacks as the tuple it is, with no property reads.
@@ -111,12 +112,7 @@ class SeasonLedger:
                 goals_for[away] += ag
                 goal_diff[home] += diff
                 goal_diff[away] -= diff
-            # One int per team orders by goal difference, then goals scored,
-            # which stay below m. Teams are indexed in name order and the sort
-            # is stable, so equal keys stay in name order.
-            m = max(goals_for) + 1
-            keys = [gd * m + gf for gd, gf in zip(goal_diff, goals_for)]
-            self._tiebreaks.append(sorted(range(n), key=keys.__getitem__, reverse=True))
+            self._totals.append((goal_diff.copy(), goals_for.copy()))
             self._sides.append(sides)
             self._rows.append(rows)
 
@@ -130,6 +126,8 @@ class SeasonLedger:
         factor = {t: self.length_lcm // t for t in lengths}.__getitem__
         self._factors = [[factor(row[5]) for row in rows] for rows in self._rows]
         self._row_counts: tuple[list[tuple[int, ...]], list[int]] | None = None
+        self._tiebreaks: list[list[int]] | None = None
+        self._season: tuple[list[tuple[int, ...]], int, list[int]] | None = None
 
     def den(self, rule: ScoringRule) -> int:
         """The common denominator of every total under ``rule``.
@@ -160,9 +158,11 @@ class SeasonLedger:
         Each holds a copy of the running totals, with that round's appearances
         and tie-break order, so a kept round keeps its values. Each award is
         added times its length factor, so the totals are ints over :meth:`den`.
-        The last item is the final standings. A round whose ``order`` is never
-        read is never ranked.
+        The last item equals :meth:`final`. The first call sorts every round's
+        tie-break, once per ledger; a round whose ``order`` is unread is not ranked.
         """
+        if self._tiebreaks is None:
+            self._tiebreaks = [_tiebreak(*totals) for totals in self._totals]
         den, points, appearances = self.den(rule), [0] * len(self.teams), 0
         # A rule that reads no time adds each award as it is, over its scale.
         round_factors = self._factors if rule.reads_time else repeat(repeat(1))
@@ -173,6 +173,38 @@ class SeasonLedger:
                 points[team] += num * factor
             appearances += len(sides)
             yield Standings(self.teams, rule, den, points.copy(), appearances, tiebreak)
+
+    def final(self, rule: ScoringRule) -> Standings:
+        """The final standings, equal to the last item of :meth:`rounds`, walking no round.
+
+        Each team's season row ``(Σ w·f, Σ d·f, Σ l·f, Σ r, Σ g, length_lcm)``, f
+        each side row's length factor, is summed once per ledger. An award is linear
+        in its row and ``T·f == length_lcm``, so a season row's award is the team's
+        total over :meth:`den`. Only the last round's tie-break order is sorted.
+        """
+        if self._season is None:
+            lead, level, trail, result, bonus = sums = [[0] * len(self.teams) for _ in range(5)]
+            for rows, sides, factors in zip(self._rows, self._sides, self._factors):
+                for team, (w, d, l, r, g, _), f in zip(sides, rows, factors):
+                    lead[team] += w * f
+                    level[team] += d * f
+                    trail[team] += l * f
+                    result[team] += r
+                    bonus[team] += g
+            rows = [(*row, self.length_lcm) for row in zip(*sums)]
+            self._season = rows, sum(map(len, self._sides)), _tiebreak(*self._totals[-1])
+        rows, appearances, tiebreak = self._season
+        points = _award_nums(rule, rows)
+        return Standings(self.teams, rule, self.den(rule), points, appearances, tiebreak)
+
+
+def _tiebreak(goal_diff: list[int], goals_for: list[int]) -> list[int]:
+    """Team indices by goal difference desc, goals scored desc, name asc."""
+    # One int key per team, with goals scored below m. Teams are indexed in
+    # name order and the sort is stable, so equal keys stay in name order.
+    m = max(goals_for) + 1
+    keys = [gd * m + gf for gd, gf in zip(goal_diff, goals_for)]
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
 
 
 def _award_nums(rule: ScoringRule, rows: Sequence[tuple[int, ...]]) -> list[int]:

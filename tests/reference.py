@@ -244,7 +244,7 @@ def season_awards(ledger: SeasonLedger, rule) -> list[Fraction]:
 def package_awards(match: MatchRecord, rule) -> tuple[Fraction, Fraction]:
     """(home, away) awards of ``match`` under ``rule``: a one-match ledger's final standings."""
     one = MatchRecord(1, match.home, match.away, match.goals, match.declared_length_s)
-    *_, final = SeasonLedger(SeasonDataset(matches=(one,))).rounds(rule)
+    final = SeasonLedger(SeasonDataset(matches=(one,))).final(rule)
     points = dict(zip(final.teams, final.points))
     return Fraction(points[match.home], final.den), Fraction(points[match.away], final.den)
 

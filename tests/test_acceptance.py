@@ -99,7 +99,7 @@ def test_criterion_05_average_points_denominator():
             MatchRecord(round=i // 10 + 1, home=home, away=away, goals=goals)
         )
     season = SeasonDataset(matches=tuple(matches))
-    *_, final = SeasonLedger(season).rounds(scoring_rule(ScoringSystem.CLASSIC))
+    final = SeasonLedger(season).final(scoring_rule(ScoringSystem.CLASSIC))
     num, den = final.average()
     assert Fraction(num, den) == Fraction(1033, 760)
     assert format_ratios((num,), den, 2) == ["1.36"]
@@ -123,7 +123,7 @@ def test_criterion_07_mixed_final_points_are_exact_means():
         ledger = SeasonLedger(season)
         points = []
         for system in (ScoringSystem.CLASSIC, ScoringSystem.TIME, ScoringSystem.MIXED_HALF):
-            *_, final = ledger.rounds(scoring_rule(system))
+            final = ledger.final(scoring_rule(system))
             points.append(
                 {team: Fraction(p, final.den) for team, p in zip(final.teams, final.points)}
             )

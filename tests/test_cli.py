@@ -345,8 +345,8 @@ def test_csv_text_equals_csv_writer(columns):
 def test_golden_table_cells_match_recomputation():
     # Spot-check the frozen file against values recomputed from the library.
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes()))
-    *_, classic = ledger.rounds(scoring_rule(ScoringSystem.CLASSIC))
-    *_, timed = ledger.rounds(scoring_rule(ScoringSystem.TIME))
+    classic = ledger.final(scoring_rule(ScoringSystem.CLASSIC))
+    timed = ledger.final(scoring_rule(ScoringSystem.TIME))
     lines = (GOLDEN / "table.csv").read_text().splitlines()
     top = lines[1].split(",")
     for final, (team, points) in ((classic, top[1:3]), (timed, top[4:6])):
@@ -506,8 +506,8 @@ def test_all_draws_fixture_gives_zero_gaps(tmp_path):
 
 def test_bundled_fixture_time_gaps_at_most_classic():
     ledger = SeasonLedger(parse_season(SEASON_CSV.read_bytes()))
-    *_, time_final = ledger.rounds(scoring_rule(ScoringSystem.TIME))
-    *_, classic_final = ledger.rounds(scoring_rule(ScoringSystem.CLASSIC))
+    time_final = ledger.final(scoring_rule(ScoringSystem.TIME))
+    classic_final = ledger.final(scoring_rule(ScoringSystem.CLASSIC))
     for time_gap, classic_gap in zip(gaps(time_final), gaps(classic_final), strict=True):
         assert Fraction(*time_gap) <= Fraction(*classic_gap)
 

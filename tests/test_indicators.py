@@ -72,11 +72,6 @@ def _minutes(num, den, rule):
     return minutes, minutes_den
 
 
-def _final(ledger, rule):
-    *_, final = ledger.rounds(rule)
-    return final
-
-
 class TestGaps:
     def test_real_season_gap_values(self):
         ratios = gaps(_standings(REAL_CLASSIC_POINTS, ScoringSystem.CLASSIC))
@@ -118,14 +113,14 @@ class TestAveragePoints:
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B"), MatchRecord(1, "C", "D"))
         )
-        assert Fraction(*_final(SeasonLedger(season), TIME).average()) == 1
+        assert Fraction(*SeasonLedger(season).final(TIME).average()) == 1
 
     def test_denominator_is_team_appearances(self):
         # One decisive match: 3 points over 2 appearances.
         season = SeasonDataset(
             matches=(MatchRecord(1, "A", "B", (600,)),)
         )
-        final = _final(SeasonLedger(season), CLASSIC)
+        final = SeasonLedger(season).final(CLASSIC)
         assert final.average() == (3 * final.den, 2 * final.den)
 
     def test_matches_manual_summation(self):
@@ -134,7 +129,7 @@ class TestAveragePoints:
         for match in season.matches:
             total += sum(paper_match_awards(match, ScoringSystem.TIME))
         expected = total / (2 * len(season.matches))
-        assert Fraction(*_final(SeasonLedger(season), TIME).average()) == expected
+        assert Fraction(*SeasonLedger(season).final(TIME).average()) == expected
 
     def test_empty_season(self):
         # No appearances to average over: the ledger refuses the season.
@@ -144,7 +139,7 @@ class TestAveragePoints:
     def test_time_average_strictly_below_three_halves(self):
         for seed in range(5):
             season = random_season(random.Random(seed))
-            avg = Fraction(*_final(SeasonLedger(season), TIME).average())
+            avg = Fraction(*SeasonLedger(season).final(TIME).average())
             assert 1 <= avg < Fraction(3, 2)
 
 
@@ -346,7 +341,7 @@ def test_gaps_average_and_minutes_equal_their_fraction_recounts(seed, teams, wei
     season = random_season(random.Random(seed), teams)
     ledger = SeasonLedger(season)
     for system in ScoringSystem:
-        final = _final(ledger, scoring_rule(system, weights))
+        final = ledger.final(scoring_rule(system, weights))
         points = final_points(season, system, weights)
         assert Fraction(*final.average()) == average_recount(season, system, weights)
         expected = gaps_recount(points)

@@ -5,24 +5,32 @@ and each match is segmented by the step-by-step oracle, not by ``MatchRecord.tim
 Rules that read no time are recounted from each match's goals alone, over their own scale.
 """
 
+import hashlib
 import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from clirun import run_cli
 from matchgen import random_season, weight_triples
 from reference import (
-    SLACK_S, draws_recount, expected_rounds, final_score, paper_awards, segment_oracle
+    SLACK_S, draws_recount, expected_rounds, final_score, paper_awards, paper_match_awards,
+    segment_oracle,
 )
 import timescore.standings as standings_module
 from timescore.cli import ecdf_report, evolution_report, indicators_report, table_report
 from timescore.ingest import MatchRecord, SeasonDataset, parse_season
-from timescore.scoring import ScoringRule, ScoringSystem, scoring_rule
-from timescore.standings import SeasonLedger
+from timescore.scoring import ScoringRule, ScoringSystem, WeightTriple, scoring_rule
+from timescore.standings import SeasonLedger, Standings
 
+
+ROOT = Path(__file__).resolve().parent.parent
+SEASON_CSV = ROOT / "data" / "synthetic_season.csv"
+GOLDEN = ROOT / "tests" / "golden"
 
 # These properties draw an opaque seed, and a smaller seed is no simpler season,
 # so shrinking one finds nothing and re-ranks whole seasons in Fractions at each
@@ -93,18 +101,22 @@ def test_ledger_rounds_equal_summed_match_points(seed, weights, teams):
 def test_order_read_once_equals_order_read_every_round(seed, weights):
     # Standings rank lazily: a stream whose order is read only after the last
     # round must end where a stream read every round ends, and both where the
-    # from-scratch recount ends.
+    # from-scratch recount ends. The final standings, summed per team, are that
+    # last round field by field; the first rule asks for them before any stream
+    # has sorted a tie-break.
     season = _seasons(seed, 6)
     segments = {match: segment_oracle(match) for match in season.matches}
     ledger = SeasonLedger(season)
     assert dict(zip(ledger.teams, ledger.draws)) == draws_recount(season)
     for system in ScoringSystem:
         rule = scoring_rule(system, weights)
+        final = ledger.final(rule)
         *_, read_once = ledger.rounds(rule)
         for read_every_round in ledger.rounds(rule):
             read_every_round.order  # ranks this round
+        _assert_same_standings(final, read_once)
         *_, (points, order) = expected_rounds(season, system, weights, segments)
-        for standings in (read_once, read_every_round):
+        for standings in (read_once, read_every_round, final):
             assert [standings.teams[i] for i in standings.order] == order
             assert [Fraction(p, standings.den) for p in standings.points] == [
                 points[team] for team in standings.teams
@@ -182,14 +194,53 @@ def test_rows_are_counted_once_per_ledger_and_only_for_the_ecdf(monkeypatch):
     assert calls == [1]
 
 
-def _assert_classic_is_wins_and_draws_over_one(season: SeasonDataset) -> None:
+def test_commands_read_only_what_they_need(tmp_path, monkeypatch):
+    # table reads the final standings alone, so it gives the same bytes with
+    # the round stream gone; the ECDF ranks nothing, so it sorts no tie-break.
+    def refuse(*args):
+        raise AssertionError("read by a command that has no use for it")
+
+    monkeypatch.setattr(SeasonLedger, "rounds", refuse)
+    assert run_cli(["table", "--input", str(SEASON_CSV), "--out", str(tmp_path)]).exit_code == 0
+    assert (tmp_path / "table.csv").read_bytes() == (GOLDEN / "table.csv").read_bytes()
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import FULL_TEAMS, WORKLOADS, season_bytes
+
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())
+    for name in ("league60_minute", "league60_exact"):
+        workload = WORKLOADS[name]
+        season = tmp_path / f"{name}.{'csv' if workload.kind == 'minute' else 'json'}"
+        season.write_bytes(season_bytes(workload.kind, 1, FULL_TEAMS))
+        out_dir = tmp_path / name
+        argv = ["table", "--input", str(season), "--out", str(out_dir), *workload.flags]
+        assert run_cli(argv).exit_code == 0
+        digest = hashlib.sha256((out_dir / "table.csv").read_bytes()).hexdigest()
+        assert digest == expected[name]["outputs"]["table.csv"]
+    monkeypatch.setattr(standings_module, "_tiebreak", refuse)
+    assert run_cli(["ecdf", "--input", str(SEASON_CSV), "--out", str(tmp_path)]).exit_code == 0
+    for name in ("ecdf_classic.csv", "ecdf_time.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _assert_same_standings(final: Standings, last_round: Standings) -> None:
+    assert final.teams == last_round.teams and final.rule == last_round.rule
+    assert final.points == last_round.points
+    assert final.den == last_round.den
+    assert final.appearances == last_round.appearances
+    assert list(final.tiebreak) == list(last_round.tiebreak)
+    assert final.order == last_round.order
+
+
+def _assert_classic_is_wins_and_draws_over_one(season: SeasonDataset, weights) -> None:
     # Classic reads no time, so the season's length lcm never reaches its
     # totals: each is 3*wins + draws over 1, every award is over 1.
     ledger = SeasonLedger(season)
     classic = scoring_rule(ScoringSystem.CLASSIC)
     assert ledger.den(classic) == 1
     assert set(ledger.tally(classic)[1]) == {1}
-    *_, final = ledger.rounds(classic)
+    final = ledger.final(classic)
+    *_, last_round = ledger.rounds(classic)
+    _assert_same_standings(final, last_round)
     assert final.den == 1
     points = Counter()
     for match in season.matches:
@@ -200,17 +251,33 @@ def _assert_classic_is_wins_and_draws_over_one(season: SeasonDataset) -> None:
         else:
             points[match.home if home_goals > away_goals else match.away] += 3
     assert final.points == [points[team] for team in final.teams]
-    # A rule that reads time keeps the lcm.
-    assert ledger.den(scoring_rule(ScoringSystem.TIME)) == ledger.length_lcm
+    # A rule that reads time keeps the lcm, and its final standings, summed
+    # per team, are the last round's and the paper's per-match awards summed.
+    time = scoring_rule(ScoringSystem.TIME, weights)
+    assert ledger.den(time) == time.scale * ledger.length_lcm
+    final = ledger.final(time)
+    *_, last_round = ledger.rounds(time)
+    _assert_same_standings(final, last_round)
+    paper = dict.fromkeys(season.teams, Fraction(0))
+    for match in season.matches:
+        home, away = paper_match_awards(match, ScoringSystem.TIME, weights)
+        paper[match.home] += home
+        paper[match.away] += away
+    assert [Fraction(p, final.den) for p in final.points] == [paper[t] for t in final.teams]
 
 
-@given(st.integers(0, 2**32))
+@given(st.integers(0, 2**32), weight_triples())
 @settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
-def test_classic_points_are_wins_and_draws_over_one(seed):
-    _assert_classic_is_wins_and_draws_over_one(_seasons(seed, 6))
+def test_classic_points_are_wins_and_draws_over_one(seed, weights):
+    _assert_classic_is_wins_and_draws_over_one(_seasons(seed, 6), weights)
 
 
-def test_classic_den_is_one_past_a_two_thousand_bit_length_lcm():
+@given(weight_triples().map(
+    # The same triple moved below zero: every weight negative.
+    lambda w: WeightTriple(-1, w.alpha_d - w.alpha_w - 1, w.alpha_l - w.alpha_w - 1, w.scale)
+))
+@settings(max_examples=5, deadline=None)
+def test_classic_den_is_one_past_a_two_thousand_bit_length_lcm(weights):
     # Each of a 20-team season's 380 matches has its own length.
     season = random_season(random.Random(23), num_teams=20)
     season = SeasonDataset(
@@ -220,7 +287,7 @@ def test_classic_den_is_one_past_a_two_thousand_bit_length_lcm():
         )
     )
     assert SeasonLedger(season).length_lcm.bit_length() > 2000
-    _assert_classic_is_wins_and_draws_over_one(season)
+    _assert_classic_is_wins_and_draws_over_one(season, weights)
 
 
 @given(st.integers(0, 2**32))

@@ -61,12 +61,6 @@ HAND_CLASSIC_RANKS = [
 ]
 
 
-def _final(ledger, rule):
-    """The final standings: the last item of the rounds stream."""
-    *_, final = ledger.rounds(rule)
-    return final
-
-
 def _ranked(standings):
     """(team, exact points) in rank order."""
     return [
@@ -77,23 +71,23 @@ def _ranked(standings):
 
 class TestFinalTable:
     def test_two_team_season_time_points(self):
-        assert _ranked(_final(TWO_TEAM_LEDGER, TIME)) == [
+        assert _ranked(TWO_TEAM_LEDGER.final(TIME)) == [
             ("A", Fraction(10, 3)),
             ("B", Fraction(4, 3)),
         ]
 
     def test_two_team_season_classic_points(self):
-        assert _ranked(_final(TWO_TEAM_LEDGER, CLASSIC)) == [("A", 4), ("B", 1)]
+        assert _ranked(TWO_TEAM_LEDGER.final(CLASSIC)) == [("A", 4), ("B", 1)]
 
     def test_leader_percent_is_one_hundred(self):
-        percents, leader = percent_of_leader(_final(TWO_TEAM_LEDGER, TIME))
+        percents, leader = percent_of_leader(TWO_TEAM_LEDGER.final(TIME))
         assert Fraction(percents[0], leader) == 100
         assert Fraction(percents[1], leader) == 100 * Fraction(4, 3) / Fraction(10, 3)
 
     def test_draws_and_appearances(self):
         # A won at home and drew away; B lost away and drew at home.
         assert TWO_TEAM_LEDGER.draws == [1, 1]
-        assert _final(TWO_TEAM_LEDGER, CLASSIC).appearances == 4
+        assert TWO_TEAM_LEDGER.final(CLASSIC).appearances == 4
 
     def test_empty_season_rejected(self):
         with pytest.raises(EmptySeasonError):
@@ -101,7 +95,7 @@ class TestFinalTable:
 
     def test_ranks_are_contiguous(self):
         # Every team holds exactly one rank.
-        assert sorted(_final(HAND_LEDGER, TIME).order) == [0, 1, 2, 3]
+        assert sorted(HAND_LEDGER.final(TIME).order) == [0, 1, 2, 3]
 
 
 class TestTieBreak:
@@ -112,7 +106,7 @@ class TestTieBreak:
                 MatchRecord(1, "G", "H", (_home(10),)),
             )
         )
-        ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
+        ranked = _ranked(SeasonLedger(season).final(CLASSIC))
         assert [team for team, _ in ranked] == ["E", "G", "H", "F"]
 
     def test_goals_scored_breaks_equal_negative_goal_difference(self):
@@ -124,7 +118,7 @@ class TestTieBreak:
                 MatchRecord(1, "G", "H", (_home(10), _away(20), _home(30))),
             )
         )
-        ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
+        ranked = _ranked(SeasonLedger(season).final(CLASSIC))
         assert [team for team, _ in ranked] == ["G", "E", "H", "F"]
 
     def test_name_breaks_full_ties(self):
@@ -134,7 +128,7 @@ class TestTieBreak:
                 MatchRecord(1, "E", "F", (_home(10),)),
             )
         )
-        ranked = _ranked(_final(SeasonLedger(season), CLASSIC))
+        ranked = _ranked(SeasonLedger(season).final(CLASSIC))
         assert [team for team, _ in ranked] == ["E", "G", "F", "H"]
 
 
@@ -241,7 +235,7 @@ class TestOverallChanges:
                 subset = SeasonDataset(
                     matches=tuple(m for m in season.matches if m.round <= round_no)
                 )
-                final = _final(SeasonLedger(subset), rule)
+                final = SeasonLedger(subset).final(rule)
                 ranks = {final.teams[i]: rank for rank, i in enumerate(final.order, start=1)}
                 if previous is not None:
                     recount += sum(
@@ -254,7 +248,7 @@ class TestOverallChanges:
 class TestTotals:
     def test_time_total_is_three_minus_draw_share_summed(self):
         season = random_season(random.Random(7))
-        total = sum(points for _, points in _ranked(_final(SeasonLedger(season), TIME)))
+        total = sum(points for _, points in _ranked(SeasonLedger(season).final(TIME)))
         expected = Fraction(0)
         for match in season.matches:
             _, draw, _, t_match, _, _ = match.timeline
@@ -263,15 +257,15 @@ class TestTotals:
 
     def test_classic_total_counts_decisive_and_drawn(self):
         season = random_season(random.Random(8))
-        total = sum(points for _, points in _ranked(_final(SeasonLedger(season), CLASSIC)))
+        total = sum(points for _, points in _ranked(SeasonLedger(season).final(CLASSIC)))
         decisive = sum(hg != ag for hg, ag in map(final_score, season.matches))
         drawn = len(season.matches) - decisive
         assert total == 3 * decisive + 2 * drawn
 
     def test_rerun_is_identical(self):
         season = random_season(random.Random(9))
-        first = _ranked(_final(SeasonLedger(season), TIME))
-        second = _ranked(_final(SeasonLedger(season), TIME))
+        first = _ranked(SeasonLedger(season).final(TIME))
+        second = _ranked(SeasonLedger(season).final(TIME))
         assert first == second
 
 
@@ -285,7 +279,7 @@ class TestExports:
 
 def test_award_accumulation_matches_manual_sum():
     season = HAND_SEASON
-    ranked = _ranked(_final(HAND_LEDGER, scoring_rule(ScoringSystem.GOALDIFF_THIRD)))
+    ranked = _ranked(HAND_LEDGER.final(scoring_rule(ScoringSystem.GOALDIFF_THIRD)))
     manual = {team: Fraction(0) for team in season.teams}
     for match in season.matches:
         home_pts, away_pts = paper_match_awards(match, ScoringSystem.GOALDIFF_THIRD)

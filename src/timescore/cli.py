@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
 from .display import csv_text, format_ratios, ratio_text
+from .errors import SeasonDataError
 from .indicators import (
     ECDF_DECIMALS, draws_to_wins, ecdf_steps, gaps, minutes_to_upper, rank_changes
 )
@@ -34,14 +35,22 @@ from .standings import SeasonLedger, Standings, percent_of_leader
 _SYSTEM_NAMES = ",".join(system.value for system in ScoringSystem)
 
 
-def _parse_systems(text: str) -> tuple[ScoringSystem, ...]:
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+def _rules(systems: str, weights: str) -> list[ScoringRule]:
+    """One rule per system --systems names, at the --weights weights; systems are read first."""
+    tokens = [tok.strip() for tok in systems.split(",") if tok.strip()]
     if not tokens:
-        raise ValueError("at least one scoring system is required")
+        raise SeasonDataError("BAD_SYSTEMS", "at least one scoring system is required")
     for tok in tokens:
         if tok.lower() not in _SYSTEM_NAMES.split(","):
-            raise ValueError(f"unknown scoring system {tok!r}; choose from {_SYSTEM_NAMES}")
-    return tuple(dict.fromkeys(ScoringSystem(tok.lower()) for tok in tokens))
+            raise SeasonDataError(
+                "BAD_SYSTEMS", f"unknown scoring system {tok!r}; choose from {_SYSTEM_NAMES}"
+            )
+    try:
+        triple = WeightTriple.from_string(weights)
+    except ValueError as exc:  # the plain ValueError that library callers get, given a code
+        raise SeasonDataError("BAD_WEIGHTS", str(exc)) from None
+    named = dict.fromkeys(ScoringSystem(tok.lower()) for tok in tokens)
+    return [scoring_rule(system, triple) for system in named]
 
 
 def table_report(
@@ -173,8 +182,7 @@ def _execute(
     Exits 1 on a data or flag error and 2 on an I/O error, after an ``error:`` line.
     """
     try:
-        parsed_systems, triple = _parse_systems(systems), WeightTriple.from_string(weights)
-        rules = [scoring_rule(system, triple) for system in parsed_systems]
+        rules = _rules(systems, weights)
         # The parsed season is dropped once its ledger is built, so the reports
         # reuse its memory.
         ledger = SeasonLedger(parse_season(input_path.read_bytes()))
@@ -185,7 +193,7 @@ def _execute(
         for name, content in files.items():
             (output_dir / name).write_bytes(content.encode("utf-8"))
     except (ValueError, OSError) as err:
-        # A ValueError is a bad flag or a SeasonDataError (a ValueError carrying its code).
+        # A ValueError is a SeasonDataError: a bad flag value or season, named by its code.
         print(f"error: {err}", file=sys.stderr)
         sys.exit(2 if isinstance(err, OSError) else 1)
     for name in files:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import accumulate, compress
 from typing import Sequence
 
-from .errors import TooFewTeamsError, WrongSystemError
+from .errors import SeasonDataError
 from .ingest import REGULATION_LENGTH_S, SECONDS_PER_MINUTE
 from .scoring import ScoringSystem
 from .standings import Standings, percent_of_leader
@@ -29,7 +29,7 @@ def gaps(standings: Standings) -> tuple[Ratio, Ratio, Ratio]:
     """
     n = len(standings.teams)
     if n < 3:
-        raise TooFewTeamsError(f"need at least 3 teams, got {n}")
+        raise SeasonDataError("TOO_FEW_TEAMS", f"need at least 3 teams, got {n}")
     percents, leader = percent_of_leader(standings)
     third, ninth, last = (100 * leader - percents[k] for k in (2, min(9, n) - 1, n - 1))
     return (third, leader), (ninth, leader), (last, leader)
@@ -66,8 +66,8 @@ def minutes_to_upper(standings: Standings) -> tuple[list[int], int]:
     """
     rule = standings.rule
     if rule.system is not ScoringSystem.TIME:
-        raise WrongSystemError(
-            f"minutes-to-upper applies to time tables, got {rule.system.value!r}"
+        raise SeasonDataError(
+            "WRONG_SYSTEM", f"minutes-to-upper applies to time tables, got {rule.system.value!r}"
         )
     # The conversion is linear, so one point's worth scales every deficit.
     per_point = REGULATION_LENGTH_S // SECONDS_PER_MINUTE * rule.scale
@@ -85,8 +85,9 @@ def draws_to_wins(standings: Standings, draws: Sequence[int]) -> list[tuple[int,
     (count, whether the cap binds), for ranks 2..n in order.
     """
     if standings.rule.system is not ScoringSystem.CLASSIC:
-        raise WrongSystemError(
-            f"draws-to-wins applies to classic tables, got {standings.rule.system.value!r}"
+        raise SeasonDataError(
+            "WRONG_SYSTEM",
+            f"draws-to-wins applies to classic tables, got {standings.rule.system.value!r}",
         )
     order, points, twice_den = standings.order, standings.points, 2 * standings.den
     metrics = []

@@ -43,15 +43,7 @@ import sys
 from operator import itemgetter
 from typing import Any
 
-from .errors import (
-    DuplicateFixtureError,
-    EmptySeasonError,
-    EncodingError,
-    MalformedRowError,
-    NonContiguousRoundsError,
-    NonMonotonicGoalsError,
-    SeasonDataError,
-)
+from .errors import SeasonDataError
 
 SECONDS_PER_MINUTE = 60
 REGULATION_LENGTH_S = 90 * SECONDS_PER_MINUTE
@@ -120,10 +112,10 @@ class FrozenRecord(tuple):
 def _check_goal_time(time_s: int) -> None:
     """Fail as MALFORMED_ROW unless a goal at ``time_s`` seconds falls in 1..MAX_MATCH_LENGTH_S."""
     if time_s < 1:
-        raise MalformedRowError(f"goal time must be at least 1 second, got {time_s}")
+        raise SeasonDataError("MALFORMED_ROW", f"goal time must be at least 1 second, got {time_s}")
     if time_s > MAX_MATCH_LENGTH_S:
-        raise MalformedRowError(
-            f"goal time is past the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
+        raise SeasonDataError(
+            "MALFORMED_ROW", f"goal time is past the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
         )
 
 
@@ -133,8 +125,8 @@ def _check_no_lone_surrogate(text: str, what: str) -> None:
         try:
             text.encode()
         except UnicodeEncodeError:
-            raise MalformedRowError(
-                f"{what} must not contain a lone surrogate, got {text!r}"
+            raise SeasonDataError(
+                "MALFORMED_ROW", f"{what} must not contain a lone surrogate, got {text!r}"
             ) from None
 
 
@@ -192,18 +184,18 @@ def _match_record(
     name (one shared str per team); two known, different names skip those checks.
     """
     if round < 1:
-        raise MalformedRowError(f"round must be a positive integer, got {round}")
+        raise SeasonDataError("MALFORMED_ROW", f"round must be a positive integer, got {round}")
     home_name, away_name = names.get(home), names.get(away)
     if home_name is None or away_name is None or home_name is away_name:
         home_name, away_name = home.strip(), away.strip()
         if not home_name or not away_name:
-            raise MalformedRowError("team names must be non-empty")
+            raise SeasonDataError("MALFORMED_ROW", "team names must be non-empty")
         if "\0" in home_name or "\0" in away_name:
-            raise MalformedRowError("team names must not contain a NUL character")
+            raise SeasonDataError("MALFORMED_ROW", "team names must not contain a NUL character")
         for name in (home_name, away_name):
             _check_no_lone_surrogate(name, "team names")
         if home_name == away_name:
-            raise MalformedRowError(f"a team cannot play itself: {home_name!r}")
+            raise SeasonDataError("MALFORMED_ROW", f"a team cannot play itself: {home_name!r}")
         names[home] = home_name = names.setdefault(home_name, home_name)
         names[away] = away_name = names.setdefault(away_name, away_name)
     goals = tuple(goals)
@@ -217,8 +209,9 @@ def _match_record(
         time_s = goal if goal > 0 else -goal
         if not last < time_s <= MAX_MATCH_LENGTH_S:
             _check_goal_time(time_s)
-            raise NonMonotonicGoalsError(
-                f"goal times must strictly increase, got {last} s followed by {time_s} s"
+            raise SeasonDataError(
+                "NONMONOTONIC_GOALS",
+                f"goal times must strictly increase, got {last} s followed by {time_s} s",
             )
         if diff > 0:
             win += time_s - last
@@ -230,16 +223,18 @@ def _match_record(
         last = time_s
     if declared is not None:
         if declared < REGULATION_LENGTH_S:
-            raise MalformedRowError(
+            raise SeasonDataError(
+                "MALFORMED_ROW",
                 f"declared length {declared} s is shorter than regulation ({REGULATION_LENGTH_S} s)"
             )
         if declared > MAX_MATCH_LENGTH_S:
-            raise MalformedRowError(
+            raise SeasonDataError(
+                "MALFORMED_ROW",
                 f"declared length is longer than the longest allowed match ({MAX_MATCH_LENGTH_S} s)"
             )
         if declared < last:
-            raise MalformedRowError(
-                f"declared length {declared} s precedes the last goal at {last} s"
+            raise SeasonDataError(
+                "MALFORMED_ROW", f"declared length {declared} s precedes the last goal at {last} s"
             )
     t_match = declared
     if t_match is None:
@@ -283,15 +278,15 @@ class SeasonDataset(FrozenRecord):
             seen: set[tuple[str, str]] = set()
             for pair in pairs:
                 if pair in seen:
-                    raise DuplicateFixtureError(
-                        "fixture {} vs {} appears more than once".format(*pair)
+                    raise SeasonDataError(
+                        "DUPLICATE_FIXTURE", "fixture {} vs {} appears more than once".format(*pair)
                     )
                 seen.add(pair)
         # Rounds are at least 1, so they run 1..max exactly when there are max of them.
         rounds = set(map(_ROUND, matches))
         if rounds and len(rounds) != max(rounds):
-            raise NonContiguousRoundsError(
-                "round numbers must form a contiguous range starting at 1"
+            raise SeasonDataError(
+                "NONCONTIGUOUS_ROUNDS", "round numbers must form a contiguous range starting at 1"
             )
         return tuple.__new__(cls, (league_name, matches))
 
@@ -309,7 +304,7 @@ def parse_goal_token(token: str) -> int:
     """Parse one ``SIDE:MINUTE[+STOPPAGE]`` token into a signed goal time in seconds."""
     m = _GOAL_TOKEN_RE.match(token.strip())
     if m is None:
-        raise MalformedRowError(f"bad goal token {token!r}")
+        raise SeasonDataError("MALFORMED_ROW", f"bad goal token {token!r}")
     minute, stoppage = m.group("minute"), m.group("stoppage") or "0"
     _check_digits(minute, "goal minute")
     _check_digits(stoppage, "goal minute")
@@ -320,8 +315,9 @@ def parse_goal_token(token: str) -> int:
 
 def _check_digits(digits: str, what: str) -> None:
     if len(digits) > MAX_NUMBER_DIGITS:
-        raise MalformedRowError(
-            f"bad {what}: {len(digits)} digits, at most {MAX_NUMBER_DIGITS} digits allowed"
+        raise SeasonDataError(
+            "MALFORMED_ROW",
+            f"bad {what}: {len(digits)} digits, at most {MAX_NUMBER_DIGITS} digits allowed",
         )
 
 
@@ -338,10 +334,6 @@ class _TokenMemo(dict):
         return goal
 
 
-def _located(err: SeasonDataError, line: int) -> SeasonDataError:
-    return type(err)(err.message, line=line)
-
-
 def parse_season(data: bytes | str) -> SeasonDataset:
     """Parse season file content into a validated :class:`SeasonDataset`.
 
@@ -354,24 +346,22 @@ def parse_season(data: bytes | str) -> SeasonDataset:
         data: Raw file content (UTF-8 bytes or already-decoded text).
 
     Raises:
-        SeasonDataError: with code MALFORMED_ROW (row/line reported),
-            DUPLICATE_FIXTURE, NONMONOTONIC_GOALS, NONCONTIGUOUS_ROUNDS,
-            ENCODING for bytes that are not UTF-8, or EMPTY_SEASON for an
-            entirely empty file.
+        SeasonDataError: with one of the codes listed in :mod:`timescore.errors`;
+            a fault at a known place in the file names its line.
     """
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            raise EncodingError(
-                f"season file is not UTF-8: {exc.reason} at byte {exc.start}",
+            raise SeasonDataError(
+                "ENCODING", f"season file is not UTF-8: {exc.reason} at byte {exc.start}",
                 line=data.count(b"\n", 0, exc.start) + 1,
             ) from None
     else:
         text = data.removeprefix("\ufeff")  # one BOM, as utf-8-sig drops
     first = text.lstrip()[:1]
     if not first:
-        raise EmptySeasonError("season file is empty")
+        raise SeasonDataError("EMPTY_SEASON", "season file is empty")
     if first in "{[":
         return _parse_json(text)
     return _parse_csv(text)
@@ -384,7 +374,7 @@ def _csv_int(field: str, what: str) -> int:
     """
     m = _INT_RE.fullmatch(field.strip())
     if m is None:
-        raise MalformedRowError(f"bad {what} {field!r}")
+        raise SeasonDataError("MALFORMED_ROW", f"bad {what} {field!r}")
     _check_digits(m.group(1), what)
     return int(field)
 
@@ -395,11 +385,14 @@ def _parse_csv(text: str) -> SeasonDataset:
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptySeasonError("season file is empty") from None
-    except csv.Error as exc:
-        raise _bad_csv_line(exc, reader.line_num) from None
+        raise SeasonDataError("EMPTY_SEASON", "season file is empty") from None
+    except csv.Error as exc:  # e.g. a bare carriage return or a huge field
+        raise SeasonDataError(
+            "MALFORMED_ROW", f"bad CSV line: {exc}", line=reader.line_num
+        ) from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise MalformedRowError(
+        raise SeasonDataError(
+            "MALFORMED_ROW",
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
             line=1,
         )
@@ -414,7 +407,9 @@ def _parse_csv(text: str) -> SeasonDataset:
             if not row:
                 continue  # blank line
             if len(row) != len(CSV_HEADER):
-                raise MalformedRowError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                raise SeasonDataError(
+                    "MALFORMED_ROW", f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+                )
             round_text, home, away, goals_field, length_field = row
             round_no = round_numbers.get(round_text)
             if round_no is None:
@@ -435,27 +430,18 @@ def _parse_csv(text: str) -> SeasonDataset:
                 round_no, home, away, goals, declared, len(goals) * _TOKEN_SLACK_S, names
             ))
     except csv.Error as exc:
-        raise _bad_csv_line(exc, reader.line_num) from None
+        raise SeasonDataError(
+            "MALFORMED_ROW", f"bad CSV line: {exc}", line=reader.line_num
+        ) from None
     except SeasonDataError as err:
-        raise _located(err, reader.line_num) from None
+        raise SeasonDataError(err.code, err.message, line=reader.line_num) from None
     return SeasonDataset(matches=tuple(matches))
-
-
-def _bad_csv_line(exc: Exception, line: int) -> MalformedRowError:
-    """The error of a line the csv module rejects, e.g. a bare carriage return or a huge field."""
-    return MalformedRowError(f"bad CSV line: {exc}", line=line)
 
 
 def _require_int(value: Any, what: str) -> int:
     # JSON yields exact types, so this also rejects true and false.
     if type(value) is not int:
-        raise MalformedRowError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _require_str(value: Any, what: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedRowError(f"{what} must be a string, got {value!r}")
+        raise SeasonDataError("MALFORMED_ROW", f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -467,14 +453,14 @@ def _lookup(table: dict, value: Any, what: str) -> int:
         raise ValueError(f"{value!r} is not a valid {what}") from None
 
 
-def _goal_object_error(entry: dict) -> MalformedRowError:
+def _goal_object_error(entry: dict) -> SeasonDataError:
     """The error of a goal object whose side, time_s or precision is missing or bad."""
     try:
         _lookup(_SIGNS, entry["side"], "Side")
         entry["time_s"]
         _lookup(_SLACK_S, entry.get("precision", "exact"), "TimePrecision")
     except (KeyError, ValueError) as exc:
-        return MalformedRowError(f"bad goal object {entry!r}: {exc}")
+        return SeasonDataError("MALFORMED_ROW", f"bad goal object {entry!r}: {exc}")
     raise AssertionError(f"goal object {entry!r} has no fault")
 
 
@@ -498,8 +484,8 @@ def _json_goals(entries: list, tokens: _TokenMemo) -> tuple[list[int], int]:
             goals.append(tokens[entry])
             slack_s += _TOKEN_SLACK_S
         else:
-            raise MalformedRowError(
-                f"goal entry must be a token string or object, got {entry!r}"
+            raise SeasonDataError(
+                "MALFORMED_ROW", f"goal entry must be a token string or object, got {entry!r}"
             )
     return goals, slack_s
 
@@ -509,20 +495,22 @@ def _parse_json(text: str) -> SeasonDataset:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedRowError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+        raise SeasonDataError(
+            "MALFORMED_ROW", f"invalid JSON: {exc.msg}", line=exc.lineno
+        ) from None
     except ValueError:  # an integer with more digits than int() converts
         limit = sys.get_int_max_str_digits()
-        raise MalformedRowError(
-            f"invalid JSON: an integer has more than {limit} digits",
+        raise SeasonDataError(
+            "MALFORMED_ROW", f"invalid JSON: an integer has more than {limit} digits",
             line=_long_integer_line(text, limit),
         ) from None
     except RecursionError:
-        raise MalformedRowError("invalid JSON: nested too deeply") from None
+        raise SeasonDataError("MALFORMED_ROW", "invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("matches"), list):
-        raise MalformedRowError('top level must be an object with a "matches" list')
+        raise SeasonDataError("MALFORMED_ROW", 'top level must be an object with a "matches" list')
     league = doc.get("league", "")
     if not isinstance(league, str):
-        raise MalformedRowError('"league" must be a string')
+        raise SeasonDataError("MALFORMED_ROW", '"league" must be a string')
     _check_no_lone_surrogate(league, '"league"')
     matches = []
     tokens = _TokenMemo()
@@ -530,11 +518,11 @@ def _parse_json(text: str) -> SeasonDataset:
     for i, obj in enumerate(doc["matches"], start=1):
         try:
             if not isinstance(obj, dict):
-                raise MalformedRowError("match entry must be an object")
+                raise SeasonDataError("MALFORMED_ROW", "match entry must be an object")
             declared, length_min = obj.get("length_s"), obj.get("length_min")
             if length_min is not None:
                 if declared is not None:
-                    raise MalformedRowError("give length_min or length_s, not both")
+                    raise SeasonDataError("MALFORMED_ROW", "give length_min or length_s, not both")
                 if type(length_min) is not int:
                     _require_int(length_min, "length_min")
                 declared = length_min * SECONDS_PER_MINUTE
@@ -542,7 +530,7 @@ def _parse_json(text: str) -> SeasonDataset:
                 _require_int(declared, "length_s")
             entries = obj.get("goals", [])
             if type(entries) is not list:
-                raise MalformedRowError(f"goals must be a list, got {entries!r}")
+                raise SeasonDataError("MALFORMED_ROW", f"goals must be a list, got {entries!r}")
             goals, slack_s = _json_goals(entries, tokens)
             # Read and check round, home, away in turn: the first fault is the one reported.
             round_no = obj["round"]
@@ -550,17 +538,17 @@ def _parse_json(text: str) -> SeasonDataset:
                 _require_int(round_no, "round")
             home = obj["home"]
             if type(home) is not str:
-                _require_str(home, "home")
+                raise SeasonDataError("MALFORMED_ROW", f"home must be a string, got {home!r}")
             away = obj["away"]
             if type(away) is not str:
-                _require_str(away, "away")
+                raise SeasonDataError("MALFORMED_ROW", f"away must be a string, got {away!r}")
             matches.append(_match_record(round_no, home, away, goals, declared, slack_s, names))
         except SeasonDataError as err:
-            raise type(err)(f"match {i}: {err.message}") from None
+            raise SeasonDataError(err.code, f"match {i}: {err.message}") from None
         except KeyError as exc:
-            raise MalformedRowError(f"match {i}: missing field {exc}") from None
+            raise SeasonDataError("MALFORMED_ROW", f"match {i}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise MalformedRowError(f"match {i}: {exc}") from None
+            raise SeasonDataError("MALFORMED_ROW", f"match {i}: {exc}") from None
     return SeasonDataset(league_name=league, matches=tuple(matches))
 
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .display import ratio_text
-from .errors import EmptySeasonError, NonPositiveLeaderError, TooManyLengthsError
+from .errors import SeasonDataError
 from .ingest import MatchRecord, SeasonDataset
 from .scoring import ScoringRule
 
@@ -77,7 +78,7 @@ class SeasonLedger:
 
     def __init__(self, dataset: SeasonDataset) -> None:
         if not dataset.matches:
-            raise EmptySeasonError("season has no matches")
+            raise SeasonDataError("EMPTY_SEASON", "season has no matches")
         self.teams = dataset.teams
         index = {team: i for i, team in enumerate(self.teams)}
         self.num_rounds = dataset.num_rounds
@@ -119,15 +120,12 @@ class SeasonLedger:
         lengths = {row[5] for row in chain.from_iterable(self._rows)}
         self.length_lcm = math.lcm(*lengths)
         if self.length_lcm.bit_length() > MAX_LENGTH_LCM_BITS:
-            raise TooManyLengthsError(
-                f"the {len(lengths)} distinct match lengths have an lcm of more than "
-                "3000 digits, too large for exact points"
+            raise SeasonDataError(
+                "TOO_MANY_LENGTHS", f"the {len(lengths)} distinct match lengths have an lcm "
+                "of more than 3000 digits, too large for exact points"
             )
         factor = {t: self.length_lcm // t for t in lengths}.__getitem__
         self._factors = [[factor(row[5]) for row in rows] for rows in self._rows]
-        self._row_counts: tuple[list[tuple[int, ...]], list[int]] | None = None
-        self._tiebreaks: list[list[int]] | None = None
-        self._season: tuple[list[tuple[int, ...]], int, list[int]] | None = None
 
     def den(self, rule: ScoringRule) -> int:
         """The common denominator of every total under ``rule``.
@@ -144,9 +142,6 @@ class SeasonLedger:
         ``rule.scale * T`` under a rule that reads time, else ``rule.scale``.
         The rows are counted once per ledger, on the first call.
         """
-        if self._row_counts is None:
-            counted = Counter(chain.from_iterable(self._rows))
-            self._row_counts = list(counted), list(counted.values())
         rows, counts = self._row_counts
         scale = rule.scale
         dens = [scale * row[5] for row in rows] if rule.reads_time else [scale] * len(rows)
@@ -161,8 +156,6 @@ class SeasonLedger:
         The last item equals :meth:`final`. The first call sorts every round's
         tie-break, once per ledger; a round whose ``order`` is unread is not ranked.
         """
-        if self._tiebreaks is None:
-            self._tiebreaks = [_tiebreak(*totals) for totals in self._totals]
         den, points, appearances = self.den(rule), [0] * len(self.teams), 0
         # A rule that reads no time adds each award as it is, over its scale.
         round_factors = self._factors if rule.reads_time else repeat(repeat(1))
@@ -182,20 +175,31 @@ class SeasonLedger:
         in its row and ``T·f == length_lcm``, so a season row's award is the team's
         total over :meth:`den`. Only the last round's tie-break order is sorted.
         """
-        if self._season is None:
-            lead, level, trail, result, bonus = sums = [[0] * len(self.teams) for _ in range(5)]
-            for rows, sides, factors in zip(self._rows, self._sides, self._factors):
-                for team, (w, d, l, r, g, _), f in zip(sides, rows, factors):
-                    lead[team] += w * f
-                    level[team] += d * f
-                    trail[team] += l * f
-                    result[team] += r
-                    bonus[team] += g
-            rows = [(*row, self.length_lcm) for row in zip(*sums)]
-            self._season = rows, sum(map(len, self._sides)), _tiebreak(*self._totals[-1])
         rows, appearances, tiebreak = self._season
         points = _award_nums(rule, rows)
         return Standings(self.teams, rule, self.den(rule), points, appearances, tiebreak)
+
+    @cached_property
+    def _row_counts(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        counted = Counter(chain.from_iterable(self._rows))
+        return list(counted), list(counted.values())
+
+    @cached_property
+    def _tiebreaks(self) -> list[list[int]]:
+        return [_tiebreak(*totals) for totals in self._totals]
+
+    @cached_property
+    def _season(self) -> tuple[list[tuple[int, ...]], int, list[int]]:
+        lead, level, trail, result, bonus = sums = [[0] * len(self.teams) for _ in range(5)]
+        for rows, sides, factors in zip(self._rows, self._sides, self._factors):
+            for team, (w, d, l, r, g, _), f in zip(sides, rows, factors):
+                lead[team] += w * f
+                level[team] += d * f
+                trail[team] += l * f
+                result[team] += r
+                bonus[team] += g
+        rows = [(*row, self.length_lcm) for row in zip(*sums)]
+        return rows, sum(map(len, self._sides)), _tiebreak(*self._totals[-1])
 
 
 def _tiebreak(goal_diff: list[int], goals_for: list[int]) -> list[int]:
@@ -227,9 +231,9 @@ def percent_of_leader(standings: Standings) -> tuple[list[int], int]:
     order, points = standings.order, standings.points
     leader = points[order[0]]
     if leader <= 0:
-        raise NonPositiveLeaderError(
-            f"{standings.rule.system.value} leader {standings.teams[order[0]]} has "
-            f"{ratio_text(leader, standings.den)} points; "
+        raise SeasonDataError(
+            "NON_POSITIVE_LEADER", f"{standings.rule.system.value} leader "
+            f"{standings.teams[order[0]]} has {ratio_text(leader, standings.den)} points; "
             "percentages of the leader need a positive leader"
         )
     return [100 * points[i] for i in order], leader

@@ -461,14 +461,23 @@ def test_malformed_input_exits_one_with_line(tmp_path):
 def test_unknown_system_exits_one(tmp_path):
     result = _invoke("table", tmp_path, "--systems", "classic,elo")
     assert result.exit_code == 1
-    assert "unknown scoring system" in result.stderr
+    assert result.stderr.startswith("error: BAD_SYSTEMS: unknown scoring system 'elo'")
 
 
 def test_bad_weights_exit_one(tmp_path):
     result = _invoke("table", tmp_path, "--weights", "1,2,3")
     assert result.exit_code == 1
     assert result.stderr == (
-        "error: weights must satisfy alpha_w > alpha_d > alpha_l, got (1, 2, 3)\n"
+        "error: BAD_WEIGHTS: weights must satisfy alpha_w > alpha_d > alpha_l, got (1, 2, 3)\n"
+    )
+
+
+def test_bad_systems_are_reported_before_bad_weights(tmp_path):
+    result = _invoke("table", tmp_path / "out", "--systems", "foo", "--weights", "1,2,3")
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: BAD_SYSTEMS: unknown scoring system 'foo'; "
+        "choose from classic,time,mixed,goaldiff\n"
     )
 
 
@@ -487,7 +496,7 @@ def test_weight_errors_exit_one_before_reading(tmp_path, weights, message):
     result = _invoke("table", tmp_path / "out", f"--weights={weights}",
                      season=tmp_path / "missing.csv")
     assert result.exit_code == 1
-    assert result.stderr == f"error: {message}\n"
+    assert result.stderr == f"error: BAD_WEIGHTS: {message}\n"
 
 
 def test_all_draws_fixture_gives_zero_gaps(tmp_path):
@@ -568,7 +577,7 @@ def test_negative_leader_points_print_exactly(tmp_path):
 def test_zero_denominator_weight_exits_one(tmp_path):
     result = _invoke("table", tmp_path, "--weights", "3,1/0,0")
     assert result.exit_code == 1
-    assert "divide by zero" in result.stderr
+    assert result.stderr.startswith("error: BAD_WEIGHTS: weights must not divide by zero")
 
 
 @pytest.mark.parametrize(
@@ -843,8 +852,9 @@ def test_report_files_equal_the_fraction_reference(
 @pytest.mark.parametrize(
     "args,missing,code,message",
     [
-        (["--systems", "foo"], False, 1, "error: unknown scoring system 'foo'"),
-        (["--systems", ","], False, 1, "error: at least one scoring system is required\n"),
+        (["--systems", "foo"], False, 1, "error: BAD_SYSTEMS: unknown scoring system 'foo'"),
+        (["--systems", ","], False, 1,
+         "error: BAD_SYSTEMS: at least one scoring system is required\n"),
         ([], True, 2, "error: [Errno 2] No such file or directory"),
     ],
     ids=["unknown_system", "no_system", "missing_season"],
@@ -934,7 +944,8 @@ def test_weights_outside_the_grammar_exit_one_before_reading(tmp_path, weights, 
                      season=tmp_path / "missing.csv")
     assert result.exit_code == 1
     assert result.stderr == (
-        f"error: bad weight {bad!r}: expected an integer, a decimal or a fraction a/b\n"
+        f"error: BAD_WEIGHTS: bad weight {bad!r}: "
+        "expected an integer, a decimal or a fraction a/b\n"
     )
 
 
@@ -1116,7 +1127,7 @@ def test_a_double_dash_after_a_value_option_is_its_value(tmp_path):
     result = _invoke("table", tmp_path / "out", "--systems", "--")
     assert result.exit_code == 1
     assert result.stderr == (
-        "error: unknown scoring system '--'; choose from classic,time,mixed,goaldiff\n"
+        "error: BAD_SYSTEMS: unknown scoring system '--'; choose from classic,time,mixed,goaldiff\n"
     )
 
 
@@ -1125,7 +1136,9 @@ def test_weight_past_the_digit_cap_exits_one_before_reading(tmp_path):
     result = _invoke("table", tmp_path / "out", "--weights", weights,
                      season=tmp_path / "missing.csv")
     assert result.exit_code == 1
-    assert result.stderr == "error: bad weight: 5001 digits, at most 100 digits allowed\n"
+    assert result.stderr == (
+        "error: BAD_WEIGHTS: bad weight: 5001 digits, at most 100 digits allowed\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -31,12 +31,7 @@ from reference import (
     weight_fractions,
 )
 from timescore.display import format_ratios
-from timescore.errors import (
-    EmptySeasonError,
-    NonPositiveLeaderError,
-    TooFewTeamsError,
-    WrongSystemError,
-)
+from timescore.errors import SeasonDataError
 from timescore.indicators import (
     draws_to_wins,
     ecdf_steps,
@@ -100,7 +95,7 @@ class TestGaps:
         assert [Fraction(*ratio) for ratio in gaps(standings)] == [0, 0, 0]
 
     def test_too_few_teams(self):
-        with pytest.raises(TooFewTeamsError):
+        with pytest.raises(SeasonDataError, match="^TOO_FEW_TEAMS: "):
             gaps(_standings([3, 1], ScoringSystem.CLASSIC))
 
     def test_short_table_ninth_falls_back_to_last(self):
@@ -133,7 +128,7 @@ class TestAveragePoints:
 
     def test_empty_season(self):
         # No appearances to average over: the ledger refuses the season.
-        with pytest.raises(EmptySeasonError):
+        with pytest.raises(SeasonDataError, match="^EMPTY_SEASON: "):
             SeasonLedger(SeasonDataset())
 
     def test_time_average_strictly_below_three_halves(self):
@@ -204,7 +199,7 @@ class TestMinutesToUpper:
         assert [Fraction(num, den) for num in nums] == [2 * 60, 3 * 60]
 
     def test_wrong_system_rejected(self):
-        with pytest.raises(WrongSystemError):
+        with pytest.raises(SeasonDataError, match="^WRONG_SYSTEM: "):
             minutes_to_upper(_standings([10, 8, 5], ScoringSystem.CLASSIC))
 
 
@@ -224,7 +219,7 @@ class TestDrawsToWins:
         assert draws_to_wins(standings, [0, 2, 3]) == [(2, True), (3, False)]
 
     def test_wrong_system_rejected(self):
-        with pytest.raises(WrongSystemError):
+        with pytest.raises(SeasonDataError, match="^WRONG_SYSTEM: "):
             draws_to_wins(_standings([10, 8, 5], ScoringSystem.TIME), [0, 0, 0])
 
 
@@ -287,7 +282,7 @@ class TestPointsEcdf:
         # No awards, no steps; the ledger refuses an empty season before that.
         uppers, counts, _ = ecdf_steps(([], [], []))
         assert uppers == counts == []
-        with pytest.raises(EmptySeasonError):
+        with pytest.raises(SeasonDataError, match="^EMPTY_SEASON: "):
             SeasonLedger(SeasonDataset())
 
 
@@ -346,7 +341,7 @@ def test_gaps_average_and_minutes_equal_their_fraction_recounts(seed, teams, wei
         assert Fraction(*final.average()) == average_recount(season, system, weights)
         expected = gaps_recount(points)
         if expected is None:
-            with pytest.raises(NonPositiveLeaderError):
+            with pytest.raises(SeasonDataError, match="^NON_POSITIVE_LEADER: "):
                 gaps(final)
         else:
             assert [Fraction(*ratio) for ratio in gaps(final)] == expected

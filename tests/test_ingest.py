@@ -11,13 +11,7 @@ from clirun import run_cli
 from matchgen import declared_lengths, goal_entries, record_from_entries, team_names
 from reference import paper_match_awards
 from timescore.display import csv_text
-from timescore.errors import (
-    DuplicateFixtureError,
-    EmptySeasonError,
-    MalformedRowError,
-    NonContiguousRoundsError,
-    NonMonotonicGoalsError,
-)
+from timescore.errors import SeasonDataError
 from timescore.ingest import (
     CSV_HEADER,
     SECONDS_PER_MINUTE,
@@ -104,7 +98,7 @@ def test_declared_length_minutes_scaled_to_seconds():
     ],
 )
 def test_malformed_rows_report_line_number(row):
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season(HEADER + row + "\n")
     assert "MALFORMED_ROW" in str(excinfo.value)
     assert "line 2" in str(excinfo.value)
@@ -119,7 +113,7 @@ def test_bad_token_after_valid_rows_reports_its_line():
         '2,Beta,Alpha,"H:10",\n'
         '2,Delta,Gamma,"H:10,A:20,H:3O",\n'
     )
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season(text)
     assert "H:3O" in str(excinfo.value)
     assert "line 5" in str(excinfo.value)
@@ -224,14 +218,14 @@ def test_parsed_records_equal_records_built_from_each_row(fixtures):
 
 
 def test_wrong_header_rejected():
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season("a,b,c\n1,Alpha,Beta,,\n")
     assert "line 1" in str(excinfo.value)
 
 
 def test_duplicate_fixture_rejected():
     text = HEADER + "1,Alpha,Beta,,\n2,Alpha,Beta,,\n"
-    with pytest.raises(DuplicateFixtureError):
+    with pytest.raises(SeasonDataError, match="^DUPLICATE_FIXTURE: "):
         parse_season(text)
 
 
@@ -241,12 +235,12 @@ def test_reversed_fixture_is_not_a_duplicate():
 
 
 def test_nonmonotonic_goals_rejected():
-    with pytest.raises(NonMonotonicGoalsError):
+    with pytest.raises(SeasonDataError, match="^NONMONOTONIC_GOALS: "):
         parse_season(HEADER + '1,Alpha,Beta,"H:20,A:10",\n')
 
 
 def test_same_second_goals_rejected():
-    with pytest.raises(NonMonotonicGoalsError):
+    with pytest.raises(SeasonDataError, match="^NONMONOTONIC_GOALS: "):
         MatchRecord(1, "Alpha", "Beta", (100, -100))
 
 
@@ -264,7 +258,7 @@ def test_same_second_goals_rejected():
 )
 def test_match_record_reports_its_first_bad_goal(goals, error):
     # Signed goals: the sign is the side, so a time is out of range at 0 or past 300'.
-    with pytest.raises((MalformedRowError, NonMonotonicGoalsError)) as excinfo:
+    with pytest.raises(SeasonDataError, match="^(MALFORMED_ROW|NONMONOTONIC_GOALS): ") as excinfo:
         MatchRecord(1, "Alpha", "Beta", goals)
     assert str(excinfo.value) == error
 
@@ -274,7 +268,7 @@ def test_match_record_reports_its_first_bad_goal(goals, error):
 )
 def test_match_record_rejects_a_lone_surrogate_in_a_name(names):
     # UTF-8 cannot encode a lone surrogate, so no report file could hold the name.
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         MatchRecord(1, *names)
     bad = next(name for name in names if not name.isascii())
     assert str(excinfo.value) == (
@@ -290,7 +284,7 @@ def test_match_record_keeps_names_outside_ascii():
 
 
 def test_noncontiguous_rounds_rejected():
-    with pytest.raises(NonContiguousRoundsError):
+    with pytest.raises(SeasonDataError, match="^NONCONTIGUOUS_ROUNDS: "):
         parse_season(HEADER + "1,Alpha,Beta,,\n3,Beta,Alpha,,\n")
 
 
@@ -303,7 +297,7 @@ def test_json_behind_a_bom_and_blank_lines_parses_as_json():
 
 
 def test_top_level_json_array_is_not_a_season():
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season(" []")
     assert str(excinfo.value) == (
         'MALFORMED_ROW: top level must be an object with a "matches" list'
@@ -312,7 +306,7 @@ def test_top_level_json_array_is_not_a_season():
 
 def test_json_scalar_is_read_as_csv_and_fails_at_its_header():
     # Only text that opens with "{" or "[" goes to the JSON parser.
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season("null\n")
     assert excinfo.value.line == 1
     assert str(excinfo.value).startswith(
@@ -321,9 +315,9 @@ def test_json_scalar_is_read_as_csv_and_fails_at_its_header():
 
 
 def test_empty_file_rejected():
-    with pytest.raises(EmptySeasonError):
+    with pytest.raises(SeasonDataError, match="^EMPTY_SEASON: "):
         parse_season("")
-    with pytest.raises(EmptySeasonError):
+    with pytest.raises(SeasonDataError, match="^EMPTY_SEASON: "):
         parse_season(b"  \n \n")
 
 
@@ -354,7 +348,7 @@ def test_text_and_bytes_drop_one_bom_alike():
     # A second BOM is part of the header, whichever type the content has.
     errors = []
     for data in ("\ufeff\ufeff" + text, ("\ufeff\ufeff" + text).encode("utf-8")):
-        with pytest.raises(MalformedRowError) as excinfo:
+        with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
             parse_season(data)
         errors.append(str(excinfo.value))
     assert errors == 2 * [
@@ -452,7 +446,7 @@ def test_json_accepts_token_strings_and_objects():
 def test_json_rejects_non_integer_numbers(field, value):
     obj = {"round": 1, "home": "A", "away": "B", "goals": []}
     obj[field] = value
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: "):
         parse_season(json.dumps({"matches": [obj]}))
 
 
@@ -461,7 +455,7 @@ def test_json_rejects_fractional_goal_time():
         '{"matches": [{"round": 1, "home": "A", "away": "B",'
         ' "goals": [{"side": "H", "time_s": 10.5}]}]}'
     )
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: "):
         parse_season(doc)
 
 
@@ -480,7 +474,7 @@ def _json_match(fields: str) -> str:
 )
 def test_json_match_length_is_capped(longest, too_long):
     assert parse_season(_json_match(longest)).matches
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: "):
         parse_season(_json_match(too_long))
 
 
@@ -506,7 +500,7 @@ def test_json_match_length_is_capped(longest, too_long):
     ids=["unknown_side", "unhashable_side", "unknown_precision", "bool_time", "missing_side"],
 )
 def test_json_goal_object_errors_name_the_bad_field(goal, message):
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season(_json_match(f'"goals": [{{"side": "H", "time_s": 30}}, {goal}]'))
     assert str(excinfo.value) == f"MALFORMED_ROW: match 1: {message}"
 
@@ -523,7 +517,7 @@ def test_json_goal_object_errors_name_the_bad_field(goal, message):
     ids=["empty_string", "empty_object", "token_string", "null", "goal_object"],
 )
 def test_json_goals_must_be_a_list(goals, shown):
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season(_json_match(f'"goals": {goals}'))
     assert str(excinfo.value) == f"MALFORMED_ROW: match 1: goals must be a list, got {shown}"
 
@@ -533,7 +527,7 @@ def test_json_match_without_goals_is_goalless():
 
 
 def test_json_integer_too_long_to_convert_is_malformed():
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: "):
         parse_season(_json_match('"length_s": 1' + "0" * 5000))
 
 
@@ -542,19 +536,19 @@ def test_json_rejects_both_length_keys():
         '{"matches": [{"round": 1, "home": "A", "away": "B", "goals": [],'
         ' "length_min": 95, "length_s": 5700}]}'
     )
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season(doc)
     assert str(excinfo.value) == "MALFORMED_ROW: match 1: give length_min or length_s, not both"
 
 
 def test_json_non_integer_length_names_the_field():
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season(_json_match('"length_min": 95.5'))
     assert str(excinfo.value) == "MALFORMED_ROW: match 1: length_min must be an integer, got 95.5"
 
 
 def test_json_syntax_error_reports_line():
-    with pytest.raises(MalformedRowError) as excinfo:
+    with pytest.raises(SeasonDataError, match="^MALFORMED_ROW: ") as excinfo:
         parse_season('{"matches": [\n  {bad}\n]}')
     assert excinfo.value.line == 2
 

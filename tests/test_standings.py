@@ -6,7 +6,7 @@ import pytest
 from matchgen import random_season
 from reference import final_score, paper_match_awards
 from timescore.cli import evolution_report
-from timescore.errors import EmptySeasonError
+from timescore.errors import SeasonDataError
 from timescore.ingest import MatchRecord, SeasonDataset
 from timescore.scoring import ScoringSystem, scoring_rule
 from timescore.indicators import rank_changes
@@ -90,7 +90,7 @@ class TestFinalTable:
         assert TWO_TEAM_LEDGER.final(CLASSIC).appearances == 4
 
     def test_empty_season_rejected(self):
-        with pytest.raises(EmptySeasonError):
+        with pytest.raises(SeasonDataError, match="^EMPTY_SEASON: "):
             SeasonLedger(SeasonDataset())
 
     def test_ranks_are_contiguous(self):

@@ -16,7 +16,9 @@ errors. Identical inputs and flags always produce byte-identical outputs.
 
 from __future__ import annotations
 
+import errno
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
@@ -68,10 +70,9 @@ def table_report(
         standings = finals[rule.system] = ledger.final(rule)
         name = rule.system.value
         percents, leader = percent_of_leader(standings)
-        order = standings.order
-        points = map(standings.points.__getitem__, order)
+        points = map(standings.points.__getitem__, standings.order)
         columns += (
-            [f"{name}_team", *map(standings.teams.__getitem__, order)],
+            [f"{name}_team", *map(standings.teams.__getitem__, standings.order)],
             [f"{name}_points", *format_ratios(points, standings.den, decimals, comma=comma)],
             [f"{name}_pct_of_1st", *format_ratios(percents, leader, 0, comma=comma)],
         )
@@ -97,9 +98,8 @@ def evolution_report(
     for rule in rules:
         teams, points = ["team"], []
         for standings in ledger.rounds(rule):
-            order = standings.order
-            teams += map(standings.teams.__getitem__, order)
-            points += map(standings.points.__getitem__, order)
+            teams += map(standings.teams.__getitem__, standings.order)
+            points += map(standings.points.__getitem__, standings.order)
         files[f"evolution_{rule.system.value}.csv"] = csv_text((
             rounds, teams, ranks,
             ["points", *format_ratios(points, ledger.den(rule), decimals, comma=comma)],
@@ -179,25 +179,44 @@ def _execute(
 ) -> None:
     """Run ``reports`` on one ledger and write their files only once all succeed.
 
-    Exits 1 on a data or flag error and 2 on an I/O error, after an ``error:`` line.
+    Exits 1 on a data or flag error and 2 on an I/O error, after an ``error:`` line that
+    names the path of an I/O error. The reports render free of the int-to-str digit limit.
     """
+    limit = sys.get_int_max_str_digits()
     try:
         rules = _rules(systems, weights)
-        # The parsed season is dropped once its ledger is built, so the reports
-        # reuse its memory.
+        # open() and mkdir() raise a plain ValueError for a path the OS cannot take.
+        for path in (output_dir, input_path):  # the path at hand, named by an I/O error
+            try:
+                if b"\0" in os.fsencode(path):
+                    raise ValueError("a path cannot hold a NUL byte")
+            except ValueError as err:  # also for a character the file system encoding lacks
+                raise OSError(errno.EINVAL, str(err)) from None
+        # Parsed under the caller's limit, which the over-long integer error names; the
+        # season is dropped once its ledger is built, so the reports reuse its memory.
         ledger = SeasonLedger(parse_season(input_path.read_bytes()))
+        sys.set_int_max_str_digits(0)  # a ratio can have more digits than the limit
         files: dict[str, str] = {}
         for report in reports:
             files.update(report(ledger, rules, decimals, decimal_comma))
         output_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
-            (output_dir / name).write_bytes(content.encode("utf-8"))
-    except (ValueError, OSError) as err:
-        # A ValueError is a SeasonDataError: a bad flag value or season, named by its code.
+            path = output_dir / name
+            path.write_bytes(content.encode("utf-8"))
+    except SeasonDataError as err:
         print(f"error: {err}", file=sys.stderr)
-        sys.exit(2 if isinstance(err, OSError) else 1)
-    for name in files:
-        print(output_dir / name)
+        sys.exit(1)
+    except OSError as err:  # some, such as a full disk, name no file
+        print(f"error: {err}" if err.filename else f"error: {err}: {str(path)!r}", file=sys.stderr)
+        sys.exit(2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    written = "".join(f"{output_dir / name}\n" for name in files)
+    try:
+        sys.stdout.write(written)
+    except UnicodeEncodeError:  # escaped as stderr escapes what its encoding lacks
+        encoding = sys.stdout.encoding
+        sys.stdout.write(written.encode(encoding, "backslashreplace").decode(encoding))
 
 
 # Each command: what it writes, and the reports that make its files.

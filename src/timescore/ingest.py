@@ -75,34 +75,23 @@ _TOKEN_SLACK_S = _SLACK_S["minute_truncated"]
 
 
 class FrozenRecord(tuple):
-    """Base of the validated records: tuples of their fields, compared and hashed by value.
+    """Base of the validated records: tuples of their fields, each built by a checking ``__new__``.
 
-    A subclass lists its fields in ``_fields``, validates in ``__new__`` and
-    returns ``tuple.__new__(cls, values)``; each field reads through a
-    read-only property, so assigning or deleting one raises AttributeError.
-    Records of different classes, tuples included, never compare equal, and
-    records have no order.
+    A subclass annotates its fields in order, validates in ``__new__`` and
+    returns ``tuple.__new__(cls, values)``; each field, listed in ``_fields``,
+    reads through a read-only property, so assigning or deleting one raises
+    AttributeError. A record compares, hashes and orders as the tuple of its
+    fields, as a NamedTuple does, but has no ``_make`` or ``_replace`` to skip
+    the checks.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
         for i, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(i)))
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def _unordered(self, other: object) -> bool:
-        raise TypeError(f"{type(self).__name__} records have no order")
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
@@ -154,7 +143,6 @@ class MatchRecord(FrozenRecord):
     """
 
     __slots__ = ()
-    _fields = ("round", "home", "away", "goals", "declared_length_s", "slack_s", "timeline")
     round: int
     home: str
     away: str
@@ -265,7 +253,6 @@ class SeasonDataset(FrozenRecord):
     """
 
     __slots__ = ()
-    _fields = ("league_name", "matches")
     league_name: str
     matches: tuple[MatchRecord, ...]
 
@@ -384,8 +371,6 @@ def _parse_csv(text: str) -> SeasonDataset:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
-    except StopIteration:
-        raise SeasonDataError("EMPTY_SEASON", "season file is empty") from None
     except csv.Error as exc:  # e.g. a bare carriage return or a huge field
         raise SeasonDataError(
             "MALFORMED_ROW", f"bad CSV line: {exc}", line=reader.line_num

@@ -38,7 +38,6 @@ class WeightTriple(FrozenRecord):
     """
 
     __slots__ = ()
-    _fields = ("alpha_w", "alpha_d", "alpha_l", "scale")
     alpha_w: int
     alpha_d: int
     alpha_l: int
@@ -109,6 +108,14 @@ class ScoringRule(NamedTuple):
         return bool(self.lead or self.level or self.trail)
 
 
+# (lead, level, trail, result, goal_diff, scale) of each system that ignores the weights.
+_COEFFICIENTS = {
+    ScoringSystem.CLASSIC: (0, 0, 0, 1, 0, 1),
+    ScoringSystem.MIXED_HALF: (3, 1, 0, 1, 0, 2),
+    ScoringSystem.GOALDIFF_THIRD: (3, 1, 0, 1, 1, 3),
+}
+
+
 def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS) -> ScoringRule:
     """The coefficients of ``system``; only ``time`` reads the weights.
 
@@ -116,14 +123,7 @@ def scoring_rule(system: ScoringSystem, weights: WeightTriple = DEFAULT_WEIGHTS)
     mixed = ((3,1,0) time share + r) / 2;
     goaldiff = ((3,1,0) time share + r + g) / 3.
     """
-    if system is ScoringSystem.CLASSIC:
-        return ScoringRule(system, 0, 0, 0, 1, 0, 1)
     if system is ScoringSystem.TIME:
-        return ScoringRule(
-            system, weights.alpha_w, weights.alpha_d, weights.alpha_l, 0, 0, weights.scale
-        )
-    if system is ScoringSystem.MIXED_HALF:
-        return ScoringRule(system, 3, 1, 0, 1, 0, 2)
-    if system is ScoringSystem.GOALDIFF_THIRD:
-        return ScoringRule(system, 3, 1, 0, 1, 1, 3)
-    raise ValueError(f"unknown scoring system: {system!r}")
+        lead, level, trail, scale = weights
+        return ScoringRule(system, lead, level, trail, 0, 0, scale)
+    return ScoringRule(system, *_COEFFICIENTS[system])

